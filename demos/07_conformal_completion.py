@@ -37,7 +37,7 @@ for row in GENERATOR_TAGS:
 
 print()
 print("=== where the published table disagrees ===")
-for record in diff_vs_tabulated(kp):
+for record in diff_vs_tabulated(kp, table):
     row, col = record["bracket"]
     print(f"  [{row},{col}]  computed {record['computed']}  "
           f"vs claimed {record['claimed']}")

@@ -25,7 +25,7 @@ from .clifford import (
     sandwich,
     wedge,
 )
-from .gencomplex import GammaPoint, GenComplex, MoebiusMap, gc, gc_exp_unit
+from .gencomplex import GammaPoint, GenComplex, Mat2, MoebiusMap, gc, gc_exp_unit
 from .gentrig import atank, cosk, sink, tank
 from .kinclass import (
     BracketTriple,
@@ -36,7 +36,7 @@ from .kinclass import (
     is_kinematical,
     name_of,
 )
-from .spin import Mat2, SpinElement, cover_to_so3, sl2_of_exp_h, sl2_of_exp_k, sl2_of_exp_p
+from .spin import SpinElement, cover_to_so3, sl2_of_exp_h, sl2_of_exp_k, sl2_of_exp_p
 
 __all__ = [
     "KappaPair",
@@ -60,6 +60,7 @@ __all__ = [
     "wedge",
     "GammaPoint",
     "GenComplex",
+    "Mat2",
     "MoebiusMap",
     "gc",
     "gc_exp_unit",
@@ -74,7 +75,6 @@ __all__ = [
     "enumerate_all",
     "is_kinematical",
     "name_of",
-    "Mat2",
     "SpinElement",
     "cover_to_so3",
     "sl2_of_exp_h",

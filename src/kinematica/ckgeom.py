@@ -46,10 +46,6 @@ class KappaPair:
         if not (math.isfinite(self.kappa1) and math.isfinite(self.kappa2)):
             raise ValueError("kappa labels must be finite")
 
-    @property
-    def spacetime_valid(self) -> bool:
-        return self.kappa2 <= 0
-
 
 def so3_generators(kp: KappaPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H, P, K) acting on (z, t, x) columns.

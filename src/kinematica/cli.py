@@ -195,8 +195,7 @@ def _run_rotate(args, kp: KappaPair) -> dict:
 
 
 def _run_spin(args, kp: KappaPair) -> dict:
-    maker = {"H": spin.sl2_of_exp_h, "P": spin.sl2_of_exp_p, "K": spin.sl2_of_exp_k}
-    s = maker[args.gen](kp, args.param)
+    s = spin.SL2[args.gen](kp, args.param)
     return {
         "alpha": _gc_json(s.alpha),
         "beta": _gc_json(s.beta),
@@ -205,15 +204,16 @@ def _run_spin(args, kp: KappaPair) -> dict:
 
 
 def _run_conformal(args, kp: KappaPair) -> dict:
+    computed = conformal.computed_brackets(kp)
     brackets = {
         f"[{row},{col}]": coeffs
-        for (row, col), coeffs in conformal.computed_brackets(kp).items()
+        for (row, col), coeffs in computed.items()
         if row != col and coeffs
     }
     out: dict = {"brackets": brackets}
     if args.diff:
         out["diff"] = diffs = []
-        for record in conformal.diff_vs_tabulated(kp):
+        for record in conformal.diff_vs_tabulated(kp, computed):
             row, col = record["bracket"]
             diffs.append(
                 {

@@ -15,9 +15,12 @@ The product table is derived once symbolically from the generator relations
 s1^2 = 1, s2^2 = kappa1, s1*s2 = -s2*s1 = s3check, i central with
 i^2 = -kappa2: every basis element is a reduced word i^a s1^b s2^c, and word
 multiplication only ever produces a sign times a monomial kappa1^e1 *
-kappa2^e2.  The table is the source of truth for all products; the 2x2
-matrix picture is only an oracle (it is not faithful when kappa1 = 0, where
-s2 and s3check share a matrix).
+kappa2^e2, so each row of the table is a signed permutation of the basis.
+The table is the source of truth for all products, which gather its 64
+signed monomial terms directly (the blade product of Dorst, Fontijne and
+Mann, Geometric Algebra for Computer Science, 2007); the 2x2 matrix picture
+is only an oracle (it is not faithful when kappa1 = 0, where s2 and s3check
+share a matrix).
 
 s3check is a primitive basis element: "division by i" never happens as an
 arithmetic operation, since i is a zero divisor whenever kappa2 <= 0.
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +56,6 @@ GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 _REVERSE_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 SCALAR, S1, S2, S3, IS1, IS2, S3CHECK, VOLUME = range(8)
-_VECTOR_IDX = (S1, S2, S3)
-_BIVECTOR_IDX = (IS1, IS2, S3CHECK)
 
 
 def _symbolic_entry(i: int, j: int) -> tuple[int, int, int, int]:
@@ -76,16 +76,12 @@ SYMBOLIC_TABLE = tuple(
 )
 
 
-@lru_cache(maxsize=None)
-def product_table(kp: KappaPair) -> np.ndarray:
-    """Dense 8x8x8 structure constants T with (x*y)_k = x_i y_j T[i,j,k]."""
-    table = np.zeros((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            sign, e1, e2, k = SYMBOLIC_TABLE[i][j]
-            table[i, j, k] = sign * kp.kappa1**e1 * kp.kappa2**e2
-    table.flags.writeable = False
-    return table
+# SYMBOLIC_TABLE flattened in (i, j) order: the sign of each e_i * e_j, which
+# monomial 1, kappa1, kappa2, kappa1*kappa2 it carries, and its result index
+_TERMS = [entry for row in SYMBOLIC_TABLE for entry in row]
+_PRODUCT_SIGN = np.array([float(sign) for sign, _, _, _ in _TERMS])
+_PRODUCT_MONOMIAL = np.array([e1 + 2 * e2 for _, e1, e2, _ in _TERMS])
+_PRODUCT_INDEX = np.array([k for _, _, _, k in _TERMS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +158,11 @@ class Multivector:
         if isinstance(other, (int, float)):
             return Multivector(self.kp, self.coeffs * other)
         self._check(other)
-        table = product_table(self.kp)
+        k1, k2 = self.kp.kappa1, self.kp.kappa2
+        coef = np.array([1.0, k1, k2, k1 * k2])[_PRODUCT_MONOMIAL] * _PRODUCT_SIGN
+        terms = (self.coeffs[:, None] * other.coeffs).ravel() * coef
         return Multivector(
-            self.kp, np.einsum("i,j,ijk->k", self.coeffs, other.coeffs, table)
+            self.kp, np.bincount(_PRODUCT_INDEX, terms, minlength=8)
         )
 
     def __rmul__(self, other: float) -> "Multivector":
@@ -185,12 +183,6 @@ class Multivector:
 
     def vector_components(self) -> np.ndarray:
         return self.coeffs[[S1, S2, S3]].copy()
-
-    def bivector_components(self) -> np.ndarray:
-        return self.coeffs[[IS1, IS2, S3CHECK]].copy()
-
-    def volume_part(self) -> float:
-        return float(self.coeffs[VOLUME])
 
     def off_grade_norm(self, grades: tuple[int, ...]) -> float:
         mask = np.array([0.0 if g in grades else 1.0 for g in GRADES])
@@ -216,10 +208,6 @@ class Multivector:
             if c != 0.0
         ]
         return " ".join(terms) if terms else "0"
-
-
-def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
 
 
 def _require_vector(a: Multivector) -> None:

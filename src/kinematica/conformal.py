@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .ckgeom import KappaPair
 from .errors import DecompositionFailure
-from .gencomplex import MoebiusMap, gc
-from .spin import Mat2, so3_matrix_generators
+from .gencomplex import Mat2, gc
+from .spin import SL2, so3_matrix_generators
 
 GENERATOR_TAGS = ("H", "P", "K", "G1", "G2", "D")
 
@@ -141,13 +141,17 @@ def tabulated_bracket(kp: KappaPair, row: str, col: str):
     return {t: -v for t, v in _evaluate_claimed(entry, kp).items()}
 
 
-def diff_vs_tabulated(kp: KappaPair, tol: float = 1e-12) -> list[dict]:
-    """Slots where the computed table disagrees with the published one.
+def diff_vs_tabulated(
+    kp: KappaPair,
+    computed: dict[tuple[str, str], dict[str, float]],
+    tol: float = 1e-12,
+) -> list[dict]:
+    """Slots where ``computed``, the table of :func:`computed_brackets`,
+    disagrees with the published one.
 
     Undefined-symbol slots are always flagged; numeric slots are flagged when
     any coefficient differs by more than ``tol``.
     """
-    computed = computed_brackets(kp)
     diffs = []
     for row in GENERATOR_TAGS:
         for col in GENERATOR_TAGS:
@@ -174,8 +178,9 @@ def diff_vs_tabulated(kp: KappaPair, tol: float = 1e-12) -> list[dict]:
     return diffs
 
 
-def exp_generator(kp: KappaPair, tag: str, t: float) -> Mat2:
-    """Closed-form one-parameter subgroup through a conformal generator."""
+def conformal_moebius(kp: KappaPair, tag: str, t: float) -> Mat2:
+    """exp(t * generator) in closed form, the Moebius map it induces on the
+    kappa2 plane (:meth:`Mat2.apply`)."""
     k2 = kp.kappa2
     zero = gc(0, 0, k2)
     one = gc(1, 0, k2)
@@ -185,15 +190,6 @@ def exp_generator(kp: KappaPair, tag: str, t: float) -> Mat2:
         return Mat2(one, zero, gc(0, t, k2), one)
     if tag == "D":
         return Mat2(gc(math.exp(0.5 * t), 0, k2), zero, zero, gc(math.exp(-0.5 * t), 0, k2))
-    if tag in ("H", "P", "K"):
-        from .spin import sl2_of_exp_h, sl2_of_exp_k, sl2_of_exp_p
-
-        closed = {"H": sl2_of_exp_h, "P": sl2_of_exp_p, "K": sl2_of_exp_k}
-        return closed[tag](kp, t).as_mat2()
+    if tag in SL2:
+        return SL2[tag](kp, t).as_mat2()
     raise KeyError(f"unknown conformal generator {tag!r}")
-
-
-def conformal_moebius(kp: KappaPair, tag: str, t: float) -> MoebiusMap:
-    """The Moebius action of exp(t * generator) on the kappa2 plane."""
-    m = exp_generator(kp, tag, t)
-    return MoebiusMap(m.a, m.b, m.c, m.d)

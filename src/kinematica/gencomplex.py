@@ -11,10 +11,14 @@ top of this algebra).
 Values carrying different kappa labels never mix: arithmetic between them
 raises ``KappaMismatch`` instead of silently coercing.
 
-``MoebiusMap`` applies (a*w + b)/(c*w + d) with all four entries in the same
-algebra, and ``GammaPoint`` is the projective completion: a homogeneous pair
-[u : v] on which every Moebius map acts globally, including at points with
-zero-divisor coordinates that no affine w can represent.
+``Mat2`` is the one 2x2 matrix type over the algebra.  The same object is a
+Spin(3) element, a conformal generator and, through :meth:`Mat2.apply`, the
+Moebius map w -> (a*w + b)/(c*w + d).  ``MoebiusMap`` is a ``Mat2`` whose
+determinant is checked to be invertible; a plain ``Mat2`` carries no such
+check, since conformal generators such as G1 and G2 are singular.
+``GammaPoint`` is the projective completion: a homogeneous pair [u : v] on
+which every Moebius map acts globally, including at points with zero-divisor
+coordinates that no affine w can represent.
 """
 
 from __future__ import annotations
@@ -135,14 +139,6 @@ def gc(re: float, im: float, kappa: float) -> GenComplex:
     return GenComplex(float(re), float(im), float(kappa))
 
 
-def gc_mul(w1: GenComplex, w2: GenComplex) -> GenComplex:
-    return w1 * w2
-
-
-def gc_inv(w: GenComplex) -> GenComplex:
-    return w.inv()
-
-
 def gc_exp_unit(kappa: float, phi: float) -> GenComplex:
     """The unit exponential cosk(kappa, phi) + i*sink(kappa, phi).
 
@@ -152,12 +148,12 @@ def gc_exp_unit(kappa: float, phi: float) -> GenComplex:
     return GenComplex(cosk(kappa, phi), sink(kappa, phi), kappa)
 
 
-# -- Moebius maps ------------------------------------------------------------
+# -- 2x2 matrices and Moebius maps -------------------------------------------
 
 
 @dataclass(frozen=True)
-class MoebiusMap:
-    """w -> (a*w + b) / (c*w + d) with entries in a single algebra."""
+class Mat2:
+    """A 2x2 matrix [[a, b], [c, d]] over one generalized complex algebra."""
 
     a: GenComplex
     b: GenComplex
@@ -168,24 +164,74 @@ class MoebiusMap:
         k = self.a.kappa
         for entry in (self.b, self.c, self.d):
             _check_same_kappa(k, entry.kappa)
-        if self.det().sqmod() == 0.0:
-            raise ValueError("Moebius matrix determinant must be invertible")
 
     @property
     def kappa(self) -> float:
         return self.a.kappa
 
     @classmethod
-    def identity(cls, kappa: float) -> "MoebiusMap":
+    def identity(cls, kappa: float) -> "Mat2":
         one = gc(1, 0, kappa)
         zero = gc(0, 0, kappa)
         return cls(one, zero, zero, one)
 
+    @classmethod
+    def zero(cls, kappa: float) -> "Mat2":
+        z = gc(0, 0, kappa)
+        return cls(z, z, z, z)
+
+    def __add__(self, other: "Mat2") -> "Mat2":
+        return Mat2(
+            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
+        )
+
+    def __sub__(self, other: "Mat2") -> "Mat2":
+        return Mat2(
+            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
+        )
+
+    def __neg__(self) -> "Mat2":
+        return Mat2(-self.a, -self.b, -self.c, -self.d)
+
+    def __matmul__(self, other: "Mat2") -> "Mat2":
+        """Matrix product; as Moebius maps, self after other."""
+        return Mat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def scale(self, factor: "GenComplex | float") -> "Mat2":
+        return Mat2(
+            self.a * factor, self.b * factor, self.c * factor, self.d * factor
+        )
+
+    def star(self) -> "Mat2":
+        """Conjugate transpose."""
+        return Mat2(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
+
     def det(self) -> GenComplex:
         return self.a * self.d - self.b * self.c
 
+    def trace(self) -> GenComplex:
+        return self.a + self.d
+
+    def commutator(self, other: "Mat2") -> "Mat2":
+        return self @ other - other @ self
+
+    def max_abs(self) -> float:
+        return max(
+            abs(v)
+            for e in (self.a, self.b, self.c, self.d)
+            for v in (e.re, e.im)
+        )
+
+    def approx_eq(self, other: "Mat2", tol: float = 1e-12) -> bool:
+        return (self - other).max_abs() <= tol
+
     def apply(self, w: GenComplex) -> GenComplex:
-        """Evaluate the map at an affine point.
+        """Evaluate the Moebius map (a*w + b)/(c*w + d) at an affine point.
 
         Raises:
             AtInfinity: when c*w + d is not invertible; lift to a GammaPoint
@@ -197,22 +243,19 @@ class MoebiusMap:
             raise AtInfinity(f"{w} maps outside the affine plane")
         return (self.a * w + self.b) * den.inv()
 
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """self after other (matrix product self @ other)."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MoebiusMap":
-        # the adjugate induces the inverse map (projective scaling by det)
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+    def inverse(self) -> "Mat2":
+        """The adjugate: the inverse Moebius map (projectively, up to det)."""
+        return Mat2(self.d, -self.b, -self.c, self.a)
 
 
-def moebius_apply(m: MoebiusMap, w: GenComplex) -> GenComplex:
-    return m.apply(w)
+@dataclass(frozen=True)
+class MoebiusMap(Mat2):
+    """A ``Mat2`` with invertible determinant, used as w -> (a*w + b)/(c*w + d)."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.det().sqmod() == 0.0:
+            raise ValueError("Moebius matrix determinant must be invertible")
 
 
 # -- projective completion ---------------------------------------------------
@@ -264,7 +307,7 @@ def gamma_lift(w: GenComplex) -> GammaPoint:
     return GammaPoint(w, gc(1, 0, w.kappa))
 
 
-def gamma_apply(m: MoebiusMap, p: GammaPoint) -> GammaPoint:
+def gamma_apply(m: Mat2, p: GammaPoint) -> GammaPoint:
     """Act on the completion by the linear action on homogeneous pairs.
 
     Total on admissible points; raises InadmissiblePoint if the image pair

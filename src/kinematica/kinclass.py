@@ -38,6 +38,10 @@ class BracketTriple(NamedTuple):
     p: int
 
 
+def _sign(x: Fraction | float) -> int:
+    return 0 if x == 0 else (1 if x > 0 else -1)
+
+
 @dataclass(frozen=True)
 class GeneralAlgebra:
     """Un-normalized structure constants, kept rational for exact limits."""
@@ -51,10 +55,7 @@ class GeneralAlgebra:
         return cls(Fraction(t.k), Fraction(t.h), Fraction(t.p))
 
     def to_triple(self) -> BracketTriple:
-        def sign(x: Fraction) -> int:
-            return 0 if x == 0 else (1 if x > 0 else -1)
-
-        return BracketTriple(sign(self.ck), sign(self.ch), sign(self.cp))
+        return BracketTriple(_sign(self.ck), _sign(self.ch), _sign(self.cp))
 
 
 # display constants from the standard naming tables, (k, h, p)
@@ -266,11 +267,7 @@ def symmetry_exclusions(sym: str) -> set[str]:
 
 def so3_triple(kappa1: float, kappa2: float) -> BracketTriple:
     """Sign-normalized constants (k, h, p) = (sgn kappa1, -sgn kappa2, 1)."""
-
-    def sign(x: float) -> int:
-        return 0 if x == 0 else (1 if x > 0 else -1)
-
-    return BracketTriple(sign(kappa1), -sign(kappa2), 1)
+    return BracketTriple(_sign(kappa1), -_sign(kappa2), 1)
 
 
 def reachable_by_contractions(start: str) -> set[str]:

@@ -12,9 +12,12 @@ cosk(x, t/2) + B*sink(x, t/2) for the matching basis bivector B with label
 x = -B^2.
 
 ``cover_to_so3`` sends a spin element to the 3x3 motion it induces on
-vectors.  The conjugation is evaluated inside the eight-dimensional Clifford
-algebra (the 2x2 matrix picture is not faithful at kappa1 = 0), and the
-element is conjugated by s1 first, i.e. beta is negated.  That parity-time
+vectors, in closed form: each entry is a quadratic in (Re alpha, Im alpha,
+Re beta, Im beta), the analogue of the quaternion-to-rotation-matrix
+formula.  It is the conjugation reverse(r) * e_j * r inside the
+eight-dimensional Clifford algebra (the 2x2 matrix picture is not faithful
+at kappa1 = 0), multiplied out once from the symbolic product table, with r
+the element conjugated by s1 first, i.e. beta negated.  That parity-time
 twist is exactly what aligns all three one-parameter families with the
 closed-form 3x3 exponentials at once: raw conjugation matches the
 translation conventions but reverses the boost orientation (the coordinate
@@ -30,90 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ckgeom import KappaPair
-from .clifford import IS1, IS2, S3CHECK, SCALAR, Multivector, sandwich
 from .errors import KappaMismatch, NotSpin
-from .gencomplex import GenComplex, MoebiusMap, gc
+from .gencomplex import GenComplex, Mat2, gc
 from .gentrig import cosk, sink
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 matrix over one generalized complex algebra."""
-
-    a: GenComplex
-    b: GenComplex
-    c: GenComplex
-    d: GenComplex
-
-    def __post_init__(self) -> None:
-        k = self.a.kappa
-        for entry in (self.b, self.c, self.d):
-            if entry.kappa != k:
-                raise KappaMismatch("matrix entries carry different kappas")
-
-    @property
-    def kappa(self) -> float:
-        return self.a.kappa
-
-    @classmethod
-    def identity(cls, kappa: float) -> "Mat2":
-        one = gc(1, 0, kappa)
-        zero = gc(0, 0, kappa)
-        return cls(one, zero, zero, one)
-
-    @classmethod
-    def zero(cls, kappa: float) -> "Mat2":
-        z = gc(0, 0, kappa)
-        return cls(z, z, z, z)
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def scale(self, factor: "GenComplex | float") -> "Mat2":
-        return Mat2(
-            self.a * factor, self.b * factor, self.c * factor, self.d * factor
-        )
-
-    def star(self) -> "Mat2":
-        """Conjugate transpose."""
-        return Mat2(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
-
-    def det(self) -> GenComplex:
-        return self.a * self.d - self.b * self.c
-
-    def trace(self) -> GenComplex:
-        return self.a + self.d
-
-    def commutator(self, other: "Mat2") -> "Mat2":
-        return self @ other - other @ self
-
-    def max_abs(self) -> float:
-        return max(
-            abs(v)
-            for e in (self.a, self.b, self.c, self.d)
-            for v in (e.re, e.im)
-        )
-
-    def approx_eq(self, other: "Mat2", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
 
 
 def a_matrix(kp: KappaPair) -> Mat2:
@@ -158,6 +80,10 @@ class SpinElement:
         return abs(value - 1.0)
 
     def as_mat2(self) -> Mat2:
+        """The matrix [[alpha, beta], [-kappa1*conj(beta), conj(alpha)]].
+
+        It is also the Moebius map of the element on the kappa2 plane.
+        """
         return Mat2(
             self.alpha,
             self.beta,
@@ -194,23 +120,6 @@ class SpinElement:
                 return -self
         return self
 
-    def to_multivector(self) -> Multivector:
-        """The even Clifford element with this matrix under the embedding."""
-        coeffs = np.zeros(8)
-        coeffs[SCALAR] = self.alpha.re
-        coeffs[IS1] = self.alpha.im
-        coeffs[IS2] = self.beta.im
-        coeffs[S3CHECK] = self.beta.re
-        return Multivector(self.kp, coeffs)
-
-    def moebius(self) -> MoebiusMap:
-        return MoebiusMap(
-            self.alpha,
-            self.beta,
-            -self.kp.kappa1 * self.beta.conj(),
-            self.alpha.conj(),
-        )
-
 
 def spin_identity(kp: KappaPair) -> SpinElement:
     return SpinElement(kp, gc(1, 0, kp.kappa2), gc(0, 0, kp.kappa2))
@@ -243,19 +152,20 @@ def sl2_of_exp_p(kp: KappaPair, beta: float) -> SpinElement:
     return spin_from_axis(kp, 0.0, 1.0, 0.0, beta).canonical_sign()
 
 
-_SL2 = {"K": sl2_of_exp_k, "H": sl2_of_exp_h, "P": sl2_of_exp_p}
+# the spin element over exp(t * generator), by generator tag
+SL2 = {"K": sl2_of_exp_k, "H": sl2_of_exp_h, "P": sl2_of_exp_p}
 
 
 def sl2_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> SpinElement:
     """Spin representative of a left-to-right word of generator exponentials."""
     out = spin_identity(kp)
     for gen, param in word:
-        out = out * _SL2[gen](kp, param)
+        out = out * SL2[gen](kp, param)
     return out
 
 
-def moebius_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> MoebiusMap:
-    return sl2_of_word(kp, word).moebius()
+def moebius_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> Mat2:
+    return sl2_of_word(kp, word).as_mat2()
 
 
 def is_spin(kp: KappaPair, m: Mat2, tol: float = 1e-10) -> bool:
@@ -292,20 +202,30 @@ def is_su2_algebra(kp: KappaPair, b: Mat2, tol: float = 1e-12) -> bool:
 def cover_to_so3(s: SpinElement, tol: float = 1e-10) -> np.ndarray:
     """The 3x3 motion induced by a spin element on vector components.
 
-    Two-to-one: s and -s give the same matrix.  Computed as the Clifford
-    sandwich by the lift of (conj(alpha), beta), the s1-conjugated element;
-    see the module docstring for why the twist is the convention that meets
-    all three generator exponentials.
+    Two-to-one: s and -s give the same matrix.  The entries are the Clifford
+    sandwich by the lift of (conj(alpha), beta), the s1-conjugated element,
+    multiplied out in closed form; see the module docstring for why the twist
+    is the convention that meets all three generator exponentials.
     """
-    if s.unit_defect() > tol:
-        raise NotSpin(f"unit condition violated by {s.unit_defect()}")
-    r = SpinElement(s.kp, s.alpha.conj(), s.beta).to_multivector()
-    columns = []
-    for j in (1, 2, 3):
-        image = sandwich(r, Multivector.basis(s.kp, j))
-        columns.append(image.vector_components())
-    return np.column_stack(columns)
-
-
-def cover_of_mat2(kp: KappaPair, m: Mat2, tol: float = 1e-10) -> np.ndarray:
-    return cover_to_so3(spin_from_mat2(kp, m, tol), tol)
+    defect = s.unit_defect()
+    if not defect <= tol:  # also rejects a nan defect
+        raise NotSpin(f"unit condition violated by {defect}")
+    k1, k2 = s.kp.kappa1, s.kp.kappa2
+    a0, a1, b0, b1 = s.alpha.re, s.alpha.im, s.beta.re, s.beta.im
+    return np.array([
+        [
+            a0 * a0 + k2 * a1 * a1 - k1 * b0 * b0 - k1 * k2 * b1 * b1,
+            -2.0 * k1 * (a0 * b0 + k2 * a1 * b1),
+            -2.0 * k1 * k2 * (a0 * b1 - a1 * b0),
+        ],
+        [
+            2.0 * (a0 * b0 - k2 * a1 * b1),
+            a0 * a0 - k2 * a1 * a1 - k1 * b0 * b0 + k1 * k2 * b1 * b1,
+            -2.0 * k2 * (a0 * a1 + k1 * b0 * b1),
+        ],
+        [
+            2.0 * (a0 * b1 + a1 * b0),
+            2.0 * (a0 * a1 - k1 * b0 * b1),
+            a0 * a0 - k2 * a1 * a1 + k1 * b0 * b0 - k1 * k2 * b1 * b1,
+        ],
+    ])

@@ -344,7 +344,7 @@ def test_metric_g1_invariant_under_spin_moebius(kp):
     while done < 8:
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        mo = spin_from_axis(kp, *n, float(rng.uniform(-1.0, 1.0))).moebius()
+        mo = spin_from_axis(kp, *n, float(rng.uniform(-1.0, 1.0))).as_mat2()
         w = gc(*rng.uniform(-0.3, 0.3, 2), kp.kappa2)
         dw = gc(*rng.uniform(-1, 1, 2), kp.kappa2)
         if abs(1.0 + kp.kappa1 * w.sqmod()) < 0.2:
@@ -379,11 +379,11 @@ def test_flat_conformal_structure_preserves_leaves_and_g2(kappa1):
     w = gc(t0, x, 0.0)
 
     for maker in (sl2_of_exp_k, sl2_of_exp_p):
-        image = maker(kp, 0.9).moebius().apply(w)
+        image = maker(kp, 0.9).as_mat2().apply(w)
         assert image.re == pytest.approx(t0, abs=1e-12)
 
     alpha = 0.8
-    mo = sl2_of_exp_h(kp, alpha).moebius()
+    mo = sl2_of_exp_h(kp, alpha).as_mat2()
     image = mo.apply(w)
     new_leaf = mo.apply(gc(t0, 0.0, 0.0)).re
     assert image.re == pytest.approx(new_leaf, abs=1e-12)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from kinematica import conformal
 from kinematica.cli import dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,6 +134,21 @@ def test_conformal_table_diff():
     assert payload["brackets"]["[H,G1]"] == {"D": 1.0}
     flagged = {d["bracket"] for d in payload["diff"]}
     assert "[K,G1]" in flagged and "[G1,K]" in flagged
+
+
+def test_conformal_table_diff_computes_the_table_once(monkeypatch):
+    calls = []
+    original = conformal.computed_brackets
+
+    def counting(kp):
+        calls.append(kp)
+        return original(kp)
+
+    monkeypatch.setattr(conformal, "computed_brackets", counting)
+    code, _, _ = run_cli(
+        ["conformal-table", "--kappa1", "1", "--kappa2", "-1", "--diff-paper"]
+    )
+    assert code == 0 and len(calls) == 1
 
 
 def test_region_writes_file(tmp_path):

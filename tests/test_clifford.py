@@ -12,6 +12,7 @@ from kinematica.clifford import (
     S3,
     S3CHECK,
     SCALAR,
+    SYMBOLIC_TABLE,
     VOLUME,
     Multivector,
     UnitAxis,
@@ -22,7 +23,6 @@ from kinematica.clifford import (
     in_plane_rotation_check,
     left_contract,
     plane_of,
-    product_table,
     rotor,
     rotor_from_bivector,
     sandwich,
@@ -46,6 +46,11 @@ PATTERNS = [
 
 def basis(kp, idx):
     return Multivector.basis(kp, idx)
+
+
+def structure_constants(kp):
+    """T[i, j] = coefficients of e_i * e_j, read off the product itself."""
+    return np.array([[(basis(kp, i) * basis(kp, j)).coeffs for j in range(8)] for i in range(8)])
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
@@ -95,15 +100,35 @@ def test_table_matches_matrix_model_when_faithful():
     for _ in range(5):
         k1 = float(rng.uniform(0.2, 2.0)) * float(rng.choice([-1.0, 1.0]))
         k2 = float(rng.uniform(-2.0, 2.0))
-        derived = product_table(KappaPair(k1, k2))
+        derived = structure_constants(KappaPair(k1, k2))
         oracle = pauli_product_table(k1, k2)
         assert np.max(np.abs(derived - oracle)) < 1e-12
 
 
+def test_product_follows_symbolic_table():
+    # the dense 8x8x8 structure constants built from SYMBOLIC_TABLE are the
+    # reference: basis products must equal them, and the product of random
+    # operands must equal their einsum contraction bit for bit
+    rng = np.random.default_rng(23)
+    for kp in PATTERNS + [KappaPair(0.7, -1.9), KappaPair(-3.1, 1e-9), KappaPair(0.0, 2.5)]:
+        table = np.zeros((8, 8, 8))
+        for i in range(8):
+            for j in range(8):
+                sign, e1, e2, k = SYMBOLIC_TABLE[i][j]
+                table[i, j, k] = sign * kp.kappa1**e1 * kp.kappa2**e2
+        assert np.array_equal(structure_constants(kp), table)
+        for _ in range(50):
+            x = rng.normal(size=8) * 10.0 ** rng.uniform(-4, 4, 8)
+            y = rng.normal(size=8) * 10.0 ** rng.uniform(-4, 4, 8)
+            expected = np.einsum("i,j,ijk->k", x, y, table)
+            got = (Multivector(kp, x) * Multivector(kp, y)).coeffs
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_table_is_polynomial_limit_at_kappa1_zero():
     k2 = -0.75
-    limit = product_table(KappaPair(0.0, k2))
-    nearby = product_table(KappaPair(1e-9, k2))
+    limit = structure_constants(KappaPair(0.0, k2))
+    nearby = structure_constants(KappaPair(1e-9, k2))
     assert np.max(np.abs(limit - nearby)) < 1e-8
 
 

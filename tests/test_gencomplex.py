@@ -12,12 +12,12 @@ from kinematica.errors import (
 )
 from kinematica.gencomplex import (
     GammaPoint,
+    Mat2,
     MoebiusMap,
     gamma_apply,
     gamma_lift,
     gc,
     gc_exp_unit,
-    moebius_apply,
 )
 
 KAPPAS = [-2.0, -1.0, 0.0, 0.5, 1.0]
@@ -116,20 +116,20 @@ def test_moebius_identity_and_rotation():
     for kappa in KAPPAS:
         ident = MoebiusMap.identity(kappa)
         w = gc(0.3, -0.6, kappa)
-        assert moebius_apply(ident, w) == w
+        assert ident.apply(w) == w
 
     # diag(e^{i t/2}, e^{-i t/2}) acts as multiplication by e^{i t}
     kappa = -1.0
     half = gc_exp_unit(kappa, 0.35)
     m = MoebiusMap(half, gc(0, 0, kappa), gc(0, 0, kappa), half.conj())
     w = gc(0.4, 0.2, kappa)
-    assert moebius_apply(m, w).approx_eq(gc_exp_unit(kappa, 0.7) * w, 1e-12)
+    assert m.apply(w).approx_eq(gc_exp_unit(kappa, 0.7) * w, 1e-12)
 
 
 def test_moebius_translation_dual_numbers():
     kappa = 0.0
     m = MoebiusMap(gc(1, 0, kappa), gc(1.7, 0, kappa), gc(0, 0, kappa), gc(1, 0, kappa))
-    assert moebius_apply(m, gc(0, 0, kappa)).approx_eq(gc(1.7, 0, kappa), 0)
+    assert m.apply(gc(0, 0, kappa)).approx_eq(gc(1.7, 0, kappa), 0)
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -138,8 +138,8 @@ def test_moebius_composition(kappa):
     m2 = MoebiusMap(gc(0.9, 0, kappa), gc(0, -0.4, kappa), gc(0.2, 0, kappa), gc(1.1, 0, kappa))
     for w in [gc(0.1, 0.3, kappa), gc(-0.5, 0.2, kappa)]:
         try:
-            composed = moebius_apply(m1.compose(m2), w)
-            chained = moebius_apply(m1, moebius_apply(m2, w))
+            composed = (m1 @ m2).apply(w)
+            chained = m1.apply(m2.apply(w))
         except (AtInfinity, ZeroDivisorError):
             continue
         assert composed.approx_eq(chained, 1e-10)
@@ -154,13 +154,16 @@ def test_moebius_rejects_degenerate_determinant():
     with pytest.raises(ValueError):
         # det = 1 + i, null in the double numbers
         MoebiusMap(gc(1, 1, kappa), gc(0, 0, kappa), gc(0, 0, kappa), gc(1, 0, kappa))
+    # a plain matrix may be singular (the conformal generators G1 and G2 are)
+    singular = Mat2(gc(1, 1, kappa), gc(0, 0, kappa), gc(0, 0, kappa), gc(1, 0, kappa))
+    assert singular.det().sqmod() == 0.0
 
 
 def test_moebius_at_infinity():
     kappa = 1.0
     m = MoebiusMap(gc(1, 0, kappa), gc(0, 0, kappa), gc(1, 0, kappa), gc(1, 0, kappa))
     with pytest.raises(AtInfinity):
-        moebius_apply(m, gc(-1, 0, kappa))
+        m.apply(gc(-1, 0, kappa))
 
 
 def test_gamma_lift_and_projection():
@@ -240,7 +243,7 @@ def test_cross_ratio_invariant_under_moebius(kappa):
     ]
     try:
         before = _cross_ratio(*points)
-        images = [moebius_apply(m, w) for w in points]
+        images = [m.apply(w) for w in points]
         after = _cross_ratio(*images)
     except (AtInfinity, ZeroDivisorError):
         pytest.skip("sample hit a zero divisor")
@@ -252,7 +255,7 @@ def test_cross_ratio_invariant_under_moebius(kappa):
     line = [base + step * t for t in (0.0, 0.7, 1.6, 2.4)]
     cr_line = _cross_ratio(*line)
     assert abs(cr_line.im) < 1e-12
-    mapped = [moebius_apply(m, w) for w in line]
+    mapped = [m.apply(w) for w in line]
     cr_mapped = _cross_ratio(*mapped)
     assert abs(cr_mapped.im) < 1e-10
     assert cr_mapped.re == pytest.approx(cr_line.re, abs=1e-10)

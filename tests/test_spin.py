@@ -16,17 +16,20 @@ from kinematica.ckgeom import (
 from kinematica.clifford import (
     IS1,
     IS2,
+    S1,
+    S2,
+    S3,
     S3CHECK,
+    SCALAR,
     Multivector,
     UnitAxis,
     rotor,
 )
 from kinematica.errors import NotSpin
-from kinematica.gencomplex import gc, gc_exp_unit
+from kinematica.gencomplex import Mat2, gc, gc_exp_unit
 from kinematica.gentrig import cosk, sink
 from kinematica.numerics import expm
 from kinematica.spin import (
-    Mat2,
     SpinElement,
     a_matrix,
     cover_to_so3,
@@ -51,6 +54,26 @@ PATTERNS = [
 ]
 
 GENERIC = [KappaPair(1.0, -1.0), KappaPair(-0.5, 0.25), KappaPair(2.0, 0.0)]
+
+
+def clifford_lift(kp: KappaPair, alpha, beta) -> Multivector:
+    """The even element alpha.re + alpha.im*is1 + beta.im*is2 + beta.re*s3check."""
+    coeffs = np.zeros(8)
+    coeffs[SCALAR], coeffs[IS1] = alpha.re, alpha.im
+    coeffs[IS2], coeffs[S3CHECK] = beta.im, beta.re
+    return Multivector(kp, coeffs)
+
+
+def sandwich_cover(s: SpinElement) -> np.ndarray:
+    """The cover as three Clifford sandwiches reverse(r) e_j r, r the lift of
+    the s1-conjugated element (conj alpha, beta)."""
+    r = clifford_lift(s.kp, s.alpha.conj(), s.beta)
+    columns = []
+    for j in (S1, S2, S3):
+        image = r.reverse() * Multivector.basis(s.kp, j) * r
+        assert image.off_grade_norm((1,)) <= 1e-9 * max(1.0, np.max(np.abs(image.coeffs)))
+        columns.append(image.vector_components())
+    return np.column_stack(columns)
 
 
 def mat2_to_real4(m: Mat2) -> np.ndarray:
@@ -334,6 +357,29 @@ def test_cover_homomorphism(kp):
         )
 
 
+@pytest.mark.parametrize(
+    "kp",
+    PATTERNS + GENERIC + [KappaPair(0.0, 0.37), KappaPair(0.0, -2.2), KappaPair(-1.7, 0.6)],
+)
+def test_cover_closed_form_matches_sandwich(kp):
+    rng = np.random.default_rng(71)
+    gens = ("H", "P", "K")
+    elements = [spin_identity(kp), -spin_identity(kp)]
+    for _ in range(40):
+        word = [
+            (gens[rng.integers(0, 3)], float(rng.uniform(-1.5, 1.5)))
+            for _ in range(rng.integers(1, 7))
+        ]
+        elements.append(sl2_of_word(kp, word))
+    for _ in range(10):
+        n = rng.normal(size=3)
+        elements.append(spin_from_axis(kp, *(n / np.linalg.norm(n)), rng.uniform(-3, 3)))
+    for s in elements:
+        expected = sandwich_cover(s)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        np.testing.assert_allclose(cover_to_so3(s), expected, rtol=0, atol=1e-12 * scale)
+
+
 @pytest.mark.parametrize("kp", GENERIC)
 def test_exactly_two_preimages_in_closed_family(kp):
     theta = 0.77
@@ -351,6 +397,9 @@ def test_cover_rejects_non_unit():
     bad = SpinElement(kp, gc(2, 0, 1.0), gc(0, 0, 1.0))
     with pytest.raises(NotSpin):
         cover_to_so3(bad)
+    undefined = SpinElement(kp, gc(math.nan, 0, 1.0), gc(0, 0, 1.0))
+    with pytest.raises(NotSpin):
+        cover_to_so3(undefined)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
@@ -363,7 +412,7 @@ def test_rotor_correspondence_with_clifford(kp):
         phi = rng.uniform(-2, 2)
         s = spin_from_axis(kp, *n, phi)
         r = rotor(kp, UnitAxis(*n), phi)
-        assert s.to_multivector().approx_eq(r, 1e-12)
+        assert clifford_lift(kp, s.alpha, s.beta).approx_eq(r, 1e-12)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
