@@ -9,7 +9,9 @@ byte-stable for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import re
 import sys
 
 import numpy as np
@@ -87,8 +89,38 @@ def _add_kappas(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kappa2", type=float, required=True)
 
 
+class UsageError(Exception):
+    """A command line the parser or a name lookup rejects (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors and negative values as separate tokens.
+
+    ``error`` raises :class:`UsageError`, which :func:`main` reports as one
+    JSON line with exit 2, instead of printing the usage text and exiting.
+    argparse's own negative-number test covers plain integers and decimals
+    but not ``-5e-07`` or ``-0.25,0.5``; no option here starts with a digit,
+    so every token that starts with a minus sign and a digit (or ``.`` and a
+    digit) is read as a value.  Subparsers are built from the same class.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line parser, built on first use and shared afterwards.
+
+    ``parse_args`` starts every call from a fresh namespace and writes
+    nothing back to the parser, so one instance serves every :func:`main`
+    call in the process.
+    """
+    parser = _Parser(
         prog="kinematica",
         description="two-parameter plane kinematics and Cayley-Klein geometry",
     )
@@ -225,63 +257,64 @@ def _run_conformal(args, kp: KappaPair) -> dict:
     return out
 
 
-class UsageError(Exception):
-    pass
+def _dispatch(args, emit) -> None:
+    if args.command == "classify":
+        emit(_run_classify(args))
+    elif args.command == "contract":
+        emit(_run_contract(args))
+    elif args.command == "graph":
+        if args.format == "dot":
+            sys.stdout.write(_graph_dot())
+        else:
+            emit(
+                [
+                    {"from": s, "to": d, "type": k}
+                    for s, d, k in kinclass.contraction_graph()
+                ]
+            )
+    else:
+        kp = KappaPair(args.kappa1, args.kappa2)
+        if args.command == "exp":
+            emit(_run_exp(args, kp))
+        elif args.command == "project":
+            emit(_gc_json(ckgeom.project(kp, args.point)))
+        elif args.command == "unproject":
+            u, v = args.w
+            point = ckgeom.unproject(kp, gc(u, v, kp.kappa2))
+            emit({"point": [float(c) for c in point]})
+        elif args.command == "distance":
+            w1 = gc(args.w1[0], args.w1[1], kp.kappa2)
+            w2 = gc(args.w2[0], args.w2[1], kp.kappa2)
+            emit({"distance": ckgeom.distance(kp, w1, w2)})
+        elif args.command == "rotate":
+            emit(_run_rotate(args, kp))
+        elif args.command == "spin":
+            emit(_run_spin(args, kp))
+        elif args.command == "conformal-table":
+            emit(_run_conformal(args, kp))
+        elif args.command == "region":
+            svg = ckgeom.region_svg(kp)
+            if args.svg:
+                with open(args.svg, "w") as fh:
+                    fh.write(svg)
+            else:
+                sys.stdout.write(svg)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     precision = _precision()
 
     def emit(obj) -> None:
         sys.stdout.write(dumps(obj, precision) + "\n")
 
     try:
-        if args.command == "classify":
-            emit(_run_classify(args))
-        elif args.command == "contract":
-            emit(_run_contract(args))
-        elif args.command == "graph":
-            if args.format == "dot":
-                sys.stdout.write(_graph_dot())
-            else:
-                emit(
-                    [
-                        {"from": s, "to": d, "type": k}
-                        for s, d, k in kinclass.contraction_graph()
-                    ]
-                )
-        else:
-            kp = KappaPair(args.kappa1, args.kappa2)
-            if args.command == "exp":
-                emit(_run_exp(args, kp))
-            elif args.command == "project":
-                emit(_gc_json(ckgeom.project(kp, args.point)))
-            elif args.command == "unproject":
-                u, v = args.w
-                point = ckgeom.unproject(kp, gc(u, v, kp.kappa2))
-                emit({"point": [float(c) for c in point]})
-            elif args.command == "distance":
-                w1 = gc(args.w1[0], args.w1[1], kp.kappa2)
-                w2 = gc(args.w2[0], args.w2[1], kp.kappa2)
-                emit({"distance": ckgeom.distance(kp, w1, w2)})
-            elif args.command == "rotate":
-                emit(_run_rotate(args, kp))
-            elif args.command == "spin":
-                emit(_run_spin(args, kp))
-            elif args.command == "conformal-table":
-                emit(_run_conformal(args, kp))
-            elif args.command == "region":
-                svg = ckgeom.region_svg(kp)
-                if args.svg:
-                    with open(args.svg, "w") as fh:
-                        fh.write(svg)
-                else:
-                    sys.stdout.write(svg)
+        args = build_parser().parse_args(argv)
+        # a non-finite input is reported by the typed error it ends in, not
+        # by numpy warnings printed ahead of that error's JSON line
+        with np.errstate(all="ignore"):
+            _dispatch(args, emit)
+    except SystemExit as exc:  # --help prints its text and exits 0
+        return int(exc.code or 0)
     except UsageError as exc:
         sys.stderr.write(dumps({"error": "usage", "message": str(exc)}, precision) + "\n")
         return 2

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ckgeom import KappaPair
-from .errors import DegeneratePlane, GradeError, KappaMismatch, NotAVector
+from .errors import DegeneratePlane, GradeError, KappaMismatch, NotAVector, NotUnitRotor
 from .gentrig import cosk, sink
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
@@ -301,12 +301,13 @@ def sandwich(r: Multivector, a: Multivector, tol: float = 1e-9) -> Multivector:
     if not r.is_even():
         raise GradeError("rotor must be an even multivector")
     unit = (r * r.reverse()).scalar_part()
-    if abs(unit - 1.0) > 1e-8:
-        raise ValueError(f"rotor pseudo-norm {unit} != 1")
+    # written `not x <= tol` so that a nan passes neither check
+    if not abs(unit - 1.0) <= 1e-8:
+        raise NotUnitRotor(f"rotor pseudo-norm {unit} != 1")
     if not a.is_vector():
         raise GradeError(f"{a} is not a pure vector")
     out = r.reverse() * a * r
-    if out.off_grade_norm((1,)) > tol:
+    if not out.off_grade_norm((1,)) <= tol:
         raise GradeError("sandwich result is not a vector")
     return out.grade_part(1)
 

@@ -81,6 +81,10 @@ class DegeneratePlane(KinematicaError):
     """Two vectors span no plane element (their wedge vanishes)."""
 
 
+class NotUnitRotor(KinematicaError, ValueError):
+    """Rotor whose pseudo-norm r * reverse(r) is not 1 (or is not finite)."""
+
+
 # -- spin group -----------------------------------------------------------------
 
 class NotSpin(KinematicaError):

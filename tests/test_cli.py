@@ -1,13 +1,15 @@
+import argparse
 import io
 import json
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from kinematica import conformal
-from kinematica.cli import dumps, main
+from kinematica.cli import build_parser, dumps, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -170,13 +172,117 @@ def test_domain_error_exit_code():
     assert payload["error"] == "DomainError"
 
 
+def assert_one_json_error(err: str, kind: str) -> dict:
+    assert err.count("\n") == 1 and err.endswith("\n")
+    payload = json.loads(err)
+    assert payload["error"] == kind
+    return payload
+
+
 def test_usage_error_exit_code():
-    code, _, _ = run_cli(["distance", "--kappa1", "-1", "--w1", "0,0", "--w2", "1,0"])
-    assert code == 2
-    code, _, _ = run_cli(["contract", "--from", "NoSuch", "--type", "speed-space"])
-    assert code == 2
-    code, _, _ = run_cli(["no-such-command"])
-    assert code == 2
+    code, out, err = run_cli(["distance", "--kappa1", "-1", "--w1", "0,0", "--w2", "1,0"])
+    assert code == 2 and out == ""
+    assert "--kappa2" in assert_one_json_error(err, "usage")["message"]
+    code, out, err = run_cli(["contract", "--from", "NoSuch", "--type", "speed-space"])
+    assert code == 2 and out == ""
+    assert_one_json_error(err, "usage")
+    code, out, err = run_cli(["no-such-command"])
+    assert code == 2 and out == ""
+    assert "no-such-command" in assert_one_json_error(err, "usage")["message"]
+
+
+def test_help_prints_usage_and_exits_zero():
+    code, out, err = run_cli(["distance", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: kinematica distance")
+
+
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (
+            ["distance", "--kappa1", "-5e-07", "--kappa2", "1",
+             "--w1", "-0.25,0.5", "--w2", "0,0"],
+            ["distance", "--kappa1=-5e-07", "--kappa2=1", "--w1=-0.25,0.5", "--w2=0,0"],
+        ),
+        (
+            ["unproject", "--kappa1", "-1", "--kappa2", "-.5", "--w", "-0.25,-1e-3"],
+            ["unproject", "--kappa1=-1", "--kappa2=-.5", "--w=-0.25,-1e-3"],
+        ),
+        (
+            ["rotate", "--kappa1", "1", "--kappa2", "-1", "--axis", "-1,0,0",
+             "--angle", "-0.7", "--vector", "-0,1,-2E+00"],
+            ["rotate", "--kappa1=1", "--kappa2=-1", "--axis=-1,0,0",
+             "--angle=-0.7", "--vector=-0,1,-2E+00"],
+        ),
+    ],
+    ids=["distance", "unproject", "rotate"],
+)
+def test_negative_values_as_separate_tokens(spaced, joined):
+    spaced_run, joined_run = run_cli(spaced), run_cli(joined)
+    assert spaced_run == joined_run
+    code, out, err = spaced_run
+    assert code == 0 and err == ""
+    json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        # the sandwich's grade check reads a nan off-grade norm
+        (["rotate", "--axis", "0,0,-1.2", "--angle", "-1.2", "--vector", "1e-200,1e300,0",
+          "--kappa1=1e300", "--kappa2=-0.3"], "GradeError"),
+        # its pseudo-norm check reads a nan pseudo-norm
+        (["rotate", "--axis=2,0,0", "--angle=1e300", "--vector=-inf,-1e300,0.3",
+          "--kappa1=1e-200", "--kappa2=0"], "NotUnitRotor"),
+        # numpy warns of the nan product before the grade check rejects it
+        (["rotate", "--axis", "0.3,-1.2,-1.2", "--angle", "0", "--vector", "0,nan,inf",
+          "--kappa1", "-1", "--kappa2", "-1"], "GradeError"),
+    ],
+    ids=["nan-result", "nan-pseudo-norm", "numpy-warning"],
+)
+def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert_one_json_error(err, kind)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_reused_parser_keeps_no_state_between_calls():
+    code, out, _ = run_cli(["graph", "--format", "dot"])
+    assert code == 0 and out.startswith("digraph")
+    code, out, _ = run_cli(["graph"])
+    assert code == 0 and out == (GOLDEN / "graph.json").read_text()
+
+    table = ["conformal-table", "--kappa1", "1", "--kappa2", "-1"]
+    code, out, _ = run_cli(table + ["--diff-paper"])
+    assert code == 0 and "diff" in json.loads(out)
+    code, out, _ = run_cli(table)
+    assert code == 0 and "diff" not in json.loads(out)
+
+
+def test_goldens_stay_byte_identical_in_interleaved_order():
+    order = GOLDEN_CASES + GOLDEN_CASES[::2] + GOLDEN_CASES[::-1] + GOLDEN_CASES[1::2]
+    for name, argv in order:
+        assert run_cli(argv) == (0, (GOLDEN / name).read_text(), "")
+
+
+def test_parser_is_built_once_across_calls(monkeypatch):
+    run_cli(["classify"])  # the first call in the process builds the parser
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["classify"], ["graph"], ["no-such-command"], ["distance", "--help"]):
+        run_cli(argv)
+    assert built == []
+    assert build_parser() is build_parser()
 
 
 def test_precision_env_override(monkeypatch):
