@@ -21,7 +21,7 @@ kp = KappaPair(1.0, -1.0)
 
 print("=== the six generators (trace is zero for all) ===")
 for tag, gen in conformal_basis(kp).items():
-    tr = gen.matrix.trace()
+    tr = gen.trace()
     print(f"  {tag:2s}: trace = {tr.re:+.1f}{tr.im:+.1f}i")
 
 print()

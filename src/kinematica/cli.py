@@ -1,15 +1,18 @@
 """Command line front end. JSON on stdout, one-line JSON errors on stderr.
 
-Exit codes: 0 success, 1 domain error (zero divisor, outside model, ...),
-2 usage error.  Floats print with 17 significant digits unless the
-KINEMATICA_PRECISION environment variable overrides the width, so output is
-byte-stable for fixed inputs.
+Exit codes: 0 success, 1 domain error (zero divisor, outside model, a
+result that is not finite, ...), 2 usage error (including a nan or infinite
+number on the command line and an ``--svg`` path that cannot be written).
+Floats print with 17 significant digits unless the KINEMATICA_PRECISION
+environment variable overrides the width, so output is byte-stable for fixed
+inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import ckgeom, clifford, conformal, kinclass, spin
 from .ckgeom import KappaPair
-from .errors import KinematicaError
+from .errors import KinematicaError, NonFiniteResult
 from .gencomplex import GenComplex, gc
 
 
@@ -58,7 +61,10 @@ def dumps(obj, precision: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj), precision)
+        x = float(obj)
+        if not math.isfinite(x):
+            raise NonFiniteResult(f"result {x} is not finite")
+        return _fmt_float(x, precision)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -70,23 +76,34 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.asarray(m)]
 
 
+def _finite_float(text: str) -> float:
+    """The type of every numeric option: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'u,v', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _finite_float(parts[0]), _finite_float(parts[1])
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {text!r}")
-    return float(parts[0]), float(parts[1]), float(parts[2])
+    return _finite_float(parts[0]), _finite_float(parts[1]), _finite_float(parts[2])
 
 
 def _add_kappas(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kappa1", type=float, required=True)
-    parser.add_argument("--kappa2", type=float, required=True)
+    parser.add_argument("--kappa1", type=_finite_float, required=True)
+    parser.add_argument("--kappa2", type=_finite_float, required=True)
 
 
 class UsageError(Exception):
@@ -140,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exp", help="closed-form one-parameter subgroup element")
     p.add_argument("--gen", choices=("H", "P", "K"), required=True)
-    p.add_argument("--param", type=float, required=True)
+    p.add_argument("--param", type=_finite_float, required=True)
     _add_kappas(p)
 
     p = sub.add_parser("project", help="central projection of a quadric point")
@@ -158,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rotate", help="rotor sandwich of a vector")
     p.add_argument("--axis", type=_parse_triple, required=True, metavar="n1,n2,n3")
-    p.add_argument("--angle", type=float, required=True)
+    p.add_argument("--angle", type=_finite_float, required=True)
     p.add_argument("--vector", type=_parse_triple, required=True, metavar="a1,a2,a3")
     _add_kappas(p)
 
     p = sub.add_parser("spin", help="spin element over a generator exponential")
     p.add_argument("--gen", choices=("H", "P", "K"), required=True)
-    p.add_argument("--param", type=float, required=True)
+    p.add_argument("--param", type=_finite_float, required=True)
     _add_kappas(p)
 
     p = sub.add_parser("conformal-table", help="computed conformal bracket table")
@@ -295,8 +312,11 @@ def _dispatch(args, emit) -> None:
         elif args.command == "region":
             svg = ckgeom.region_svg(kp)
             if args.svg:
-                with open(args.svg, "w") as fh:
-                    fh.write(svg)
+                try:
+                    with open(args.svg, "w") as fh:
+                        fh.write(svg)
+                except OSError as exc:
+                    raise UsageError(f"cannot write --svg: {exc}") from None
             else:
                 sys.stdout.write(svg)
 

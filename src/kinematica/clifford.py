@@ -34,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ckgeom import KappaPair
-from .errors import DegeneratePlane, GradeError, KappaMismatch, NotAVector, NotUnitRotor
+from .errors import (
+    DegenerateAxis,
+    DegeneratePlane,
+    GradeError,
+    KappaMismatch,
+    NotAVector,
+    NotUnitRotor,
+)
 from .gentrig import cosk, sink
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
@@ -264,9 +271,14 @@ class UnitAxis:
     n3: float
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(self.n1**2 + self.n2**2 + self.n3**2)
-        if norm == 0.0:
-            raise ValueError("axis must be nonzero")
+        try:
+            norm = math.sqrt(self.n1**2 + self.n2**2 + self.n3**2)
+        except OverflowError:  # float ** raises where * would give inf
+            raise DegenerateAxis(
+                f"axis ({self.n1}, {self.n2}, {self.n3}) overflows when squared"
+            ) from None
+        if norm == 0.0 or not math.isfinite(norm):
+            raise DegenerateAxis(f"axis norm {norm} must be nonzero and finite")
         if abs(norm - 1.0) > 1e-12:
             object.__setattr__(self, "n1", self.n1 / norm)
             object.__setattr__(self, "n2", self.n2 / norm)

@@ -7,8 +7,9 @@ w -> w/(t*w + 1), w -> w/(t*i*w + 1), and w -> e^t * w.  G1 and G2 are only
 translations in the flat (kappa1 = 0) realization; in general their actions
 need the projective completion to act globally.
 
-``computed_brackets`` decomposes every commutator over the six-generator
-basis from the matrices themselves.  ``TABULATED_BRACKETS`` keeps the
+``computed_brackets`` decomposes the commutator of each unordered pair of
+generators over the six-generator basis, from the matrices themselves, and
+fills the reversed pairs by antisymmetry.  ``TABULATED_BRACKETS`` keeps the
 published form of the same table verbatim as claimed data: it contains an
 undefined symbol "S2" in the [K, G1] slots and a mislabeled [K, G2] entry,
 and ``diff_vs_tabulated`` reports those discrepancies instead of silently
@@ -18,7 +19,6 @@ correcting either side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .ckgeom import KappaPair
 from .errors import DecompositionFailure
@@ -27,14 +27,12 @@ from .spin import SL2, so3_matrix_generators
 
 GENERATOR_TAGS = ("H", "P", "K", "G1", "G2", "D")
 
-
-@dataclass(frozen=True)
-class ConformalGenerator:
-    tag: str
-    matrix: Mat2
+# absolute bound on a trace component of a matrix in the span, and on a
+# coefficient difference between the computed and the published table
+TOL = 1e-12
 
 
-def conformal_basis(kp: KappaPair) -> dict[str, ConformalGenerator]:
+def conformal_basis(kp: KappaPair) -> dict[str, Mat2]:
     """The six generators as matrices over the kappa2 algebra."""
     k2 = kp.kappa2
     h, p, k = so3_matrix_generators(kp)
@@ -42,21 +40,26 @@ def conformal_basis(kp: KappaPair) -> dict[str, ConformalGenerator]:
     g1 = Mat2(zero, zero, gc(1, 0, k2), zero)
     g2 = Mat2(zero, zero, gc(0, 1, k2), zero)
     d = Mat2(gc(0.5, 0, k2), zero, zero, gc(-0.5, 0, k2))
-    mats = {"H": h, "P": p, "K": k, "G1": g1, "G2": g2, "D": d}
-    return {tag: ConformalGenerator(tag, mats[tag]) for tag in GENERATOR_TAGS}
+    return {"H": h, "P": p, "K": k, "G1": g1, "G2": g2, "D": d}
 
 
-def decompose(kp: KappaPair, m: Mat2, tol: float = 1e-12) -> dict[str, float]:
+def decompose(kp: KappaPair, m: Mat2) -> dict[str, float]:
     """Coefficients of a traceless matrix over {H, P, K, G1, G2, D}.
 
     Writing m = [[a, b], [c, -a]], the basis triangularizes: H and P alone
     carry the b entry, so x_H = 2*Re(b), x_P = 2*Im(b), then K and D read off
-    a and G1, G2 absorb what remains of c.
+    a and G1, G2 absorb what remains of c.  The six generators span exactly
+    the traceless matrices, so no reconstruction is needed: a vanishing
+    trace and finite coefficients are the whole check.
 
     Raises:
-        DecompositionFailure: if the residual exceeds ``tol`` (m not in the
-            span, e.g. not traceless).
+        DecompositionFailure: if a trace component exceeds ``TOL`` (m not in
+            the span) or a coefficient is not finite.
     """
+    tr = m.trace()
+    # written `not x <= TOL` so that a nan trace fails too
+    if not (abs(tr.re) <= TOL and abs(tr.im) <= TOL):
+        raise DecompositionFailure(f"trace {tr} is not zero: off the six-generator span")
     coeffs = {
         "H": 2.0 * m.b.re,
         "P": 2.0 * m.b.im,
@@ -65,33 +68,29 @@ def decompose(kp: KappaPair, m: Mat2, tol: float = 1e-12) -> dict[str, float]:
         "G2": m.c.im - kp.kappa1 * m.b.im,
         "D": 2.0 * m.a.re,
     }
-    basis = conformal_basis(kp)
-    recon = Mat2.zero(kp.kappa2)
-    for tag, value in coeffs.items():
-        recon = recon + basis[tag].matrix.scale(value)
-    if (recon - m).max_abs() > tol:
-        raise DecompositionFailure(
-            f"residual {(recon - m).max_abs()} over the six-generator span"
-        )
+    if not all(math.isfinite(v) for v in coeffs.values()):
+        raise DecompositionFailure(f"non-finite coefficients {coeffs}")
     return coeffs
 
 
-def conformal_bracket(
-    kp: KappaPair, x: ConformalGenerator, y: ConformalGenerator
-) -> tuple[Mat2, dict[str, float]]:
-    """Matrix commutator [x, y] and its basis decomposition."""
-    bracket = x.matrix.commutator(y.matrix)
-    return bracket, decompose(kp, bracket)
-
-
 def computed_brackets(kp: KappaPair) -> dict[tuple[str, str], dict[str, float]]:
-    """All brackets [row, col] decomposed over the basis, zeros dropped."""
+    """All brackets [row, col] decomposed over the basis, zeros dropped.
+
+    Only the pairs with row before col are commuted; [col, row] is the exact
+    negation (``a - b == -(b - a)`` in floating point, and the read-off in
+    :func:`decompose` commutes with negation), and [x, x] is empty.
+    """
     basis = conformal_basis(kp)
     out = {}
-    for row in GENERATOR_TAGS:
-        for col in GENERATOR_TAGS:
-            _, coeffs = conformal_bracket(kp, basis[row], basis[col])
-            out[(row, col)] = {t: v for t, v in coeffs.items() if v != 0.0}
+    for i, row in enumerate(GENERATOR_TAGS):
+        for j, col in enumerate(GENERATOR_TAGS):
+            if j < i:
+                out[(row, col)] = {t: -v for t, v in out[(col, row)].items()}
+            elif j == i:
+                out[(row, col)] = {}
+            else:
+                coeffs = decompose(kp, basis[row].commutator(basis[col]))
+                out[(row, col)] = {t: v for t, v in coeffs.items() if v != 0.0}
     return out
 
 
@@ -117,40 +116,32 @@ TABULATED_BRACKETS: dict[tuple[str, str], dict | str] = {
 }
 
 
-def _evaluate_claimed(entry: dict, kp: KappaPair) -> dict[str, float]:
-    out = {}
-    for tag, (c0, c1, c2) in entry.items():
-        value = c0 + c1 * kp.kappa1 + c2 * kp.kappa2
-        if value != 0.0:
-            out[tag] = float(value)
-    return out
-
-
 def tabulated_bracket(kp: KappaPair, row: str, col: str):
     """Claimed entry for [row, col]; 'S2' where the symbol is undefined."""
     if row == col:
         return {}
     if (row, col) in TABULATED_BRACKETS:
-        entry = TABULATED_BRACKETS[(row, col)]
-        if entry == "S2":
-            return "S2"
-        return _evaluate_claimed(entry, kp)
-    entry = TABULATED_BRACKETS[(col, row)]
+        entry, sign = TABULATED_BRACKETS[(row, col)], 1.0
+    else:
+        entry, sign = TABULATED_BRACKETS[(col, row)], -1.0
     if entry == "S2":
         return "S2"
-    return {t: -v for t, v in _evaluate_claimed(entry, kp).items()}
+    out = {}
+    for tag, (c0, c1, c2) in entry.items():
+        value = c0 + c1 * kp.kappa1 + c2 * kp.kappa2
+        if value != 0.0:
+            out[tag] = sign * float(value)
+    return out
 
 
 def diff_vs_tabulated(
-    kp: KappaPair,
-    computed: dict[tuple[str, str], dict[str, float]],
-    tol: float = 1e-12,
+    kp: KappaPair, computed: dict[tuple[str, str], dict[str, float]]
 ) -> list[dict]:
     """Slots where ``computed``, the table of :func:`computed_brackets`,
     disagrees with the published one.
 
     Undefined-symbol slots are always flagged; numeric slots are flagged when
-    any coefficient differs by more than ``tol``.
+    any coefficient differs by more than ``TOL``.
     """
     diffs = []
     for row in GENERATOR_TAGS:
@@ -170,7 +161,7 @@ def diff_vs_tabulated(
                 continue
             tags = set(claimed) | set(actual)
             if any(
-                abs(claimed.get(t, 0.0) - actual.get(t, 0.0)) > tol for t in tags
+                abs(claimed.get(t, 0.0) - actual.get(t, 0.0)) > TOL for t in tags
             ):
                 diffs.append(
                     {"bracket": [row, col], "computed": actual, "claimed": claimed}

@@ -19,6 +19,10 @@ class DomainError(KinematicaError):
     """Argument outside the domain of an inverse function."""
 
 
+class TrigOverflow(KinematicaError, OverflowError):
+    """A labeled cosine or sine whose argument or value leaves the float range."""
+
+
 # -- generalized complex numbers ----------------------------------------------
 
 class KappaMismatch(KinematicaError):
@@ -85,6 +89,10 @@ class NotUnitRotor(KinematicaError, ValueError):
     """Rotor whose pseudo-norm r * reverse(r) is not 1 (or is not finite)."""
 
 
+class DegenerateAxis(KinematicaError, ValueError):
+    """Rotation axis whose Euclidean norm is zero, not finite or overflows."""
+
+
 # -- spin group -----------------------------------------------------------------
 
 class NotSpin(KinematicaError):
@@ -95,6 +103,12 @@ class NotSpin(KinematicaError):
 
 class DecompositionFailure(KinematicaError):
     """A bracket did not close in the six-generator span."""
+
+
+# -- command line ----------------------------------------------------------------
+
+class NonFiniteResult(KinematicaError, ValueError):
+    """A result holding nan or an infinity, which JSON cannot carry."""
 
 
 # -- numerics --------------------------------------------------------------------

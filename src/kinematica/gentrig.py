@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, TrigOverflow
 
 # |kappa| below this is dispatched to the flat (kappa = 0) branch.
 ZERO_KAPPA = 1e-300
@@ -61,9 +61,13 @@ def cosk(kappa: float, phi: float) -> float:
     u = kappa * phi * phi
     if abs(u) < SERIES_CUTOFF:
         return _cos_series(u)
-    if kappa > 0.0:
-        return math.cos(math.sqrt(kappa) * phi)
-    return math.cosh(math.sqrt(-kappa) * phi)
+    try:
+        if kappa > 0.0:
+            return math.cos(math.sqrt(kappa) * phi)
+        return math.cosh(math.sqrt(-kappa) * phi)
+    except (OverflowError, ValueError) as exc:
+        # cosh overflows; cos of an infinite argument is a domain error
+        raise TrigOverflow(f"cosk({kappa}, {phi}): {exc}") from None
 
 
 def sink(kappa: float, phi: float) -> float:
@@ -73,11 +77,14 @@ def sink(kappa: float, phi: float) -> float:
     u = kappa * phi * phi
     if abs(u) < SERIES_CUTOFF:
         return _sin_series(u, phi)
-    if kappa > 0.0:
-        r = math.sqrt(kappa)
-        return math.sin(r * phi) / r
-    r = math.sqrt(-kappa)
-    return math.sinh(r * phi) / r
+    try:
+        if kappa > 0.0:
+            r = math.sqrt(kappa)
+            return math.sin(r * phi) / r
+        r = math.sqrt(-kappa)
+        return math.sinh(r * phi) / r
+    except (OverflowError, ValueError) as exc:
+        raise TrigOverflow(f"sink({kappa}, {phi}): {exc}") from None
 
 
 def tank(kappa: float, phi: float) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from kinematica import conformal
 from kinematica.cli import build_parser, dumps, main
+from kinematica.errors import NonFiniteResult
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -233,11 +234,11 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         (["rotate", "--axis", "0,0,-1.2", "--angle", "-1.2", "--vector", "1e-200,1e300,0",
           "--kappa1=1e300", "--kappa2=-0.3"], "GradeError"),
         # its pseudo-norm check reads a nan pseudo-norm
-        (["rotate", "--axis=2,0,0", "--angle=1e300", "--vector=-inf,-1e300,0.3",
+        (["rotate", "--axis=2,0,0", "--angle=1e300", "--vector=-1e300,-1e300,0.3",
           "--kappa1=1e-200", "--kappa2=0"], "NotUnitRotor"),
         # numpy warns of the nan product before the grade check rejects it
-        (["rotate", "--axis", "0.3,-1.2,-1.2", "--angle", "0", "--vector", "0,nan,inf",
-          "--kappa1", "-1", "--kappa2", "-1"], "GradeError"),
+        (["rotate", "--axis", "0.3,-1.2,-1.2", "--angle", "1.2", "--vector",
+          "1e308,-1e308,1e308", "--kappa1", "-1", "--kappa2", "-1"], "GradeError"),
     ],
     ids=["nan-result", "nan-pseudo-norm", "numpy-warning"],
 )
@@ -248,6 +249,66 @@ def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
     assert code == 1 and out == ""
     assert_one_json_error(err, kind)
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("extra", [[], ["--diff-paper"]], ids=["table", "diff"])
+def test_conformal_table_with_overflowing_labels_fails_typed(extra):
+    # kappa1 * kappa2 overflows, so some commutator holds nan or inf
+    code, out, err = run_cli(
+        ["conformal-table", "--kappa1", "1e200", "--kappa2", "1e200", *extra]
+    )
+    assert code == 1 and out == ""
+    assert_one_json_error(err, "DecompositionFailure")
+
+
+@pytest.mark.parametrize(
+    "argv,code,kind",
+    [
+        # non-finite numbers on the command line
+        (["exp", "--gen=H", "--param=nan", "--kappa1=0.5", "--kappa2=-1"], 2, "usage"),
+        (["unproject", "--w=inf,0.25", "--kappa1=0.5", "--kappa2=-1"], 2, "usage"),
+        (["distance", "--w1=0.1,0.2", "--w2=0.0,0.0", "--kappa1=nan", "--kappa2=-1"],
+         2, "usage"),
+        (["rotate", "--axis=0,0,-1", "--angle=0.5", "--vector=1,-inf,0",
+          "--kappa1=1", "--kappa2=1"], 2, "usage"),
+        # a zero axis, and one whose squares overflow
+        (["rotate", "--axis=0,0,0", "--angle=0.5", "--vector=1,0.5,-0.3",
+          "--kappa1=0.5", "--kappa2=-1"], 1, "DegenerateAxis"),
+        (["rotate", "--axis=0,1e308,-1e300", "--angle=-1e300", "--vector=1,-0.3,-0.3",
+          "--kappa1=0", "--kappa2=2"], 1, "DegenerateAxis"),
+        # cosh overflows, and sqrt(kappa1) * param overflows to inf
+        (["spin", "--gen=H", "--param=1e300", "--kappa1=-1", "--kappa2=1"], 1, "TrigOverflow"),
+        (["exp", "--gen=H", "--param=1e300", "--kappa1=1e300", "--kappa2=1"],
+         1, "TrigOverflow"),
+        # finite input, non-finite result
+        (["unproject", "--w=1e200,0", "--kappa1=0", "--kappa2=1"], 1, "NonFiniteResult"),
+        (["distance", "--w1=1e200,0", "--w2=0,0", "--kappa1=0", "--kappa2=1"],
+         1, "NonFiniteResult"),
+    ],
+    ids=[
+        "exp-nan", "unproject-inf", "distance-nan-label", "rotate-inf-vector",
+        "zero-axis", "overflowing-axis", "spin-cosh-overflow", "exp-cos-of-inf",
+        "unproject-nan-result", "distance-inf-result",
+    ],
+)
+def test_non_finite_input_and_output_end_in_one_json_line(argv, code, kind):
+    got, out, err = run_cli(argv)
+    assert got == code and out == ""
+    assert_one_json_error(err, kind)
+
+
+def test_region_svg_into_missing_directory_is_a_usage_error(tmp_path):
+    target = tmp_path / "no-such-dir" / "x.svg"
+    code, out, err = run_cli(["region", "--svg", str(target), "--kappa1", "1", "--kappa2", "1"])
+    assert code == 2 and out == ""
+    assert "--svg" in assert_one_json_error(err, "usage")["message"]
+    assert not target.parent.exists()
+
+
+def test_dumps_rejects_non_finite_floats():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteResult):
+            dumps({"x": [1.0, value]}, 17)
 
 
 def test_reused_parser_keeps_no_state_between_calls():

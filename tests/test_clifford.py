@@ -29,6 +29,7 @@ from kinematica.clifford import (
     wedge,
 )
 from kinematica.errors import (
+    DegenerateAxis,
     DegeneratePlane,
     GradeError,
     KappaMismatch,
@@ -267,6 +268,13 @@ def test_bivector_kappa_examples():
     assert bivector_kappa(basis(KappaPair(1.0, 1.0), IS1)) == 1.0
     assert bivector_kappa(basis(KappaPair(0.0, 0.0), S3CHECK)) == 0.0
     assert bivector_kappa(basis(KappaPair(1.0, -1.0), IS2)) == -1.0
+
+
+def test_degenerate_axis_is_a_typed_error():
+    for n in ((0, 0, 0), (0, math.nan, 1), (math.inf, 0, 0), (0, 1e308, -1e300)):
+        with pytest.raises(DegenerateAxis) as caught:
+            UnitAxis(*n)
+        assert isinstance(caught.value, ValueError)
 
 
 def test_rotor_examples():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -8,7 +9,6 @@ from kinematica.conformal import (
     GENERATOR_TAGS,
     computed_brackets,
     conformal_basis,
-    conformal_bracket,
     conformal_moebius,
     decompose,
     diff_vs_tabulated,
@@ -30,7 +30,7 @@ GENERIC = [KappaPair(1.3, -0.8), KappaPair(-0.6, 0.4)]
 @pytest.mark.parametrize("kp", PATTERNS + GENERIC)
 def test_basis_traceless(kp):
     for gen in conformal_basis(kp).values():
-        tr = gen.matrix.trace()
+        tr = gen.trace()
         assert tr.re == 0.0 and tr.im == 0.0
 
 
@@ -38,16 +38,16 @@ def test_basis_matrices():
     kp = KappaPair(1.5, -1.0)
     basis = conformal_basis(kp)
     k2 = kp.kappa2
-    assert basis["H"].matrix.approx_eq(
+    assert basis["H"].approx_eq(
         Mat2(gc(0, 0, k2), gc(0.5, 0, k2), gc(-0.75, 0, k2), gc(0, 0, k2)), 0
     )
-    assert basis["G1"].matrix.approx_eq(
+    assert basis["G1"].approx_eq(
         Mat2(gc(0, 0, k2), gc(0, 0, k2), gc(1, 0, k2), gc(0, 0, k2)), 0
     )
-    assert basis["G2"].matrix.approx_eq(
+    assert basis["G2"].approx_eq(
         Mat2(gc(0, 0, k2), gc(0, 0, k2), gc(0, 1, k2), gc(0, 0, k2)), 0
     )
-    assert basis["D"].matrix.approx_eq(
+    assert basis["D"].approx_eq(
         Mat2(gc(0.5, 0, k2), gc(0, 0, k2), gc(0, 0, k2), gc(-0.5, 0, k2)), 0
     )
 
@@ -64,10 +64,11 @@ def test_g1_exponential_is_lower_shear():
 def test_brackets_close_in_span(kp):
     basis = conformal_basis(kp)
     for x, y in itertools.combinations(GENERATOR_TAGS, 2):
-        bracket, coeffs = conformal_bracket(kp, basis[x], basis[y])
+        bracket = basis[x].commutator(basis[y])
+        coeffs = decompose(kp, bracket)
         recon = Mat2.zero(kp.kappa2)
         for tag, value in coeffs.items():
-            recon = recon + basis[tag].matrix.scale(value)
+            recon = recon + basis[tag].scale(value)
         assert (recon - bracket).max_abs() < 1e-12
 
 
@@ -97,7 +98,7 @@ def test_restriction_matches_bracket_classification(kp):
 def test_jacobi_identity(kp):
     basis = conformal_basis(kp)
     for x, y, z in itertools.combinations(GENERATOR_TAGS, 3):
-        a, b, c = basis[x].matrix, basis[y].matrix, basis[z].matrix
+        a, b, c = basis[x], basis[y], basis[z]
         total = (
             a.commutator(b.commutator(c))
             + b.commutator(c.commutator(a))
@@ -110,8 +111,8 @@ def test_jacobi_identity(kp):
 def test_antisymmetry(kp):
     basis = conformal_basis(kp)
     for x, y in itertools.combinations(GENERATOR_TAGS, 2):
-        forward, _ = conformal_bracket(kp, basis[x], basis[y])
-        backward, _ = conformal_bracket(kp, basis[y], basis[x])
+        forward = basis[x].commutator(basis[y])
+        backward = basis[y].commutator(basis[x])
         assert (forward + backward).max_abs() == 0.0
 
 
@@ -120,6 +121,50 @@ def test_decompose_rejects_off_span():
     not_traceless = Mat2.identity(kp.kappa2)
     with pytest.raises(DecompositionFailure):
         decompose(kp, not_traceless)
+
+
+def random_labels(seed: int, n: int) -> list[KappaPair]:
+    rng = random.Random(seed)
+    return [KappaPair(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kp", PATTERNS + GENERIC)
+def test_large_traceless_matrices_decompose_and_reconstruct(kp):
+    # d = -a exactly, so every sample is in the span whatever the rounding
+    rng = random.Random(7)
+    basis = conformal_basis(kp)
+    k2 = kp.kappa2
+    for _ in range(200):
+        size = 10.0 ** rng.uniform(0, 6)
+        a, b, c = (gc(rng.uniform(-size, size), rng.uniform(-size, size), k2)
+                   for _ in range(3))
+        m = Mat2(a, b, c, -a)
+        recon = Mat2.zero(k2)
+        for tag, value in decompose(kp, m).items():
+            recon = recon + basis[tag].scale(value)
+        scale = m.max_abs() * max(1.0, abs(kp.kappa1))
+        assert (recon - m).max_abs() <= 1e-12 * scale
+
+
+def test_decompose_rejects_nan_and_small_trace():
+    kp = KappaPair(1.0, -1.0)
+    zero = gc(0, 0, -1.0)
+    with_nan = Mat2(zero, gc(math.nan, 0, -1.0), zero, zero)
+    small_trace = Mat2(gc(1e-9, 0, -1.0), zero, zero, zero)
+    for m in (with_nan, small_trace):
+        with pytest.raises(DecompositionFailure):
+            decompose(kp, m)
+
+
+@pytest.mark.parametrize("kp", PATTERNS + GENERIC + random_labels(11, 8))
+def test_computed_table_matches_every_ordered_commutator_bit_for_bit(kp):
+    basis = conformal_basis(kp)
+    table = computed_brackets(kp)
+    assert list(table) == list(itertools.product(GENERATOR_TAGS, repeat=2))
+    for x, y in table:
+        coeffs = decompose(kp, basis[x].commutator(basis[y]))
+        expected = [(t, v.hex()) for t, v in coeffs.items() if v != 0.0]
+        assert [(t, v.hex()) for t, v in table[(x, y)].items()] == expected
 
 
 def test_diff_flags_undefined_symbol_slots():

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kinematica.errors import DomainError, PoleError
+from kinematica.errors import DomainError, PoleError, TrigOverflow
 from kinematica.gentrig import atank, cosk, sink, tank
 
 KAPPAS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
@@ -129,6 +129,19 @@ def test_tank_pole():
         tank(1.0, math.pi / 2)
     with pytest.raises(PoleError):
         tank(4.0, math.pi / 4)
+
+
+def test_overflow_is_a_typed_error():
+    # cosh and sinh overflow; cos and sin of an infinite argument (given, or
+    # sqrt(kappa) * phi overflowing) are domain errors
+    for fn in (cosk, sink):
+        for kappa, phi in ((-1.0, 1e300), (1e300, 1e300), (1.0, math.inf)):
+            with pytest.raises(TrigOverflow) as caught:
+                fn(kappa, phi)
+            assert isinstance(caught.value, OverflowError)
+    # large finite hyperbolic values still come back unchanged
+    assert cosk(-1.0, 700.0) == math.cosh(700.0)
+    assert sink(-1.0, 700.0) == math.sinh(700.0)
 
 
 def test_atank_domain_error():
