@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BoundarySingularity,
     DenominatorNotInvertible,
+    NonFiniteResult,
     NullOrImaginarySeparation,
     OutsideModel,
     ProjectionPole,
@@ -218,6 +219,8 @@ def act_and_project_equivariance(
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"SVG coordinate {value} is not finite")
     if value == 0.0:
         value = 0.0  # normalize -0.0
     return f"{value:.9g}"

@@ -6,16 +6,21 @@ number on the command line and an ``--svg`` path that cannot be written).
 Floats print with 17 significant digits unless the KINEMATICA_PRECISION
 environment variable overrides the width, so output is byte-stable for fixed
 inputs.
+
+One table, :data:`COMMANDS`, lists every subcommand's options; a small parser
+reads the command line from it and the ``--help`` text is generated from it.
+The parser accepts the command lines argparse accepted for the same table,
+with the same values and argparse's one-line error messages; the one
+difference is that a ``--`` given after ``=`` is read as the value ``--``.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
-import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +58,8 @@ def dumps(obj, precision: int) -> str:
         return "[" + ",".join(dumps(v, precision) for v in obj) + "]"
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        if not escaped.isprintable():  # JSON strings hold no raw control characters
+            escaped = "".join(f"\\u{ord(c):04x}" if c < " " else c for c in escaped)
         return f'"{escaped}"'
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -76,125 +83,268 @@ def _matrix_json(m: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.asarray(m)]
 
 
+class UsageError(Exception):
+    """A command line the parser or a name lookup rejects (exit 2)."""
+
+
 def _finite_float(text: str) -> float:
     """The type of every numeric option: a float that is neither nan nor infinite."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise UsageError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise UsageError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'u,v', got {text!r}")
+        raise UsageError(f"expected 'u,v', got {text!r}")
     return _finite_float(parts[0]), _finite_float(parts[1])
 
 
 def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {text!r}")
+        raise UsageError(f"expected 'a,b,c', got {text!r}")
     return _finite_float(parts[0]), _finite_float(parts[1]), _finite_float(parts[2])
 
 
-def _add_kappas(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kappa1", type=_finite_float, required=True)
-    parser.add_argument("--kappa2", type=_finite_float, required=True)
+class Option(NamedTuple):
+    """One option of a subcommand.
 
-
-class UsageError(Exception):
-    """A command line the parser or a name lookup rejects (exit 2)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with one-line usage errors and negative values as separate tokens.
-
-    ``error`` raises :class:`UsageError`, which :func:`main` reports as one
-    JSON line with exit 2, instead of printing the usage text and exiting.
-    argparse's own negative-number test covers plain integers and decimals
-    but not ``-5e-07`` or ``-0.25,0.5``; no option here starts with a digit,
-    so every token that starts with a minus sign and a digit (or ``.`` and a
-    digit) is read as a value.  Subparsers are built from the same class.
+    ``type`` turns the value text into the stored value and raises
+    :class:`UsageError` when it cannot; ``type=None`` makes a flag that takes
+    no value and stores True.  ``dest`` defaults to the name without its
+    dashes.
     """
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+    name: str
+    type: Callable[[str], object] | None = str
+    required: bool = True
+    choices: tuple[str, ...] = ()
+    dest: str = ""
+    default: object = None
+    metavar: str = ""
+    help: str = ""
 
-    def error(self, message: str):
-        raise UsageError(f"{self.prog}: {message}")
+
+_KAPPAS = (Option("--kappa1", _finite_float), Option("--kappa2", _finite_float))
+
+_DESCRIPTION = "two-parameter plane kinematics and Cayley-Klein geometry"
+
+# subcommand -> (summary, options): the one source of parsing and of --help
+COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
+    "classify": ("the 27 bracket structures and counts", ()),
+    "contract": ("contract a named kinematical algebra", (
+        Option("--from", dest="source"),
+        Option("--type", dest="kind", choices=tuple(sorted(kinclass.CONTRACTION_EXPONENTS))),
+    )),
+    "graph": ("the contraction graph", (
+        Option("--format", required=False, choices=("json", "dot"), default="json"),
+    )),
+    "exp": ("closed-form one-parameter subgroup element", (
+        Option("--gen", choices=("H", "P", "K")),
+        Option("--param", _finite_float),
+        *_KAPPAS,
+    )),
+    "project": ("central projection of a quadric point", (
+        Option("--point", _parse_triple, metavar="z,t,x"),
+        *_KAPPAS,
+    )),
+    "unproject": ("lift a plane point to the quadric", (
+        Option("--w", _parse_pair, metavar="u,v"),
+        *_KAPPAS,
+    )),
+    "distance": ("closed-form distance between plane points", (
+        Option("--w1", _parse_pair, metavar="u,v"),
+        Option("--w2", _parse_pair, metavar="u,v"),
+        *_KAPPAS,
+    )),
+    "rotate": ("rotor sandwich of a vector", (
+        Option("--axis", _parse_triple, metavar="n1,n2,n3"),
+        Option("--angle", _finite_float),
+        Option("--vector", _parse_triple, metavar="a1,a2,a3"),
+        *_KAPPAS,
+    )),
+    "spin": ("spin element over a generator exponential", (
+        Option("--gen", choices=("H", "P", "K")),
+        Option("--param", _finite_float),
+        *_KAPPAS,
+    )),
+    "conformal-table": ("computed conformal bracket table", (
+        Option("--diff-paper", None, required=False, dest="diff", default=False,
+               help="include the diff against the published table"),
+        *_KAPPAS,
+    )),
+    "region": ("SVG of the model region", (
+        Option("--svg", required=False, metavar="PATH",
+               help="output path (stdout when omitted)"),
+        *_KAPPAS,
+    )),
+}
+
+_HELP = Option("-h/--help", None, required=False, help="show this help message and exit")
+_TOP = {"-h": _HELP, "--help": _HELP}
+# subcommand -> its options with dest filled in, and option string -> option
+_TABLES = {
+    command: tuple(o._replace(dest=o.dest or o.name[2:].replace("-", "_")) for o in options)
+    for command, (_, options) in COMMANDS.items()
+}
+_OPTIONS = {command: {**_TOP, **{o.name: o for o in table}} for command, table in _TABLES.items()}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and shared afterwards.
+def _choice_error(prog: str, name: str, value, choices) -> UsageError:
+    quoted = ", ".join(map(repr, choices))
+    return UsageError(f"{prog}: argument {name}: invalid choice: {value!r} (choose from {quoted})")
 
-    ``parse_args`` starts every call from a fresh namespace and writes
-    nothing back to the parser, so one instance serves every :func:`main`
-    call in the process.
+
+def _classify(token: str, options: dict[str, Option], prog: str):
+    """How one token reads: None for a value, else (option or None, name, explicit value).
+
+    An option is its exact name, ``name=value``, a unique prefix of a long
+    name (with or without ``=value``), or ``-h`` with text run on.  A token
+    that is none of these but starts with ``-`` is an unknown option unless it
+    is a negative number (``-`` then a digit, or ``-.`` then a digit) or holds
+    a space, which make it a value.
     """
-    parser = _Parser(
-        prog="kinematica",
-        description="two-parameter plane kinematics and Cayley-Klein geometry",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if not token.startswith("-"):
+        return None
+    if token in options:
+        return options[token], token, None
+    if len(token) == 1:
+        return None
+    name, eq, explicit = token.partition("=")
+    if eq and name in options:
+        return options[name], name, explicit
+    if token[1] == "-":
+        found = [(options[o], o, explicit if eq else None) for o in options if o.startswith(name)]
+    else:
+        found = [(options[token[:2]], token[:2], token[2:])] if token[:2] in options else []
+    if len(found) > 1:
+        matches = ", ".join(o for _, o, _ in found)
+        raise UsageError(f"{prog}: ambiguous option: {token} could match {matches}")
+    if found:
+        return found[0]
+    if token[1:2].isdecimal() or (token[1] == "." and token[2:3].isdecimal()):
+        return None
+    if " " in token:
+        return None
+    return None, token, None
 
-    sub.add_parser("classify", help="the 27 bracket structures and counts")
 
-    p = sub.add_parser("contract", help="contract a named kinematical algebra")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument(
-        "--type", dest="kind", required=True,
-        choices=sorted(kinclass.CONTRACTION_EXPONENTS),
-    )
+def _check_flag(option: Option, name: str, explicit: str | None, prog: str) -> None:
+    if name == "-h" and explicit:  # -hh: one-letter flags run together
+        explicit = explicit.lstrip("h") or None
+    if explicit is not None:
+        raise UsageError(f"{prog}: argument {option.name}: ignored explicit argument {explicit!r}")
 
-    p = sub.add_parser("graph", help="the contraction graph")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p = sub.add_parser("exp", help="closed-form one-parameter subgroup element")
-    p.add_argument("--gen", choices=("H", "P", "K"), required=True)
-    p.add_argument("--param", type=_finite_float, required=True)
-    _add_kappas(p)
+def _parse_options(command: str, tokens: list[str], extras: list[str]) -> dict:
+    """The values of one subcommand's options; unknown tokens go to ``extras``.
 
-    p = sub.add_parser("project", help="central projection of a quadric point")
-    p.add_argument("--point", type=_parse_triple, required=True, metavar="z,t,x")
-    _add_kappas(p)
+    A token after ``--`` is never an option.  The last occurrence of a
+    repeated option wins, but every occurrence must convert.
+    """
+    prog = f"kinematica {command}"
+    table, options = _TABLES[command], _OPTIONS[command]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    # every token is read before any is used, so an ambiguous option is
+    # reported ahead of a bad value
+    kinds = [_classify(token, options, prog) for token in tokens[:end]]
+    values = {o.dest: o.default for o in table}
+    seen = set()
+    i = 0
+    while i < end:
+        found = kinds[i]
+        i += 1
+        if found is None or found[0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        option, name, text = found
+        if option.type is None:
+            _check_flag(option, name, text, prog)
+            if option is _HELP:
+                sys.stdout.write(_help_text(command))
+                raise SystemExit(0)
+            value = True
+        else:
+            if text is None:
+                if i == end or kinds[i] is not None:
+                    raise UsageError(f"{prog}: argument {option.name}: expected one argument")
+                text = tokens[i]
+                i += 1
+            try:
+                value = option.type(text)
+            except UsageError as exc:
+                raise UsageError(f"{prog}: argument {option.name}: {exc}") from None
+            if option.choices and value not in option.choices:
+                raise _choice_error(prog, option.name, value, option.choices)
+        values[option.dest] = value
+        seen.add(option.dest)
+    extras.extend(tokens[end:])
+    missing = [o.name for o in table if o.required and o.dest not in seen]
+    if missing:
+        raise UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    return values
 
-    p = sub.add_parser("unproject", help="lift a plane point to the quadric")
-    p.add_argument("--w", type=_parse_pair, required=True, metavar="u,v")
-    _add_kappas(p)
 
-    p = sub.add_parser("distance", help="closed-form distance between plane points")
-    p.add_argument("--w1", type=_parse_pair, required=True, metavar="u,v")
-    p.add_argument("--w2", type=_parse_pair, required=True, metavar="u,v")
-    _add_kappas(p)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of one command line: ``command`` plus one entry per option.
 
-    p = sub.add_parser("rotate", help="rotor sandwich of a vector")
-    p.add_argument("--axis", type=_parse_triple, required=True, metavar="n1,n2,n3")
-    p.add_argument("--angle", type=_finite_float, required=True)
-    p.add_argument("--vector", type=_parse_triple, required=True, metavar="a1,a2,a3")
-    _add_kappas(p)
+    Raises :class:`UsageError` for a command line it rejects.  ``--help``
+    writes the help text to stdout and raises ``SystemExit(0)``.
+    """
+    extras: list[str] = []
+    command = None
+    for i, token in enumerate(argv):
+        if token == "--" and i + 1 == len(argv):
+            break  # a lone trailing -- names no subcommand
+        if token == "--" or (found := _classify(token, _TOP, "kinematica")) is None:
+            command = token
+            break
+        option, name, explicit = found
+        if option is None:
+            extras.append(token)
+            continue
+        _check_flag(option, name, explicit, "kinematica")
+        sys.stdout.write(_help_text(None))
+        raise SystemExit(0)
+    if command is None:
+        raise UsageError("kinematica: the following arguments are required: command")
+    if command not in COMMANDS:
+        raise _choice_error("kinematica", "command", command, COMMANDS)
+    values = _parse_options(command, argv[i + 1:], extras)
+    if extras:
+        raise UsageError(f"kinematica: unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **values)
 
-    p = sub.add_parser("spin", help="spin element over a generator exponential")
-    p.add_argument("--gen", choices=("H", "P", "K"), required=True)
-    p.add_argument("--param", type=_finite_float, required=True)
-    _add_kappas(p)
 
-    p = sub.add_parser("conformal-table", help="computed conformal bracket table")
-    p.add_argument("--diff-paper", action="store_true", dest="diff",
-                   help="include the diff against the published table")
-    _add_kappas(p)
+def _usage(option: Option) -> str:
+    if option.type is None:
+        shown = option.name
+    else:
+        metavar = option.metavar or (
+            "{" + ",".join(option.choices) + "}" if option.choices else option.dest.upper())
+        shown = f"{option.name} {metavar}"
+    return shown if option.required else f"[{shown}]"
 
-    p = sub.add_parser("region", help="SVG of the model region")
-    p.add_argument("--svg", metavar="PATH", default=None,
-                   help="output path (stdout when omitted)")
-    _add_kappas(p)
 
-    return parser
+def _help_text(command: str | None) -> str:
+    """The ``--help`` text of one subcommand, or of the program when ``command`` is None."""
+    if command is None:
+        usage, summary = "[-h] <command> [options]", _DESCRIPTION
+        rows = [(name, text) for name, (text, _) in COMMANDS.items()]
+    else:
+        summary, table = COMMANDS[command][0], _TABLES[command]
+        usage = " ".join([command, "[-h]", *map(_usage, table)])
+        rows = [(_usage(option).strip("[]"), option.help) for option in table]
+    rows.append(("-h, --help", _HELP.help))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+    return "\n".join([f"usage: kinematica {usage}", "", summary, "", *lines, ""])
 
 
 def _run_classify(args) -> dict:
@@ -328,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(dumps(obj, precision) + "\n")
 
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         # a non-finite input is reported by the typed error it ends in, not
         # by numpy warnings printed ahead of that error's JSON line
         with np.errstate(all="ignore"):

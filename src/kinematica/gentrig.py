@@ -61,12 +61,12 @@ def cosk(kappa: float, phi: float) -> float:
     u = kappa * phi * phi
     if abs(u) < SERIES_CUTOFF:
         return _cos_series(u)
+    x = math.sqrt(abs(kappa)) * phi
+    if not math.isfinite(x):
+        raise TrigOverflow(f"cosk({kappa}, {phi}): argument {x} is not finite")
     try:
-        if kappa > 0.0:
-            return math.cos(math.sqrt(kappa) * phi)
-        return math.cosh(math.sqrt(-kappa) * phi)
-    except (OverflowError, ValueError) as exc:
-        # cosh overflows; cos of an infinite argument is a domain error
+        return math.cos(x) if kappa > 0.0 else math.cosh(x)
+    except OverflowError as exc:
         raise TrigOverflow(f"cosk({kappa}, {phi}): {exc}") from None
 
 
@@ -77,13 +77,13 @@ def sink(kappa: float, phi: float) -> float:
     u = kappa * phi * phi
     if abs(u) < SERIES_CUTOFF:
         return _sin_series(u, phi)
+    r = math.sqrt(abs(kappa))
+    x = r * phi
+    if not math.isfinite(x):
+        raise TrigOverflow(f"sink({kappa}, {phi}): argument {x} is not finite")
     try:
-        if kappa > 0.0:
-            r = math.sqrt(kappa)
-            return math.sin(r * phi) / r
-        r = math.sqrt(-kappa)
-        return math.sinh(r * phi) / r
-    except (OverflowError, ValueError) as exc:
+        return (math.sin(x) if kappa > 0.0 else math.sinh(x)) / r
+    except OverflowError as exc:
         raise TrigOverflow(f"sink({kappa}, {phi}): {exc}") from None
 
 

@@ -2,14 +2,18 @@ import argparse
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cli_reference import build_parser as reference_parser
 from kinematica import conformal
-from kinematica.cli import build_parser, dumps, main
+from kinematica.cli import COMMANDS, UsageError, dumps, main, parse_args
 from kinematica.errors import NonFiniteResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,6 +194,10 @@ def test_usage_error_exit_code():
     code, out, err = run_cli(["no-such-command"])
     assert code == 2 and out == ""
     assert "no-such-command" in assert_one_json_error(err, "usage")["message"]
+    # a control character from the command line is escaped, not printed raw
+    code, out, err = run_cli(["classify", "stray\nline\ttab"])
+    assert code == 2 and out == ""
+    assert assert_one_json_error(err, "usage")["message"].endswith("stray\nline\ttab")
 
 
 def test_help_prints_usage_and_exits_zero():
@@ -284,11 +292,13 @@ def test_conformal_table_with_overflowing_labels_fails_typed(extra):
         (["unproject", "--w=1e200,0", "--kappa1=0", "--kappa2=1"], 1, "NonFiniteResult"),
         (["distance", "--w1=1e200,0", "--w2=0,0", "--kappa1=0", "--kappa2=1"],
          1, "NonFiniteResult"),
+        # the region boundary's coordinates overflow
+        (["region", "--kappa1=-1e308", "--kappa2=-1e308"], 1, "NonFiniteResult"),
     ],
     ids=[
         "exp-nan", "unproject-inf", "distance-nan-label", "rotate-inf-vector",
         "zero-axis", "overflowing-axis", "spin-cosh-overflow", "exp-cos-of-inf",
-        "unproject-nan-result", "distance-inf-result",
+        "unproject-nan-result", "distance-inf-result", "region-inf-coordinate",
     ],
 )
 def test_non_finite_input_and_output_end_in_one_json_line(argv, code, kind):
@@ -331,7 +341,7 @@ def test_goldens_stay_byte_identical_in_interleaved_order():
 
 
 def test_parser_is_built_once_across_calls(monkeypatch):
-    run_cli(["classify"])  # the first call in the process builds the parser
+    # the option table is the parser: no argparse parser is built on any call
     built = []
     original = argparse.ArgumentParser.__init__
 
@@ -340,10 +350,9 @@ def test_parser_is_built_once_across_calls(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    for argv in (["classify"], ["graph"], ["no-such-command"], ["distance", "--help"]):
+    for argv in (["classify"], ["graph"], ["no-such-command"], ["distance", "--help"], ["--help"]):
         run_cli(argv)
     assert built == []
-    assert build_parser() is build_parser()
 
 
 def test_precision_env_override(monkeypatch):
@@ -358,11 +367,13 @@ def test_dumps_round_trips_through_json():
     obj = {
         "name": 'quote"slash\\',
         "values": [1, -0.5, True, False, None],
+        "control": "line\nbreak\ttab\x00\x1f\x7f é",
         "nested": {"x": 0.0},
     }
     text = dumps(obj, 17)
     assert json.loads(text) == obj
     assert '"x":0' in text  # -0.0 folded to 0
+    assert "\n" not in text and "\t" not in text
 
 
 JSON_SUBCOMMANDS = [
@@ -385,3 +396,184 @@ def test_every_json_subcommand_parses(argv):
     code, out, err = run_cli(argv)
     assert code == 0 and err == ""
     json.loads(out)
+
+
+# -- the option table against the argparse parser it replaced -----------------
+
+FINITE = st.one_of(
+    st.floats(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-07, 1e-200, 1e300, -1e308]),
+)
+NUMBERS = st.one_of(
+    FINITE.map(repr),
+    st.sampled_from(["-.5", ".5", "-0", "2E+00", "-1e-3", "nan", "inf", "-inf", "a", ""]),
+)
+VALUES = st.one_of(
+    NUMBERS,
+    # pairs and triples, and lists of the wrong arity
+    st.lists(NUMBERS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["H", "P", "K", "X", "json", "dot", "dS", "Nplus", "speed-space",
+                     "speed-time", "no-such", "-", "1 2", "out.svg"]),
+)
+# stray positionals, unknown, ambiguous and bare option names, flags given a value
+STRAYS = st.one_of(
+    VALUES,
+    st.sampled_from(["--foo", "--foo=1", "-x", "-h", "--help", "--he", "-hh", "-hx",
+                     "--help=x", "--kappa", "--kappa=1", "--w", "--=x", "--diff-paper=1", "--",
+                     "new\nline", "--foo=\t"]),
+    st.sampled_from(sorted({o.name for _, options in COMMANDS.values() for o in options})),
+)
+# a value each option accepts (a name --from may still not know)
+GOOD = {
+    "--from": st.sampled_from(["dS", "adS", "M", "G", "Nplus", "N-", "no-such"]),
+    "--svg": st.just("out.svg"),
+    "--w": st.tuples(FINITE, FINITE),
+    "--w1": st.tuples(FINITE, FINITE),
+    "--w2": st.tuples(FINITE, FINITE),
+    "--point": st.tuples(FINITE, FINITE, FINITE),
+    "--axis": st.tuples(FINITE, FINITE, FINITE),
+    "--vector": st.tuples(FINITE, FINITE, FINITE),
+}
+
+
+def good_value(option):
+    if option.choices:
+        return st.sampled_from(option.choices)
+    strategy = GOOD.get(option.name, FINITE)
+    return strategy.map(lambda v: ",".join(map(repr, v)) if isinstance(v, tuple)
+                        else v if isinstance(v, str) else repr(v))
+
+
+@st.composite
+def argvs(draw):
+    """A command line near the grammar: every subcommand; each option missing,
+    once or twice, by its full name or a prefix, spaced, after ``=`` or bare,
+    with a value it takes or any other; stray tokens anywhere."""
+    command = draw(st.sampled_from([*COMMANDS, "no-such-command", "-1", ""]))
+    argv = [command]
+    clean = draw(st.booleans())  # half are well formed, with values the options take
+    for option in COMMANDS.get(command, ("", ()))[1]:
+        for _ in range(1 if clean else draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            name = option.name
+            if not clean and draw(st.integers(0, 3)) == 0:  # "--" is the end-of-options marker
+                name = name[:draw(st.integers(2, len(name) - 1))]
+            forms = ["spaced", "joined"] + ["bare"] * (not clean)
+            form = draw(st.sampled_from(forms))
+            value = draw(good_value(option) if clean or draw(st.booleans()) else VALUES)
+            if option.type is None:
+                argv += [f"{name}={value}"] if form == "joined" and not clean else [name]
+            elif form == "spaced":
+                argv += [name, value]
+            elif form == "joined" and value != "--":  # see test_explicit_double_dash_is_a_value
+                argv.append(f"{name}={value}")
+            else:
+                argv.append(name)
+    for stray in draw(st.lists(STRAYS, max_size=0 if clean else 2)):
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+def float_hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(float_hex, value))
+    return value
+
+
+def parse_outcome(parse, argv):
+    """('ok', values with floats as hex), ('usage', message) or ('help', exit code, first words)."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            namespace = parse(list(argv))
+    except UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:  # --help; only the layout of its text changed
+        return "help", exc.code, out.getvalue().split()[:3]
+    return "ok", {key: float_hex(value) for key, value in vars(namespace).items()}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argvs())
+def test_option_table_parses_like_argparse(argv):
+    assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["graph", "--format=--"],
+         "kinematica graph: argument --format: invalid choice: '--' (choose from 'json', 'dot')"),
+        (["distance", "--w1=--", "--w2=0,0", "--kappa1=1", "--kappa2=1"],
+         "kinematica distance: argument --w1: expected 'u,v', got '--'"),
+        (["exp", "--gen=H", "--param=--", "--kappa1=1", "--kappa2=1"],
+         "kinematica exp: argument --param: invalid float value: '--'"),
+    ],
+)
+def test_explicit_double_dash_is_a_value(argv, message):
+    # argparse drops a "--" given after "=" and stores [], so these printed the
+    # JSON graph or ended in a TypeError traceback; the table reads the value "--"
+    with pytest.raises(UsageError) as caught:
+        parse_args(argv)
+    assert str(caught.value) == message
+    assert parse_args(["region", "--svg=--", "--kappa1=1", "--kappa2=1"]).svg == "--"
+
+
+def test_option_table_defaults_and_prefixes():
+    assert vars(parse_args(["graph"])) == {"command": "graph", "format": "json"}
+    assert vars(parse_args(["region", "--kappa1", "-1", "--kappa2=0"])) == {
+        "command": "region", "svg": None, "kappa1": -1.0, "kappa2": 0.0}
+    args = parse_args(["exp", "--par=1", "--ge", "K", "--kappa1=2", "--kappa1", "-.5",
+                       "--kappa2", "-5e-07"])
+    assert (args.gen, args.param, args.kappa1, args.kappa2) == ("K", 1.0, -0.5, -5e-07)
+    args = parse_args(["conformal-table", "--diff", "--kappa1", "1", "--kappa2", "1"])
+    assert args.diff is True
+
+
+def reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_every_command_line_ends_in_an_answer_or_one_json_error(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # region --svg writes where it is told
+    code, out, err = run_cli(argv)
+    if code == 0:
+        assert err == ""
+        if out.startswith("<svg"):
+            assert out.endswith("</svg>\n") and "inf" not in out and "nan" not in out
+        elif not out.startswith(("digraph", "usage: kinematica")) and out:
+            assert out.endswith("\n") and out.count("\n") == 1
+            json.loads(out, parse_constant=reject_constant)
+    else:
+        assert code in (1, 2) and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert "error" in json.loads(err)
+
+
+def test_entry_point_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "kinematica.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    golden = run("distance", "--kappa1", "-1", "--kappa2", "1", "--w1", "0,0", "--w2", "0.5,0")
+    assert golden.returncode == 0 and golden.stderr == ""
+    assert golden.stdout == (GOLDEN / "distance_poincare.json").read_text()
+    missing = run("distance", "--kappa1", "-1", "--w1", "0,0", "--w2", "0.5,0")
+    assert missing.returncode == 2 and missing.stdout == ""
+    assert "--kappa2" in assert_one_json_error(missing.stderr, "usage")["message"]
+    shown = run("distance", "--help")
+    assert shown.returncode == 0 and shown.stderr == ""
+    assert shown.stdout.startswith("usage: kinematica distance")
+    # the package does not import argparse
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, kinematica.cli as c; c.main(['graph']); "
+                               "print('argparse' in sys.modules, file=sys.stderr)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert probe.stderr == "False\n"

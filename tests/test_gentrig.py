@@ -132,10 +132,10 @@ def test_tank_pole():
 
 
 def test_overflow_is_a_typed_error():
-    # cosh and sinh overflow; cos and sin of an infinite argument (given, or
-    # sqrt(kappa) * phi overflowing) are domain errors
+    # cosh and sinh overflow; the argument sqrt(|kappa|) * phi is infinite
+    # (given, or overflowing) on the circular and the hyperbolic branch
     for fn in (cosk, sink):
-        for kappa, phi in ((-1.0, 1e300), (1e300, 1e300), (1.0, math.inf)):
+        for kappa, phi in ((-1.0, 1e300), (1e300, 1e300), (1.0, math.inf), (-1e300, 1e300)):
             with pytest.raises(TrigOverflow) as caught:
                 fn(kappa, phi)
             assert isinstance(caught.value, OverflowError)
