@@ -200,10 +200,14 @@ def test_usage_error_exit_code():
     assert assert_one_json_error(err, "usage")["message"].endswith("stray\nline\ttab")
 
 
-def test_help_prints_usage_and_exits_zero():
-    code, out, err = run_cli(["distance", "--help"])
+@pytest.mark.parametrize("command", [*COMMANDS, None], ids=[*COMMANDS, "top-level"])
+def test_help_prints_usage_and_exits_zero(command):
+    code, out, err = run_cli([command, "--help"] if command else ["--help"])
     assert code == 0 and err == ""
-    assert out.startswith("usage: kinematica distance")
+    assert out.startswith(f"usage: kinematica {command or '[-h] <command>'} ")
+    if command is None:
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+        assert set(COMMANDS) <= listed
 
 
 @pytest.mark.parametrize(
@@ -391,11 +395,56 @@ JSON_SUBCOMMANDS = [
 ]
 
 
+# the commands whose every answer is text, not JSON (graph prints JSON or dot)
+TEXT_ONLY_COMMANDS = {"region"}
+
+
 @pytest.mark.parametrize("argv", JSON_SUBCOMMANDS, ids=lambda a: a[0])
 def test_every_json_subcommand_parses(argv):
     code, out, err = run_cli(argv)
     assert code == 0 and err == ""
     json.loads(out)
+
+
+def test_json_and_text_commands_cover_every_command():
+    json_commands = {argv[0] for argv in JSON_SUBCOMMANDS}
+    assert json_commands.isdisjoint(TEXT_ONLY_COMMANDS)
+    assert json_commands | TEXT_ONLY_COMMANDS == set(COMMANDS)
+
+
+# the exact stdout of each JSON subcommand that has no file in golden/
+PINNED_OUTPUTS = [
+    (JSON_SUBCOMMANDS[3],
+     '{"generator":"P","param":0.40000000000000002,'
+     '"matrix":[[1,0,0],[0,1,0],[0.40000000000000002,0,1]]}\n'),
+    (JSON_SUBCOMMANDS[4], '{"re":0.5,"im":0,"kappa":1}\n'),
+    (JSON_SUBCOMMANDS[5],
+     '{"point":[1.1052631578947367,0.21052631578947367,0.42105263157894735]}\n'),
+    (JSON_SUBCOMMANDS[7],
+     '{"rotor":{"kappa1":0,"kappa2":0,"coeffs":[1,0,0,0,0.75,0,0,0]},"vector":[1,0,0]}\n'),
+    (JSON_SUBCOMMANDS[8],
+     '{"alpha":{"re":0.98877107793604224,"im":0,"kappa":0},'
+     '"beta":{"re":0.14943813247359922,"im":0,"kappa":0},'
+     '"so3":[[0.95533648912560587,-0.29552020666133955,0],'
+     '[0.29552020666133955,0.95533648912560587,0],[0,0,0.99999999999999989]]}\n'),
+    (["conformal-table", "--kappa1", "1", "--kappa2", "-1", "--diff-paper"],
+     '{"brackets":{"[H,P]":{"K":1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+     '"[H,D]":{"H":-1,"G1":-1},"[P,H]":{"K":-1},"[P,K]":{"H":-1},"[P,G1]":{"K":1},'
+     '"[P,G2]":{"D":1},"[P,D]":{"P":-1,"G2":1},"[K,H]":{"P":1},"[K,P]":{"H":1},'
+     '"[K,G1]":{"G2":-1},"[K,G2]":{"G1":-1},"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},'
+     '"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},"[G2,H]":{"K":-1},"[G2,P]":{"D":-1},'
+     '"[G2,K]":{"G1":1},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":1},"[D,P]":{"P":1,"G2":-1},'
+     '"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}},'
+     '"diff":[{"bracket":"[K,G1]","computed":{"G2":-1},"claimed":"S2 (undefined symbol)"},'
+     '{"bracket":"[K,G2]","computed":{"G1":-1},"claimed":{"G2":-1}},'
+     '{"bracket":"[G1,K]","computed":{"G2":1},"claimed":"S2 (undefined symbol)"},'
+     '{"bracket":"[G2,K]","computed":{"G1":1},"claimed":{"G2":1}}]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_OUTPUTS, ids=[a[0] for a, _ in PINNED_OUTPUTS])
+def test_json_subcommand_output_is_byte_identical(argv, expected):
+    assert run_cli(argv) == (0, expected, "")
 
 
 # -- the option table against the argparse parser it replaced -----------------
