@@ -107,30 +107,6 @@ def word_matrix(kp: KappaPair, word: list[tuple[str, float]]) -> np.ndarray:
     return m
 
 
-def on_sigma(kp: KappaPair, point, tol: float = 1e-10) -> bool:
-    z, t, x = point
-    value = z * z + kp.kappa1 * t * t + kp.kappa1 * kp.kappa2 * x * x
-    return abs(value - 1.0) <= tol
-
-
-def is_hemisphere_boundary(point, tol: float = 1e-10) -> bool:
-    """True on the z = 0 rim of the projected hemisphere.
-
-    Antipodal rim points project to w and -w; they are the same projective
-    point, but the identification is never applied silently: callers check
-    the flag and compare with :func:`boundary_equivalent` where it matters.
-    """
-    z = point[0]
-    return abs(z) <= tol
-
-
-def boundary_equivalent(
-    w1: GenComplex, w2: GenComplex, tol: float = 1e-10
-) -> bool:
-    """Equality of rim images up to the antipodal sign."""
-    return w1.approx_eq(w2, tol) or w1.approx_eq(-w2, tol)
-
-
 def project(kp: KappaPair, point) -> GenComplex:
     """Central projection (z, t, x) -> (t + i*x)/(z + 1) from (-1, 0, 0).
 
@@ -191,28 +167,20 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
     if den.sqmod() == 0.0:
         raise DenominatorNotInvertible(f"denominator {den} is not invertible")
     arg = (w2 - w1) * den.inv()
-    s = arg.sqmod()
+    # square arg / 4**k instead of arg, with k read off the larger root of the
+    # two terms re**2 and kappa*im**2, so that the larger term lies in
+    # [0.25, 4) and neither underflows nor overflows; power-of-two scalings
+    # are exact.  At kappa = 0 the im part adds nothing and is dropped.
+    root = max(abs(arg.re), math.sqrt(abs(arg.kappa)) * abs(arg.im))
+    k = math.frexp(root)[1] // 2
+    re = math.ldexp(arg.re, -2 * k)
+    im = math.ldexp(arg.im, -2 * k) if arg.kappa else 0.0
+    s = re * re + arg.kappa * im * im
+    unit = 2.0**k  # undone one factor at a time, which overflows to inf, not raises
     if s < 0.0:
+        s = s * unit * unit * unit * unit
         raise NullOrImaginarySeparation(f"squared separation {s} < 0")
-    return atank(kp.kappa1, math.sqrt(s))
-
-
-def act_and_project_equivariance(
-    kp: KappaPair, word: list[tuple[str, float]], point
-) -> tuple[GenComplex, GenComplex]:
-    """Both sides of the equivariance square for a group word.
-
-    Returns (project(g . point), M(project(point))) where g is the 3x3 word
-    product and M the Moebius map of the corresponding spin word; the two
-    agree whenever everything is defined.
-    """
-    from .spin import moebius_of_word  # deferred: spin depends on this module
-
-    g = word_matrix(kp, word)
-    moved = g @ np.asarray(point, dtype=float)
-    lhs = project(kp, moved)
-    rhs = moebius_of_word(kp, word).apply(project(kp, point))
-    return lhs, rhs
+    return atank(kp.kappa1, math.sqrt(s) * unit * unit)
 
 
 # -- region rendering -----------------------------------------------------------

@@ -7,10 +7,14 @@ Floats print with 17 significant digits unless the KINEMATICA_PRECISION
 environment variable overrides the width, so output is byte-stable for fixed
 inputs.
 
-One table, :data:`COMMANDS`, lists every subcommand's options; a small parser
-reads the command line from it and the ``--help`` text is generated from it.
-The parser accepts the command lines argparse accepted for the same table,
-with the same values and argparse's one-line error messages; the one
+One table, :data:`COMMANDS`, gives each subcommand its summary, its options
+and its runner.  A small parser reads the command line from the options, the
+``--help`` text is generated from the summary and the options, and
+:func:`main` calls the runner.  A runner returns either a JSON value, which
+is printed as one line, or a ``str``, which is written unchanged: the dot
+graph, and the SVG of ``region`` (empty once ``--svg`` has written it to a
+file).  The parser accepts the command lines argparse accepted for the same
+table, with the same values and argparse's one-line error messages; the one
 difference is that a ``--`` given after ``=`` is read as the value ``--``.
 """
 
@@ -131,67 +135,188 @@ class Option(NamedTuple):
     help: str = ""
 
 
+class Command(NamedTuple):
+    """One subcommand: its ``--help`` summary, its options and its runner.
+
+    ``run(args)`` returns a JSON value, which :func:`main` prints as one
+    line, or a ``str``, which :func:`main` writes unchanged.
+    """
+
+    summary: str
+    options: tuple[Option, ...]
+    run: Callable[[SimpleNamespace], object]
+
+
+def _kappas(args) -> KappaPair:
+    return KappaPair(args.kappa1, args.kappa2)
+
+
+def _run_classify(args) -> dict:
+    return {
+        "counts": kinclass.classification_counts(),
+        "algebras": kinclass.classification_rows(),
+    }
+
+
+def _run_contract(args) -> dict:
+    try:
+        triple = kinclass.triple_of_name(args.source)
+    except KeyError as exc:
+        raise UsageError(str(exc)) from None
+    return {"to": kinclass.name_of(kinclass.contract_triple(triple, args.kind))}
+
+
+def _run_graph(args) -> list | str:
+    edges = kinclass.contraction_graph()
+    if args.format == "dot":
+        lines = [f'  "{src}" -> "{dst}" [label="{kind}"];' for src, dst, kind in edges]
+        return "\n".join(["digraph contractions {", *lines, "}", ""])
+    return [{"from": s, "to": d, "type": k} for s, d, k in edges]
+
+
+def _run_exp(args) -> dict:
+    return {
+        "generator": args.gen,
+        "param": args.param,
+        "matrix": _matrix_json(ckgeom.exp_generator(_kappas(args), args.gen, args.param)),
+    }
+
+
+def _run_project(args) -> dict:
+    return _gc_json(ckgeom.project(_kappas(args), args.point))
+
+
+def _run_unproject(args) -> dict:
+    kp = _kappas(args)
+    point = ckgeom.unproject(kp, gc(*args.w, kp.kappa2))
+    return {"point": [float(c) for c in point]}
+
+
+def _run_distance(args) -> dict:
+    kp = _kappas(args)
+    w1, w2 = gc(*args.w1, kp.kappa2), gc(*args.w2, kp.kappa2)
+    return {"distance": ckgeom.distance(kp, w1, w2)}
+
+
+def _run_rotate(args) -> dict:
+    kp = _kappas(args)
+    axis = clifford.UnitAxis(*args.axis)
+    r = clifford.rotor(kp, axis, args.angle)
+    vec = clifford.Multivector.vector(kp, *args.vector)
+    out = clifford.sandwich(r, vec)
+    return {
+        "rotor": {
+            "kappa1": kp.kappa1,
+            "kappa2": kp.kappa2,
+            "coeffs": [float(c) for c in r.coeffs],
+        },
+        "vector": [float(c) for c in out.vector_components()],
+    }
+
+
+def _run_spin(args) -> dict:
+    s = spin.SL2[args.gen](_kappas(args), args.param)
+    return {
+        "alpha": _gc_json(s.alpha),
+        "beta": _gc_json(s.beta),
+        "so3": _matrix_json(spin.cover_to_so3(s)),
+    }
+
+
+def _run_conformal(args) -> dict:
+    kp = _kappas(args)
+    computed = conformal.computed_brackets(kp)
+    brackets = {
+        f"[{row},{col}]": coeffs
+        for (row, col), coeffs in computed.items()
+        if row != col and coeffs
+    }
+    if not args.diff:
+        return {"brackets": brackets}
+    diff = [
+        {
+            "bracket": "[{},{}]".format(*record["bracket"]),
+            "computed": record["computed"],
+            "claimed": record["claimed"],
+        }
+        for record in conformal.diff_vs_tabulated(kp, computed)
+    ]
+    return {"brackets": brackets, "diff": diff}
+
+
+def _run_region(args) -> str:
+    svg = ckgeom.region_svg(_kappas(args))
+    if not args.svg:
+        return svg
+    try:
+        with open(args.svg, "w") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise UsageError(f"cannot write --svg: {exc}") from None
+    return ""
+
+
 _KAPPAS = (Option("--kappa1", _finite_float), Option("--kappa2", _finite_float))
 
 _DESCRIPTION = "two-parameter plane kinematics and Cayley-Klein geometry"
 
-# subcommand -> (summary, options): the one source of parsing and of --help
-COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
-    "classify": ("the 27 bracket structures and counts", ()),
-    "contract": ("contract a named kinematical algebra", (
+# subcommand -> Command: the one source of parsing, of --help and of what runs
+COMMANDS: dict[str, Command] = {
+    "classify": Command("the 27 bracket structures and counts", (), _run_classify),
+    "contract": Command("contract a named kinematical algebra", (
         Option("--from", dest="source"),
         Option("--type", dest="kind", choices=tuple(sorted(kinclass.CONTRACTION_EXPONENTS))),
-    )),
-    "graph": ("the contraction graph", (
+    ), _run_contract),
+    "graph": Command("the contraction graph", (
         Option("--format", required=False, choices=("json", "dot"), default="json"),
-    )),
-    "exp": ("closed-form one-parameter subgroup element", (
+    ), _run_graph),
+    "exp": Command("closed-form one-parameter subgroup element", (
         Option("--gen", choices=("H", "P", "K")),
         Option("--param", _finite_float),
         *_KAPPAS,
-    )),
-    "project": ("central projection of a quadric point", (
+    ), _run_exp),
+    "project": Command("central projection of a quadric point", (
         Option("--point", _parse_triple, metavar="z,t,x"),
         *_KAPPAS,
-    )),
-    "unproject": ("lift a plane point to the quadric", (
+    ), _run_project),
+    "unproject": Command("lift a plane point to the quadric", (
         Option("--w", _parse_pair, metavar="u,v"),
         *_KAPPAS,
-    )),
-    "distance": ("closed-form distance between plane points", (
+    ), _run_unproject),
+    "distance": Command("closed-form distance between plane points", (
         Option("--w1", _parse_pair, metavar="u,v"),
         Option("--w2", _parse_pair, metavar="u,v"),
         *_KAPPAS,
-    )),
-    "rotate": ("rotor sandwich of a vector", (
+    ), _run_distance),
+    "rotate": Command("rotor sandwich of a vector", (
         Option("--axis", _parse_triple, metavar="n1,n2,n3"),
         Option("--angle", _finite_float),
         Option("--vector", _parse_triple, metavar="a1,a2,a3"),
         *_KAPPAS,
-    )),
-    "spin": ("spin element over a generator exponential", (
+    ), _run_rotate),
+    "spin": Command("spin element over a generator exponential", (
         Option("--gen", choices=("H", "P", "K")),
         Option("--param", _finite_float),
         *_KAPPAS,
-    )),
-    "conformal-table": ("computed conformal bracket table", (
+    ), _run_spin),
+    "conformal-table": Command("computed conformal bracket table", (
         Option("--diff-paper", None, required=False, dest="diff", default=False,
                help="include the diff against the published table"),
         *_KAPPAS,
-    )),
-    "region": ("SVG of the model region", (
+    ), _run_conformal),
+    "region": Command("SVG of the model region", (
         Option("--svg", required=False, metavar="PATH",
                help="output path (stdout when omitted)"),
         *_KAPPAS,
-    )),
+    ), _run_region),
 }
 
 _HELP = Option("-h/--help", None, required=False, help="show this help message and exit")
 _TOP = {"-h": _HELP, "--help": _HELP}
 # subcommand -> its options with dest filled in, and option string -> option
 _TABLES = {
-    command: tuple(o._replace(dest=o.dest or o.name[2:].replace("-", "_")) for o in options)
-    for command, (_, options) in COMMANDS.items()
+    name: tuple(o._replace(dest=o.dest or o.name[2:].replace("-", "_")) for o in command.options)
+    for name, command in COMMANDS.items()
 }
 _OPTIONS = {command: {**_TOP, **{o.name: o for o in table}} for command, table in _TABLES.items()}
 
@@ -336,9 +461,9 @@ def _help_text(command: str | None) -> str:
     """The ``--help`` text of one subcommand, or of the program when ``command`` is None."""
     if command is None:
         usage, summary = "[-h] <command> [options]", _DESCRIPTION
-        rows = [(name, text) for name, (text, _) in COMMANDS.items()]
+        rows = [(name, row.summary) for name, row in COMMANDS.items()]
     else:
-        summary, table = COMMANDS[command][0], _TABLES[command]
+        summary, table = COMMANDS[command].summary, _TABLES[command]
         usage = " ".join([command, "[-h]", *map(_usage, table)])
         rows = [(_usage(option).strip("[]"), option.help) for option in table]
     rows.append(("-h, --help", _HELP.help))
@@ -347,142 +472,15 @@ def _help_text(command: str | None) -> str:
     return "\n".join([f"usage: kinematica {usage}", "", summary, "", *lines, ""])
 
 
-def _run_classify(args) -> dict:
-    return {
-        "counts": kinclass.classification_counts(),
-        "algebras": kinclass.classification_rows(),
-    }
-
-
-def _run_contract(args) -> dict:
-    try:
-        triple = kinclass.triple_of_name(args.source)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
-    return {"to": kinclass.name_of(kinclass.contract_triple(triple, args.kind))}
-
-
-def _graph_dot() -> str:
-    lines = ["digraph contractions {"]
-    for src, dst, kind in kinclass.contraction_graph():
-        lines.append(f'  "{src}" -> "{dst}" [label="{kind}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _run_exp(args, kp: KappaPair) -> dict:
-    return {
-        "generator": args.gen,
-        "param": args.param,
-        "matrix": _matrix_json(ckgeom.exp_generator(kp, args.gen, args.param)),
-    }
-
-
-def _run_rotate(args, kp: KappaPair) -> dict:
-    axis = clifford.UnitAxis(*args.axis)
-    r = clifford.rotor(kp, axis, args.angle)
-    vec = clifford.Multivector.vector(kp, *args.vector)
-    out = clifford.sandwich(r, vec)
-    return {
-        "rotor": {
-            "kappa1": kp.kappa1,
-            "kappa2": kp.kappa2,
-            "coeffs": [float(c) for c in r.coeffs],
-        },
-        "vector": [float(c) for c in out.vector_components()],
-    }
-
-
-def _run_spin(args, kp: KappaPair) -> dict:
-    s = spin.SL2[args.gen](kp, args.param)
-    return {
-        "alpha": _gc_json(s.alpha),
-        "beta": _gc_json(s.beta),
-        "so3": _matrix_json(spin.cover_to_so3(s)),
-    }
-
-
-def _run_conformal(args, kp: KappaPair) -> dict:
-    computed = conformal.computed_brackets(kp)
-    brackets = {
-        f"[{row},{col}]": coeffs
-        for (row, col), coeffs in computed.items()
-        if row != col and coeffs
-    }
-    out: dict = {"brackets": brackets}
-    if args.diff:
-        out["diff"] = diffs = []
-        for record in conformal.diff_vs_tabulated(kp, computed):
-            row, col = record["bracket"]
-            diffs.append(
-                {
-                    "bracket": f"[{row},{col}]",
-                    "computed": record["computed"],
-                    "claimed": record["claimed"],
-                }
-            )
-    return out
-
-
-def _dispatch(args, emit) -> None:
-    if args.command == "classify":
-        emit(_run_classify(args))
-    elif args.command == "contract":
-        emit(_run_contract(args))
-    elif args.command == "graph":
-        if args.format == "dot":
-            sys.stdout.write(_graph_dot())
-        else:
-            emit(
-                [
-                    {"from": s, "to": d, "type": k}
-                    for s, d, k in kinclass.contraction_graph()
-                ]
-            )
-    else:
-        kp = KappaPair(args.kappa1, args.kappa2)
-        if args.command == "exp":
-            emit(_run_exp(args, kp))
-        elif args.command == "project":
-            emit(_gc_json(ckgeom.project(kp, args.point)))
-        elif args.command == "unproject":
-            u, v = args.w
-            point = ckgeom.unproject(kp, gc(u, v, kp.kappa2))
-            emit({"point": [float(c) for c in point]})
-        elif args.command == "distance":
-            w1 = gc(args.w1[0], args.w1[1], kp.kappa2)
-            w2 = gc(args.w2[0], args.w2[1], kp.kappa2)
-            emit({"distance": ckgeom.distance(kp, w1, w2)})
-        elif args.command == "rotate":
-            emit(_run_rotate(args, kp))
-        elif args.command == "spin":
-            emit(_run_spin(args, kp))
-        elif args.command == "conformal-table":
-            emit(_run_conformal(args, kp))
-        elif args.command == "region":
-            svg = ckgeom.region_svg(kp)
-            if args.svg:
-                try:
-                    with open(args.svg, "w") as fh:
-                        fh.write(svg)
-                except OSError as exc:
-                    raise UsageError(f"cannot write --svg: {exc}") from None
-            else:
-                sys.stdout.write(svg)
-
-
 def main(argv: list[str] | None = None) -> int:
     precision = _precision()
-
-    def emit(obj) -> None:
-        sys.stdout.write(dumps(obj, precision) + "\n")
-
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         # a non-finite input is reported by the typed error it ends in, not
         # by numpy warnings printed ahead of that error's JSON line
         with np.errstate(all="ignore"):
-            _dispatch(args, emit)
+            out = COMMANDS[args.command].run(args)
+        sys.stdout.write(out if isinstance(out, str) else dumps(out, precision) + "\n")
     except SystemExit as exc:  # --help prints its text and exits 0
         return int(exc.code or 0)
     except UsageError as exc:

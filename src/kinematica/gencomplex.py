@@ -23,7 +23,6 @@ coordinates that no affine w can represent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +96,6 @@ class GenComplex:
     def sqmod(self) -> float:
         """Squared modulus re**2 + kappa*im**2 = w * conj(w)."""
         return self.re * self.re + self.kappa * self.im * self.im
-
-    def modulus(self) -> float:
-        """sqrt(sqmod); only defined when the squared modulus is >= 0."""
-        s = self.sqmod()
-        if s < 0.0:
-            raise ValueError(f"negative squared modulus {s}")
-        return math.sqrt(s)
 
     def is_zero(self) -> bool:
         return self.re == 0.0 and self.im == 0.0

@@ -1,0 +1,47 @@
+"""Checks of the projective model that only the tests use.
+
+Each returns a flag or both sides of an identity of :mod:`kinematica.ckgeom`;
+``test_ckgeom.py`` and ``test_acceptance.py`` import them from here.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from kinematica.ckgeom import KappaPair, project, word_matrix
+from kinematica.gencomplex import GenComplex
+from kinematica.spin import moebius_of_word
+
+
+def on_sigma(kp: KappaPair, point, tol: float = 1e-10) -> bool:
+    z, t, x = point
+    value = z * z + kp.kappa1 * t * t + kp.kappa1 * kp.kappa2 * x * x
+    return abs(value - 1.0) <= tol
+
+
+def is_hemisphere_boundary(point, tol: float = 1e-10) -> bool:
+    """True on the z = 0 rim of the projected hemisphere.
+
+    Antipodal rim points project to w and -w; they are the same projective
+    point, but the identification is never applied silently: callers check
+    the flag and compare with :func:`boundary_equivalent` where it matters.
+    """
+    return abs(point[0]) <= tol
+
+
+def boundary_equivalent(w1: GenComplex, w2: GenComplex, tol: float = 1e-10) -> bool:
+    """Equality of rim images up to the antipodal sign."""
+    return w1.approx_eq(w2, tol) or w1.approx_eq(-w2, tol)
+
+
+def act_and_project_equivariance(
+    kp: KappaPair, word: list[tuple[str, float]], point
+) -> tuple[GenComplex, GenComplex]:
+    """Both sides of the equivariance square for a group word.
+
+    Returns (project(g . point), M(project(point))) where g is the 3x3 word
+    product and M the Moebius map of the corresponding spin word; the two
+    agree whenever everything is defined.
+    """
+    moved = word_matrix(kp, word) @ np.asarray(point, dtype=float)
+    return project(kp, moved), moebius_of_word(kp, word).apply(project(kp, point))

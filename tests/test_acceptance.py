@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geometry_checks import act_and_project_equivariance
 from kinematica import ckgeom, clifford, conformal, kinclass, spin
 from kinematica.ckgeom import KappaPair
 from kinematica.cli import main as cli_main
@@ -391,7 +392,7 @@ def test_criterion_10_equivariance():
                 den = mo.c * ckgeom.project(kp, point) + mo.d
                 if den.sqmod() == 0.0:
                     continue
-                lhs, rhs = ckgeom.act_and_project_equivariance(kp, word, point)
+                lhs, rhs = act_and_project_equivariance(kp, word, point)
                 assert abs(lhs.re - rhs.re) < 1e-10
                 assert abs(lhs.im - rhs.im) < 1e-10
                 done += 1

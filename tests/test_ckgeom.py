@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from geometry_checks import (
+    act_and_project_equivariance,
+    boundary_equivalent,
+    is_hemisphere_boundary,
+    on_sigma,
+)
 from kinematica.ckgeom import (
     KappaPair,
-    act_and_project_equivariance,
     bilinear_form,
     distance,
     exp_h,
@@ -13,7 +18,6 @@ from kinematica.ckgeom import (
     exp_p,
     metric_g1,
     metric_g2,
-    on_sigma,
     project,
     region_svg,
     so3_generators,
@@ -217,6 +221,24 @@ def test_distance_flat_case_is_euclidean_modulus():
     assert distance(kp, gc(1, 1, 1.0), gc(4, 5, 1.0)) == pytest.approx(5.0)
 
 
+def test_distance_neither_underflows_nor_overflows():
+    # squaring before the root took 1e-300 to 0 and 1e200 to inf
+    assert distance(KappaPair(1.0, -1.0), gc(0, 0, -1.0), gc(1e-300, 0, -1.0)) == 1e-300
+    flat = KappaPair(0.0, 1.0)
+    for x in (5e-324, 1e-300, 1e200, 1.7e308):
+        assert distance(flat, gc(0, 0, 1.0), gc(x, 0, 1.0)) == x
+    assert distance(flat, gc(0, 0, 1.0), gc(1.7e308, 1.7e308, 1.0)) == math.inf
+    # at kappa2 = 0 a huge im part adds nothing and must not set the scale
+    assert distance(KappaPair(0.0, 0.0), gc(0, 0, 0.0), gc(3.0, 1e300, 0.0)) == 3.0
+    # at kappa1 = 0 the distance is |w2 - w1|: a power-of-two scale passes
+    # through exactly, far outside the range where the square is representable
+    w1, w2 = gc(0.3, -0.2, 0.5), gc(-0.1, 0.4, 0.5)
+    unit = distance(KappaPair(0.0, 0.5), w1, w2)
+    for m in range(-1000, 1001, 50):
+        scaled = [gc(math.ldexp(w.re, m), math.ldexp(w.im, m), 0.5) for w in (w1, w2)]
+        assert distance(KappaPair(0.0, 0.5), *scaled) == math.ldexp(unit, m)
+
+
 def test_distance_quadrature_oracle():
     # geodesics through the origin project to straight rays; integrating the
     # model metric along the ray must reproduce the closed form
@@ -300,8 +322,6 @@ def test_region_svg_shapes():
 
 
 def test_boundary_rim_flag_and_antipodal_comparison():
-    from kinematica.ckgeom import boundary_equivalent, is_hemisphere_boundary
-
     kp = KappaPair(1.0, 1.0)
     rim = np.array([0.0, 0.6, 0.8])
     assert on_sigma(kp, rim)

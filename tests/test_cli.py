@@ -294,7 +294,7 @@ def test_conformal_table_with_overflowing_labels_fails_typed(extra):
          1, "TrigOverflow"),
         # finite input, non-finite result
         (["unproject", "--w=1e200,0", "--kappa1=0", "--kappa2=1"], 1, "NonFiniteResult"),
-        (["distance", "--w1=1e200,0", "--w2=0,0", "--kappa1=0", "--kappa2=1"],
+        (["distance", "--w1=1.5e308,0", "--w2=-1.5e308,0", "--kappa1=0", "--kappa2=1"],
          1, "NonFiniteResult"),
         # the region boundary's coordinates overflow
         (["region", "--kappa1=-1e308", "--kappa2=-1e308"], 1, "NonFiniteResult"),
@@ -309,6 +309,14 @@ def test_non_finite_input_and_output_end_in_one_json_line(argv, code, kind):
     got, out, err = run_cli(argv)
     assert got == code and out == ""
     assert_one_json_error(err, kind)
+
+
+def test_distance_of_tiny_and_huge_separations():
+    # the squared separation underflowed to 0 and overflowed to inf
+    tiny = ["distance", "--kappa1", "1", "--kappa2", "-1", "--w1", "0,0", "--w2", "1e-300,0"]
+    assert run_cli(tiny) == (0, '{"distance":1e-300}\n', "")
+    huge = ["distance", "--w1=1e200,0", "--w2=0,0", "--kappa1=0", "--kappa2=1"]
+    assert run_cli(huge) == (0, '{"distance":9.9999999999999997e+199}\n', "")
 
 
 def test_region_svg_into_missing_directory_is_a_usage_error(tmp_path):
@@ -414,15 +422,17 @@ def test_json_and_text_commands_cover_every_command():
 
 # the exact stdout of each JSON subcommand that has no file in golden/
 PINNED_OUTPUTS = [
-    (JSON_SUBCOMMANDS[3],
+    (["exp", "--gen", "P", "--param", "0.4", "--kappa1", "0", "--kappa2", "-1"],
      '{"generator":"P","param":0.40000000000000002,'
      '"matrix":[[1,0,0],[0,1,0],[0.40000000000000002,0,1]]}\n'),
-    (JSON_SUBCOMMANDS[4], '{"re":0.5,"im":0,"kappa":1}\n'),
-    (JSON_SUBCOMMANDS[5],
+    (["project", "--kappa1", "1", "--kappa2", "1", "--point", "0.6,0.8,0"],
+     '{"re":0.5,"im":0,"kappa":1}\n'),
+    (["unproject", "--kappa1", "-1", "--kappa2", "1", "--w", "0.1,0.2"],
      '{"point":[1.1052631578947367,0.21052631578947367,0.42105263157894735]}\n'),
-    (JSON_SUBCOMMANDS[7],
+    (["rotate", "--kappa1", "0", "--kappa2", "0", "--axis", "1,0,0",
+      "--angle", "1.5", "--vector", "1,0,0"],
      '{"rotor":{"kappa1":0,"kappa2":0,"coeffs":[1,0,0,0,0.75,0,0,0]},"vector":[1,0,0]}\n'),
-    (JSON_SUBCOMMANDS[8],
+    (["spin", "--gen", "H", "--param", "0.3", "--kappa1", "1", "--kappa2", "0"],
      '{"alpha":{"re":0.98877107793604224,"im":0,"kappa":0},'
      '"beta":{"re":0.14943813247359922,"im":0,"kappa":0},'
      '"so3":[[0.95533648912560587,-0.29552020666133955,0],'
@@ -471,7 +481,7 @@ STRAYS = st.one_of(
     st.sampled_from(["--foo", "--foo=1", "-x", "-h", "--help", "--he", "-hh", "-hx",
                      "--help=x", "--kappa", "--kappa=1", "--w", "--=x", "--diff-paper=1", "--",
                      "new\nline", "--foo=\t"]),
-    st.sampled_from(sorted({o.name for _, options in COMMANDS.values() for o in options})),
+    st.sampled_from(sorted({o.name for command in COMMANDS.values() for o in command.options})),
 )
 # a value each option accepts (a name --from may still not know)
 GOOD = {
@@ -502,7 +512,7 @@ def argvs(draw):
     command = draw(st.sampled_from([*COMMANDS, "no-such-command", "-1", ""]))
     argv = [command]
     clean = draw(st.booleans())  # half are well formed, with values the options take
-    for option in COMMANDS.get(command, ("", ()))[1]:
+    for option in COMMANDS[command].options if command in COMMANDS else ():
         for _ in range(1 if clean else draw(st.sampled_from([1, 1, 1, 0, 2]))):
             name = option.name
             if not clean and draw(st.integers(0, 3)) == 0:  # "--" is the end-of-options marker
