@@ -457,6 +457,166 @@ def test_json_subcommand_output_is_byte_identical(argv, expected):
     assert run_cli(argv) == (0, expected, "")
 
 
+# the exact stdout of conformal-table at the nine sign patterns, at a generic
+# pair and at (1e-13, 1e-13), where the TOL test hides the [K,G2] erratum:
+# (kappa1, kappa2) -> (the brackets object, the --diff-paper list)
+CONFORMAL_PINS = {
+    ("1", "1"): (
+        '{"[H,P]":{"K":1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":-1},"[P,H]":{"K":-1},"[P,K]":{"H":1},"[P,G1]":{"K":1},'
+        '"[P,G2]":{"D":-1},"[P,D]":{"P":-1,"G2":1},"[K,H]":{"P":1},"[K,P]":{"H":-1},'
+        '"[K,G1]":{"G2":-1},"[K,G2]":{"G1":1},"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},'
+        '"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},"[G2,H]":{"K":-1},"[G2,P]":{"D":1},'
+        '"[G2,K]":{"G1":-1},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":1},'
+        '"[D,P]":{"P":1,"G2":-1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[K,G2]","computed":{"G1":1},'
+        '"claimed":{"G2":1}},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G2,K]","computed":{"G1":-1},'
+        '"claimed":{"G2":-1}}]'
+    ),
+    ("1", "0"): (
+        '{"[H,P]":{"K":1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":-1},"[P,H]":{"K":-1},"[P,G1]":{"K":1},'
+        '"[P,D]":{"P":-1,"G2":1},"[K,H]":{"P":1},"[K,G1]":{"G2":-1},'
+        '"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},'
+        '"[G2,H]":{"K":-1},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":1},'
+        '"[D,P]":{"P":1,"G2":-1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"}]'
+    ),
+    ("1", "-1"): (
+        '{"[H,P]":{"K":1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":-1},"[P,H]":{"K":-1},"[P,K]":{"H":-1},"[P,G1]":{"K":1},'
+        '"[P,G2]":{"D":1},"[P,D]":{"P":-1,"G2":1},"[K,H]":{"P":1},"[K,P]":{"H":1},'
+        '"[K,G1]":{"G2":-1},"[K,G2]":{"G1":-1},"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},'
+        '"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},"[G2,H]":{"K":-1},"[G2,P]":{"D":-1},'
+        '"[G2,K]":{"G1":1},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":1},'
+        '"[D,P]":{"P":1,"G2":-1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[K,G2]","computed":{"G1":-1},'
+        '"claimed":{"G2":-1}},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G2,K]","computed":{"G1":1},'
+        '"claimed":{"G2":1}}]'
+    ),
+    ("0", "1"): (
+        '{"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},"[H,D]":{"H":-1},'
+        '"[P,K]":{"H":1},"[P,G1]":{"K":1},"[P,G2]":{"D":-1},"[P,D]":{"P":-1},'
+        '"[K,H]":{"P":1},"[K,P]":{"H":-1},"[K,G1]":{"G2":-1},"[K,G2]":{"G1":1},'
+        '"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},'
+        '"[G2,H]":{"K":-1},"[G2,P]":{"D":1},"[G2,K]":{"G1":-1},"[G2,D]":{"G2":1},'
+        '"[D,H]":{"H":1},"[D,P]":{"P":1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[K,G2]","computed":{"G1":1},'
+        '"claimed":{"G2":1}},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G2,K]","computed":{"G1":-1},'
+        '"claimed":{"G2":-1}}]'
+    ),
+    ("0", "0"): (
+        '{"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},"[H,D]":{"H":-1},'
+        '"[P,G1]":{"K":1},"[P,D]":{"P":-1},"[K,H]":{"P":1},"[K,G1]":{"G2":-1},'
+        '"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},'
+        '"[G2,H]":{"K":-1},"[G2,D]":{"G2":1},"[D,H]":{"H":1},"[D,P]":{"P":1},'
+        '"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"}]'
+    ),
+    ("0", "-1"): (
+        '{"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},"[H,D]":{"H":-1},'
+        '"[P,K]":{"H":-1},"[P,G1]":{"K":1},"[P,G2]":{"D":1},"[P,D]":{"P":-1},'
+        '"[K,H]":{"P":1},"[K,P]":{"H":1},"[K,G1]":{"G2":-1},"[K,G2]":{"G1":-1},'
+        '"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},'
+        '"[G2,H]":{"K":-1},"[G2,P]":{"D":-1},"[G2,K]":{"G1":1},"[G2,D]":{"G2":1},'
+        '"[D,H]":{"H":1},"[D,P]":{"P":1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[K,G2]","computed":{"G1":-1},'
+        '"claimed":{"G2":-1}},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G2,K]","computed":{"G1":1},'
+        '"claimed":{"G2":1}}]'
+    ),
+    ("-1", "1"): (
+        '{"[H,P]":{"K":-1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":1},"[P,H]":{"K":1},"[P,K]":{"H":1},"[P,G1]":{"K":1},'
+        '"[P,G2]":{"D":-1},"[P,D]":{"P":-1,"G2":-1},"[K,H]":{"P":1},"[K,P]":{"H":-1},'
+        '"[K,G1]":{"G2":-1},"[K,G2]":{"G1":1},"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},'
+        '"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},"[G2,H]":{"K":-1},"[G2,P]":{"D":1},'
+        '"[G2,K]":{"G1":-1},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":-1},'
+        '"[D,P]":{"P":1,"G2":1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[K,G2]","computed":{"G1":1},'
+        '"claimed":{"G2":1}},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G2,K]","computed":{"G1":-1},'
+        '"claimed":{"G2":-1}}]'
+    ),
+    ("-1", "0"): (
+        '{"[H,P]":{"K":-1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":1},"[P,H]":{"K":1},"[P,G1]":{"K":1},'
+        '"[P,D]":{"P":-1,"G2":-1},"[K,H]":{"P":1},"[K,G1]":{"G2":-1},'
+        '"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},'
+        '"[G2,H]":{"K":-1},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":-1},'
+        '"[D,P]":{"P":1,"G2":1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"}]'
+    ),
+    ("-1", "-1"): (
+        '{"[H,P]":{"K":-1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":1},"[P,H]":{"K":1},"[P,K]":{"H":-1},"[P,G1]":{"K":1},'
+        '"[P,G2]":{"D":1},"[P,D]":{"P":-1,"G2":-1},"[K,H]":{"P":1},"[K,P]":{"H":1},'
+        '"[K,G1]":{"G2":-1},"[K,G2]":{"G1":-1},"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},'
+        '"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},"[G2,H]":{"K":-1},"[G2,P]":{"D":-1},'
+        '"[G2,K]":{"G1":1},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":-1},'
+        '"[D,P]":{"P":1,"G2":1},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[K,G2]","computed":{"G1":-1},'
+        '"claimed":{"G2":-1}},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G2,K]","computed":{"G1":1},'
+        '"claimed":{"G2":1}}]'
+    ),
+    ("1.3", "-0.8"): (
+        '{"[H,P]":{"K":1.3},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":-1.3},"[P,H]":{"K":-1.3},'
+        '"[P,K]":{"H":-0.80000000000000004},"[P,G1]":{"K":1},'
+        '"[P,G2]":{"D":0.80000000000000004},"[P,D]":{"P":-1,"G2":1.3},'
+        '"[K,H]":{"P":1},"[K,P]":{"H":0.80000000000000004},"[K,G1]":{"G2":-1},'
+        '"[K,G2]":{"G1":-0.80000000000000004},"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},'
+        '"[G1,K]":{"G2":1},"[G1,D]":{"G1":1},"[G2,H]":{"K":-1},'
+        '"[G2,P]":{"D":-0.80000000000000004},"[G2,K]":{"G1":0.80000000000000004},'
+        '"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":1.3},"[D,P]":{"P":1,"G2":-1.3},'
+        '"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[K,G2]","computed":{"G1":-0.80000000000000004},'
+        '"claimed":{"G2":-0.80000000000000004}},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G2,K]","computed":{"G1":0.80000000000000004},'
+        '"claimed":{"G2":0.80000000000000004}}]'
+    ),
+    ("1e-13", "1e-13"): (
+        '{"[H,P]":{"K":1e-13},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
+        '"[H,D]":{"H":-1,"G1":-1e-13},"[P,H]":{"K":-1e-13},"[P,K]":{"H":1e-13},'
+        '"[P,G1]":{"K":1},"[P,G2]":{"D":-1e-13},"[P,D]":{"P":-1,"G2":1e-13},'
+        '"[K,H]":{"P":1},"[K,P]":{"H":-1e-13},"[K,G1]":{"G2":-1},'
+        '"[K,G2]":{"G1":1e-13},"[G1,H]":{"D":-1},"[G1,P]":{"K":-1},"[G1,K]":{"G2":1},'
+        '"[G1,D]":{"G1":1},"[G2,H]":{"K":-1},"[G2,P]":{"D":1e-13},'
+        '"[G2,K]":{"G1":-1e-13},"[G2,D]":{"G2":1},"[D,H]":{"H":1,"G1":1e-13},'
+        '"[D,P]":{"P":1,"G2":-1e-13},"[D,G1]":{"G1":-1},"[D,G2]":{"G2":-1}}',
+        '[{"bracket":"[K,G1]","computed":{"G2":-1},'
+        '"claimed":"S2 (undefined symbol)"},{"bracket":"[G1,K]","computed":{"G2":1},'
+        '"claimed":"S2 (undefined symbol)"}]'
+    ),
+}
+
+
+@pytest.mark.parametrize("labels", CONFORMAL_PINS, ids=",".join)
+def test_conformal_table_output_is_byte_identical(labels):
+    brackets, diff = CONFORMAL_PINS[labels]
+    argv = ["conformal-table", "--kappa1", labels[0], "--kappa2", labels[1]]
+    assert run_cli(argv) == (0, f'{{"brackets":{brackets}}}\n', "")
+    expected = f'{{"brackets":{brackets},"diff":{diff}}}\n'
+    assert run_cli([*argv, "--diff-paper"]) == (0, expected, "")
+
+
 # -- the option table against the argparse parser it replaced -----------------
 
 FINITE = st.one_of(
