@@ -128,8 +128,8 @@ def unproject(kp: KappaPair, w: GenComplex) -> np.ndarray:
     Raises:
         OutsideModel: when 1 + kappa1*sqmod(w) <= 0.
     """
-    s = w.sqmod()
-    denom = 1.0 + kp.kappa1 * s
+    # at kappa1 = 0 the denominator is 1 even where sqmod(w) overflows
+    denom = 1.0 + kp.kappa1 * w.sqmod() if kp.kappa1 else 1.0
     if denom <= 0.0:
         raise OutsideModel(f"1 + kappa1*|w|^2 = {denom} <= 0")
     scale = 2.0 / denom

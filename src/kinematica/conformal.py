@@ -7,17 +7,21 @@ w -> w/(t*w + 1), w -> w/(t*i*w + 1), and w -> e^t * w.  G1 and G2 are only
 translations in the flat (kappa1 = 0) realization; in general their actions
 need the projective completion to act globally.
 
-``computed_brackets`` decomposes the commutator of each unordered pair of
-generators over the six-generator basis, from the matrices themselves, and
-fills the reversed pairs by antisymmetry.  ``TABULATED_BRACKETS`` keeps the
-published form of the same table verbatim as claimed data: it contains an
-undefined symbol "S2" in the [K, G1] slots and a mislabeled [K, G2] entry,
-and ``diff_vs_tabulated`` reports those discrepancies instead of silently
-correcting either side.
+Every coefficient of every bracket is one signed monomial: +-1, +-kappa1 or
++-kappa2.  The table of those monomials is derived once per process, on
+first use, from the matrices themselves: the commutator of each unordered
+pair of generators is decomposed over the six-generator basis at three label
+points, and the reversed pairs are filled by antisymmetry.
+``computed_brackets`` only evaluates that table at the labels.
+``TABULATED_BRACKETS`` keeps the published form of the same table verbatim
+as claimed data: it contains an undefined symbol "S2" in the [K, G1] slots
+and a mislabeled [K, G2] entry, and ``diff_vs_tabulated`` reports those
+discrepancies instead of silently correcting either side.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .ckgeom import KappaPair
@@ -73,24 +77,61 @@ def decompose(kp: KappaPair, m: Mat2) -> dict[str, float]:
     return coeffs
 
 
-def computed_brackets(kp: KappaPair) -> dict[tuple[str, str], dict[str, float]]:
-    """All brackets [row, col] decomposed over the basis, zeros dropped.
+@functools.cache
+def _structure_constants() -> dict[tuple[str, str], dict[str, tuple[int, int, int]]]:
+    """The bracket table as {(row, col): {tag: (c0, c1, c2)}} with exact ints.
 
-    Only the pairs with row before col are commuted; [col, row] is the exact
-    negation (``a - b == -(b - a)`` in floating point, and the read-off in
-    :func:`decompose` commutes with negation), and [x, x] is empty.
+    The coefficient of tag in [row, col] is c0 + c1*kappa1 + c2*kappa2; its
+    values at the labels (0, 0), (1, 0) and (0, 1), read off the matrices by
+    :func:`decompose`, give c0, c0 + c1 and c0 + c2.  Only the pairs with row
+    before col are commuted; [col, row] is the negation and [x, x] is empty.
+
+    Raises:
+        DecompositionFailure: if a coefficient is not one signed monomial.
     """
-    basis = conformal_basis(kp)
+    points = [KappaPair(0.0, 0.0), KappaPair(1.0, 0.0), KappaPair(0.0, 1.0)]
+    bases = [conformal_basis(kp) for kp in points]
     out = {}
     for i, row in enumerate(GENERATOR_TAGS):
         for j, col in enumerate(GENERATOR_TAGS):
             if j < i:
-                out[(row, col)] = {t: -v for t, v in out[(col, row)].items()}
-            elif j == i:
-                out[(row, col)] = {}
-            else:
-                coeffs = decompose(kp, basis[row].commutator(basis[col]))
-                out[(row, col)] = {t: v for t, v in coeffs.items() if v != 0.0}
+                out[(row, col)] = {
+                    t: (-c0, -c1, -c2) for t, (c0, c1, c2) in out[(col, row)].items()
+                }
+                continue
+            out[(row, col)] = entry = {}
+            if j == i:
+                continue
+            v0, v1, v2 = (
+                decompose(kp, basis[row].commutator(basis[col]))
+                for kp, basis in zip(points, bases)
+            )
+            for tag, c0 in v0.items():
+                triple = (c0, v1[tag] - c0, v2[tag] - c0)
+                if triple == (0.0, 0.0, 0.0):
+                    continue
+                if sorted(map(abs, triple)) != [0.0, 0.0, 1.0]:
+                    raise DecompositionFailure(
+                        f"[{row}, {col}] has {tag} coefficient {triple}: not one signed monomial"
+                    )
+                entry[tag] = tuple(int(c) for c in triple)
+    return out
+
+
+def computed_brackets(kp: KappaPair) -> dict[tuple[str, str], dict[str, float]]:
+    """All brackets [row, col] over the basis at the labels, zeros dropped.
+
+    Keys run over every ordered pair of ``GENERATOR_TAGS``; the monomials are
+    derived from the matrices on the first call (:func:`_structure_constants`).
+    """
+    k1, k2 = kp.kappa1, kp.kappa2
+    out = {}
+    for slot, entry in _structure_constants().items():
+        out[slot] = coeffs = {}
+        for tag, (c0, c1, c2) in entry.items():
+            value = c0 + c1 * k1 + c2 * k2
+            if value != 0.0:
+                coeffs[tag] = float(value)
     return out
 
 
@@ -114,6 +155,10 @@ TABULATED_BRACKETS: dict[tuple[str, str], dict | str] = {
     ("G1", "D"): {"G1": (1, 0, 0)},
     ("G2", "D"): {"G2": (1, 0, 0)},
 }
+
+# The slots whose published entry differs from the derived one; every other
+# slot evaluates to the same floats on both sides at every label.
+ERRATA = frozenset({("K", "G1"), ("G1", "K"), ("K", "G2"), ("G2", "K")})
 
 
 def tabulated_bracket(kp: KappaPair, row: str, col: str):
@@ -140,13 +185,14 @@ def diff_vs_tabulated(
     """Slots where ``computed``, the table of :func:`computed_brackets`,
     disagrees with the published one.
 
-    Undefined-symbol slots are always flagged; numeric slots are flagged when
-    any coefficient differs by more than ``TOL``.
+    Only the ``ERRATA`` slots can disagree.  Of those, undefined-symbol slots
+    are always flagged, and numeric slots when any coefficient differs by
+    more than ``TOL`` at these labels.
     """
     diffs = []
     for row in GENERATOR_TAGS:
         for col in GENERATOR_TAGS:
-            if row == col:
+            if (row, col) not in ERRATA:
                 continue
             claimed = tabulated_bracket(kp, row, col)
             actual = computed[(row, col)]

@@ -23,6 +23,7 @@ coordinates that no affine w can represent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +115,25 @@ class GenComplex:
         if self.is_zero():
             raise DivisionByZero("inverse of 0")
         s = self.sqmod()
+        if not math.isfinite(s):
+            return self._inv_scaled()
         if s == 0.0:
             raise ZeroDivisorError(f"{self} is a zero divisor")
         return GenComplex(self.re / s, -self.im / s, self.kappa)
+
+    def _inv_scaled(self) -> "GenComplex":
+        # sqmod overflowed: invert w / 2**k, whose larger term re**2 or
+        # kappa*im**2 is below 4, and scale back, since 1/w = (1/(w/2**k)) / 2**k;
+        # power-of-two scalings are exact.  k is read off the exponents, as
+        # sqrt(|kappa|)*|im| may overflow too.
+        k = math.frexp(self.re)[1]
+        if self.kappa:
+            k = max(k, math.frexp(self.im)[1] + (math.frexp(self.kappa)[1] + 1) // 2)
+        re, im = math.ldexp(self.re, -k), math.ldexp(self.im, -k)
+        s = re * re + self.kappa * im * im
+        if s == 0.0:
+            raise ZeroDivisorError(f"{self} is a zero divisor")
+        return GenComplex(math.ldexp(re / s, -k), math.ldexp(-im / s, -k), self.kappa)
 
     def approx_eq(self, other: "GenComplex", tol: float = 1e-12) -> bool:
         _check_same_kappa(self.kappa, other.kappa)

@@ -22,6 +22,7 @@ epsilon exponents, never with floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,12 +209,8 @@ def contract_triple(t: BracketTriple, kind: str) -> BracketTriple:
     ).to_triple()
 
 
-def contraction_graph() -> list[tuple[str, str, str]]:
-    """Directed edges (source, target, type) over the 11 kinematical classes.
-
-    One edge per (class, contraction type) pair with self-loops omitted;
-    deduplicated and deterministically ordered.
-    """
+@functools.cache
+def _contraction_edges() -> tuple[tuple[str, str, str], ...]:
     order = {name: i for i, name in enumerate(KINEMATICAL_NAMES)}
     kinds = tuple(CONTRACTION_EXPONENTS)
     edges = set()
@@ -222,7 +219,18 @@ def contraction_graph() -> list[tuple[str, str, str]]:
             target = name_of(contract_triple(triple, kind))
             if target != name:
                 edges.add((name, target, kind))
-    return sorted(edges, key=lambda e: (order[e[0]], order[e[1]], kinds.index(e[2])))
+    return tuple(sorted(edges, key=lambda e: (order[e[0]], order[e[1]], kinds.index(e[2]))))
+
+
+def contraction_graph() -> list[tuple[str, str, str]]:
+    """Directed edges (source, target, type) over the 11 kinematical classes.
+
+    One edge per (class, contraction type) pair with self-loops omitted;
+    deduplicated and deterministically ordered.  The graph takes no input, so
+    it is contracted once per process, on the first call, and cached; each
+    call returns a fresh list.
+    """
+    return list(_contraction_edges())
 
 
 def classification_counts() -> dict[str, int]:

@@ -134,6 +134,13 @@ def test_unproject_examples():
         unproject(KappaPair(-1.0, 1.0), gc(0.8, 0.9, 1.0))
 
 
+def test_unproject_at_flat_kappa1_ignores_an_overflowing_modulus():
+    # at kappa1 = 0 the lift is (1, 2u, 2v) even where sqmod(w) overflows
+    for kappa2 in (1.0, 0.0, -1.0):
+        point = unproject(KappaPair(0.0, kappa2), gc(1e200, -3e190, kappa2))
+        assert point.tolist() == [1.0, 2e200, -6e190]
+
+
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_project_unproject_round_trip(kp):
     rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -264,13 +265,31 @@ def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
 
 
 @pytest.mark.parametrize("extra", [[], ["--diff-paper"]], ids=["table", "diff"])
-def test_conformal_table_with_overflowing_labels_fails_typed(extra):
-    # kappa1 * kappa2 overflows, so some commutator holds nan or inf
-    code, out, err = run_cli(
-        ["conformal-table", "--kappa1", "1e200", "--kappa2", "1e200", *extra]
-    )
-    assert code == 1 and out == ""
-    assert_one_json_error(err, "DecompositionFailure")
+def test_conformal_table_with_overflowing_label_product_prints_the_exact_table(extra):
+    # kappa1 * kappa2 overflows, but every coefficient is +-1, +-kappa1 or +-kappa2
+    a = 1e200
+    upper = {
+        "[H,P]": {"K": a}, "[H,K]": {"P": -1}, "[H,G1]": {"D": 1}, "[H,G2]": {"K": 1},
+        "[H,D]": {"H": -1, "G1": -a}, "[P,K]": {"H": a}, "[P,G1]": {"K": 1},
+        "[P,G2]": {"D": -a}, "[P,D]": {"P": -1, "G2": a}, "[K,G1]": {"G2": -1},
+        "[K,G2]": {"G1": a}, "[G1,D]": {"G1": 1}, "[G2,D]": {"G2": 1},
+    }
+    code, out, err = run_cli(["conformal-table", "--kappa1", "1e200", "--kappa2", "1e200", *extra])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    brackets = payload["brackets"]
+    assert len(brackets) == 2 * len(upper)
+    for slot, coeffs in upper.items():
+        row, col = slot[1:-1].split(",")
+        assert brackets[slot] == coeffs
+        assert brackets[f"[{col},{row}]"] == {t: -v for t, v in coeffs.items()}
+    if extra:
+        assert payload["diff"] == [
+            {"bracket": "[K,G1]", "computed": {"G2": -1}, "claimed": "S2 (undefined symbol)"},
+            {"bracket": "[K,G2]", "computed": {"G1": a}, "claimed": {"G2": a}},
+            {"bracket": "[G1,K]", "computed": {"G2": 1}, "claimed": "S2 (undefined symbol)"},
+            {"bracket": "[G2,K]", "computed": {"G1": -a}, "claimed": {"G2": -a}},
+        ]
 
 
 @pytest.mark.parametrize(
@@ -293,7 +312,7 @@ def test_conformal_table_with_overflowing_labels_fails_typed(extra):
         (["exp", "--gen=H", "--param=1e300", "--kappa1=1e300", "--kappa2=1"],
          1, "TrigOverflow"),
         # finite input, non-finite result
-        (["unproject", "--w=1e200,0", "--kappa1=0", "--kappa2=1"], 1, "NonFiniteResult"),
+        (["unproject", "--w=1e308,0", "--kappa1=0", "--kappa2=1"], 1, "NonFiniteResult"),
         (["distance", "--w1=1.5e308,0", "--w2=-1.5e308,0", "--kappa1=0", "--kappa2=1"],
          1, "NonFiniteResult"),
         # the region boundary's coordinates overflow
@@ -317,6 +336,25 @@ def test_distance_of_tiny_and_huge_separations():
     assert run_cli(tiny) == (0, '{"distance":1e-300}\n', "")
     huge = ["distance", "--w1=1e200,0", "--w2=0,0", "--kappa1=0", "--kappa2=1"]
     assert run_cli(huge) == (0, '{"distance":9.9999999999999997e+199}\n', "")
+
+
+def test_distance_whose_denominator_has_an_overflowing_squared_modulus():
+    # kappa1*conj(w1)*w2 + 1 = 2e200, whose sqmod overflows; the inverse
+    # once read 0, so the distance printed 0
+    argv = ["distance", "--kappa1", "1", "--kappa2", "1", "--w1", "1e100,0", "--w2", "2e100,0"]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    got = Fraction(json.loads(out)["distance"])
+    # atan(x) = x (1 - x**2/3 + ...), and x**2 is far below a rounding error here
+    w1, w2 = Fraction(1e100), Fraction(2e100)
+    exact = (w2 - w1) / (w1 * w2 + 1)
+    assert abs(got - exact) <= exact * Fraction(2) ** -52
+
+
+def test_unproject_at_flat_kappa1_ignores_an_overflowing_squared_modulus():
+    # at kappa1 = 0 the lift is (1, 2u, 2v) whatever |w|; 1 + 0*inf was nan
+    argv = ["unproject", "--w=1e200,0", "--kappa1=0", "--kappa2=1"]
+    assert run_cli(argv) == (0, '{"point":[1,1.9999999999999999e+200,0]}\n', "")
 
 
 def test_region_svg_into_missing_directory_is_a_usage_error(tmp_path):

@@ -1,12 +1,21 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kinematica.ckgeom import KappaPair
+from kinematica import conformal
+from kinematica.ckgeom import KappaPair, so3_generators
 from kinematica.conformal import (
+    ERRATA,
     GENERATOR_TAGS,
+    TABULATED_BRACKETS,
     computed_brackets,
     conformal_basis,
     conformal_moebius,
@@ -17,6 +26,7 @@ from kinematica.conformal import (
 from kinematica.errors import AtInfinity, DecompositionFailure
 from kinematica.gencomplex import Mat2, gamma_apply, gamma_lift, gc, gc_exp_unit
 from kinematica.gentrig import cosk, sink
+from kinematica.kinclass import so3_triple
 
 PATTERNS = [
     KappaPair(k1, k2)
@@ -165,6 +175,110 @@ def test_computed_table_matches_every_ordered_commutator_bit_for_bit(kp):
         coeffs = decompose(kp, basis[x].commutator(basis[y]))
         expected = [(t, v.hex()) for t, v in coeffs.items() if v != 0.0]
         assert [(t, v.hex()) for t, v in table[(x, y)].items()] == expected
+
+
+# -- the structure constants as exact integer monomials ---------------------------
+
+
+def _poly(triple):
+    """c0 + c1*kappa1 + c2*kappa2 as {(power of kappa1, power of kappa2): int}."""
+    c0, c1, c2 = triple
+    return Counter({(0, 0): c0, (1, 0): c1, (0, 1): c2})
+
+
+def _bracket(u, v):
+    """[u, v] of combinations {tag: polynomial}, through the integer table."""
+    table = conformal._structure_constants()
+    out = defaultdict(Counter)
+    for s, p in u.items():
+        for t, q in v.items():
+            for tag, triple in table[(s, t)].items():
+                for (a1, b1), c in p.items():
+                    for (a2, b2), d in q.items():
+                        for (a3, b3), e in _poly(triple).items():
+                            out[tag][(a1 + a2 + a3, b1 + b2 + b3)] += c * d * e
+    return out
+
+
+def test_structure_constants_are_signed_monomials_with_the_computed_keys():
+    table = conformal._structure_constants()
+    assert list(table) == list(itertools.product(GENERATOR_TAGS, repeat=2))
+    for (x, y), entry in table.items():
+        assert entry == {t: tuple(-c for c in cs) for t, cs in table[(y, x)].items()}
+        for triple in entry.values():
+            assert all(type(c) is int for c in triple)
+            assert sorted(map(abs, triple)) == [0, 0, 1]
+
+
+def test_jacobi_identity_holds_exactly_as_polynomials_in_the_labels():
+    one = Counter({(0, 0): 1})
+    for x, y, z in itertools.combinations(GENERATOR_TAGS, 3):
+        a, b, c = {x: one}, {y: one}, {z: one}
+        total = defaultdict(Counter)
+        for outer, inner in ((a, _bracket(b, c)), (b, _bracket(c, a)), (c, _bracket(a, b))):
+            for tag, poly in _bracket(outer, inner).items():
+                total[tag].update(poly)
+        assert all(v == 0 for poly in total.values() for v in poly.values()), (x, y, z)
+
+
+@pytest.mark.parametrize("kp", PATTERNS)
+def test_motion_block_matches_the_3x3_generators_and_the_classification(kp):
+    table = computed_brackets(kp)
+    gens = dict(zip(("H", "P", "K"), so3_generators(kp)))
+    for x, y in itertools.permutations(gens, 2):
+        assert set(table[(x, y)]) <= set(gens)
+        commutator = gens[x] @ gens[y] - gens[y] @ gens[x]
+        combination = sum((v * gens[t] for t, v in table[(x, y)].items()), np.zeros((3, 3)))
+        assert np.array_equal(commutator, combination)
+    k, h, p = so3_triple(kp.kappa1, kp.kappa2)
+    assert np.sign(table[("H", "P")].get("K", 0.0)) == k
+    assert np.sign(table[("K", "P")].get("H", 0.0)) == h
+    assert np.sign(table[("K", "H")].get("P", 0.0)) == p
+
+
+def test_errata_are_the_slots_whose_monomials_differ_from_the_published_table():
+    table = conformal._structure_constants()
+
+    def claimed(row, col):
+        if (row, col) in TABULATED_BRACKETS:
+            return TABULATED_BRACKETS[(row, col)]
+        entry = TABULATED_BRACKETS[(col, row)]
+        return entry if entry == "S2" else {t: tuple(-c for c in cs) for t, cs in entry.items()}
+
+    differ = {
+        slot for slot in itertools.permutations(GENERATOR_TAGS, 2) if claimed(*slot) != table[slot]
+    }
+    assert differ == ERRATA == {("K", "G1"), ("G1", "K"), ("K", "G2"), ("G2", "K")}
+    assert TABULATED_BRACKETS[("K", "G1")] == "S2"
+    # printed as kappa2*G2 where the derived entry is kappa2*G1
+    assert TABULATED_BRACKETS[("K", "G2")] == {"G2": (0, 0, 1)}
+    assert table[("K", "G2")] == {"G1": (0, 0, 1)}
+
+
+def test_computed_table_keeps_exact_values_where_the_matrices_underflow_or_overflow():
+    # the matrix path underflows at a subnormal label, and kappa1*kappa2 overflows at 1e200
+    tiny = computed_brackets(KappaPair(0.0, 5e-324))
+    assert tiny[("P", "K")] == {"H": 5e-324}
+    huge = computed_brackets(KappaPair(1e200, 1e200))
+    assert huge[("H", "P")] == {"K": 1e200} and huge[("K", "P")] == {"H": -1e200}
+
+
+def test_import_derives_neither_table():
+    # both tables are derived on first use, not at import
+    code = (
+        "import kinematica, kinematica.cli\n"
+        "from kinematica import conformal, kinclass\n"
+        "print(conformal._structure_constants.cache_info().currsize,"
+        " kinclass._contraction_edges.cache_info().currsize)\n"
+        "kinematica.cli.main(['conformal-table', '--kappa1=1', '--kappa2=-1'])\n"
+        "print(conformal._structure_constants.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    probe = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0 and probe.stderr == ""
+    lines = probe.stdout.splitlines()
+    assert lines[0] == "0 0" and lines[-1] == "1"
 
 
 def test_diff_flags_undefined_symbol_slots():

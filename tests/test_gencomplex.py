@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +54,23 @@ def test_inverse_round_trip(kappa):
         if w.sqmod() == 0.0:
             continue
         assert (w * w.inv()).approx_eq(gc(1, 0, kappa), 1e-14)
+
+
+def test_inverse_when_the_squared_modulus_overflows():
+    # 1/w = conj(w)/sqmod(w) once read 0 or nan: sqmod was inf, or inf - inf
+    for kappa in KAPPAS:
+        assert gc(1e200, 0, kappa).inv() == gc(1e-200, 0, kappa)
+        assert gc(-2.0**600, 0, kappa).inv() == gc(-(2.0**-600), 0, kappa)
+    for w in (gc(3e200, 4e200, 1.0), gc(3e200, -4e200, -0.5), gc(1e150, 2e160, 1e100)):
+        re, im, kappa = map(Fraction, (w.re, w.im, w.kappa))
+        s = re * re + kappa * im * im
+        got = w.inv()
+        for value, exact in ((got.re, re / s), (got.im, -im / s)):
+            assert abs(Fraction(value) - exact) <= abs(exact) * Fraction(2) ** -50
+    with pytest.raises(ZeroDivisorError):
+        gc(1e200, 1e200, -1.0).inv()
+    with pytest.raises(ZeroDivisorError):
+        gc(0, 1e300, 0.0).inv()
 
 
 def test_zero_divisors_exist_iff_kappa_nonpositive():

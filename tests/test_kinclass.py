@@ -188,6 +188,13 @@ def test_graph_edges():
         assert "St" in reachable_by_contractions(name)
 
 
+def test_graph_is_a_fresh_list_on_each_call():
+    edges = contraction_graph()
+    expected = list(edges)
+    edges.clear()
+    assert contraction_graph() == expected and contraction_graph() is not contraction_graph()
+
+
 def test_so3_structure_constants_for_all_sign_patterns():
     expected = {
         (1, -1): "adS",
