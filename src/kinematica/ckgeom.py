@@ -32,7 +32,7 @@ from .errors import (
     ProjectionPole,
     WrongGeometry,
 )
-from .gencomplex import GenComplex, gc
+from .gencomplex import GenComplex, _times_pow2, gc
 from .gentrig import atank, cosk, sink
 
 
@@ -128,8 +128,17 @@ def unproject(kp: KappaPair, w: GenComplex) -> np.ndarray:
     Raises:
         OutsideModel: when 1 + kappa1*sqmod(w) <= 0.
     """
-    # at kappa1 = 0 the denominator is 1 even where sqmod(w) overflows
-    denom = 1.0 + kp.kappa1 * w.sqmod() if kp.kappa1 else 1.0
+    denom = 1.0 + kp.kappa1 * w.sqmod()
+    if not denom < math.inf:
+        # kappa1*sqmod(w) overflowed to +inf, or was 0*inf or inf - inf (-inf
+        # is outside the model either way): form it from w = 2**k * w_s and
+        # kappa1 = 2**j * c, whose product c*s is normal
+        re, im, s, k = w._scaled()
+        c, _, _, j = gc(kp.kappa1, 0.0, 0.0)._scaled()
+        denom = 1.0 + _times_pow2(c * s, j + 2 * k)
+        if denom == math.inf:  # 2*w/denom is 2*w/(kappa1*sqmod(w)) to rounding
+            t, x = (_times_pow2(2.0 * v, -j - k, c * s) for v in (re, im))
+            return np.array([-1.0, t, x])
     if denom <= 0.0:
         raise OutsideModel(f"1 + kappa1*|w|^2 = {denom} <= 0")
     scale = 2.0 / denom
@@ -164,23 +173,15 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
             negative (mixed causal character, kappa2 < 0).
     """
     den = kp.kappa1 * w1.conj() * w2 + 1.0
-    if den.sqmod() == 0.0:
+    if den.is_zero() or den.is_zero_divisor():
         raise DenominatorNotInvertible(f"denominator {den} is not invertible")
     arg = (w2 - w1) * den.inv()
-    # square arg / 4**k instead of arg, with k read off the larger root of the
-    # two terms re**2 and kappa*im**2, so that the larger term lies in
-    # [0.25, 4) and neither underflows nor overflows; power-of-two scalings
-    # are exact.  At kappa = 0 the im part adds nothing and is dropped.
-    root = max(abs(arg.re), math.sqrt(abs(arg.kappa)) * abs(arg.im))
-    k = math.frexp(root)[1] // 2
-    re = math.ldexp(arg.re, -2 * k)
-    im = math.ldexp(arg.im, -2 * k) if arg.kappa else 0.0
-    s = re * re + arg.kappa * im * im
-    unit = 2.0**k  # undone one factor at a time, which overflows to inf, not raises
+    # |arg| = sqrt(s) * 2**k, where s, the squared modulus of arg / 2**k,
+    # neither underflows nor overflows
+    _, _, s, k = arg._scaled()
     if s < 0.0:
-        s = s * unit * unit * unit * unit
-        raise NullOrImaginarySeparation(f"squared separation {s} < 0")
-    return atank(kp.kappa1, math.sqrt(s) * unit * unit)
+        raise NullOrImaginarySeparation(f"squared separation {_times_pow2(s, 2 * k)} < 0")
+    return atank(kp.kappa1, _times_pow2(math.sqrt(s), k))
 
 
 # -- region rendering -----------------------------------------------------------
@@ -201,7 +202,7 @@ def _boundary_path(points: list[tuple[float, float]], close: bool = False) -> st
     return f'<path d="{d}" fill="none" stroke="black" stroke-width="0.02"/>'
 
 
-def _boundary_elements(kp: KappaPair, extent: float = 2.0) -> list[str]:
+def _boundary_elements(kp: KappaPair) -> list[str]:
     # boundary of the model region: 1 + kappa1*(t^2 + kappa2*x^2) = 0
     k1, k2 = kp.kappa1, kp.kappa2
     if k1 == 0.0:
@@ -220,15 +221,13 @@ def _boundary_elements(kp: KappaPair, extent: float = 2.0) -> list[str]:
         elif k2 == 0.0:
             t0 = math.sqrt(rhs)
             for sgn in (1.0, -1.0):
-                out.append(
-                    _boundary_path([(sgn * t0, -extent), (sgn * t0, extent)])
-                )
+                out.append(_boundary_path([(sgn * t0, -2.0), (sgn * t0, 2.0)]))
         else:
             # t^2 - |k2| x^2 = rhs > 0: branches open along the t axis
             for sgn in (1.0, -1.0):
                 pts = []
                 for i in range(65):
-                    x = -extent + (2.0 * extent) * i / 64.0
+                    x = -2.0 + 4.0 * i / 64.0
                     t = sgn * math.sqrt(rhs - k2 * x * x)
                     pts.append((t, x))
                 out.append(_boundary_path(pts))
@@ -237,14 +236,14 @@ def _boundary_elements(kp: KappaPair, extent: float = 2.0) -> list[str]:
         for sgn in (1.0, -1.0):
             pts = []
             for i in range(65):
-                t = -extent + (2.0 * extent) * i / 64.0
+                t = -2.0 + 4.0 * i / 64.0
                 x = sgn * math.sqrt((rhs - t * t) / k2)
                 pts.append((t, x))
             out.append(_boundary_path(pts))
     return out
 
 
-def region_svg(kp: KappaPair, extent: float = 2.0) -> str:
+def region_svg(kp: KappaPair) -> str:
     """Deterministic SVG of the model region for one (kappa1, kappa2).
 
     Viewport [-2, 2]^2 with the horizontal axis Re w = t and vertical axis
@@ -254,17 +253,16 @@ def region_svg(kp: KappaPair, extent: float = 2.0) -> str:
     """
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(-extent)} {_fmt(-extent)} '
-        f'{_fmt(2 * extent)} {_fmt(2 * extent)}" width="400" height="400">',
+        'viewBox="-2 -2 4 4" width="400" height="400">',
         f"<!-- kappa1={_fmt(kp.kappa1)} kappa2={_fmt(kp.kappa2)} -->",
     ]
-    lines.extend(_boundary_elements(kp, extent))
+    lines.extend(_boundary_elements(kp))
     if kp.kappa2 <= 0.0:
         slope = math.sqrt(-kp.kappa2)  # null directions t = +/- slope * x
         for sgn in (1.0, -1.0):
             lines.append(
-                f'<line x1="{_fmt(-sgn * slope * extent)}" y1="{_fmt(-extent)}" '
-                f'x2="{_fmt(sgn * slope * extent)}" y2="{_fmt(extent)}" '
+                f'<line x1="{_fmt(-sgn * slope * 2.0)}" y1="-2" '
+                f'x2="{_fmt(sgn * slope * 2.0)}" y2="2" '
                 'stroke="black" stroke-width="0.01" '
                 'stroke-dasharray="0.1,0.1"/>'
             )

@@ -303,7 +303,7 @@ def rotor(kp: KappaPair, n: UnitAxis, phi: float) -> Multivector:
     return rotor_from_bivector(axis_bivector(kp, n), phi)
 
 
-def sandwich(r: Multivector, a: Multivector, tol: float = 1e-9) -> Multivector:
+def sandwich(r: Multivector, a: Multivector) -> Multivector:
     """Rotate a vector: reverse(r) * a * r.
 
     The rotor must be even and of unit pseudo-norm (r * reverse(r) = 1); the
@@ -313,13 +313,13 @@ def sandwich(r: Multivector, a: Multivector, tol: float = 1e-9) -> Multivector:
     if not r.is_even():
         raise GradeError("rotor must be an even multivector")
     unit = (r * r.reverse()).scalar_part()
-    # written `not x <= tol` so that a nan passes neither check
+    # written `not x <= bound` so that a nan passes neither check
     if not abs(unit - 1.0) <= 1e-8:
         raise NotUnitRotor(f"rotor pseudo-norm {unit} != 1")
     if not a.is_vector():
         raise GradeError(f"{a} is not a pure vector")
     out = r.reverse() * a * r
-    if not out.off_grade_norm((1,)) <= tol:
+    if not out.off_grade_norm((1,)) <= 1e-9:
         raise GradeError("sandwich result is not a vector")
     return out.grade_part(1)
 

@@ -95,9 +95,7 @@ def _structure_constants() -> dict[tuple[str, str], dict[str, tuple[int, int, in
     for i, row in enumerate(GENERATOR_TAGS):
         for j, col in enumerate(GENERATOR_TAGS):
             if j < i:
-                out[(row, col)] = {
-                    t: (-c0, -c1, -c2) for t, (c0, c1, c2) in out[(col, row)].items()
-                }
+                out[(row, col)] = _antisymmetric(out, row, col)
                 continue
             out[(row, col)] = entry = {}
             if j == i:
@@ -118,21 +116,33 @@ def _structure_constants() -> dict[tuple[str, str], dict[str, tuple[int, int, in
     return out
 
 
+def _antisymmetric(table: dict, row: str, col: str):
+    """table[(row, col)], or else the negation of table[(col, row)]."""
+    if (row, col) in table:
+        return table[(row, col)]
+    entry = table[(col, row)]
+    if entry == "S2":
+        return entry
+    return {t: (-c0, -c1, -c2) for t, (c0, c1, c2) in entry.items()}
+
+
+def _evaluate(kp: KappaPair, entry: dict[str, tuple[int, int, int]]) -> dict[str, float]:
+    """{tag: c0 + c1*kappa1 + c2*kappa2} over one table entry, zeros dropped."""
+    out = {}
+    for tag, (c0, c1, c2) in entry.items():
+        value = c0 + c1 * kp.kappa1 + c2 * kp.kappa2
+        if value != 0.0:
+            out[tag] = float(value)
+    return out
+
+
 def computed_brackets(kp: KappaPair) -> dict[tuple[str, str], dict[str, float]]:
     """All brackets [row, col] over the basis at the labels, zeros dropped.
 
     Keys run over every ordered pair of ``GENERATOR_TAGS``; the monomials are
     derived from the matrices on the first call (:func:`_structure_constants`).
     """
-    k1, k2 = kp.kappa1, kp.kappa2
-    out = {}
-    for slot, entry in _structure_constants().items():
-        out[slot] = coeffs = {}
-        for tag, (c0, c1, c2) in entry.items():
-            value = c0 + c1 * k1 + c2 * k2
-            if value != 0.0:
-                coeffs[tag] = float(value)
-    return out
+    return {slot: _evaluate(kp, entry) for slot, entry in _structure_constants().items()}
 
 
 # The published bracket table, row = first argument. Each entry is a linear
@@ -165,18 +175,8 @@ def tabulated_bracket(kp: KappaPair, row: str, col: str):
     """Claimed entry for [row, col]; 'S2' where the symbol is undefined."""
     if row == col:
         return {}
-    if (row, col) in TABULATED_BRACKETS:
-        entry, sign = TABULATED_BRACKETS[(row, col)], 1.0
-    else:
-        entry, sign = TABULATED_BRACKETS[(col, row)], -1.0
-    if entry == "S2":
-        return "S2"
-    out = {}
-    for tag, (c0, c1, c2) in entry.items():
-        value = c0 + c1 * kp.kappa1 + c2 * kp.kappa2
-        if value != 0.0:
-            out[tag] = sign * float(value)
-    return out
+    entry = _antisymmetric(TABULATED_BRACKETS, row, col)
+    return entry if entry == "S2" else _evaluate(kp, entry)
 
 
 def diff_vs_tabulated(

@@ -6,7 +6,8 @@ kappa = 0, double (split-complex) numbers for kappa < 0.  The squared modulus
 sqmod(w) = re**2 + kappa*im**2 equals w * conj(w); when kappa <= 0 it can
 vanish on nonzero elements, and those zero divisors are exactly the
 non-invertible directions (the null cone of the plane geometries built on
-top of this algebra).
+top of this algebra).  Every layer leaves that decision to ``inv`` and
+``is_zero_divisor``, which take it once, on the power-of-two-scaled modulus.
 
 Values carrying different kappa labels never mix: arithmetic between them
 raises ``KappaMismatch`` instead of silently coercing.
@@ -41,6 +42,25 @@ from .gentrig import cosk, sink
 def _check_same_kappa(k1: float, k2: float) -> None:
     if k1 != k2:
         raise KappaMismatch(f"kappa labels differ: {k1} vs {k2}")
+
+
+def _is_plain(s: float, kappa: float) -> bool:
+    # the plain sqmod s is exact to rounding: a normal float, and not formed
+    # from a subnormal label, whose product kappa*im can lose bits to
+    # underflow before the second *im
+    return 2.0**-1022 <= abs(s) < math.inf and not 0.0 < abs(kappa) < 2.0**-1022
+
+
+def _times_pow2(x: float, k: int, s: float = 1.0) -> float:
+    """x * 2**k / s for 0 < |s| < 2, rounded once in the normal range and +-inf
+    beyond it: the division comes before a scaling down and after a scaling
+    up, which goes by 2**(k-1) over s/2 so that no finite result overflows."""
+    if k <= 0:
+        return math.ldexp(x / s, k)
+    try:
+        return math.ldexp(x, k - 1) / (0.5 * s)
+    except OverflowError:
+        return math.copysign(math.inf, x) / s
 
 
 @dataclass(frozen=True)
@@ -102,38 +122,47 @@ class GenComplex:
         return self.re == 0.0 and self.im == 0.0
 
     def is_zero_divisor(self) -> bool:
-        """Nonzero with vanishing squared modulus (possible iff kappa <= 0)."""
-        return not self.is_zero() and self.sqmod() == 0.0
+        """Nonzero with vanishing squared modulus (possible iff kappa <= 0),
+        read off w / 2**k where the plain sqmod may be inexact (:func:`_is_plain`)."""
+        if _is_plain(self.sqmod(), self.kappa) or self.is_zero():
+            return False
+        return self._scaled()[2] == 0.0
 
     def inv(self) -> "GenComplex":
         """Multiplicative inverse conj(w)/sqmod(w).
 
+        Where the plain sqmod may be inexact, 1/w = (1/(w/2**k)) / 2**k, which
+        overflows to inf only where 1/w is beyond the float range.
+
         Raises:
             DivisionByZero: for the zero element.
-            ZeroDivisorError: for a nonzero element with sqmod = 0.
+            ZeroDivisorError: for a zero divisor (:meth:`is_zero_divisor`).
         """
         if self.is_zero():
             raise DivisionByZero("inverse of 0")
         s = self.sqmod()
-        if not math.isfinite(s):
-            return self._inv_scaled()
+        if _is_plain(s, self.kappa):
+            return GenComplex(self.re / s, -self.im / s, self.kappa)
+        re, im, s, k = self._scaled()
         if s == 0.0:
             raise ZeroDivisorError(f"{self} is a zero divisor")
-        return GenComplex(self.re / s, -self.im / s, self.kappa)
+        return GenComplex(_times_pow2(re, -k, s), _times_pow2(-im, -k, s), self.kappa)
 
-    def _inv_scaled(self) -> "GenComplex":
-        # sqmod overflowed: invert w / 2**k, whose larger term re**2 or
-        # kappa*im**2 is below 4, and scale back, since 1/w = (1/(w/2**k)) / 2**k;
-        # power-of-two scalings are exact.  k is read off the exponents, as
-        # sqrt(|kappa|)*|im| may overflow too.
-        k = math.frexp(self.re)[1]
-        if self.kappa:
-            k = max(k, math.frexp(self.im)[1] + (math.frexp(self.kappa)[1] + 1) // 2)
-        re, im = math.ldexp(self.re, -k), math.ldexp(self.im, -k)
-        s = re * re + self.kappa * im * im
-        if s == 0.0:
-            raise ZeroDivisorError(f"{self} is a zero divisor")
-        return GenComplex(math.ldexp(re / s, -k), math.ldexp(-im / s, -k), self.kappa)
+    def _scaled(self) -> tuple[float, float, float, int]:
+        """(re, im, s, k): the parts of w / 2**k and s = sqmod(w) / 4**k.
+
+        k is read off the exponents of the nonzero terms re**2 and kappa*im**2,
+        so the larger lies in [1/16, 1) and s neither underflows nor overflows;
+        at kappa = 0 the im term is left out, where 0*inf would be nan.
+        """
+        re, im, kappa = self.re, self.im, self.kappa
+        k = math.frexp(re)[1]
+        if im and kappa:
+            k_im = math.frexp(im)[1] + (math.frexp(kappa)[1] + 1) // 2
+            k = max(k, k_im) if re else k_im
+        re, im = math.ldexp(re, -k), _times_pow2(im, -k)
+        s = re * re + kappa * im * im if kappa else re * re
+        return re, im, s, k
 
     def approx_eq(self, other: "GenComplex", tol: float = 1e-12) -> bool:
         _check_same_kappa(self.kappa, other.kappa)
@@ -248,7 +277,7 @@ class Mat2:
         """
         _check_same_kappa(self.kappa, w.kappa)
         den = self.c * w + self.d
-        if den.sqmod() == 0.0:
+        if den.is_zero() or den.is_zero_divisor():
             raise AtInfinity(f"{w} maps outside the affine plane")
         return (self.a * w + self.b) * den.inv()
 
@@ -263,7 +292,8 @@ class MoebiusMap(Mat2):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.det().sqmod() == 0.0:
+        det = self.det()
+        if det.is_zero() or det.is_zero_divisor():
             raise ValueError("Moebius matrix determinant must be invertible")
 
 
@@ -301,7 +331,7 @@ class GammaPoint:
 
     def to_affine(self) -> GenComplex:
         """Project back to the plane as u * v^-1 (v must be invertible)."""
-        if self.v.is_zero() or self.v.sqmod() == 0.0:
+        if self.v.is_zero() or self.v.is_zero_divisor():
             raise AtInfinity(f"[{self.u} : {self.v}] has no affine image")
         return self.u * self.v.inv()
 

@@ -168,7 +168,7 @@ def moebius_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> Mat2:
     return sl2_of_word(kp, word).as_mat2()
 
 
-def is_spin(kp: KappaPair, m: Mat2, tol: float = 1e-10) -> bool:
+def is_spin(kp: KappaPair, m: Mat2) -> bool:
     """Shape test: m = [[a, b], [-kappa1*conj(b), conj(a)]] with unit condition.
 
     Equivalent to m* A m = A together with det m = 1.
@@ -182,11 +182,11 @@ def is_spin(kp: KappaPair, m: Mat2, tol: float = 1e-10) -> bool:
         abs(m.c.im - kp.kappa1 * m.b.im),
     )
     unit = abs(m.a.sqmod() + kp.kappa1 * m.b.sqmod() - 1.0)
-    return shape <= tol and unit <= tol
+    return shape <= 1e-10 and unit <= 1e-10
 
 
-def spin_from_mat2(kp: KappaPair, m: Mat2, tol: float = 1e-10) -> SpinElement:
-    if not is_spin(kp, m, tol):
+def spin_from_mat2(kp: KappaPair, m: Mat2) -> SpinElement:
+    if not is_spin(kp, m):
         raise NotSpin(f"matrix is not in Spin(3) for {kp}")
     return SpinElement(kp, m.a, m.b)
 
@@ -199,7 +199,7 @@ def is_su2_algebra(kp: KappaPair, b: Mat2, tol: float = 1e-12) -> bool:
     return condition.max_abs() <= tol and abs(tr.re) <= tol and abs(tr.im) <= tol
 
 
-def cover_to_so3(s: SpinElement, tol: float = 1e-10) -> np.ndarray:
+def cover_to_so3(s: SpinElement) -> np.ndarray:
     """The 3x3 motion induced by a spin element on vector components.
 
     Two-to-one: s and -s give the same matrix.  The entries are the Clifford
@@ -208,7 +208,7 @@ def cover_to_so3(s: SpinElement, tol: float = 1e-10) -> np.ndarray:
     is the convention that meets all three generator exponentials.
     """
     defect = s.unit_defect()
-    if not defect <= tol:  # also rejects a nan defect
+    if not defect <= 1e-10:  # also rejects a nan defect
         raise NotSpin(f"unit condition violated by {defect}")
     k1, k2 = s.kp.kappa1, s.kp.kappa2
     a0, a1, b0, b1 = s.alpha.re, s.alpha.im, s.beta.re, s.beta.im

@@ -357,6 +357,19 @@ def test_unproject_at_flat_kappa1_ignores_an_overflowing_squared_modulus():
     assert run_cli(argv) == (0, '{"point":[1,1.9999999999999999e+200,0]}\n', "")
 
 
+@pytest.mark.parametrize("kappa1", ["1", "1e-320"])
+def test_unproject_whose_squared_modulus_overflows(kappa1):
+    # 1 + kappa1*sqmod(w) overflowed to inf and the lift printed t = 0; the
+    # subnormal label is stored as 9.99989e-321, and t is about 2.00002e120
+    argv = ["unproject", "--w=1e200,0", f"--kappa1={kappa1}", "--kappa2=1"]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    u, k1 = Fraction(1e200), Fraction(float(kappa1))
+    denom = 1 + k1 * u * u
+    for value, exact in zip(json.loads(out)["point"], [2 / denom - 1, 2 * u / denom, 0]):
+        assert abs(Fraction(value) - exact) <= abs(exact) * Fraction(2) ** -50
+
+
 def test_region_svg_into_missing_directory_is_a_usage_error(tmp_path):
     target = tmp_path / "no-such-dir" / "x.svg"
     code, out, err = run_cli(["region", "--svg", str(target), "--kappa1", "1", "--kappa2", "1"])

@@ -1,9 +1,14 @@
+import ast
+import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kinematica
 from kinematica.errors import (
     AtInfinity,
     DivisionByZero,
@@ -71,6 +76,90 @@ def test_inverse_when_the_squared_modulus_overflows():
         gc(1e200, 1e200, -1.0).inv()
     with pytest.raises(ZeroDivisorError):
         gc(0, 1e300, 0.0).inv()
+
+
+def assert_exact_inverse(w, got):
+    """got is 1/w within 2**-50 relative, times the condition number of the
+    squared modulus re**2 + kappa*im**2 (1 unless its terms cancel), plus one
+    subnormal spacing; an infinite part only where 1/w is beyond float max."""
+    re, im, kappa = map(Fraction, (w.re, w.im, w.kappa))
+    s = re * re + kappa * im * im
+    cond = (re * re + abs(kappa) * im * im) / abs(s)
+    for value, exact in ((got.re, re / s), (got.im, -im / s)):
+        if math.isinf(value):
+            assert abs(exact) > sys.float_info.max and (value > 0) == (exact > 0)
+        else:
+            bound = cond * abs(exact) * Fraction(2) ** -50 + Fraction(2) ** -1074
+            assert abs(Fraction(value) - exact) <= bound
+
+
+def test_inverse_when_the_squared_modulus_underflows():
+    # sqmod() read 0, so these were zero divisors
+    assert gc(1e-200, 0, 1).inv() == gc(1e200, 0, 1)
+    assert not gc(1e-200, 0, 1).is_zero_divisor()
+    w = gc(1e-170, 1e-170, -0.5)
+    assert_exact_inverse(w, w.inv())
+
+
+def test_moebius_maps_with_an_underflowing_squared_modulus():
+    one, zero, tiny = gc(1, 0, 1.0), gc(0, 0, 1.0), gc(1e-200, 0, 1.0)
+    assert Mat2(one, zero, zero, tiny).apply(zero) == zero
+    assert MoebiusMap(one, zero, zero, tiny).det() == tiny
+
+
+def binary64(sign):
+    """sign * m * 2**e with m in [1, 2) and e in [-1074, 1023]: every binade,
+    subnormals included; 0 for sign 0."""
+    if sign == 0:
+        return st.just(0.0)
+    mantissa = st.floats(min_value=1.0, max_value=2.0, exclude_max=True)
+    return st.builds(lambda m, e: sign * math.ldexp(m, e), mantissa, st.integers(-1074, 1023))
+
+
+@pytest.mark.parametrize("re_sign,im_sign", itertools.product((-1, 0, 1), repeat=2))
+@given(data=st.data())
+def test_zero_divisors_and_inverses_agree_with_exact_arithmetic(re_sign, im_sign, data):
+    kappa = data.draw(st.sampled_from((-1, 0, 1)).flatmap(binary64))
+    w = gc(data.draw(binary64(re_sign)), data.draw(binary64(im_sign)), kappa)
+    re, im = Fraction(w.re), Fraction(w.im)
+    null = re * re + Fraction(kappa) * im * im == 0
+    assert w.is_zero_divisor() == (not w.is_zero() and null)
+    if w.is_zero():
+        with pytest.raises(DivisionByZero):
+            w.inv()
+    elif null:
+        with pytest.raises(ZeroDivisorError):
+            w.inv()
+    else:
+        assert_exact_inverse(w, w.inv())
+
+
+def test_only_gencomplex_scales_or_compares_the_squared_modulus():
+    # frexp/ldexp scaling and zero tests of sqmod() belong to gencomplex, so
+    # that every layer shares its one decision on invertibility
+    def is_sqmod_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sqmod"
+
+    def is_zero(node):
+        return isinstance(node, ast.Constant) and node.value == 0
+
+    name_of = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+    found = []
+    for path in sorted(Path(kinematica.__file__).parent.glob("*.py")):
+        if path.name == "gencomplex.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, name_of.get(type(node), ""), None)
+            if name in ("frexp", "ldexp"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+            equality = isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+            )
+            if equality:
+                sides = [node.left, *node.comparators]
+                if any(map(is_sqmod_call, sides)) and any(map(is_zero, sides)):
+                    found.append(f"{path.name}:{node.lineno}: sqmod() compared with 0")
+    assert found == []
 
 
 def test_zero_divisors_exist_iff_kappa_nonpositive():
