@@ -26,7 +26,7 @@ from .clifford import (
     wedge,
 )
 from .gencomplex import GammaPoint, GenComplex, Mat2, MoebiusMap, gc, gc_exp_unit
-from .gentrig import atank, cosk, sink, tank
+from .gentrig import atank, cosk, cosk_sink, sink, tank
 from .kinclass import (
     BracketTriple,
     canonicalize,
@@ -66,6 +66,7 @@ __all__ = [
     "gc_exp_unit",
     "atank",
     "cosk",
+    "cosk_sink",
     "sink",
     "tank",
     "BracketTriple",

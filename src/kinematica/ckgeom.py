@@ -33,7 +33,7 @@ from .errors import (
     WrongGeometry,
 )
 from .gencomplex import GenComplex, _times_pow2, gc
-from .gentrig import atank, cosk, sink
+from .gentrig import atank, cosk_sink
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ def bilinear_form(kp: KappaPair) -> np.ndarray:
 
 def exp_h(kp: KappaPair, alpha: float) -> np.ndarray:
     """Closed form of exp(alpha*H): a label-kappa1 rotation of the z-t plane."""
-    c = cosk(kp.kappa1, alpha)
-    s = sink(kp.kappa1, alpha)
+    c, s = cosk_sink(kp.kappa1, alpha)
     return np.array(
         [[c, -kp.kappa1 * s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
     )
@@ -77,15 +76,13 @@ def exp_h(kp: KappaPair, alpha: float) -> np.ndarray:
 def exp_p(kp: KappaPair, beta: float) -> np.ndarray:
     """Closed form of exp(beta*P): label kappa1*kappa2 on the z-x plane."""
     k12 = kp.kappa1 * kp.kappa2
-    c = cosk(k12, beta)
-    s = sink(k12, beta)
+    c, s = cosk_sink(k12, beta)
     return np.array([[c, 0.0, -k12 * s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
 def exp_k(kp: KappaPair, theta: float) -> np.ndarray:
     """Closed form of exp(theta*K): label kappa2 on the t-x plane."""
-    c = cosk(kp.kappa2, theta)
-    s = sink(kp.kappa2, theta)
+    c, s = cosk_sink(kp.kappa2, theta)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -kp.kappa2 * s], [0.0, s, c]])
 
 
@@ -119,6 +116,23 @@ def project(kp: KappaPair, point) -> GenComplex:
     return gc(t / (z + 1.0), x / (z + 1.0), kp.kappa2)
 
 
+def _one_plus_kappa1_sqmod(kappa1: float, w: GenComplex) -> tuple[float, int]:
+    """1 + kappa1*sqmod(w) as (d, e), the value d * 2**e with e = 0 below +inf.
+
+    Where kappa1*sqmod(w) overflowed to +inf, or was 0*inf or inf - inf (-inf
+    is outside the model either way), it is formed from w = 2**k * w_s and
+    kappa1 = 2**j * c, whose product c*s is normal; beyond the float range
+    d = c*s drops the 1 and e = j + 2*k.
+    """
+    d = 1.0 + kappa1 * w.sqmod()
+    if d < math.inf:
+        return d, 0
+    _, _, s, k = w._scaled()
+    c, _, _, j = gc(kappa1, 0.0, 0.0)._scaled()
+    d = 1.0 + _times_pow2(c * s, j + 2 * k)
+    return (d, 0) if d < math.inf else (c * s, j + 2 * k)
+
+
 def unproject(kp: KappaPair, w: GenComplex) -> np.ndarray:
     """The quadric point projecting to w.
 
@@ -128,17 +142,11 @@ def unproject(kp: KappaPair, w: GenComplex) -> np.ndarray:
     Raises:
         OutsideModel: when 1 + kappa1*sqmod(w) <= 0.
     """
-    denom = 1.0 + kp.kappa1 * w.sqmod()
-    if not denom < math.inf:
-        # kappa1*sqmod(w) overflowed to +inf, or was 0*inf or inf - inf (-inf
-        # is outside the model either way): form it from w = 2**k * w_s and
-        # kappa1 = 2**j * c, whose product c*s is normal
-        re, im, s, k = w._scaled()
-        c, _, _, j = gc(kp.kappa1, 0.0, 0.0)._scaled()
-        denom = 1.0 + _times_pow2(c * s, j + 2 * k)
-        if denom == math.inf:  # 2*w/denom is 2*w/(kappa1*sqmod(w)) to rounding
-            t, x = (_times_pow2(2.0 * v, -j - k, c * s) for v in (re, im))
-            return np.array([-1.0, t, x])
+    denom, e = _one_plus_kappa1_sqmod(kp.kappa1, w)
+    if e:  # 2*w/denom is 2*w/(kappa1*sqmod(w)) to rounding
+        re, im, _, k = w._scaled()
+        t, x = (_times_pow2(2.0 * v, k - e, denom) for v in (re, im))
+        return np.array([-1.0, t, x])
     if denom <= 0.0:
         raise OutsideModel(f"1 + kappa1*|w|^2 = {denom} <= 0")
     scale = 2.0 / denom
@@ -147,10 +155,16 @@ def unproject(kp: KappaPair, w: GenComplex) -> np.ndarray:
 
 def metric_g1(kp: KappaPair, w: GenComplex, dw: GenComplex) -> float:
     """Main metric sqmod(dw)/(1 + kappa1*sqmod(w))^2 (indefinite if kappa2<0)."""
-    denom = 1.0 + kp.kappa1 * w.sqmod()
+    denom, e = _one_plus_kappa1_sqmod(kp.kappa1, w)
     if denom == 0.0:
         raise BoundarySingularity("metric evaluated on the model boundary")
-    return dw.sqmod() / (denom * denom)
+    num = dw.sqmod()
+    if not e and math.isfinite(num) and denom * denom < math.inf:
+        return num / (denom * denom)
+    # num = s * 4**k and (denom * 2**e)**2 = mm * 4**(e + j), s and mm normal
+    _, _, s, k = dw._scaled()
+    _, _, mm, j = gc(denom, 0.0, 0.0)._scaled()
+    return _times_pow2(s, 2 * (k - e - j), mm)
 
 
 def metric_g2(kp: KappaPair, t0: float, dx: float) -> float:

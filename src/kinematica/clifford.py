@@ -42,7 +42,7 @@ from .errors import (
     NotAVector,
     NotUnitRotor,
 )
-from .gentrig import cosk, sink
+from .gentrig import cosk_sink
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
 
@@ -166,8 +166,14 @@ class Multivector:
             return Multivector(self.kp, self.coeffs * other)
         self._check(other)
         k1, k2 = self.kp.kappa1, self.kp.kappa2
-        coef = np.array([1.0, k1, k2, k1 * k2])[_PRODUCT_MONOMIAL] * _PRODUCT_SIGN
-        terms = (self.coeffs[:, None] * other.coeffs).ravel() * coef
+        k12 = k1 * k2
+        coef = np.array([1.0, k1, k2, k12])[_PRODUCT_MONOMIAL] * _PRODUCT_SIGN
+        terms = (self.coeffs[:, None] * other.coeffs).ravel()
+        if math.isfinite(k12):
+            terms *= coef
+        else:  # a zero term stays 0 where 0 * inf would be nan
+            nonzero = terms != 0.0
+            terms[nonzero] *= coef[nonzero]
         return Multivector(
             self.kp, np.bincount(_PRODUCT_INDEX, terms, minlength=8)
         )
@@ -294,8 +300,8 @@ def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:
     """exp((phi/2) B) = cosk(x, phi/2) + B sink(x, phi/2), x = -B^2."""
     _require_bivector(b)
     x = bivector_kappa(b)
-    half = 0.5 * phi
-    return Multivector.scalar(b.kp, cosk(x, half)) + b * sink(x, half)
+    c, s = cosk_sink(x, 0.5 * phi)
+    return Multivector.scalar(b.kp, c) + b * s
 
 
 def rotor(kp: KappaPair, n: UnitAxis, phi: float) -> Multivector:
@@ -337,9 +343,8 @@ def in_plane_rotation_check(
         raise DegeneratePlane("a ^ b = 0 spans no plane element")
     x = bivector_kappa(plane)
     r = rotor_from_bivector(plane, phi)
-    closed = (
-        Multivector.scalar(kp, cosk(x, phi)) - plane * sink(x, phi)
-    ) * a
+    c, s = cosk_sink(x, phi)
+    closed = (Multivector.scalar(kp, c) - plane * s) * a
     return sandwich(r, a), closed.grade_part(1)
 
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .errors import (
     AtInfinity,
@@ -36,7 +35,7 @@ from .errors import (
     KappaMismatch,
     ZeroDivisorError,
 )
-from .gentrig import cosk, sink
+from .gentrig import cosk_sink
 
 
 def _check_same_kappa(k1: float, k2: float) -> None:
@@ -183,7 +182,7 @@ def gc_exp_unit(kappa: float, phi: float) -> GenComplex:
     Lies on the unit circle of the algebra: sqmod = 1 exactly up to rounding,
     and exponents add under multiplication.
     """
-    return GenComplex(cosk(kappa, phi), sink(kappa, phi), kappa)
+    return GenComplex(*cosk_sink(kappa, phi), kappa)
 
 
 # -- 2x2 matrices and Moebius maps -------------------------------------------
@@ -300,11 +299,6 @@ class MoebiusMap(Mat2):
 # -- projective completion ---------------------------------------------------
 
 
-def _mult_matrix(w: GenComplex) -> np.ndarray:
-    # multiplication by w as a real 2x2 matrix on (re, im) coordinates
-    return np.array([[w.re, -w.kappa * w.im], [w.im, w.re]])
-
-
 @dataclass(frozen=True)
 class GammaPoint:
     """Homogeneous pair [u : v] over the algebra, up to invertible scaling.
@@ -326,8 +320,16 @@ class GammaPoint:
         return self.u.kappa
 
     def is_admissible(self) -> bool:
-        stacked = np.vstack([_mult_matrix(self.u), _mult_matrix(self.v)])
-        return int(np.linalg.matrix_rank(stacked)) == 2
+        """Rank 2, read off the 2x2 minors of [[u0, -kappa*u1], [u1, u0],
+        [v0, -kappa*v1], [v1, v0]]: up to sign and a factor kappa they are
+        sqmod(u), sqmod(v), u0*v0 + kappa*u1*v1 and u1*v0 - u0*v1, here
+        evaluated exactly.  A pair with a non-finite component is no point."""
+        parts = (self.u.re, self.u.im, self.v.re, self.v.im, self.kappa)
+        if not all(map(math.isfinite, parts)):
+            return False
+        u0, u1, v0, v1, k = map(Fraction, parts)
+        return any((u0 * u0 + k * u1 * u1, v0 * v0 + k * v1 * v1,
+                    u0 * v0 + k * u1 * v1, u1 * v0 - u0 * v1))
 
     def to_affine(self) -> GenComplex:
         """Project back to the plane as u * v^-1 (v must be invertible)."""

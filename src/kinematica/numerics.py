@@ -11,7 +11,6 @@ implementations it is used to check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,21 +18,12 @@ import numpy as np
 from .errors import NonConvergence, SingularMetric
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    series_terms: int = 40
-    quad_tol: float = 1e-9
-    fd_step: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.series_terms <= 0 or self.quad_tol <= 0 or self.fd_step <= 0:
-            raise ValueError("OracleConfig fields must be positive")
+SERIES_TERMS = 40  # terms of the series expm sums after scaling
+QUAD_TOL = 1e-9  # quad_adaptive's default absolute tolerance
+FD_STEP = 1e-5  # step of gaussian_curvature_fd's finite differences
 
 
-DEFAULT = OracleConfig()
-
-
-def expm(m: np.ndarray, config: OracleConfig = DEFAULT) -> np.ndarray:
+def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring of the truncated series."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -46,7 +36,7 @@ def expm(m: np.ndarray, config: OracleConfig = DEFAULT) -> np.ndarray:
     eye = np.eye(m.shape[0])
     term = eye.copy()
     total = eye.copy()
-    for k in range(1, config.series_terms + 1):
+    for k in range(1, SERIES_TERMS + 1):
         term = term @ a / k
         total = total + term
     for _ in range(squarings):
@@ -58,13 +48,10 @@ def quad_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: float | None = None,
-    config: OracleConfig = DEFAULT,
+    tol: float = QUAD_TOL,
     max_depth: int = 40,
 ) -> float:
     """Adaptive Simpson quadrature of f over [a, b]."""
-    if tol is None:
-        tol = config.quad_tol
 
     def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -95,15 +82,14 @@ def quad_adaptive(
 def gaussian_curvature_fd(
     factor: Callable[[float, float], float],
     w: tuple[float, float],
-    config: OracleConfig = DEFAULT,
 ) -> float:
     """Gaussian curvature of the conformal metric factor*(du^2 + dv^2).
 
     Liouville's formula K = -laplacian(log factor)/(2*factor), with a
-    five-point finite-difference Laplacian of step ``fd_step``; the error is
-    O(fd_step**2).
+    five-point finite-difference Laplacian of step ``FD_STEP``; the error is
+    O(FD_STEP**2).
     """
-    h = config.fd_step
+    h = FD_STEP
     u, v = w
 
     def log_factor(x: float, y: float) -> float:

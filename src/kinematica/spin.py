@@ -35,7 +35,7 @@ import numpy as np
 from .ckgeom import KappaPair
 from .errors import KappaMismatch, NotSpin
 from .gencomplex import GenComplex, Mat2, gc
-from .gentrig import cosk, sink
+from .gentrig import cosk_sink
 
 
 def a_matrix(kp: KappaPair) -> Mat2:
@@ -128,8 +128,7 @@ def spin_identity(kp: KappaPair) -> SpinElement:
 def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> SpinElement:
     """exp((phi/2) * (n1*is1 + n2*is2 + n3*s3check)) in closed form."""
     x = n1 * n1 * kp.kappa2 + n2 * n2 * kp.kappa1 * kp.kappa2 + n3 * n3 * kp.kappa1
-    c = cosk(x, 0.5 * phi)
-    s = sink(x, 0.5 * phi)
+    c, s = cosk_sink(x, 0.5 * phi)
     return SpinElement(
         kp,
         gc(c, n1 * s, kp.kappa2),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,15 @@ def test_metric_g1_examples():
 def test_metric_g1_can_be_indefinite():
     kp = KappaPair(1.0, -1.0)
     assert metric_g1(kp, gc(0, 0, -1.0), gc(0, 1, -1.0)) == pytest.approx(-1.0)
+
+
+def test_metric_g1_where_the_squared_moduli_overflow():
+    # both were nan: 0*inf in the denominator, and inf/inf
+    assert metric_g1(KappaPair(0, 1), gc(1e200, 0, 1), gc(1, 0, 1)) == 1.0
+    got = metric_g1(KappaPair(1, 1), gc(1e200, 0, 1), gc(1e300, 0, 1))
+    w, dw = Fraction(1e200), Fraction(1e300)
+    exact = dw * dw / (1 + w * w) ** 2  # 1e-200 to 400 digits
+    assert abs(Fraction(got) - exact) <= exact * Fraction(2) ** -50
 
 
 def test_metric_g1_boundary_singularity():

@@ -370,6 +370,50 @@ def test_unproject_whose_squared_modulus_overflows(kappa1):
         assert abs(Fraction(value) - exact) <= abs(exact) * Fraction(2) ** -50
 
 
+# labels next to 0 take the branch of their sign; |kappa| < 1e-300 was once
+# read as kappa = 0.  The references are computed in 600-bit arithmetic at the
+# float arguments the code forms.
+TINY_AND_HUGE_LABELS = [
+    # x = sqrt(1e-301)*1e151 = 3.16227766016838: cos x = -0.999786072879325894,
+    # sin(x)/sqrt(1e-301) = -6.54070696893884002e148 (was the shear
+    # [[1,-1e-150,0],[1e151,1,0],[0,0,1]], of determinant 11)
+    (["exp", "--gen=H", "--param=1e151", "--kappa1=1e-301", "--kappa2=1"],
+     '{"generator":"H","param":1e+151,"matrix":[[-0.99978607287932586,6.5407069689388404e-153,0],'
+     '[-6.5407069689388404e+148,-0.99978607287932586,0],[0,0,1]]}\n'),
+    # alpha = -cos(x/2) = 0.0103423189052094491, beta = -sin(x/2)/sqrt(1e-301)
+    # = -3.16210853140695136e150 (was NotSpin, "unit condition violated by 2.5")
+    (["spin", "--gen=H", "--param=1e151", "--kappa1=1e-301", "--kappa2=1"],
+     '{"alpha":{"re":0.010342318905209449,"im":0,"kappa":1},'
+     '"beta":{"re":-3.1621085314069512e+150,"im":0,"kappa":1},'
+     '"so3":[[-0.99978607287932564,6.5407069689388393e-153,0],'
+     '[-6.5407069689388393e+148,-0.99978607287932564,0],[0,0,0.99999999999999967]]}\n'),
+    # atan(sqrt(k)*w)/sqrt(k) = 9.99999999999999982e-201 (was 0: the product
+    # sqrt(1e-250)*1e-200 underflows)
+    (["distance", "--w1=0,0", "--w2=1e-200,0", "--kappa1=1e-250", "--kappa2=1"],
+     '{"distance":9.9999999999999998e-201}\n'),
+    # atanh(sqrt(1e-301)*3e150)/sqrt(1e-301) = 5.75043261424185652e150 (was 3e150)
+    (["distance", "--w1=0,0", "--w2=3e150,0", "--kappa1=-1e-301", "--kappa2=1"],
+     '{"distance":5.7504326142418595e+150}\n'),
+    # kappa1*kappa2 overflows; the boost of label 1e200 fixes s1.  Rotor
+    # cos(2.5e99) = -0.0974664800640460124, sin(2.5e99)/1e100 =
+    # -9.95238808158084684e-101 (was TrigOverflow "cosk(nan, 0.25)")
+    (["rotate", "--axis=1,0,0", "--angle=0.5", "--vector=1,0,0",
+      "--kappa1=1e200", "--kappa2=1e200"],
+     '{"rotor":{"kappa1":9.9999999999999997e+199,"kappa2":9.9999999999999997e+199,'
+     '"coeffs":[-0.097466480064046013,0,0,0,-9.9523880815808471e-101,0,0,0]},'
+     '"vector":[0.99999999999999989,0,0]}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", TINY_AND_HUGE_LABELS,
+    ids=["exp-tiny-kappa1", "spin-tiny-kappa1", "distance-underflowing-argument",
+         "distance-tiny-negative-kappa1", "rotate-overflowing-label-product"],
+)
+def test_tiny_and_huge_labels_take_the_branch_of_their_sign(argv, expected):
+    assert run_cli(argv) == (0, expected, "")
+
+
 def test_region_svg_into_missing_directory_is_a_usage_error(tmp_path):
     target = tmp_path / "no-such-dir" / "x.svg"
     code, out, err = run_cli(["region", "--svg", str(target), "--kappa1", "1", "--kappa2", "1"])

@@ -316,11 +316,9 @@ def test_rotor_unit_pseudo_norm(kp):
     assert (r * r.reverse()).approx_eq(Multivector.scalar(kp, 1.0), 1e-12)
 
 
-@pytest.mark.parametrize("kp", PATTERNS)
-def test_sandwich_coordinate_cases(kp):
-    k1, k2 = kp.kappa1, kp.kappa2
-    theta = 0.83
-    # boost plane: e^{-t/2 is1} s_j e^{t/2 is1}
+def boost_plane_case(kp, theta=0.83):
+    # e^{-t/2 is1} s_j e^{t/2 is1}, label kappa2
+    k2 = kp.kappa2
     r = rotor(kp, UnitAxis(1, 0, 0), theta)
     c, s = cosk(k2, theta), sink(k2, theta)
     assert sandwich(r, basis(kp, S1)).approx_eq(basis(kp, S1), 1e-12)
@@ -330,6 +328,27 @@ def test_sandwich_coordinate_cases(kp):
     assert sandwich(r, basis(kp, S3)).approx_eq(
         Multivector.vector(kp, 0, k2 * s, c), 1e-12
     )
+
+
+def time_plane_case(kp, theta=0.83):
+    # s3check, label kappa1
+    k1 = kp.kappa1
+    r = rotor(kp, UnitAxis(0, 0, 1), theta)
+    c, s = cosk(k1, theta), sink(k1, theta)
+    assert sandwich(r, basis(kp, S3)).approx_eq(basis(kp, S3), 1e-12)
+    assert sandwich(r, basis(kp, S1)).approx_eq(
+        Multivector.vector(kp, c, s, 0), 1e-12
+    )
+    assert sandwich(r, basis(kp, S2)).approx_eq(
+        Multivector.vector(kp, -k1 * s, c, 0), 1e-12
+    )
+
+
+@pytest.mark.parametrize("kp", PATTERNS)
+def test_sandwich_coordinate_cases(kp):
+    k1, k2 = kp.kappa1, kp.kappa2
+    theta = 0.83
+    boost_plane_case(kp, theta)
 
     # space-translation plane: is2, label kappa1*kappa2
     r = rotor(kp, UnitAxis(0, 1, 0), theta)
@@ -342,16 +361,19 @@ def test_sandwich_coordinate_cases(kp):
         Multivector.vector(kp, -k1 * k2 * s, 0, c), 1e-12
     )
 
-    # time-translation plane: s3check, label kappa1
-    r = rotor(kp, UnitAxis(0, 0, 1), theta)
-    c, s = cosk(k1, theta), sink(k1, theta)
-    assert sandwich(r, basis(kp, S3)).approx_eq(basis(kp, S3), 1e-12)
-    assert sandwich(r, basis(kp, S1)).approx_eq(
-        Multivector.vector(kp, c, s, 0), 1e-12
-    )
-    assert sandwich(r, basis(kp, S2)).approx_eq(
-        Multivector.vector(kp, -k1 * s, c, 0), 1e-12
-    )
+    time_plane_case(kp, theta)
+
+
+# kappa1*kappa2 overflows to +-inf: the products leave its zero terms at 0
+# (not 0*inf = nan), so the planes whose own label is circular still rotate
+@pytest.mark.parametrize("kp", [KappaPair(1e200, 1e200), KappaPair(-1e200, 1e200)])
+def test_boost_plane_at_an_overflowing_label_product(kp):
+    boost_plane_case(kp)
+
+
+@pytest.mark.parametrize("kp", [KappaPair(1e200, 1e200), KappaPair(1e200, -1e200)])
+def test_time_plane_at_an_overflowing_label_product(kp):
+    time_plane_case(kp)
 
 
 def test_sandwich_identity_rotor():

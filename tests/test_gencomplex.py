@@ -310,10 +310,53 @@ def test_gamma_admissibility():
     assert not GammaPoint(gc(0, 1, 0.0), gc(0, 2, 0.0)).is_admissible()
     assert GammaPoint(gc(1, 1, -1.0), gc(1, -1, -1.0)).is_admissible()
     assert not GammaPoint(gc(1, 1, -1.0), gc(2, 2, -1.0)).is_admissible()
+    # the stacked matrix [[0, 0], [1e200, 0], [1, 0], [0, 1]] has rank 2,
+    # though its smaller singular value is below 4*eps*1e200
+    assert gamma_lift(gc(0, 1e200, 0.0)).is_admissible()
+    assert not GammaPoint(gc(0, 1e200, 0.0), gc(0, 1e-200, 0.0)).is_admissible()
     bad = GammaPoint(gc(0, 1, 0.0), gc(0, 1, 0.0))
     m = MoebiusMap.identity(0.0)
     with pytest.raises(InadmissiblePoint):
         gamma_apply(m, bad)
+
+
+def exact_rank(rows):
+    """Rank of a matrix of Fractions, by Gaussian elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - y * r[col] / pivot[col] for x, y in zip(r, pivot)] for r in rows]
+        rank += 1
+    return rank
+
+
+def small_binary64():
+    """+-m * 2**e with a 20-bit m, so that products of two stay exact."""
+    return st.builds(
+        lambda s, m, e: s * math.ldexp(m, e),
+        st.sampled_from((-1, 1)), st.integers(1, 2**20), st.integers(-300, 300),
+    )
+
+
+@pytest.mark.parametrize("kappa_sign,re_sign", itertools.product((-1, 0, 1), repeat=2))
+@given(data=st.data())
+def test_admissibility_is_the_exact_rank_of_the_stacked_matrix(kappa_sign, re_sign, data):
+    # kappa = sign * q**2, so that the zero divisors re = +-q*im are floats; the
+    # components come from a pool in which zero divisors, dependent pairs and
+    # zeros are common, plus one free value from any binade
+    q = abs(data.draw(small_binary64()))
+    kappa = kappa_sign * q * q
+    b = data.draw(small_binary64())
+    free = data.draw(st.sampled_from((-1, 1)).flatmap(binary64))
+    pool = st.sampled_from((0.0, b, -b, q * b, -q * b, 2 * b, -2 * q * b, free))
+    u = gc(re_sign * abs(data.draw(pool)), data.draw(pool), kappa)
+    v = gc(data.draw(pool), data.draw(pool), kappa)
+    u0, u1, v0, v1, k = map(Fraction, (u.re, u.im, v.re, v.im, kappa))
+    stacked = [[u0, -k * u1], [u1, u0], [v0, -k * v1], [v1, v0]]
+    assert GammaPoint(u, v).is_admissible() == (exact_rank(stacked) == 2)
 
 
 @given(

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kinematica.errors import DomainError, PoleError, TrigOverflow
-from kinematica.gentrig import atank, cosk, sink, tank
+from kinematica.gentrig import atank, cosk, cosk_sink, sink, tank
 
 KAPPAS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 PHIS = [-3.0 + 6.0 * i / 49 for i in range(50)]
@@ -184,3 +185,39 @@ def test_fundamental_identity_property(kappa, phi):
 def test_parity_property(kappa, phi):
     assert cosk(kappa, -phi) == pytest.approx(cosk(kappa, phi), abs=1e-14)
     assert sink(kappa, -phi) == pytest.approx(-sink(kappa, phi), abs=1e-14)
+
+
+# +-m * 2**e from the smallest subnormal, 5e-324, to about 1e300, or 0: the
+# nine sign patterns of (kappa, phi), and labels next to 0 on both sides
+SIGNS = st.sampled_from([-1.0, 0.0, 1.0])
+MAGNITUDES = st.builds(math.ldexp, st.integers(1, 2**53 - 1), st.integers(-1074, 944))
+SIGNED = st.builds(lambda sign, m: sign * m, SIGNS, MAGNITUDES)
+TINY = Fraction(2) ** -60
+
+
+@given(SIGNED, SIGNED)
+@example(1e-301, 1e151)
+@example(-1e-301, 1e151)
+@example(5e-324, 1e200)
+def test_labels_of_every_sign_and_size(kappa, phi):
+    try:
+        c, s = cosk_sink(kappa, phi)
+    except TrigOverflow:
+        for fn in (cosk, sink):
+            with pytest.raises(TrigOverflow):
+                fn(kappa, phi)
+        return
+    assert (c, s) == (cosk(kappa, phi), sink(kappa, phi))
+    cc, kss = c * c, kappa * s * s
+    if math.isfinite(cc) and math.isfinite(kss):
+        assert abs(cc + kss - 1.0) <= 1e-12 * max(1.0, cc, abs(kss))
+    if abs(Fraction(kappa) * Fraction(phi) ** 2) < TINY:
+        assert (c, s) == (1.0, phi)
+
+
+@given(SIGNED, SIGNED)
+@example(1e-250, 1e-200)
+@example(-1e-250, 1e-200)
+def test_atank_is_the_identity_where_kappa_x_squared_is_tiny(kappa, x):
+    if abs(Fraction(kappa) * Fraction(x) ** 2) < TINY:
+        assert abs(atank(kappa, x) - x) <= math.ulp(x)

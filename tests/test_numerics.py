@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 
 from kinematica.errors import NonConvergence, SingularMetric
-from kinematica.numerics import (
-    OracleConfig,
-    expm,
-    gaussian_curvature_fd,
-    quad_adaptive,
-)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(series_terms=0)
-    with pytest.raises(ValueError):
-        OracleConfig(quad_tol=-1.0)
+from kinematica.numerics import expm, gaussian_curvature_fd, quad_adaptive
 
 
 def test_expm_zero_is_identity():
@@ -70,14 +58,12 @@ def test_quad_artanh_kernel():
 
 
 def test_quad_depth_exhaustion():
-    config = OracleConfig(quad_tol=1e-9)
     with pytest.raises(NonConvergence):
         quad_adaptive(
             lambda x: math.sin(1.0 / (x + 1e-12)),
             0.0,
             1.0,
             tol=1e-300,
-            config=config,
             max_depth=12,
         )
 
