@@ -111,7 +111,7 @@ def project(kp: KappaPair, point) -> GenComplex:
         ProjectionPole: at z = -1, the projection point itself.
     """
     z, t, x = point
-    if abs(z + 1.0) < 1e-15:
+    if z == -1.0:
         raise ProjectionPole("z = -1 is the projection point")
     return gc(t / (z + 1.0), x / (z + 1.0), kp.kappa2)
 

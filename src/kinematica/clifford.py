@@ -42,7 +42,9 @@ from .errors import (
     NotAVector,
     NotUnitRotor,
 )
+from .gencomplex import gc
 from .gentrig import cosk_sink
+from .spin import UNIT_TOL, SpinElement
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
 
@@ -285,10 +287,9 @@ class UnitAxis:
             ) from None
         if norm == 0.0 or not math.isfinite(norm):
             raise DegenerateAxis(f"axis norm {norm} must be nonzero and finite")
-        if abs(norm - 1.0) > 1e-12:
-            object.__setattr__(self, "n1", self.n1 / norm)
-            object.__setattr__(self, "n2", self.n2 / norm)
-            object.__setattr__(self, "n3", self.n3 / norm)
+        object.__setattr__(self, "n1", self.n1 / norm)
+        object.__setattr__(self, "n2", self.n2 / norm)
+        object.__setattr__(self, "n3", self.n3 / norm)
 
 
 def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:
@@ -312,20 +313,23 @@ def rotor(kp: KappaPair, n: UnitAxis, phi: float) -> Multivector:
 def sandwich(r: Multivector, a: Multivector) -> Multivector:
     """Rotate a vector: reverse(r) * a * r.
 
-    The rotor must be even and of unit pseudo-norm (r * reverse(r) = 1); the
-    result is the input rotated about the rotor's axis, with the same
-    inner-product length.
+    The rotor must be even and unit as the spin element (r0 + i*r_is1,
+    r_s3check + i*r_is2).  The result is a rotated about the rotor's axis,
+    with the same inner-product length; other grades are rounding of |r|^2 |a|.
     """
     if not r.is_even():
         raise GradeError("rotor must be an even multivector")
-    unit = (r * r.reverse()).scalar_part()
+    c, k2 = r.coeffs.tolist(), r.kp.kappa2
+    spin = SpinElement(r.kp, gc(c[SCALAR], c[IS1], k2), gc(c[S3CHECK], c[IS2], k2))
     # written `not x <= bound` so that a nan passes neither check
-    if not abs(unit - 1.0) <= 1e-8:
-        raise NotUnitRotor(f"rotor pseudo-norm {unit} != 1")
+    if not spin.unit_defect() <= UNIT_TOL:
+        raise NotUnitRotor(f"rotor pseudo-norm {spin.pseudo_norm()} != 1")
     if not a.is_vector():
         raise GradeError(f"{a} is not a pure vector")
     out = r.reverse() * a * r
-    if not out.off_grade_norm((1,)) <= 1e-9:
+    size = sum(map(abs, c))  # `*` below, since float ** raises on overflow
+    scale = size * size * sum(map(abs, a.coeffs.tolist()))
+    if not out.off_grade_norm((1,)) <= UNIT_TOL * max(1.0, scale):
         raise GradeError("sandwich result is not a vector")
     return out.grade_part(1)
 

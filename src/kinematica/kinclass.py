@@ -74,8 +74,6 @@ KINEMATICAL_NAMES: dict[str, BracketTriple] = {
     "St": BracketTriple(0, 0, 0),     # static universe
 }
 
-NON_KINEMATICAL_TAGS = ("El", "H", "Eu")
-
 # shell-safe spellings accepted by the CLI
 NAME_ALIASES = {
     "Mp": "M'",
@@ -84,8 +82,6 @@ NAME_ALIASES = {
     "Nminus": "N-",
     "Nplus": "N+",
 }
-
-SYMMETRIES = ("S_H", "S_P", "S_K")
 
 CONTRACTION_EXPONENTS: dict[str, tuple[int, int, int]] = {
     # (eK, eH, eP): which generators get the epsilon factor

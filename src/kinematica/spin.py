@@ -37,6 +37,10 @@ from .errors import KappaMismatch, NotSpin
 from .gencomplex import GenComplex, Mat2, gc
 from .gentrig import cosk_sink
 
+# the one bound on unit_defect().  Absolute: a relative bound admits
+# ill-conditioned elements whose cover entries cancel (K boosts of rapidity 40)
+UNIT_TOL = 1e-8
+
 
 def a_matrix(kp: KappaPair) -> Mat2:
     """A = diag(kappa1, 1), the invariant form of the spin group."""
@@ -74,10 +78,13 @@ class SpinElement:
         if self.alpha.kappa != self.kp.kappa2 or self.beta.kappa != self.kp.kappa2:
             raise KappaMismatch("spin entries must carry kappa2")
 
+    def pseudo_norm(self) -> float:
+        """alpha*conj(alpha) + kappa1*beta*conj(beta), 1 on Spin(3)."""
+        return self.alpha.sqmod() + self.kp.kappa1 * self.beta.sqmod()
+
     def unit_defect(self) -> float:
-        """|alpha*conj(alpha) + kappa1*beta*conj(beta) - 1|."""
-        value = self.alpha.sqmod() + self.kp.kappa1 * self.beta.sqmod()
-        return abs(value - 1.0)
+        """|pseudo_norm() - 1|, the quantity UNIT_TOL bounds."""
+        return abs(self.pseudo_norm() - 1.0)
 
     def as_mat2(self) -> Mat2:
         """The matrix [[alpha, beta], [-kappa1*conj(beta), conj(alpha)]].
@@ -168,20 +175,12 @@ def moebius_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> Mat2:
 
 
 def is_spin(kp: KappaPair, m: Mat2) -> bool:
-    """Shape test: m = [[a, b], [-kappa1*conj(b), conj(a)]] with unit condition.
-
-    Equivalent to m* A m = A together with det m = 1.
-    """
+    """Whether m is the matrix of a spin element (m* A m = A and det m = 1)."""
     if m.kappa != kp.kappa2:
         return False
-    shape = max(
-        abs(m.d.re - m.a.re),
-        abs(m.d.im + m.a.im),
-        abs(m.c.re + kp.kappa1 * m.b.re),
-        abs(m.c.im - kp.kappa1 * m.b.im),
-    )
-    unit = abs(m.a.sqmod() + kp.kappa1 * m.b.sqmod() - 1.0)
-    return shape <= 1e-10 and unit <= 1e-10
+    s = SpinElement(kp, m.a, m.b)
+    shape = (s.as_mat2() - m).max_abs()
+    return shape <= UNIT_TOL * max(1.0, m.max_abs()) and s.unit_defect() <= UNIT_TOL
 
 
 def spin_from_mat2(kp: KappaPair, m: Mat2) -> SpinElement:
@@ -207,7 +206,7 @@ def cover_to_so3(s: SpinElement) -> np.ndarray:
     is the convention that meets all three generator exponentials.
     """
     defect = s.unit_defect()
-    if not defect <= 1e-10:  # also rejects a nan defect
+    if not defect <= UNIT_TOL:  # also rejects a nan defect
         raise NotSpin(f"unit condition violated by {defect}")
     k1, k2 = s.kp.kappa1, s.kp.kappa2
     a0, a1, b0, b1 = s.alpha.re, s.alpha.im, s.beta.re, s.beta.im

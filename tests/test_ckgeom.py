@@ -94,6 +94,17 @@ def test_closed_forms_match_exponential_oracle(kp):
         np.testing.assert_allclose(exp_k(kp, t), expm(t * k), atol=1e-10)
 
 
+# the hyperbolic entries grow like e**(|t|*sqrt(2)), so the comparison is
+# relative to the oracle's largest entry
+@pytest.mark.parametrize("t", [7.5, -7.5, 25.0, -25.0, 60.0, -60.0])
+@pytest.mark.parametrize("kp", SIGN_PATTERNS)
+def test_closed_forms_match_exponential_oracle_at_large_parameters(kp, t):
+    for f, generator in zip((exp_h, exp_p, exp_k), so3_generators(kp)):
+        oracle = expm(t * generator)
+        scale = max(1.0, np.max(np.abs(oracle)))
+        assert np.max(np.abs(f(kp, t) - oracle)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_one_parameter_additivity(kp):
     for f in (exp_h, exp_p, exp_k):

@@ -246,14 +246,17 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         # the sandwich's grade check reads a nan off-grade norm
         (["rotate", "--axis", "0,0,-1.2", "--angle", "-1.2", "--vector", "1e-200,1e300,0",
           "--kappa1=1e300", "--kappa2=-0.3"], "GradeError"),
-        # its pseudo-norm check reads a nan pseudo-norm
+        # its pseudo-norm check reads a nan pseudo-norm: 0 * (5e299)**2
+        (["rotate", "--axis=0,0,1", "--angle=1e300", "--vector=1,0,0",
+          "--kappa1=0", "--kappa2=1"], "NotUnitRotor"),
+        # a unit rotor, 1 + 5e299*is1 at kappa2 = 0, whose sandwich overflows
         (["rotate", "--axis=2,0,0", "--angle=1e300", "--vector=-1e300,-1e300,0.3",
-          "--kappa1=1e-200", "--kappa2=0"], "NotUnitRotor"),
+          "--kappa1=1e-200", "--kappa2=0"], "GradeError"),
         # numpy warns of the nan product before the grade check rejects it
         (["rotate", "--axis", "0.3,-1.2,-1.2", "--angle", "1.2", "--vector",
           "1e308,-1e308,1e308", "--kappa1", "-1", "--kappa2", "-1"], "GradeError"),
     ],
-    ids=["nan-result", "nan-pseudo-norm", "numpy-warning"],
+    ids=["nan-result", "nan-pseudo-norm", "overflowing-sandwich", "numpy-warning"],
 )
 def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
     with warnings.catch_warnings(record=True) as caught:
@@ -411,6 +414,25 @@ TINY_AND_HUGE_LABELS = [
          "distance-tiny-negative-kappa1", "rotate-overflowing-label-product"],
 )
 def test_tiny_and_huge_labels_take_the_branch_of_their_sign(argv, expected):
+    assert run_cli(argv) == (0, expected, "")
+
+
+def test_rotate_of_a_large_vector_is_a_vector():
+    # an absolute 1e-9 bound on the sandwich's other grades read rounding at
+    # |v| ~ 8.5e7 as GradeError.  Checked in rational arithmetic: reverse(r)
+    # v r of the printed rotor has other grades exactly 0 and matches the
+    # printed vector to 2.2e-16 relative
+    argv = ["rotate",
+            "--axis=-0.8957413493691184,-0.3865558371647966,-0.09110774653117804",
+            "--angle=0.5032699764486774",
+            "--vector=-49137433.639032535,47503693.89542963,-50227868.33489577",
+            "--kappa1=-0.5996591763086516", "--kappa2=1.3220983832682358"]
+    expected = (
+        '{"rotor":{"kappa1":-0.59965917630865162,"kappa2":1.3220983832682358,'
+        '"coeffs":[0.96924848192607416,0,0,0,-0.22767547612519684,-0.098253010578840796,'
+        '-0.023157354056267759,0]},'
+        '"vector":[-45720340.513125509,69449514.350857601,-13139918.310289197]}\n'
+    )
     assert run_cli(argv) == (0, expected, "")
 
 

@@ -510,6 +510,25 @@ def test_angle_rescaling_consistency(kp):
         assert sandwich(r1, v).approx_eq(sandwich(r2, v), 1e-10)
 
 
+def test_sandwich_of_large_vectors_keeps_the_ck_length():
+    # the other grades of reverse(r)*a*r are rounding of the size of a; an
+    # absolute bound on them once read |a| ~ 1e8 as GradeError
+    def terms(kp, v):
+        a1, a2, a3 = v.vector_components()
+        return np.array([a1 * a1, kp.kappa1 * a2 * a2, kp.kappa1 * kp.kappa2 * a3 * a3])
+
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        kp = KappaPair(*(rng.choice([-1.0, 1.0], 2) * rng.uniform(0.05, 2.0, 2)))
+        n = rng.normal(size=3)
+        r = rotor(kp, UnitAxis(*n), rng.uniform(-2.0, 2.0))
+        a = Multivector.vector(kp, *(rng.uniform(-1, 1, 3) * 10.0 ** rng.uniform(0, 12)))
+        out = sandwich(r, a)
+        before, after = terms(kp, a), terms(kp, out)
+        size = np.sum(np.abs(before)) + np.sum(np.abs(after))
+        assert abs(np.sum(after) - np.sum(before)) <= 1e-12 * size
+
+
 def test_sandwich_grade_validation():
     kp = KappaPair(1.0, 1.0)
     r = rotor(kp, UnitAxis(1, 0, 0), 0.4)

@@ -1,8 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kinematica
 from kinematica.ckgeom import (
     KappaPair,
     exp_h,
@@ -30,6 +34,7 @@ from kinematica.gencomplex import Mat2, gc, gc_exp_unit
 from kinematica.gentrig import cosk, sink
 from kinematica.numerics import expm
 from kinematica.spin import (
+    SL2,
     SpinElement,
     a_matrix,
     cover_to_so3,
@@ -357,6 +362,36 @@ def test_cover_homomorphism(kp):
         )
 
 
+# a label of each sign: 0, or a tiny, small or generic magnitude
+def labels(sign):
+    if sign == 0:
+        return st.just(0.0)
+    sizes = st.sampled_from([5e-324, 1e-300, 1e-8]) | st.floats(0.05, 2.0)
+    return sizes.map(lambda size: sign * size)
+
+
+def spin_elements(kp):
+    params = st.floats(-3.0, 3.0, allow_nan=False)
+    return st.builds(lambda gen, t: SL2[gen](kp, t), st.sampled_from("KHP"), params)
+
+
+@st.composite
+def spin_pairs(draw):
+    kp = KappaPair(draw(labels(draw(st.sampled_from((1, 0, -1))))),
+                   draw(labels(draw(st.sampled_from((1, 0, -1))))))
+    return draw(spin_elements(kp)), draw(spin_elements(kp))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spin_pairs())
+def test_cover_is_a_two_to_one_homomorphism_in_every_regime(pair):
+    s, t = pair
+    cover_s, cover_t = cover_to_so3(s), cover_to_so3(t)
+    bound = 1e-12 * max(1.0, np.linalg.norm(cover_s) * np.linalg.norm(cover_t))
+    assert np.max(np.abs(cover_to_so3(s * t) - cover_s @ cover_t)) <= bound
+    assert np.array_equal(cover_to_so3(-s), cover_s)
+
+
 @pytest.mark.parametrize(
     "kp",
     PATTERNS + GENERIC + [KappaPair(0.0, 0.37), KappaPair(0.0, -2.2), KappaPair(-1.7, 0.6)],
@@ -468,3 +503,18 @@ def test_canonical_sign_determinism():
     canon = s.canonical_sign()
     assert canon.alpha.re >= 0.0
     assert canon.canonical_sign() is canon
+
+
+def test_no_tolerance_literal_sits_in_a_comparison():
+    # every bound is a named constant (UNIT_TOL, SERIES_CUTOFF, POLE_TOL,
+    # TOL), so that a tolerance is decided in one place
+    found = []
+    for path in sorted(Path(kinematica.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            for leaf in ast.walk(node):
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, float):
+                    if 0.0 < leaf.value < 1e-6:
+                        found.append(f"{path.name}:{leaf.lineno}: {leaf.value!r}")
+    assert found == []
