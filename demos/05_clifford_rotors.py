@@ -8,16 +8,25 @@ Galilean world.
 
 import numpy as np
 
-from kinematica import KappaPair, Multivector, UnitAxis, ck_dot, rotor, sandwich, wedge
+from kinematica import (
+    KappaPair,
+    Multivector,
+    UnitAxis,
+    ck_dot,
+    cosk_sink,
+    rotor,
+    sandwich,
+    wedge,
+)
 from kinematica.clifford import (
     S1,
     S2,
     S3,
     axis_of,
     bivector_kappa,
-    in_plane_rotation_check,
     left_contract,
     plane_of,
+    rotor_from_bivector,
 )
 
 kp = KappaPair(1.0, 1.0)
@@ -62,7 +71,11 @@ print("=== the Galilean shear, as promised ===")
 kp0 = KappaPair(0.0, 0.0)
 sh1 = Multivector.basis(kp0, S1)
 sh3 = Multivector.basis(kp0, S3)
-moved, closed = in_plane_rotation_check(kp0, sh1, sh3, 1.5)
+# the rotor exp(0.75 s1^s3) sandwiches s1 to [cosk(x, 1.5) - (s1^s3) sink(x, 1.5)] s1
+shear_plane = wedge(sh1, sh3)
+moved = sandwich(rotor_from_bivector(shear_plane, 1.5), sh1)
+c, s = cosk_sink(bivector_kappa(shear_plane), 1.5)
+closed = ((Multivector.scalar(kp0, c) - shear_plane * s) * sh1).grade_part(1)
 print(f"shearing the z-axis by 1.5 along x: {tuple(map(float, moved.vector_components()))}")
 print(f"closed form agrees:                 {tuple(map(float, closed.vector_components()))}")
 

@@ -28,6 +28,7 @@ arithmetic operation, since i is a zero divisor whenever kappa2 <= 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,15 +37,13 @@ import numpy as np
 from .ckgeom import KappaPair
 from .errors import (
     DegenerateAxis,
-    DegeneratePlane,
     GradeError,
     KappaMismatch,
     NotAVector,
     NotUnitRotor,
 )
 from .gencomplex import gc
-from .gentrig import cosk_sink
-from .spin import UNIT_TOL, SpinElement
+from .spin import UNIT_TOL, SpinElement, axis_label, spin_from_axis
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
 
@@ -65,6 +64,12 @@ GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 _REVERSE_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 SCALAR, S1, S2, S3, IS1, IS2, S3CHECK, VOLUME = range(8)
+
+
+@functools.cache
+def _slots_outside(grades: tuple[int, ...]) -> np.ndarray:
+    """The basis indices whose grade is not in grades."""
+    return np.array([k for k, g in enumerate(GRADES) if g not in grades], dtype=int)
 
 
 def _symbolic_entry(i: int, j: int) -> tuple[int, int, int, int]:
@@ -190,8 +195,9 @@ class Multivector:
     # -- grade bookkeeping ----------------------------------------------------
 
     def grade_part(self, grade: int) -> "Multivector":
-        mask = np.array([1.0 if g == grade else 0.0 for g in GRADES])
-        return Multivector(self.kp, self.coeffs * mask)
+        c = self.coeffs.copy()
+        c[_slots_outside((grade,))] = 0.0
+        return Multivector(self.kp, c)
 
     def scalar_part(self) -> float:
         return float(self.coeffs[SCALAR])
@@ -200,8 +206,8 @@ class Multivector:
         return self.coeffs[[S1, S2, S3]].copy()
 
     def off_grade_norm(self, grades: tuple[int, ...]) -> float:
-        mask = np.array([0.0 if g in grades else 1.0 for g in GRADES])
-        return float(np.max(np.abs(self.coeffs * mask)))
+        """The largest |coefficient| outside grades; nan if any of them is nan."""
+        return float(np.abs(self.coeffs[_slots_outside(grades)]).max(initial=0.0))
 
     def is_vector(self) -> bool:
         return self.off_grade_norm((1,)) == 0.0
@@ -261,13 +267,9 @@ def left_contract(a: Multivector, b: Multivector) -> Multivector:
 
 
 def bivector_kappa(b: Multivector) -> float:
-    """The rotation label of a plane element: the scalar -B^2.
-
-    For B = n1*is1 + n2*is2 + n3*s3check this is
-    n1^2*kappa2 + n2^2*kappa1*kappa2 + n3^2*kappa1.
-    """
+    """The rotation label -B^2 of a plane element, in closed form (spin.axis_label)."""
     _require_bivector(b)
-    return -(b * b).scalar_part()
+    return axis_label(b.kp, *b.coeffs[[IS1, IS2, S3CHECK]].tolist())
 
 
 @dataclass(frozen=True)
@@ -298,11 +300,16 @@ def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:
 
 
 def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:
-    """exp((phi/2) B) = cosk(x, phi/2) + B sink(x, phi/2), x = -B^2."""
+    """exp((phi/2) B) = cosk(x, phi/2) + B sink(x, phi/2), x = -B^2.
+
+    The element of :func:`spin.spin_from_axis`, lifted into the layout that
+    :func:`sandwich` reads back.
+    """
     _require_bivector(b)
-    x = bivector_kappa(b)
-    c, s = cosk_sink(x, 0.5 * phi)
-    return Multivector.scalar(b.kp, c) + b * s
+    s = spin_from_axis(b.kp, *b.coeffs[[IS1, IS2, S3CHECK]].tolist(), phi)
+    c = np.zeros(8)
+    c[[SCALAR, IS1, IS2, S3CHECK]] = s.alpha.re, s.alpha.im, s.beta.im, s.beta.re
+    return Multivector(b.kp, c)
 
 
 def rotor(kp: KappaPair, n: UnitAxis, phi: float) -> Multivector:
@@ -332,24 +339,6 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     if not out.off_grade_norm((1,)) <= UNIT_TOL * max(1.0, scale):
         raise GradeError("sandwich result is not a vector")
     return out.grade_part(1)
-
-
-def in_plane_rotation_check(
-    kp: KappaPair, a: Multivector, b: Multivector, phi: float
-) -> tuple[Multivector, Multivector]:
-    """Sandwich of a by exp((phi/2) a^b) next to its in-plane closed form.
-
-    Returns (sandwich result, [cosk(x, phi) - (a^b) sink(x, phi)] a); the two
-    agree because a anticommutes with the plane element it spans.
-    """
-    plane = wedge(a, b)
-    if float(np.max(np.abs(plane.coeffs))) == 0.0:
-        raise DegeneratePlane("a ^ b = 0 spans no plane element")
-    x = bivector_kappa(plane)
-    r = rotor_from_bivector(plane, phi)
-    c, s = cosk_sink(x, phi)
-    closed = (Multivector.scalar(kp, c) - plane * s) * a
-    return sandwich(r, a), closed.grade_part(1)
 
 
 def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:

@@ -258,11 +258,9 @@ class Mat2:
         return self @ other - other @ self
 
     def max_abs(self) -> float:
-        return max(
-            abs(v)
-            for e in (self.a, self.b, self.c, self.d)
-            for v in (e.re, e.im)
-        )
+        """The largest |part| of the four entries; nan if any part is nan."""
+        parts = [abs(v) for e in (self.a, self.b, self.c, self.d) for v in (e.re, e.im)]
+        return math.nan if any(map(math.isnan, parts)) else max(parts)
 
     def approx_eq(self, other: "Mat2", tol: float = 1e-12) -> bool:
         return (self - other).max_abs() <= tol

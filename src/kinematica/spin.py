@@ -132,10 +132,21 @@ def spin_identity(kp: KappaPair) -> SpinElement:
     return SpinElement(kp, gc(1, 0, kp.kappa2), gc(0, 0, kp.kappa2))
 
 
+def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
+    """The rotation label -B^2 of B = n1*is1 + n2*is2 + n3*s3check.
+
+    n1^2*kappa2 + n2^2*kappa1*kappa2 + n3^2*kappa1, summed as the Clifford
+    product B*B sums its scalar part.  A zero n2 term stays 0 where
+    kappa1*kappa2 overflows, since 0 * inf would be nan.
+    """
+    k1, k2 = kp.kappa1, kp.kappa2
+    n2_term = n2 * n2 * (k1 * k2) if n2 * n2 != 0.0 else 0.0
+    return n1 * n1 * k2 + n2_term + n3 * n3 * k1
+
+
 def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> SpinElement:
     """exp((phi/2) * (n1*is1 + n2*is2 + n3*s3check)) in closed form."""
-    x = n1 * n1 * kp.kappa2 + n2 * n2 * kp.kappa1 * kp.kappa2 + n3 * n3 * kp.kappa1
-    c, s = cosk_sink(x, 0.5 * phi)
+    c, s = cosk_sink(axis_label(kp, n1, n2, n3), 0.5 * phi)
     return SpinElement(
         kp,
         gc(c, n1 * s, kp.kappa2),

@@ -1,7 +1,8 @@
-"""Checks of the projective model that only the tests use.
+"""Checks of the projective model and the rotors that only the tests use.
 
-Each returns a flag or both sides of an identity of :mod:`kinematica.ckgeom`;
-``test_ckgeom.py`` and ``test_acceptance.py`` import them from here.
+Each returns a flag or both sides of an identity of :mod:`kinematica.ckgeom`
+or :mod:`kinematica.clifford`; ``test_ckgeom.py``, ``test_clifford.py`` and
+``test_acceptance.py`` import them from here.
 """
 
 from __future__ import annotations
@@ -9,7 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from kinematica.ckgeom import KappaPair, project, word_matrix
+from kinematica.clifford import (
+    Multivector,
+    bivector_kappa,
+    rotor_from_bivector,
+    sandwich,
+    wedge,
+)
+from kinematica.errors import DegeneratePlane
 from kinematica.gencomplex import GenComplex
+from kinematica.gentrig import cosk_sink
 from kinematica.spin import moebius_of_word
 
 
@@ -45,3 +55,21 @@ def act_and_project_equivariance(
     """
     moved = word_matrix(kp, word) @ np.asarray(point, dtype=float)
     return project(kp, moved), moebius_of_word(kp, word).apply(project(kp, point))
+
+
+def in_plane_rotation_check(
+    kp: KappaPair, a: Multivector, b: Multivector, phi: float
+) -> tuple[Multivector, Multivector]:
+    """Sandwich of a by exp((phi/2) a^b) next to its in-plane closed form.
+
+    Returns (sandwich result, [cosk(x, phi) - (a^b) sink(x, phi)] a); the two
+    agree because a anticommutes with the plane element it spans.
+    """
+    plane = wedge(a, b)
+    if float(np.max(np.abs(plane.coeffs))) == 0.0:
+        raise DegeneratePlane("a ^ b = 0 spans no plane element")
+    x = bivector_kappa(plane)
+    r = rotor_from_bivector(plane, phi)
+    c, s = cosk_sink(x, phi)
+    closed = (Multivector.scalar(kp, c) - plane * s) * a
+    return sandwich(r, a), closed.grade_part(1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geometry_checks import act_and_project_equivariance
+from geometry_checks import act_and_project_equivariance, in_plane_rotation_check
 from kinematica import ckgeom, clifford, conformal, kinclass, spin
 from kinematica.ckgeom import KappaPair
 from kinematica.cli import main as cli_main
@@ -229,7 +229,7 @@ def test_criterion_06_rotation_contract():
                 b = clifford.Multivector.vector(kp, *rng.uniform(-1, 1, 3))
                 if np.max(np.abs(clifford.wedge(a, b).coeffs)) < 1e-3:
                     continue
-                lhs, rhs = clifford.in_plane_rotation_check(kp, a, b, phi)
+                lhs, rhs = in_plane_rotation_check(kp, a, b, phi)
                 assert lhs.approx_eq(rhs, 1e-10)
                 done += 1
 

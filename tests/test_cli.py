@@ -318,13 +318,19 @@ def test_conformal_table_with_overflowing_label_product_prints_the_exact_table(e
         (["unproject", "--w=1e308,0", "--kappa1=0", "--kappa2=1"], 1, "NonFiniteResult"),
         (["distance", "--w1=1.5e308,0", "--w2=-1.5e308,0", "--kappa1=0", "--kappa2=1"],
          1, "NonFiniteResult"),
+        # the sandwich's s1 slot is inf - inf while its other grades are finite
+        (["rotate", "--axis=-2.2221295782107403e-100,1.0,5.365268480709824e-102",
+          "--angle=-9.973715873559661e+111",
+          "--vector=-7.193579099790739e+124,2.8858233976859406e-272,1.0",
+          "--kappa1=0.2645048897738844", "--kappa2=0.0"], 1, "NonFiniteResult"),
         # the region boundary's coordinates overflow
         (["region", "--kappa1=-1e308", "--kappa2=-1e308"], 1, "NonFiniteResult"),
     ],
     ids=[
         "exp-nan", "unproject-inf", "distance-nan-label", "rotate-inf-vector",
         "zero-axis", "overflowing-axis", "spin-cosh-overflow", "exp-cos-of-inf",
-        "unproject-nan-result", "distance-inf-result", "region-inf-coordinate",
+        "unproject-nan-result", "distance-inf-result", "rotate-non-finite-sandwich",
+        "region-inf-coordinate",
     ],
 )
 def test_non_finite_input_and_output_end_in_one_json_line(argv, code, kind):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from geometry_checks import in_plane_rotation_check
 from kinematica.ckgeom import KappaPair
 from kinematica.clifford import (
+    GRADES,
     IS1,
     IS2,
     S1,
@@ -20,7 +22,6 @@ from kinematica.clifford import (
     axis_of,
     bivector_kappa,
     ck_dot,
-    in_plane_rotation_check,
     left_contract,
     plane_of,
     rotor,
@@ -536,6 +537,30 @@ def test_sandwich_grade_validation():
         sandwich(r, basis(kp, IS1))
     with pytest.raises(GradeError):
         sandwich(basis(kp, S1), basis(kp, S1))
+
+
+def test_an_infinite_component_stays_in_its_grade():
+    # an infinite coefficient is no residue in the other grades (0 * inf is nan)
+    kp = KappaPair(1.0, -1.0)
+    v = Multivector.vector(kp, math.inf, 0.0, 0.0)
+    assert v.is_vector()
+    assert v.off_grade_norm((1,)) == 0.0
+    assert v.grade_part(1).coeffs.tolist() == [0.0, math.inf, 0, 0, 0, 0, 0, 0]
+    assert v.grade_part(0).coeffs.tolist() == [0.0] * 8
+
+
+@pytest.mark.parametrize("slot", range(8))
+def test_a_nan_outside_the_grade_fails_the_predicate(slot):
+    c = np.zeros(8)
+    c[slot] = math.nan
+    m = Multivector(KappaPair(1.0, 1.0), c)
+    if GRADES[slot] != 1:
+        assert not m.is_vector()
+        assert math.isnan(m.off_grade_norm((1,)))
+    if GRADES[slot] not in (0, 2):
+        assert not m.is_even()
+    if GRADES[slot] != 2:
+        assert not m.is_bivector()
 
 
 def test_reverse_signs():

@@ -409,3 +409,15 @@ def test_cross_ratio_invariant_under_moebius(kappa):
     cr_mapped = _cross_ratio(*mapped)
     assert abs(cr_mapped.im) < 1e-10
     assert cr_mapped.re == pytest.approx(cr_line.re, abs=1e-10)
+
+
+@pytest.mark.parametrize("part", range(8))
+def test_mat2_max_abs_is_nan_when_any_part_is(part):
+    # Python max keeps a nan only when it comes first
+    parts = [1.0, -2.0, 0.5, 0.0, -3.0, -0.25, 1.5, 2.5]
+    finite = Mat2(*(gc(parts[2 * k], parts[2 * k + 1], 1.0) for k in range(4)))
+    assert finite.max_abs() == 3.0
+    parts[part] = math.nan
+    m = Mat2(*(gc(parts[2 * k], parts[2 * k + 1], 1.0) for k in range(4)))
+    assert math.isnan(m.max_abs())
+    assert not m.approx_eq(m)
