@@ -13,7 +13,10 @@ and its runner.  A small parser reads the command line from the options, the
 :func:`main` calls the runner.  A runner returns either a JSON value, which
 is printed as one line, or a ``str``, which is written unchanged: the dot
 graph, and the SVG of ``region`` (empty once ``--svg`` has written it to a
-file).  The parser accepts the command lines argparse accepted for the same
+file).  The answers that take no input, ``classify`` and ``graph --format
+json``, are serialised once per process and precision, on first use: their
+runners return a :class:`Serialised` answer whose kept text is written from
+then on.  The parser accepts the command lines argparse accepted for the same
 table, with the same values and argparse's one-line error messages; the one
 difference is that a ``--`` given after ``=`` is read as the value ``--``.
 """
@@ -46,37 +49,86 @@ def _precision() -> int:
 def _fmt_float(x: float, precision: int) -> str:
     if x == 0.0:
         x = 0.0  # fold -0.0
-    out = f"{x:.{precision}g}"
-    return out
+    return f"{x:.{precision}g}"
+
+
+def _dump_str(obj: str, precision: int) -> str:
+    escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+    if not escaped.isprintable():  # JSON strings hold no raw control characters
+        escaped = "".join(f"\\u{ord(c):04x}" if c < " " else c for c in escaped)
+    return f'"{escaped}"'
+
+
+def _dump_float(obj: float, precision: int) -> str:
+    if not math.isfinite(obj):
+        raise NonFiniteResult(f"result {obj} is not finite")
+    return _fmt_float(obj, precision)
+
+
+def _dump_dict(obj: dict, precision: int) -> str:
+    return "{" + ",".join([
+        f"{_dump_str(str(k), precision)}:{_WRITERS.get(type(v), _dump_other)(v, precision)}"
+        for k, v in obj.items()
+    ]) + "}"
+
+
+def _dump_list(obj: list | tuple, precision: int) -> str:
+    return "[" + ",".join([_WRITERS.get(type(v), _dump_other)(v, precision) for v in obj]) + "]"
+
+
+def _dump_other(obj, precision: int) -> str:
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _dump_float(float(obj), precision)
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+class Serialised:
+    """An input-free JSON answer, serialised once per process and precision.
+
+    ``build()`` makes the value on first use at a precision; :func:`dumps`
+    writes the text kept for that precision from then on.  A runner returns
+    it in place of the value, so the answer still counts as JSON, not text.
+    """
+
+    __slots__ = ("build", "texts")
+
+    def __init__(self, build: Callable[[], object]) -> None:
+        self.build = build
+        self.texts: dict[int, str] = {}
+
+    def text(self, precision: int) -> str:
+        text = self.texts.get(precision)
+        if text is None:
+            text = self.texts[precision] = dumps(self.build(), precision)
+        return text
+
+
+# exact type -> writer; any other type goes to _dump_other
+_WRITERS: dict[type, Callable[[object, int], str]] = {
+    dict: _dump_dict,
+    list: _dump_list,
+    tuple: _dump_list,
+    str: _dump_str,
+    bool: lambda obj, precision: "true" if obj else "false",
+    type(None): lambda obj, precision: "null",
+    int: lambda obj, precision: str(obj),
+    float: _dump_float,
+    Serialised: lambda obj, precision: obj.text(precision),
+}
 
 
 def dumps(obj, precision: int) -> str:
-    """Minimal JSON writer with controlled float formatting, insertion order."""
-    if isinstance(obj, dict):
-        inner = ",".join(
-            f"{dumps(str(k), precision)}:{dumps(v, precision)}"
-            for k, v in obj.items()
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v, precision) for v in obj) + "]"
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        if not escaped.isprintable():  # JSON strings hold no raw control characters
-            escaped = "".join(f"\\u{ord(c):04x}" if c < " " else c for c in escaped)
-        return f'"{escaped}"'
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise NonFiniteResult(f"result {x} is not finite")
-        return _fmt_float(x, precision)
-    raise TypeError(f"cannot serialize {type(obj)}")
+    """Minimal JSON writer with controlled float formatting, insertion order.
+
+    The writer is chosen by the exact type of each value: dict, list, tuple,
+    str, bool, None, int and float, plus numpy integers and floats and
+    :class:`Serialised` answers.  Any other type, a subclass of those
+    included, raises TypeError; a nan or infinite float raises
+    NonFiniteResult.
+    """
+    return _WRITERS.get(type(obj), _dump_other)(obj, precision)
 
 
 def _gc_json(w: GenComplex) -> dict:
@@ -138,8 +190,9 @@ class Option(NamedTuple):
 class Command(NamedTuple):
     """One subcommand: its ``--help`` summary, its options and its runner.
 
-    ``run(args)`` returns a JSON value, which :func:`main` prints as one
-    line, or a ``str``, which :func:`main` writes unchanged.
+    ``run(args)`` returns a JSON value (or a :class:`Serialised` one), which
+    :func:`main` prints as one line, or a ``str``, which :func:`main` writes
+    unchanged.
     """
 
     summary: str
@@ -151,27 +204,32 @@ def _kappas(args) -> KappaPair:
     return KappaPair(args.kappa1, args.kappa2)
 
 
-def _run_classify(args) -> dict:
-    return {
-        "counts": kinclass.classification_counts(),
-        "algebras": kinclass.classification_rows(),
-    }
+_CLASSIFY = Serialised(lambda: {
+    "counts": kinclass.classification_counts(),
+    "algebras": kinclass.classification_rows(),
+})
+_GRAPH = Serialised(lambda: [
+    {"from": s, "to": d, "type": k} for s, d, k in kinclass.contraction_graph()
+])
+
+
+def _run_classify(args) -> Serialised:
+    return _CLASSIFY
 
 
 def _run_contract(args) -> dict:
     try:
-        triple = kinclass.triple_of_name(args.source)
+        return {"to": kinclass.contraction_target(args.source, args.kind)}
     except KeyError as exc:
         raise UsageError(str(exc)) from None
-    return {"to": kinclass.name_of(kinclass.contract_triple(triple, args.kind))}
 
 
-def _run_graph(args) -> list | str:
+def _run_graph(args) -> Serialised | str:
+    if args.format == "json":
+        return _GRAPH
     edges = kinclass.contraction_graph()
-    if args.format == "dot":
-        lines = [f'  "{src}" -> "{dst}" [label="{kind}"];' for src, dst, kind in edges]
-        return "\n".join(["digraph contractions {", *lines, "}", ""])
-    return [{"from": s, "to": d, "type": k} for s, d, k in edges]
+    lines = [f'  "{src}" -> "{dst}" [label="{kind}"];' for src, dst, kind in edges]
+    return "\n".join(["digraph contractions {", *lines, "}", ""])
 
 
 def _run_exp(args) -> dict:

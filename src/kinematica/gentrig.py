@@ -37,7 +37,8 @@ def cosk_sink(kappa: float, phi: float) -> tuple[float, float]:
     """(cosk(kappa, phi), sink(kappa, phi)) from one branch choice.
 
     Raises:
-        TrigOverflow: when sqrt(|kappa|)*phi is not finite or cosh overflows.
+        TrigOverflow: when sqrt(|kappa|)*phi is not finite, cosh overflows,
+            or sinh(x)/sqrt(|kappa|) overflows at a tiny label.
     """
     if kappa == 0.0:
         return 1.0, phi
@@ -58,10 +59,14 @@ def cosk_sink(kappa: float, phi: float) -> tuple[float, float]:
         raise TrigOverflow(f"cosk({kappa}, {phi}): argument {x} is not finite")
     try:
         if kappa > 0.0:
-            return math.cos(x), math.sin(x) / r
-        return math.cosh(x), math.sinh(x) / r
+            c, s = math.cos(x), math.sin(x) / r
+        else:
+            c, s = math.cosh(x), math.sinh(x) / r
     except OverflowError as exc:
         raise TrigOverflow(f"cosk({kappa}, {phi}): {exc}") from None
+    if not math.isfinite(s):
+        raise TrigOverflow(f"sink({kappa}, {phi}) = {s} is not finite")
+    return c, s
 
 
 def cosk(kappa: float, phi: float) -> float:

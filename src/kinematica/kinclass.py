@@ -206,13 +206,42 @@ def contract_triple(t: BracketTriple, kind: str) -> BracketTriple:
 
 
 @functools.cache
+def _contraction_targets() -> dict[tuple[str, str], str]:
+    # (class name or alias, contraction type) -> the class it contracts to
+    spellings = {**{name: name for name in KINEMATICAL_NAMES}, **NAME_ALIASES}
+    return {
+        (spelling, kind): name_of(contract_triple(KINEMATICAL_NAMES[name], kind))
+        for spelling, name in spellings.items()
+        for kind in CONTRACTION_EXPONENTS
+    }
+
+
+def contraction_target(name: str, kind: str) -> str:
+    """The class that ``name`` (a class name or an alias) contracts to under ``kind``.
+
+    Every name, alias and contraction type is contracted once per process, on
+    the first call, into one table that later calls read.
+
+    Raises:
+        KeyError: for an unknown name, with :func:`triple_of_name`'s message,
+            or an unknown contraction type.
+    """
+    target = _contraction_targets().get((name, kind))
+    if target is None:
+        triple_of_name(name)  # raises for an unknown name
+        raise KeyError(f"unknown contraction type {kind!r}")
+    return target
+
+
+@functools.cache
 def _contraction_edges() -> tuple[tuple[str, str, str], ...]:
     order = {name: i for i, name in enumerate(KINEMATICAL_NAMES)}
     kinds = tuple(CONTRACTION_EXPONENTS)
+    targets = _contraction_targets()
     edges = set()
-    for name, triple in KINEMATICAL_NAMES.items():
+    for name in KINEMATICAL_NAMES:
         for kind in kinds:
-            target = name_of(contract_triple(triple, kind))
+            target = targets[name, kind]
             if target != name:
                 edges.add((name, target, kind))
     return tuple(sorted(edges, key=lambda e: (order[e[0]], order[e[1]], kinds.index(e[2]))))

@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import numpy as np
+
 from cli_reference import build_parser as reference_parser
+from dumps_reference import dumps as reference_dumps
 from kinematica import conformal
 from kinematica.cli import COMMANDS, UsageError, dumps, main, parse_args
 from kinematica.errors import NonFiniteResult
@@ -191,7 +194,7 @@ def test_usage_error_exit_code():
     assert "--kappa2" in assert_one_json_error(err, "usage")["message"]
     code, out, err = run_cli(["contract", "--from", "NoSuch", "--type", "speed-space"])
     assert code == 2 and out == ""
-    assert_one_json_error(err, "usage")
+    assert assert_one_json_error(err, "usage")["message"] == "\"unknown kinematics name 'NoSuch'\""
     code, out, err = run_cli(["no-such-command"])
     assert code == 2 and out == ""
     assert "no-such-command" in assert_one_json_error(err, "usage")["message"]
@@ -255,8 +258,13 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         # numpy warns of the nan product before the grade check rejects it
         (["rotate", "--axis", "0.3,-1.2,-1.2", "--angle", "1.2", "--vector",
           "1e308,-1e308,1e308", "--kappa1", "-1", "--kappa2", "-1"], "GradeError"),
+        # sinh(x) / sqrt(|kappa2|) overflows at a tiny label: no rotor is built
+        (["rotate", "--axis=-1.0,-0.698764097435411,7.284245990745025e-90",
+          "--angle=-1.0097588105310034e+90", "--vector=-1e-300,1.6872853763915074,0.0",
+          "--kappa1=2.2622132501248693", "--kappa2=-1.2416446281345907e-174"], "TrigOverflow"),
     ],
-    ids=["nan-result", "nan-pseudo-norm", "overflowing-sandwich", "numpy-warning"],
+    ids=["nan-result", "nan-pseudo-norm", "overflowing-sandwich", "numpy-warning",
+         "overflowing-sink"],
 )
 def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
     with warnings.catch_warnings(record=True) as caught:
@@ -511,6 +519,59 @@ def test_dumps_round_trips_through_json():
     assert "\n" not in text and "\t" not in text
 
 
+# finite floats of every size, with the edges of the range drawn often
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+               1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 123456789.0]
+FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(EDGE_FLOATS))
+EDGE_TEXT = ['"', "\\", '\\"', "\x00\x1f\x7f", "line\nbreak\ttab", "é ∞ 𝔤 \u2028", ""]
+JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    FINITE_FLOATS,
+    FINITE_FLOATS.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(EDGE_TEXT),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.sampled_from(EDGE_TEXT)),
+                        inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(JSON_VALUES, st.sampled_from([1, 5, 17]))
+def test_dumps_writes_the_reference_bytes(obj, precision):
+    assert dumps(obj, precision) == reference_dumps(obj, precision)
+
+
+@pytest.mark.parametrize("precision", [1, 5, 17])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf"),
+     object(), {1, 2}, 1j, Fraction(1, 3), np.bool_(True), b"bytes"],
+    ids=repr,
+)
+def test_dumps_rejects_what_the_reference_rejects(bad, precision):
+    for obj in (bad, [0, bad], {"x": (1.5, {"y": bad})}):
+        with pytest.raises(Exception) as expected:
+            reference_dumps(obj, precision)
+        with pytest.raises(Exception) as caught:
+            dumps(obj, precision)
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
+
+
 JSON_SUBCOMMANDS = [
     ["classify"],
     ["contract", "--from", "M", "--type", "speed-time"],
@@ -541,6 +602,46 @@ def test_json_and_text_commands_cover_every_command():
     json_commands = {argv[0] for argv in JSON_SUBCOMMANDS}
     assert json_commands.isdisjoint(TEXT_ONLY_COMMANDS)
     assert json_commands | TEXT_ONLY_COMMANDS == set(COMMANDS)
+
+
+def test_only_text_outputs_are_returned_as_str(tmp_path):
+    # main writes a str unchanged, so a JSON answer must never be one
+    for argv in JSON_SUBCOMMANDS:
+        assert type(COMMANDS[argv[0]].run(parse_args(argv))) is not str, argv
+    for argv in (["graph", "--format", "dot"], ["region", "--kappa1", "1", "--kappa2", "1"],
+                 ["region", "--svg", str(tmp_path / "r.svg"), "--kappa1", "1", "--kappa2", "1"]):
+        assert type(COMMANDS[argv[0]].run(parse_args(argv))) is str, argv
+
+
+@pytest.mark.parametrize("precision", [None, "5", "1"])
+def test_input_free_answers_match_their_goldens_first_repeated_and_interleaved(
+        precision, monkeypatch):
+    # classify and graph hold no float, so every precision prints the goldens;
+    # a fresh interpreter serves each of them first once, then from its kept text
+    contract = ["contract", "--from", "dS", "--type", "speed-space"]
+    distance = ["distance", "--kappa1", "-1", "--kappa2", "1", "--w1", "0,0", "--w2", "0.5,0"]
+    sequence = [["classify"], ["graph"], ["classify"], distance, ["graph", "--format", "dot"],
+                ["graph", "--format", "json"], contract, ["classify"], ["graph"]]
+    if precision is None:
+        monkeypatch.delenv("KINEMATICA_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("KINEMATICA_PRECISION", precision)
+    goldens = {"classify": "classify.json", "graph": "graph.json"}
+    expected = []
+    for argv in sequence:
+        if argv[0] in goldens and argv[-1] != "dot":
+            expected.append((GOLDEN / goldens[argv[0]]).read_text())
+        else:
+            expected.append(run_cli(argv)[1])
+    in_process = [run_cli(argv) for argv in sequence]
+    assert in_process == [(0, out, "") for out in expected]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from kinematica.cli import main; "
+                               "[main(argv) for argv in json.loads(sys.argv[1])]",
+         json.dumps(sequence)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "".join(expected), "")
 
 
 # the exact stdout of each JSON subcommand that has no file in golden/

@@ -140,6 +140,9 @@ def test_overflow_is_a_typed_error():
             with pytest.raises(TrigOverflow) as caught:
                 fn(kappa, phi)
             assert isinstance(caught.value, OverflowError)
+    # sinh(x) is finite but sinh(x) / sqrt(|kappa|) overflows at a tiny label
+    with pytest.raises(TrigOverflow):
+        cosk_sink(-1.755736798295725e-174, -5.048794052655017e+89)
     # large finite hyperbolic values still come back unchanged
     assert cosk(-1.0, 700.0) == math.cosh(700.0)
     assert sink(-1.0, 700.0) == math.sinh(700.0)
@@ -199,6 +202,7 @@ TINY = Fraction(2) ** -60
 @example(1e-301, 1e151)
 @example(-1e-301, 1e151)
 @example(5e-324, 1e200)
+@example(-1.755736798295725e-174, -5.048794052655017e+89)
 def test_labels_of_every_sign_and_size(kappa, phi):
     try:
         c, s = cosk_sink(kappa, phi)
@@ -207,6 +211,7 @@ def test_labels_of_every_sign_and_size(kappa, phi):
             with pytest.raises(TrigOverflow):
                 fn(kappa, phi)
         return
+    assert math.isfinite(c) and math.isfinite(s)
     assert (c, s) == (cosk(kappa, phi), sink(kappa, phi))
     cc, kss = c * c, kappa * s * s
     if math.isfinite(cc) and math.isfinite(kss):

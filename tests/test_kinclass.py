@@ -9,12 +9,14 @@ from kinematica.kinclass import (
     BracketTriple,
     GeneralAlgebra,
     KINEMATICAL_NAMES,
+    NAME_ALIASES,
     apply_symmetry,
     canonicalize,
     classification_counts,
     contract,
     contract_triple,
     contraction_graph,
+    contraction_target,
     enumerate_all,
     is_kinematical,
     name_of,
@@ -152,6 +154,21 @@ def test_two_step_rescaling_reaches_static_de_sitter():
     assert limit == GeneralAlgebra(Fraction(-1), Fraction(0), Fraction(0))
     assert name_of(limit.to_triple()) == "SdS"
     assert canonicalize(limit.to_triple()) == canonicalize(triple_of_name("SdS"))
+
+
+def test_contraction_target_reads_every_name_and_alias():
+    for name in [*KINEMATICAL_NAMES, *NAME_ALIASES]:
+        for kind in ("speed-space", "speed-time", "space-time"):
+            expected = name_of(contract_triple(triple_of_name(name), kind))
+            assert contraction_target(name, kind) == expected
+    for name in ("NoSuch", "ds", ""):
+        with pytest.raises(KeyError) as caught:
+            contraction_target(name, "speed-space")
+        with pytest.raises(KeyError) as expected:
+            triple_of_name(name)
+        assert str(caught.value) == str(expected.value)
+    with pytest.raises(KeyError):
+        contraction_target("dS", "no-such-type")
 
 
 def test_contraction_limits_per_type():
