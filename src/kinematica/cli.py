@@ -136,7 +136,7 @@ def _gc_json(w: GenComplex) -> dict:
 
 
 def _matrix_json(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 class UsageError(Exception):
@@ -247,7 +247,7 @@ def _run_project(args) -> dict:
 def _run_unproject(args) -> dict:
     kp = _kappas(args)
     point = ckgeom.unproject(kp, gc(*args.w, kp.kappa2))
-    return {"point": [float(c) for c in point]}
+    return {"point": point.tolist()}
 
 
 def _run_distance(args) -> dict:
@@ -260,15 +260,10 @@ def _run_rotate(args) -> dict:
     kp = _kappas(args)
     axis = clifford.UnitAxis(*args.axis)
     r = clifford.rotor(kp, axis, args.angle)
-    vec = clifford.Multivector.vector(kp, *args.vector)
-    out = clifford.sandwich(r, vec)
+    out = clifford.sandwich(r, clifford.Multivector.vector(kp, *args.vector))
     return {
-        "rotor": {
-            "kappa1": kp.kappa1,
-            "kappa2": kp.kappa2,
-            "coeffs": [float(c) for c in r.coeffs],
-        },
-        "vector": [float(c) for c in out.vector_components()],
+        "rotor": {"kappa1": kp.kappa1, "kappa2": kp.kappa2, "coeffs": r.coeffs.tolist()},
+        "vector": out.vector_components().tolist(),
     }
 
 

@@ -16,11 +16,15 @@ s1^2 = 1, s2^2 = kappa1, s1*s2 = -s2*s1 = s3check, i central with
 i^2 = -kappa2: every basis element is a reduced word i^a s1^b s2^c, and word
 multiplication only ever produces a sign times a monomial kappa1^e1 *
 kappa2^e2, so each row of the table is a signed permutation of the basis.
-The table is the source of truth for all products, which gather its 64
-signed monomial terms directly (the blade product of Dorst, Fontijne and
-Mann, Geometric Algebra for Computer Science, 2007); the 2x2 matrix picture
-is only an oracle (it is not faithful when kappa1 = 0, where s2 and s3check
-share a matrix).
+The table is the source of truth for all products.  ``Multivector.__mul__``
+is the general product: it gathers all 64 signed monomial terms directly
+(the blade product of Dorst, Fontijne and Mann, Geometric Algebra for
+Computer Science, 2007).  :func:`sandwich` gathers only the 28 terms of the
+same table that an even rotor and a vector can make nonzero, 12 for
+reverse(r) * a and 16 for the rest, summed on plain floats in the product's
+order, so its result is bit for bit the one the two 64-term products give.
+The 2x2 matrix picture is only an oracle (it is not faithful when
+kappa1 = 0, where s2 and s3check share a matrix).
 
 s3check is a primitive basis element: "division by i" never happens as an
 arithmetic operation, since i is a zero divisor whenever kappa2 <= 0.
@@ -96,6 +100,48 @@ _TERMS = [entry for row in SYMBOLIC_TABLE for entry in row]
 _PRODUCT_SIGN = np.array([float(sign) for sign, _, _, _ in _TERMS])
 _PRODUCT_MONOMIAL = np.array([e1 + 2 * e2 for _, e1, e2, _ in _TERMS])
 _PRODUCT_INDEX = np.array([k for _, _, _, k in _TERMS])
+
+_EVEN = tuple(k for k, g in enumerate(GRADES) if g % 2 == 0)
+_ODD = tuple(k for k, g in enumerate(GRADES) if g % 2)
+_VECTOR = tuple(k for k, g in enumerate(GRADES) if g == 1)
+_NOT_VECTOR = tuple(k for k, g in enumerate(GRADES) if g != 1)
+
+
+def _structural_terms(left, right, left_signs) -> tuple[tuple[int, int, int, int], ...]:
+    """(i, j, coefficient index, result index) of each e_i * e_j with i in left
+    and j in right, in the flat (i, j) order in which ``__mul__`` sums them.
+
+    The coefficient index points into (1, k1, k2, k1*k2) followed by their
+    negations, by the table's sign times ``left_signs[i]``.
+    """
+    terms = []
+    for i in left:
+        for j in right:
+            sign, e1, e2, k = SYMBOLIC_TABLE[i][j]
+            terms.append((i, j, e1 + 2 * e2 + (4 if sign * left_signs[i] < 0 else 0), k))
+    return tuple(terms)
+
+
+# the only terms of reverse(r) * a and of that odd result times r that an even
+# r and a vector a can make nonzero; the first reads r's own coefficients,
+# with the reversal's signs folded into the coefficient indices
+_REVERSED_EVEN_TIMES_VECTOR = _structural_terms(_EVEN, _VECTOR, _REVERSE_SIGNS.tolist())
+_ODD_TIMES_EVEN = _structural_terms(_ODD, _EVEN, (1.0,) * 8)
+
+
+def _gather(terms, x: list[float], y: list[float], coef: tuple[float, ...]) -> list[float]:
+    """The given terms of the product x * y, each slot summed from +0.0.
+
+    As in ``__mul__``, a term is scaled by its monomial only when nonzero, so
+    a zero term stays 0 where kappa1*kappa2 is infinite; a zero term adds
+    nothing to a sum that, started at +0.0, is never -0.0.
+    """
+    out = [0.0] * 8
+    for i, j, m, k in terms:
+        t = x[i] * y[j]
+        if t != 0.0:
+            out[k] += t * coef[m]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,22 +345,24 @@ def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:
     return Multivector.bivector(kp, n.n1, n.n2, n.n3)
 
 
+def _lift(s: SpinElement) -> Multivector:
+    """The spin element (alpha, beta) in the slots that :func:`sandwich` reads back."""
+    a, b = s.alpha, s.beta
+    return Multivector(s.kp, np.array([a.re, 0.0, 0.0, 0.0, a.im, b.im, b.re, 0.0]))
+
+
 def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:
     """exp((phi/2) B) = cosk(x, phi/2) + B sink(x, phi/2), x = -B^2.
 
-    The element of :func:`spin.spin_from_axis`, lifted into the layout that
-    :func:`sandwich` reads back.
+    The element of :func:`spin.spin_from_axis`, lifted into the 8 slots.
     """
     _require_bivector(b)
-    s = spin_from_axis(b.kp, *b.coeffs[[IS1, IS2, S3CHECK]].tolist(), phi)
-    c = np.zeros(8)
-    c[[SCALAR, IS1, IS2, S3CHECK]] = s.alpha.re, s.alpha.im, s.beta.im, s.beta.re
-    return Multivector(b.kp, c)
+    return _lift(spin_from_axis(b.kp, *b.coeffs[[IS1, IS2, S3CHECK]].tolist(), phi))
 
 
 def rotor(kp: KappaPair, n: UnitAxis, phi: float) -> Multivector:
     """The rotor about axis n through angle phi."""
-    return rotor_from_bivector(axis_bivector(kp, n), phi)
+    return _lift(spin_from_axis(kp, n.n1, n.n2, n.n3, phi))
 
 
 def sandwich(r: Multivector, a: Multivector) -> Multivector:
@@ -323,22 +371,35 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     The rotor must be even and unit as the spin element (r0 + i*r_is1,
     r_s3check + i*r_is2).  The result is a rotated about the rotor's axis,
     with the same inner-product length; other grades are rounding of |r|^2 |a|.
+
+    Only the 28 structural terms are summed (see the module docstring); the
+    result and the errors are those of the two 64-term products.
     """
-    if not r.is_even():
+    c, v = r.coeffs.tolist(), a.coeffs.tolist()
+    if any(c[k] != 0.0 for k in _ODD):  # `!=`, so that a nan is not a zero
         raise GradeError("rotor must be an even multivector")
-    c, k2 = r.coeffs.tolist(), r.kp.kappa2
+    k1, k2 = r.kp.kappa1, r.kp.kappa2
     spin = SpinElement(r.kp, gc(c[SCALAR], c[IS1], k2), gc(c[S3CHECK], c[IS2], k2))
     # written `not x <= bound` so that a nan passes neither check
     if not spin.unit_defect() <= UNIT_TOL:
         raise NotUnitRotor(f"rotor pseudo-norm {spin.pseudo_norm()} != 1")
-    if not a.is_vector():
+    if any(v[k] != 0.0 for k in _NOT_VECTOR):
         raise GradeError(f"{a} is not a pure vector")
-    out = r.reverse() * a * r
-    size = sum(map(abs, c))  # `*` below, since float ** raises on overflow
-    scale = size * size * sum(map(abs, a.coeffs.tolist()))
-    if not out.off_grade_norm((1,)) <= UNIT_TOL * max(1.0, scale):
+    r._check(a)
+    k12 = k1 * k2
+    coef = (1.0, k1, k2, k12, -1.0, -k1, -k2, -k12)
+    half = _gather(_REVERSED_EVEN_TIMES_VECTOR, c, v, coef)
+    # in the 64-term product a non-finite half meets r's zero odd slots,
+    # which puts a nan into the even grades of the result
+    if not all(map(math.isfinite, half)):
         raise GradeError("sandwich result is not a vector")
-    return out.grade_part(1)
+    out = _gather(_ODD_TIMES_EVEN, half, c, coef)
+    size = sum(map(abs, c))  # `*` below, since float ** raises on overflow
+    scale = size * size * sum(map(abs, v))
+    # the even grades of the result are exactly 0: the off-grade part is i's
+    if not abs(out[VOLUME]) <= UNIT_TOL * max(1.0, scale):
+        raise GradeError("sandwich result is not a vector")
+    return Multivector(r.kp, np.array([0.0, out[S1], out[S2], out[S3], 0.0, 0.0, 0.0, 0.0]))
 
 
 def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:

@@ -9,6 +9,7 @@ order, into one sha256.  Run it on two checkouts and compare the lines:
     python tests/replay.py                          # this checkout
     python tests/replay.py --root ../other-checkout # any other one
     python tests/replay.py --requests 20000 --seed 7
+    python tests/replay.py --workload rotors-sweep  # one stream; repeatable
 
 ``--root`` names the checkout whose ``src`` and ``bench`` are used; the
 workloads are only read, never changed.
@@ -51,6 +52,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="checkout whose src/ and bench/ to use (default: this one)")
     parser.add_argument("--requests", type=int, default=20000, help="requests per workload")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="replay only this workload; repeat for more (default: all)")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
@@ -58,8 +61,13 @@ def main(argv: list[str] | None = None) -> int:
     import workloads
     from kinematica import cli
 
-    for name, stream in workloads.WORKLOADS.items():
-        print(name, args.requests, digest(cli.main, stream(args.seed), args.requests), flush=True)
+    names = args.workload or list(workloads.WORKLOADS)
+    unknown = [name for name in names if name not in workloads.WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(workloads.WORKLOADS)}")
+    for name in names:
+        stream = workloads.WORKLOADS[name](args.seed)
+        print(name, args.requests, digest(cli.main, stream, args.requests), flush=True)
     return 0
 
 

@@ -262,16 +262,29 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         (["rotate", "--axis=-1.0,-0.698764097435411,7.284245990745025e-90",
           "--angle=-1.0097588105310034e+90", "--vector=-1e-300,1.6872853763915074,0.0",
           "--kappa1=2.2622132501248693", "--kappa2=-1.2416446281345907e-174"], "TrigOverflow"),
+        # reverse(r) * a overflows; so do the other pins' first halves above
+        (["rotate", "--axis=1,1,1", "--angle=1", "--vector=1e300,1e300,1e300",
+          "--kappa1=1e10", "--kappa2=1e10"], "GradeError"),
+        # reverse(r) * a overflows, yet i's slot of the result stays inf, not
+        # nan, within an infinite bound: only the overflow itself is the error
+        (["rotate", "--axis=1,1,0", "--angle=1", "--vector=1e308,0,1e308",
+          "--kappa1=1e10", "--kappa2=1"], "GradeError"),
+        # reverse(r) * a is finite and the rest overflows into the vector grade
+        (["rotate", "--axis=0,0,1", "--angle=1", "--vector=0,1e300,0",
+          "--kappa1=1e17", "--kappa2=1"], "NonFiniteResult"),
     ],
     ids=["nan-result", "nan-pseudo-norm", "overflowing-sandwich", "numpy-warning",
-         "overflowing-sink"],
+         "overflowing-sink", "overflowing-first-half", "infinite-volume-slot",
+         "overflowing-second-half"],
 )
 def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(argv)
     assert code == 1 and out == ""
-    assert_one_json_error(err, kind)
+    payload = assert_one_json_error(err, kind)
+    if kind == "GradeError":
+        assert payload["message"] == "sandwich result is not a vector"
     assert [str(w.message) for w in caught] == []
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geometry_checks import in_plane_rotation_check
 from kinematica.ckgeom import KappaPair
@@ -34,10 +35,14 @@ from kinematica.errors import (
     DegeneratePlane,
     GradeError,
     KappaMismatch,
+    KinematicaError,
     NotAVector,
+    NotUnitRotor,
 )
+from kinematica.gencomplex import gc
 from kinematica.gentrig import cosk, sink
 from kinematica.numerics import pauli_product_table
+from kinematica.spin import UNIT_TOL, SpinElement
 
 PATTERNS = [
     KappaPair(k1, k2)
@@ -537,6 +542,91 @@ def test_sandwich_grade_validation():
         sandwich(r, basis(kp, IS1))
     with pytest.raises(GradeError):
         sandwich(basis(kp, S1), basis(kp, S1))
+
+
+def dense_sandwich(r, a):
+    """sandwich's checks around reverse(r) * a * r through the 64-term product."""
+    c, k2 = r.coeffs.tolist(), r.kp.kappa2
+    if not r.is_even():
+        raise GradeError("rotor must be an even multivector")
+    spin = SpinElement(r.kp, gc(c[SCALAR], c[IS1], k2), gc(c[S3CHECK], c[IS2], k2))
+    if not spin.unit_defect() <= UNIT_TOL:
+        raise NotUnitRotor(f"rotor pseudo-norm {spin.pseudo_norm()} != 1")
+    if not a.is_vector():
+        raise GradeError(f"{a} is not a pure vector")
+    with np.errstate(all="ignore"):
+        out = r.reverse() * a * r
+    size = sum(map(abs, c))
+    scale = size * size * sum(map(abs, a.coeffs.tolist()))
+    if not out.off_grade_norm((1,)) <= UNIT_TOL * max(1.0, scale):
+        raise GradeError("sandwich result is not a vector")
+    return out.grade_part(1)
+
+
+def outcome(rotate, r, a):
+    """The coefficients' bits, or the error's type and message."""
+    try:
+        return (rotate(r, a).coeffs + 0.0).view(np.uint64).tolist()
+    except KinematicaError as exc:
+        return type(exc), str(exc)
+
+
+def full_mantissas(low: int, high: int):
+    """Floats with a drawn 53-bit mantissa and sign, 2**(low-1) <= |x| < 2**high."""
+    return st.builds(
+        lambda n, e: math.ldexp(n, e - 53),
+        st.integers(2**52, 2**53 - 1) | st.integers(1 - 2**53, -(2**52)),
+        st.integers(low, high),
+    )
+
+
+labels = st.one_of(
+    st.sampled_from((1.0, 0.0, -1.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300)),
+    full_mantissas(-40, 40),
+)
+angles = full_mantissas(-4, 3)
+components = st.one_of(
+    full_mantissas(-4, 2),
+    full_mantissas(-998, 1024),  # 1e-301 to the largest float
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf)),
+)
+zeros = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def rotor_and_vector(draw):
+    kp = KappaPair(draw(labels), draw(labels))
+    kind = draw(st.sampled_from(("rotor", "rotor", "scaled", "even", "any")))
+    if kind in ("rotor", "scaled"):
+        try:
+            r = rotor(kp, UnitAxis(*draw(st.tuples(angles, angles, components))), draw(angles))
+        except (DegenerateAxis, OverflowError):
+            r = Multivector.scalar(kp, 1.0)
+        if kind == "scaled":
+            r = r * draw(st.sampled_from((-1.0, 1 + 1e-9, 1 - 1e-7, 2.0)))
+    else:
+        c = [draw(components if GRADES[k] % 2 == 0 or kind == "any" else zeros)
+             for k in range(8)]
+        r = Multivector(kp, c)
+    v = [draw(components if g == 1 else zeros) for g in GRADES]
+    if draw(st.integers(0, 9)) == 0:  # a non-vector
+        v[draw(st.sampled_from((SCALAR, IS1, IS2, S3CHECK, VOLUME)))] = draw(
+            st.sampled_from((1.0, -1e-300, math.nan))
+        )
+    return r, Multivector(kp, v)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(rotor_and_vector())
+# reverse(r) * a overflows; i's slot of the result is inf, not nan, and its
+# bound, |r|^2 |a| times UNIT_TOL, is inf as well
+@example((rotor(KappaPair(1e10, 1.0), UnitAxis(1, 1, 0), 1.0),
+          Multivector.vector(KappaPair(1e10, 1.0), 1e308, 0.0, 1e308)))
+def test_sandwich_is_the_dense_product_bit_for_bit(pair):
+    # the 28 gathered terms against both 64-term products: the same bits,
+    # including every overflow, or the same typed error
+    r, a = pair
+    assert outcome(sandwich, r, a) == outcome(dense_sandwich, r, a)
 
 
 def test_an_infinite_component_stays_in_its_grade():
