@@ -573,7 +573,8 @@ def test_dumps_writes_the_reference_bytes(obj, precision):
     "bad",
     [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf"),
      object(), {1, 2}, 1j, Fraction(1, 3), np.bool_(True), b"bytes"],
-    ids=repr,
+    # a bare object's repr holds its address, which differs from run to run
+    ids=lambda bad: "object()" if type(bad) is object else repr(bad),
 )
 def test_dumps_rejects_what_the_reference_rejects(bad, precision):
     for obj in (bad, [0, bad], {"x": (1.5, {"y": bad})}):
