@@ -16,13 +16,13 @@ s1^2 = 1, s2^2 = kappa1, s1*s2 = -s2*s1 = s3check, i central with
 i^2 = -kappa2: every basis element is a reduced word i^a s1^b s2^c, and word
 multiplication only ever produces a sign times a monomial kappa1^e1 *
 kappa2^e2, so each row of the table is a signed permutation of the basis.
-The table is the source of truth for all products.  ``Multivector.__mul__``
-is the general product: it gathers all 64 signed monomial terms directly
-(the blade product of Dorst, Fontijne and Mann, Geometric Algebra for
-Computer Science, 2007).  :func:`sandwich` gathers only the 28 terms of the
-same table that an even rotor and a vector can make nonzero, 12 for
-reverse(r) * a and 16 for the rest, summed on plain floats in the product's
-order, so its result is bit for bit the one the two 64-term products give.
+The table is the source of truth for all products, and every product is one
+engine, :func:`_gather`, summing a term list of it on plain floats (the blade
+product of Dorst, Fontijne and Mann, Geometric Algebra for Computer Science,
+2007).  ``Multivector.__mul__``, the general product, sums all 64 terms;
+:func:`sandwich` sums only the 28 that an even rotor and a vector can make
+nonzero, 12 for reverse(r) * a and 16 for the rest, in the same order, so
+its result is bit for bit the one the two 64-term products give.
 The 2x2 matrix picture is only an oracle (it is not faithful when
 kappa1 = 0, where s2 and s3check share a matrix).
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ import numpy as np
 from .ckgeom import KappaPair
 from .errors import (
     DegenerateAxis,
+    DegeneratePlane,
     GradeError,
     KappaMismatch,
     NotAVector,
@@ -94,13 +96,6 @@ SYMBOLIC_TABLE = tuple(
 )
 
 
-# SYMBOLIC_TABLE flattened in (i, j) order: the sign of each e_i * e_j, which
-# monomial 1, kappa1, kappa2, kappa1*kappa2 it carries, and its result index
-_TERMS = [entry for row in SYMBOLIC_TABLE for entry in row]
-_PRODUCT_SIGN = np.array([float(sign) for sign, _, _, _ in _TERMS])
-_PRODUCT_MONOMIAL = np.array([e1 + 2 * e2 for _, e1, e2, _ in _TERMS])
-_PRODUCT_INDEX = np.array([k for _, _, _, k in _TERMS])
-
 _EVEN = tuple(k for k, g in enumerate(GRADES) if g % 2 == 0)
 _ODD = tuple(k for k, g in enumerate(GRADES) if g % 2)
 _VECTOR = tuple(k for k, g in enumerate(GRADES) if g == 1)
@@ -109,10 +104,10 @@ _NOT_VECTOR = tuple(k for k, g in enumerate(GRADES) if g != 1)
 
 def _structural_terms(left, right, left_signs) -> tuple[tuple[int, int, int, int], ...]:
     """(i, j, coefficient index, result index) of each e_i * e_j with i in left
-    and j in right, in the flat (i, j) order in which ``__mul__`` sums them.
+    and j in right, in the flat (i, j) order.
 
-    The coefficient index points into (1, k1, k2, k1*k2) followed by their
-    negations, by the table's sign times ``left_signs[i]``.
+    The coefficient index points into :func:`_coefficients`, by the table's
+    sign times ``left_signs[i]``.
     """
     terms = []
     for i in left:
@@ -122,19 +117,31 @@ def _structural_terms(left, right, left_signs) -> tuple[tuple[int, int, int, int
     return tuple(terms)
 
 
-# the only terms of reverse(r) * a and of that odd result times r that an even
-# r and a vector a can make nonzero; the first reads r's own coefficients,
-# with the reversal's signs folded into the coefficient indices
+# all 64 terms of the general product; then the only terms of reverse(r) * a
+# and of that odd result times r that an even r and a vector a can make
+# nonzero, the first reading r's own coefficients with the reversal's signs
+# folded into the coefficient indices
+_ALL_TERMS = _structural_terms(range(8), range(8), (1.0,) * 8)
 _REVERSED_EVEN_TIMES_VECTOR = _structural_terms(_EVEN, _VECTOR, _REVERSE_SIGNS.tolist())
 _ODD_TIMES_EVEN = _structural_terms(_ODD, _EVEN, (1.0,) * 8)
+
+
+def _coefficients(kp: KappaPair) -> tuple[float, ...]:
+    """(1, k1, k2, k1*k2) followed by their negations."""
+    k1, k2 = kp.kappa1, kp.kappa2
+    k12 = k1 * k2
+    return (1.0, k1, k2, k12, -1.0, -k1, -k2, -k12)
 
 
 def _gather(terms, x: list[float], y: list[float], coef: tuple[float, ...]) -> list[float]:
     """The given terms of the product x * y, each slot summed from +0.0.
 
-    As in ``__mul__``, a term is scaled by its monomial only when nonzero, so
-    a zero term stays 0 where kappa1*kappa2 is infinite; a zero term adds
-    nothing to a sum that, started at +0.0, is never -0.0.
+    Every product of this module is this sum over a term list of
+    ``SYMBOLIC_TABLE``: 64 terms for ``__mul__``, 28 for :func:`sandwich`.
+    The coefficient product comes first, and a term is scaled by its
+    monomial only when nonzero, so a zero term stays 0 where kappa1*kappa2
+    is infinite; a zero term adds nothing to a sum that, started at +0.0,
+    is never -0.0.
     """
     out = [0.0] * 8
     for i, j, m, k in terms:
@@ -218,18 +225,8 @@ class Multivector:
         if isinstance(other, (int, float)):
             return Multivector(self.kp, self.coeffs * other)
         self._check(other)
-        k1, k2 = self.kp.kappa1, self.kp.kappa2
-        k12 = k1 * k2
-        coef = np.array([1.0, k1, k2, k12])[_PRODUCT_MONOMIAL] * _PRODUCT_SIGN
-        terms = (self.coeffs[:, None] * other.coeffs).ravel()
-        if math.isfinite(k12):
-            terms *= coef
-        else:  # a zero term stays 0 where 0 * inf would be nan
-            nonzero = terms != 0.0
-            terms[nonzero] *= coef[nonzero]
-        return Multivector(
-            self.kp, np.bincount(_PRODUCT_INDEX, terms, minlength=8)
-        )
+        x, y = self.coeffs.tolist(), other.coeffs.tolist()
+        return Multivector(self.kp, _gather(_ALL_TERMS, x, y, _coefficients(self.kp)))
 
     def __rmul__(self, other: float) -> "Multivector":
         return Multivector(self.kp, self.coeffs * other)
@@ -327,17 +324,20 @@ class UnitAxis:
     n3: float
 
     def __post_init__(self) -> None:
+        n1, n2, n3 = self.n1, self.n2, self.n3
         try:
-            norm = math.sqrt(self.n1**2 + self.n2**2 + self.n3**2)
+            squares = n1**2 + n2**2 + n3**2
         except OverflowError:  # float ** raises where * would give inf
-            raise DegenerateAxis(
-                f"axis ({self.n1}, {self.n2}, {self.n3}) overflows when squared"
-            ) from None
+            raise DegenerateAxis(f"axis ({n1}, {n2}, {n3}) overflows when squared") from None
+        if squares < sys.float_info.min:  # subnormal squares lose bits; 2**600 is exact
+            n1, n2, n3 = (x * 2.0**600 for x in (n1, n2, n3))
+            squares = n1**2 + n2**2 + n3**2
+        norm = math.sqrt(squares)
         if norm == 0.0 or not math.isfinite(norm):
             raise DegenerateAxis(f"axis norm {norm} must be nonzero and finite")
-        object.__setattr__(self, "n1", self.n1 / norm)
-        object.__setattr__(self, "n2", self.n2 / norm)
-        object.__setattr__(self, "n3", self.n3 / norm)
+        object.__setattr__(self, "n1", n1 / norm)
+        object.__setattr__(self, "n2", n2 / norm)
+        object.__setattr__(self, "n3", n3 / norm)
 
 
 def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:
@@ -372,13 +372,14 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     r_s3check + i*r_is2).  The result is a rotated about the rotor's axis,
     with the same inner-product length; other grades are rounding of |r|^2 |a|.
 
-    Only the 28 structural terms are summed (see the module docstring); the
-    result and the errors are those of the two 64-term products.
+    :func:`_gather` sums only the 28 structural terms of the two products
+    (see the module docstring); the result and the errors are those of the
+    two 64-term products.
     """
     c, v = r.coeffs.tolist(), a.coeffs.tolist()
     if any(c[k] != 0.0 for k in _ODD):  # `!=`, so that a nan is not a zero
         raise GradeError("rotor must be an even multivector")
-    k1, k2 = r.kp.kappa1, r.kp.kappa2
+    k2 = r.kp.kappa2
     spin = SpinElement(r.kp, gc(c[SCALAR], c[IS1], k2), gc(c[S3CHECK], c[IS2], k2))
     # written `not x <= bound` so that a nan passes neither check
     if not spin.unit_defect() <= UNIT_TOL:
@@ -386,8 +387,7 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     if any(v[k] != 0.0 for k in _NOT_VECTOR):
         raise GradeError(f"{a} is not a pure vector")
     r._check(a)
-    k12 = k1 * k2
-    coef = (1.0, k1, k2, k12, -1.0, -k1, -k2, -k12)
+    coef = _coefficients(r.kp)
     half = _gather(_REVERSED_EVEN_TIMES_VECTOR, c, v, coef)
     # in the 64-term product a non-finite half meets r's zero odd slots,
     # which puts a nan into the even grades of the result
@@ -422,22 +422,26 @@ def plane_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, Multivector, bool
     Returns (e, f, substituted).  When kappa1 = 0 and n1 != 0 no factorization
     exists; the conventional substitute plane s3 ^ s2 (the t-x coordinate
     plane, which the rotation preserves) is returned with the flag set.
+    Raises DegeneratePlane where e, which divides by kappa1, is not finite.
     """
-    k1 = kp.kappa1
+    k1, n1, n2, n3 = kp.kappa1, n.n1, n.n2, n.n3
     if k1 != 0.0:
-        va = Multivector.vector(kp, k1 * n.n3, 0.0, n.n1)
-        vb = Multivector.vector(kp, k1 * n.n2, -n.n1, 0.0)
-        vc = Multivector.vector(kp, 0.0, n.n3, n.n2)
-        # (e, f) with e ^ f = B, scaling the largest available component
-        which = max(range(3), key=lambda m: abs((n.n1, n.n2, n.n3)[m]))
+        va, vc = (k1 * n3, 0.0, n1), (0.0, n3, n2)
+        # (e, f) with e ^ f = B: e is va or vb = (k1*n2, -n1, 0) divided by
+        # k1 times the largest component, with k1 cancelled where it is a
+        # factor, so that no subnormal product rounds the quotient
+        which = max(range(3), key=lambda m: abs((n1, n2, n3)[m]))
         if which == 2:
-            return va * (1.0 / (k1 * n.n3)), vc, False
-        if which == 0:
-            return vb * (1.0 / (k1 * n.n1)), va, False
-        return vb * (1.0 / (k1 * n.n2)), vc, False
-    if n.n1 == 0.0:
-        vc = Multivector.vector(kp, 0.0, n.n3, n.n2)
-        return Multivector.basis(kp, S1), vc, False
+            e, f = (1.0, 0.0, n1 / k1 / n3), vc
+        elif which == 0:
+            e, f = (n2 / n1, -1.0 / k1, 0.0), va
+        else:
+            e, f = (1.0, -n1 / k1 / n2, 0.0), vc
+        if not all(map(math.isfinite, e)):
+            raise DegeneratePlane(f"the plane of {n} at kappa1 = {k1} has no finite factor")
+        return Multivector.vector(kp, *e), Multivector.vector(kp, *f), False
+    if n1 == 0.0:
+        return Multivector.basis(kp, S1), Multivector.vector(kp, 0.0, n3, n2), False
     return (
         Multivector.basis(kp, S3),
         Multivector.basis(kp, S2),

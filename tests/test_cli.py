@@ -463,6 +463,22 @@ def test_rotate_of_a_large_vector_is_a_vector():
     assert run_cli(argv) == (0, expected, "")
 
 
+def test_rotate_about_a_tiny_axis_normalises_it():
+    # the squared norm of these axes is subnormal or 0; the first printed a
+    # rotor scalar 0.97167194917256561, as though the "unit" axis were 0.954,
+    # and the second ended in DegenerateAxis "axis norm 0.0"
+    rest = ["--angle=0.5", "--vector=1,2,3", "--kappa1=1", "--kappa2=1"]
+    assert run_cli(["rotate", "--axis=3e-162,0,0", *rest]) == run_cli(["rotate", "--axis=1,0,0", *rest])
+    expected = (
+        '{"rotor":{"kappa1":1,"kappa2":1,'
+        '"coeffs":[0.96891242171064473,0,0,0,0.17494101728127348,0.17494101728127348,0,0]},'
+        '"vector":[0.044193570791679002,2.9558064292083208,2.2937426362500726]}\n'
+    )
+    assert run_cli(["rotate", "--axis=1e-200,1e-200,0", *rest]) == (0, expected, "")
+    unit = json.loads(run_cli(["rotate", "--axis=1,1,0", *rest])[1])
+    assert json.loads(expected)["vector"] == pytest.approx(unit["vector"], abs=1e-15)
+
+
 def test_region_svg_into_missing_directory_is_a_usage_error(tmp_path):
     target = tmp_path / "no-such-dir" / "x.svg"
     code, out, err = run_cli(["region", "--svg", str(target), "--kappa1", "1", "--kappa2", "1"])

@@ -283,6 +283,17 @@ def test_degenerate_axis_is_a_typed_error():
         assert isinstance(caught.value, ValueError)
 
 
+def test_a_tiny_axis_is_normalised_as_its_scaled_copy():
+    # the squares of these axes are subnormal or 0: scaled by a power of two,
+    # they normalise to the bits of the same direction at unit size
+    assert UnitAxis(3e-162, 0, 0) == UnitAxis(1, 0, 0)
+    assert UnitAxis(-5e-324, 0, 5e-324) == UnitAxis(-1, 0, 1)
+    n = (0.3, -1.2, 0.5)
+    assert UnitAxis(*(math.ldexp(x, -700) for x in n)) == UnitAxis(*n)
+    tiny = UnitAxis(1e-200, 1e-200, 0)
+    assert tiny.n1 == tiny.n2 == pytest.approx(UnitAxis(1, 1, 0).n1, rel=1e-15)
+
+
 def test_rotor_examples():
     kp = KappaPair(1.0, 1.0)
     assert rotor(kp, UnitAxis(1, 0, 0), 0.0).approx_eq(
@@ -444,6 +455,26 @@ def test_plane_of_substitution_flag():
     assert not substituted
 
 
+@pytest.mark.parametrize("k1", [5e-324, -5e-324, 1e-300, -1e-300])
+@pytest.mark.parametrize(
+    "axis",
+    [(0, 0, 1), (0.1, 0.3, 1), (1, 0, 0), (1, 0.5, 0.3), (0, 1, 0), (0.3, 1, 0.5)],
+    ids=["n3", "n3-largest", "n1", "n1-largest", "n2", "n2-largest"],
+)
+def test_plane_of_at_a_tiny_kappa1_is_finite_or_a_typed_error(k1, axis):
+    # the factor divides by kappa1 times the largest component: at 5e-324 and
+    # n1 != 0 its true value is beyond the float range, never a nan vector
+    kp, n = KappaPair(k1, 1.0), UnitAxis(*axis)
+    if abs(k1) == 5e-324 and n.n1 != 0.0:
+        with pytest.raises(DegeneratePlane):
+            plane_of(kp, n)
+        return
+    e, f, substituted = plane_of(kp, n)
+    assert not substituted
+    assert np.isfinite(e.coeffs).all() and np.isfinite(f.coeffs).all()
+    assert wedge(e, f).approx_eq(axis_bivector(kp, n), 1e-15)
+
+
 @pytest.mark.parametrize("kp", PATTERNS)
 def test_in_plane_rotation_closed_form(kp):
     rng = np.random.default_rng(83)
@@ -544,6 +575,28 @@ def test_sandwich_grade_validation():
         sandwich(basis(kp, S1), basis(kp, S1))
 
 
+# SYMBOLIC_TABLE flattened in (i, j) order: the sign of each e_i * e_j, which
+# monomial 1, kappa1, kappa2, kappa1*kappa2 it carries, and its result index
+_TERMS = [entry for row in SYMBOLIC_TABLE for entry in row]
+_PRODUCT_SIGN = np.array([float(sign) for sign, _, _, _ in _TERMS])
+_PRODUCT_MONOMIAL = np.array([e1 + 2 * e2 for _, e1, e2, _ in _TERMS])
+_PRODUCT_INDEX = np.array([k for _, _, _, k in _TERMS])
+
+
+def dense_product(x, y):
+    """x * y as an independent numpy gather of all 64 terms, summed by bincount."""
+    k1, k2 = x.kp.kappa1, x.kp.kappa2
+    k12 = k1 * k2
+    coef = np.array([1.0, k1, k2, k12])[_PRODUCT_MONOMIAL] * _PRODUCT_SIGN
+    terms = (x.coeffs[:, None] * y.coeffs).ravel()
+    if math.isfinite(k12):
+        terms *= coef
+    else:  # a zero term stays 0 where 0 * inf would be nan
+        nonzero = terms != 0.0
+        terms[nonzero] *= coef[nonzero]
+    return Multivector(x.kp, np.bincount(_PRODUCT_INDEX, terms, minlength=8))
+
+
 def dense_sandwich(r, a):
     """sandwich's checks around reverse(r) * a * r through the 64-term product."""
     c, k2 = r.coeffs.tolist(), r.kp.kappa2
@@ -555,7 +608,7 @@ def dense_sandwich(r, a):
     if not a.is_vector():
         raise GradeError(f"{a} is not a pure vector")
     with np.errstate(all="ignore"):
-        out = r.reverse() * a * r
+        out = dense_product(dense_product(r.reverse(), a), r)
     size = sum(map(abs, c))
     scale = size * size * sum(map(abs, a.coeffs.tolist()))
     if not out.off_grade_norm((1,)) <= UNIT_TOL * max(1.0, scale):
@@ -627,6 +680,36 @@ def test_sandwich_is_the_dense_product_bit_for_bit(pair):
     # including every overflow, or the same typed error
     r, a = pair
     assert outcome(sandwich, r, a) == outcome(dense_sandwich, r, a)
+
+
+def product_bits(product, x, y):
+    """The coefficients' bits, with every nan read as the one quiet nan."""
+    c = product(x, y).coeffs + 0.0
+    return np.where(np.isnan(c), math.nan, c).view(np.uint64).tolist()
+
+
+@st.composite
+def multivector_pair(draw):
+    kp = KappaPair(draw(labels), draw(labels))
+
+    def operand():  # nonzero slots in a drawn set of grades
+        grades = draw(st.sets(st.integers(0, 3), min_size=1))
+        return Multivector(kp, [draw(components if g in grades else zeros) for g in GRADES])
+
+    return operand(), operand()
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(multivector_pair())
+# kappa1*kappa2 overflows: s3 * s3 is inf, while the zero terms beside it stay 0
+@example((Multivector.vector(KappaPair(1e300, 1e300), 0.0, -0.0, 2.0),
+          Multivector.vector(KappaPair(1e300, 1e300), 1.0, 0.0, 3.0)))
+def test_product_is_the_dense_product_bit_for_bit(pair):
+    # the gathered 64 terms against the numpy gather: the same bits,
+    # including every overflow and nan
+    x, y = pair
+    with np.errstate(all="ignore"):
+        assert product_bits(Multivector.__mul__, x, y) == product_bits(dense_product, x, y)
 
 
 def test_an_infinite_component_stays_in_its_grade():
