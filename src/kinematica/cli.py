@@ -262,8 +262,8 @@ def _run_rotate(args) -> dict:
     r = clifford.rotor(kp, axis, args.angle)
     out = clifford.sandwich(r, clifford.Multivector.vector(kp, *args.vector))
     return {
-        "rotor": {"kappa1": kp.kappa1, "kappa2": kp.kappa2, "coeffs": r.coeffs.tolist()},
-        "vector": out.vector_components().tolist(),
+        "rotor": {"kappa1": kp.kappa1, "kappa2": kp.kappa2, "coeffs": r.coeffs},
+        "vector": out.vector_components(),
     }
 
 
@@ -529,10 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     precision = _precision()
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        # a non-finite input is reported by the typed error it ends in, not
-        # by numpy warnings printed ahead of that error's JSON line
-        with np.errstate(all="ignore"):
-            out = COMMANDS[args.command].run(args)
+        out = COMMANDS[args.command].run(args)
         sys.stdout.write(out if isinstance(out, str) else dumps(out, precision) + "\n")
     except SystemExit as exc:  # --help prints its text and exits 0
         return int(exc.code or 0)

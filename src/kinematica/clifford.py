@@ -1,6 +1,7 @@
 """The eight-dimensional Clifford algebra behind the motion groups.
 
-Basis order (fixed everywhere, including the JSON encoding):
+A multivector holds its eight coefficients as a tuple of Python floats, in
+the basis order (fixed everywhere, including the JSON encoding):
 
     index 0: 1        scalar
     index 1: s1       |  vectors; s1^2 = 1, s2^2 = kappa1,
@@ -22,9 +23,11 @@ product of Dorst, Fontijne and Mann, Geometric Algebra for Computer Science,
 2007).  ``Multivector.__mul__``, the general product, sums all 64 terms;
 :func:`sandwich` sums only the 28 that an even rotor and a vector can make
 nonzero, 12 for reverse(r) * a and 16 for the rest, in the same order, so
-its result is bit for bit the one the two 64-term products give.
-The 2x2 matrix picture is only an oracle (it is not faithful when
-kappa1 = 0, where s2 and s3check share a matrix).
+its result is bit for bit the one the two 64-term products give.  The
+linear operations (sums, scaling, reversal, grade parts) are float loops
+over the 8 slots, so the algebra needs no numpy.  The 2x2 matrix picture
+is only an oracle (it is not faithful when kappa1 = 0, where s2 and
+s3check share a matrix).
 
 s3check is a primitive basis element: "division by i" never happens as an
 arithmetic operation, since i is a zero divisor whenever kappa2 <= 0.
@@ -32,12 +35,9 @@ arithmetic operation, since i is a zero divisor whenever kappa2 <= 0.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ckgeom import KappaPair
 from .errors import (
@@ -67,15 +67,9 @@ _WORDS = (
 _WORD_INDEX = {w: idx for idx, w in enumerate(_WORDS)}
 
 GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
-_REVERSE_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+_REVERSE_SIGNS = (1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0)
 
 SCALAR, S1, S2, S3, IS1, IS2, S3CHECK, VOLUME = range(8)
-
-
-@functools.cache
-def _slots_outside(grades: tuple[int, ...]) -> np.ndarray:
-    """The basis indices whose grade is not in grades."""
-    return np.array([k for k, g in enumerate(GRADES) if g not in grades], dtype=int)
 
 
 def _symbolic_entry(i: int, j: int) -> tuple[int, int, int, int]:
@@ -122,7 +116,7 @@ def _structural_terms(left, right, left_signs) -> tuple[tuple[int, int, int, int
 # nonzero, the first reading r's own coefficients with the reversal's signs
 # folded into the coefficient indices
 _ALL_TERMS = _structural_terms(range(8), range(8), (1.0,) * 8)
-_REVERSED_EVEN_TIMES_VECTOR = _structural_terms(_EVEN, _VECTOR, _REVERSE_SIGNS.tolist())
+_REVERSED_EVEN_TIMES_VECTOR = _structural_terms(_EVEN, _VECTOR, _REVERSE_SIGNS)
 _ODD_TIMES_EVEN = _structural_terms(_ODD, _EVEN, (1.0,) * 8)
 
 
@@ -133,7 +127,7 @@ def _coefficients(kp: KappaPair) -> tuple[float, ...]:
     return (1.0, k1, k2, k12, -1.0, -k1, -k2, -k12)
 
 
-def _gather(terms, x: list[float], y: list[float], coef: tuple[float, ...]) -> list[float]:
+def _gather(terms, x, y, coef: tuple[float, ...]) -> list[float]:
     """The given terms of the product x * y, each slot summed from +0.0.
 
     Every product of this module is this sum over a term list of
@@ -151,56 +145,52 @@ def _gather(terms, x: list[float], y: list[float], coef: tuple[float, ...]) -> l
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Multivector:
-    """Eight real coefficients over the documented basis order.
+    """Eight real coefficients over the documented basis order, held as a
+    tuple of floats.
 
-    Compared with :meth:`approx_eq`; ``==`` is identity (ndarray field).
+    ``==`` compares the labels and the coefficients; :meth:`approx_eq`
+    compares within a tolerance.
     """
 
     kp: KappaPair
-    coeffs: np.ndarray
+    coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (8,):
+        c = self.coeffs
+        # a str or a number is not 8 coefficients, nor are 8 rows of an array
+        if (isinstance(c, str) or not hasattr(c, "__len__") or len(c) != 8
+                or any(hasattr(x, "__len__") for x in c)):
             raise ValueError("need exactly 8 coefficients")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", tuple(map(float, c)))
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, kp: KappaPair) -> "Multivector":
-        return cls(kp, np.zeros(8))
+        return cls(kp, (0.0,) * 8)
 
     @classmethod
     def scalar(cls, kp: KappaPair, value: float) -> "Multivector":
-        c = np.zeros(8)
-        c[SCALAR] = value
-        return cls(kp, c)
+        return cls(kp, (value, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def vector(cls, kp: KappaPair, a1: float, a2: float, a3: float) -> "Multivector":
-        c = np.zeros(8)
-        c[S1], c[S2], c[S3] = a1, a2, a3
-        return cls(kp, c)
+        return cls(kp, (0.0, a1, a2, a3, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def bivector(cls, kp: KappaPair, b1: float, b2: float, b3: float) -> "Multivector":
         """b1*is1 + b2*is2 + b3*s3check."""
-        c = np.zeros(8)
-        c[IS1], c[IS2], c[S3CHECK] = b1, b2, b3
-        return cls(kp, c)
+        return cls(kp, (0.0, 0.0, 0.0, 0.0, b1, b2, b3, 0.0))
 
     @classmethod
     def volume(cls, kp: KappaPair, value: float) -> "Multivector":
-        c = np.zeros(8)
-        c[VOLUME] = value
-        return cls(kp, c)
+        return cls(kp, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, value))
 
     @classmethod
     def basis(cls, kp: KappaPair, index: int) -> "Multivector":
-        c = np.zeros(8)
+        c = [0.0] * 8
         c[index] = 1.0
         return cls(kp, c)
 
@@ -212,45 +202,44 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check(other)
-        return Multivector(self.kp, self.coeffs + other.coeffs)
+        return Multivector(self.kp, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check(other)
-        return Multivector(self.kp, self.coeffs - other.coeffs)
+        return Multivector(self.kp, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.kp, -self.coeffs)
+        return Multivector(self.kp, [-x for x in self.coeffs])
 
     def __mul__(self, other: "Multivector | float") -> "Multivector":
-        if isinstance(other, (int, float)):
-            return Multivector(self.kp, self.coeffs * other)
+        if isinstance(other, (int, float)):  # every slot, so 0 * inf is nan
+            return Multivector(self.kp, [x * other for x in self.coeffs])
         self._check(other)
-        x, y = self.coeffs.tolist(), other.coeffs.tolist()
-        return Multivector(self.kp, _gather(_ALL_TERMS, x, y, _coefficients(self.kp)))
+        coef = _coefficients(self.kp)
+        return Multivector(self.kp, _gather(_ALL_TERMS, self.coeffs, other.coeffs, coef))
 
-    def __rmul__(self, other: float) -> "Multivector":
-        return Multivector(self.kp, self.coeffs * other)
+    __rmul__ = __mul__
 
     def reverse(self) -> "Multivector":
         """Reversal anti-automorphism: bivector and volume parts negate."""
-        return Multivector(self.kp, self.coeffs * _REVERSE_SIGNS)
+        return Multivector(self.kp, [x * s for x, s in zip(self.coeffs, _REVERSE_SIGNS)])
 
     # -- grade bookkeeping ----------------------------------------------------
 
     def grade_part(self, grade: int) -> "Multivector":
-        c = self.coeffs.copy()
-        c[_slots_outside((grade,))] = 0.0
+        c = [x if g == grade else 0.0 for x, g in zip(self.coeffs, GRADES)]
         return Multivector(self.kp, c)
 
     def scalar_part(self) -> float:
-        return float(self.coeffs[SCALAR])
+        return self.coeffs[SCALAR]
 
-    def vector_components(self) -> np.ndarray:
-        return self.coeffs[[S1, S2, S3]].copy()
+    def vector_components(self) -> tuple[float, float, float]:
+        return self.coeffs[S1:S3 + 1]
 
     def off_grade_norm(self, grades: tuple[int, ...]) -> float:
         """The largest |coefficient| outside grades; nan if any of them is nan."""
-        return float(np.abs(self.coeffs[_slots_outside(grades)]).max(initial=0.0))
+        outside = [abs(x) for x, g in zip(self.coeffs, GRADES) if g not in grades]
+        return math.nan if any(map(math.isnan, outside)) else max(outside, default=0.0)
 
     def is_vector(self) -> bool:
         return self.off_grade_norm((1,)) == 0.0
@@ -263,7 +252,7 @@ class Multivector:
 
     def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
         self._check(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
+        return all(abs(x - y) <= tol for x, y in zip(self.coeffs, other.coeffs))
 
     def __str__(self) -> str:
         terms = [
@@ -312,7 +301,7 @@ def left_contract(a: Multivector, b: Multivector) -> Multivector:
 def bivector_kappa(b: Multivector) -> float:
     """The rotation label -B^2 of a plane element, in closed form (spin.axis_label)."""
     _require_bivector(b)
-    return axis_label(b.kp, *b.coeffs[[IS1, IS2, S3CHECK]].tolist())
+    return axis_label(b.kp, *b.coeffs[IS1:S3CHECK + 1])
 
 
 @dataclass(frozen=True)
@@ -348,7 +337,7 @@ def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:
 def _lift(s: SpinElement) -> Multivector:
     """The spin element (alpha, beta) in the slots that :func:`sandwich` reads back."""
     a, b = s.alpha, s.beta
-    return Multivector(s.kp, np.array([a.re, 0.0, 0.0, 0.0, a.im, b.im, b.re, 0.0]))
+    return Multivector(s.kp, (a.re, 0.0, 0.0, 0.0, a.im, b.im, b.re, 0.0))
 
 
 def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:
@@ -357,7 +346,7 @@ def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:
     The element of :func:`spin.spin_from_axis`, lifted into the 8 slots.
     """
     _require_bivector(b)
-    return _lift(spin_from_axis(b.kp, *b.coeffs[[IS1, IS2, S3CHECK]].tolist(), phi))
+    return _lift(spin_from_axis(b.kp, *b.coeffs[IS1:S3CHECK + 1], phi))
 
 
 def rotor(kp: KappaPair, n: UnitAxis, phi: float) -> Multivector:
@@ -376,7 +365,7 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     (see the module docstring); the result and the errors are those of the
     two 64-term products.
     """
-    c, v = r.coeffs.tolist(), a.coeffs.tolist()
+    c, v = r.coeffs, a.coeffs
     if any(c[k] != 0.0 for k in _ODD):  # `!=`, so that a nan is not a zero
         raise GradeError("rotor must be an even multivector")
     k2 = r.kp.kappa2
@@ -399,7 +388,7 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     # the even grades of the result are exactly 0: the off-grade part is i's
     if not abs(out[VOLUME]) <= UNIT_TOL * max(1.0, scale):
         raise GradeError("sandwich result is not a vector")
-    return Multivector(r.kp, np.array([0.0, out[S1], out[S2], out[S3], 0.0, 0.0, 0.0, 0.0]))
+    return Multivector.vector(r.kp, *out[S1:S3 + 1])
 
 
 def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:
@@ -411,7 +400,7 @@ def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:
     i_form = Multivector.vector(
         kp, -kp.kappa2 * n.n1, -kp.kappa2 * n.n2, n.n3
     )
-    if float(np.max(np.abs(i_form.coeffs))) > 0.0:
+    if max(map(abs, i_form.coeffs)) > 0.0:
         return i_form, "i"
     return Multivector.vector(kp, n.n1, n.n2, 0.0), "1/i"
 

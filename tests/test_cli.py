@@ -255,7 +255,9 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         # a unit rotor, 1 + 5e299*is1 at kappa2 = 0, whose sandwich overflows
         (["rotate", "--axis=2,0,0", "--angle=1e300", "--vector=-1e300,-1e300,0.3",
           "--kappa1=1e-200", "--kappa2=0"], "GradeError"),
-        # numpy warns of the nan product before the grade check rejects it
+        # reverse(r) * a overflows in the s1 slot alone; the 64-term product
+        # would meet that inf with r's zero odd slots in a nan, so this is a
+        # GradeError, reached without a warning
         (["rotate", "--axis", "0.3,-1.2,-1.2", "--angle", "1.2", "--vector",
           "1e308,-1e308,1e308", "--kappa1", "-1", "--kappa2", "-1"], "GradeError"),
         # sinh(x) / sqrt(|kappa2|) overflows at a tiny label: no rotor is built

@@ -128,7 +128,7 @@ def test_product_follows_symbolic_table():
             x = rng.normal(size=8) * 10.0 ** rng.uniform(-4, 4, 8)
             y = rng.normal(size=8) * 10.0 ** rng.uniform(-4, 4, 8)
             expected = np.einsum("i,j,ijk->k", x, y, table)
-            got = (Multivector(kp, x) * Multivector(kp, y)).coeffs
+            got = np.asarray((Multivector(kp, x) * Multivector(kp, y)).coeffs)
             assert got.tobytes() == expected.tobytes()
 
 
@@ -588,7 +588,7 @@ def dense_product(x, y):
     k1, k2 = x.kp.kappa1, x.kp.kappa2
     k12 = k1 * k2
     coef = np.array([1.0, k1, k2, k12])[_PRODUCT_MONOMIAL] * _PRODUCT_SIGN
-    terms = (x.coeffs[:, None] * y.coeffs).ravel()
+    terms = (np.asarray(x.coeffs)[:, None] * np.asarray(y.coeffs)).ravel()
     if math.isfinite(k12):
         terms *= coef
     else:  # a zero term stays 0 where 0 * inf would be nan
@@ -599,7 +599,7 @@ def dense_product(x, y):
 
 def dense_sandwich(r, a):
     """sandwich's checks around reverse(r) * a * r through the 64-term product."""
-    c, k2 = r.coeffs.tolist(), r.kp.kappa2
+    c, k2 = np.asarray(r.coeffs).tolist(), r.kp.kappa2
     if not r.is_even():
         raise GradeError("rotor must be an even multivector")
     spin = SpinElement(r.kp, gc(c[SCALAR], c[IS1], k2), gc(c[S3CHECK], c[IS2], k2))
@@ -610,7 +610,7 @@ def dense_sandwich(r, a):
     with np.errstate(all="ignore"):
         out = dense_product(dense_product(r.reverse(), a), r)
     size = sum(map(abs, c))
-    scale = size * size * sum(map(abs, a.coeffs.tolist()))
+    scale = size * size * sum(map(abs, np.asarray(a.coeffs).tolist()))
     if not out.off_grade_norm((1,)) <= UNIT_TOL * max(1.0, scale):
         raise GradeError("sandwich result is not a vector")
     return out.grade_part(1)
@@ -619,7 +619,7 @@ def dense_sandwich(r, a):
 def outcome(rotate, r, a):
     """The coefficients' bits, or the error's type and message."""
     try:
-        return (rotate(r, a).coeffs + 0.0).view(np.uint64).tolist()
+        return (np.asarray(rotate(r, a).coeffs) + 0.0).view(np.uint64).tolist()
     except KinematicaError as exc:
         return type(exc), str(exc)
 
@@ -684,7 +684,7 @@ def test_sandwich_is_the_dense_product_bit_for_bit(pair):
 
 def product_bits(product, x, y):
     """The coefficients' bits, with every nan read as the one quiet nan."""
-    c = product(x, y).coeffs + 0.0
+    c = np.asarray(product(x, y).coeffs) + 0.0
     return np.where(np.isnan(c), math.nan, c).view(np.uint64).tolist()
 
 
@@ -718,8 +718,8 @@ def test_an_infinite_component_stays_in_its_grade():
     v = Multivector.vector(kp, math.inf, 0.0, 0.0)
     assert v.is_vector()
     assert v.off_grade_norm((1,)) == 0.0
-    assert v.grade_part(1).coeffs.tolist() == [0.0, math.inf, 0, 0, 0, 0, 0, 0]
-    assert v.grade_part(0).coeffs.tolist() == [0.0] * 8
+    assert np.asarray(v.grade_part(1).coeffs).tolist() == [0.0, math.inf, 0, 0, 0, 0, 0, 0]
+    assert np.asarray(v.grade_part(0).coeffs).tolist() == [0.0] * 8
 
 
 @pytest.mark.parametrize("slot", range(8))
@@ -748,3 +748,83 @@ def test_reverse_signs():
     a = Multivector(kp, rng.uniform(-1, 1, 8))
     b = Multivector(kp, rng.uniform(-1, 1, 8))
     assert (a * b).reverse().approx_eq(b.reverse() * a.reverse(), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1.0] * 7, [1.0] * 9, np.ones((8, 1)), np.ones((2, 4)), "12345678"],
+    ids=["7-items", "9-items", "8x1-array", "2x4-array", "str"],
+)
+def test_anything_but_8_numbers_is_rejected(coeffs):
+    with pytest.raises(ValueError, match="^need exactly 8 coefficients$"):
+        Multivector(KappaPair(1.0, 1.0), coeffs)
+
+
+@pytest.mark.parametrize(
+    "item, error", [(1j, TypeError), ("x", ValueError), (2**2000, OverflowError)]
+)
+def test_a_coefficient_float_cannot_read_raises_the_conversion_error(item, error):
+    with pytest.raises(error):
+        Multivector(KappaPair(1.0, 1.0), [item] * 8)
+
+
+def test_coefficients_are_a_tuple_of_floats_and_equality_reads_them():
+    kp = KappaPair(1.0, -1.0)
+    m = Multivector(kp, np.arange(8))
+    assert type(m.coeffs) is tuple and all(type(x) is float for x in m.coeffs)
+    assert m == Multivector(kp, [float(k) for k in range(8)])
+    assert m != Multivector(KappaPair(1.0, 1.0), m.coeffs)
+    assert m != Multivector.zero(kp)
+    assert m.vector_components() == (1.0, 2.0, 3.0)
+
+
+def bits(values):
+    """The bits of each float, with every nan read as the one quiet nan."""
+    c = np.asarray(values, dtype=float)
+    return np.where(np.isnan(c), math.nan, c).view(np.uint64).tolist()
+
+
+slots = components | st.just(math.nan)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    labels, labels, st.lists(slots, min_size=8, max_size=8),
+    st.lists(slots, min_size=8, max_size=8), slots, st.integers(0, 3),
+    st.sets(st.integers(0, 3)),
+)
+def test_linear_operations_are_the_array_operations_bit_for_bit(k1, k2, xs, ys, c, g, grades):
+    # the float loops against the same operation on the coefficient array:
+    # the same bits, signed zeros, overflows and 0 * inf included
+    kp = KappaPair(k1, k2)
+    x, y = Multivector(kp, xs), Multivector(kp, ys)
+    a, b = np.asarray(x.coeffs), np.asarray(y.coeffs)
+    outside = [k for k, grade in enumerate(GRADES) if grade not in grades]
+    with np.errstate(all="ignore"):
+        pairs = [
+            (x + y, a + b),
+            (x - y, a - b),
+            (-x, -a),
+            (x * c, a * c),
+            (c * x, c * a),
+            (x.reverse(), a * np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])),
+            (x.grade_part(g), np.where(np.array(GRADES) == g, a, 0.0)),
+        ]
+        norm = np.abs(a[outside]).max(initial=0.0)
+    for got, want in pairs:
+        assert bits(got.coeffs) == bits(want)
+    assert bits([x.off_grade_norm(tuple(grades))]) == bits([norm])
+
+
+@pytest.mark.parametrize("factor", [2.5, -0.0, math.inf, -math.inf, math.nan])
+def test_scaling_is_the_product_with_a_scalar(factor):
+    # every slot is scaled, so the nans of an infinite factor are the
+    # product's own 0 * inf; only the signs of the zeros differ
+    kp = KappaPair(1.0, 1.0)
+    for v in (
+        Multivector.vector(kp, 1.0, 0.0, 0.0),
+        Multivector(kp, [1.5, -0.0, 2.0, 0.0, -3.0, 0.0, 1e300, -5e-324]),
+    ):
+        want = bits(np.asarray((Multivector.scalar(kp, factor) * v).coeffs) + 0.0)
+        assert bits(np.asarray((v * factor).coeffs) + 0.0) == want
+        assert bits(np.asarray((factor * v).coeffs) + 0.0) == want

@@ -162,6 +162,23 @@ def test_only_gencomplex_scales_or_compares_the_squared_modulus():
     assert found == []
 
 
+@pytest.mark.parametrize("name", ["gencomplex.py", "clifford.py"])
+def test_the_scalar_algebras_import_no_numpy(name):
+    # generalized complex numbers and multivectors compute on Python floats,
+    # so numpy stays the dependency of the matrix layers alone
+    path = Path(kinematica.__file__).parent / name
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}: {m}" for m in modules if m.split(".")[0] == "numpy"]
+    assert found == []
+
+
 def test_zero_divisors_exist_iff_kappa_nonpositive():
     assert gc(1, 1, -1.0).is_zero_divisor()
     assert gc(0, 3, 0.0).is_zero_divisor()

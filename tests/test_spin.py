@@ -480,8 +480,8 @@ def test_rotor_correspondence_with_clifford(kp):
             with pytest.raises(type(exc)):
                 rotor_from_bivector(b, phi)
             continue
-        got = rotor_from_bivector(b, phi).coeffs + 0.0
-        assert np.array_equal(got, expected.coeffs + 0.0)
+        got = np.asarray(rotor_from_bivector(b, phi).coeffs) + 0.0
+        assert np.array_equal(got, np.asarray(expected.coeffs) + 0.0)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
