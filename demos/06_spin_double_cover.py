@@ -40,7 +40,7 @@ print(np.round(exp_k(kp, theta), 6))
 print()
 print("=== two-to-one: s and -s project to the same motion ===")
 print(f"max |cover(s) - cover(-s)| = "
-      f"{np.max(np.abs(cover_to_so3(s) - cover_to_so3(-s))):.2e}")
+      f"{np.max(np.abs(np.asarray(cover_to_so3(s)) - cover_to_so3(-s))):.2e}")
 
 print()
 print("=== a full turn upstairs is half a turn downstairs ===")
@@ -62,7 +62,7 @@ print("=== equivariance: act upstairs, then project, or project first ===")
 rng = np.random.default_rng(0)
 word = [("H", 0.35), ("K", -0.5), ("P", 0.2)]
 w = gc(0.15, -0.1, kp.kappa2)
-upstairs = project(kp, word_matrix(kp, word) @ unproject(kp, w))
+upstairs = project(kp, np.asarray(word_matrix(kp, word)) @ unproject(kp, w))
 downstairs = moebius_of_word(kp, word).apply(w)
 print(f"project(g . p)      = {upstairs}")
 print(f"Moebius(g)(project) = {downstairs}")
@@ -72,5 +72,5 @@ print("=== random spin products stay spin, covers stay homomorphic ===")
 s1 = spin_from_axis(kp, 0.6, 0.0, 0.8, 0.9)
 s2 = spin_from_axis(kp, 0.0, 1.0, 0.0, -1.3)
 lhs = cover_to_so3(s1 * s2)
-rhs = cover_to_so3(s1) @ cover_to_so3(s2)
+rhs = np.asarray(cover_to_so3(s1)) @ cover_to_so3(s2)
 print(f"max |cover(s1 s2) - cover(s1) cover(s2)| = {np.max(np.abs(lhs - rhs)):.2e}")

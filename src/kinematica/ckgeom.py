@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     BoundarySingularity,
     DenominatorNotInvertible,
@@ -48,59 +46,67 @@ class KappaPair:
             raise ValueError("kappa labels must be finite")
 
 
-def so3_generators(kp: KappaPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# a 3x3 matrix is 3 row tuples of floats and a quadric point (z, t, x) a
+# 3-tuple of floats; np.asarray(m) gives the array
+Triple = tuple[float, float, float]
+Matrix3 = tuple[Triple, Triple, Triple]
+
+
+def so3_generators(kp: KappaPair) -> tuple[Matrix3, Matrix3, Matrix3]:
     """(H, P, K) acting on (z, t, x) columns.
 
     Brackets: [K, H] = P, [K, P] = -kappa2*H, [H, P] = kappa1*K.
     """
     k1, k2 = kp.kappa1, kp.kappa2
-    h = np.array([[0.0, -k1, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    p = np.array([[0.0, 0.0, -k1 * k2], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    k = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -k2], [0.0, 1.0, 0.0]])
+    h = ((0.0, -k1, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    p = ((0.0, 0.0, -k1 * k2), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    k = ((0.0, 0.0, 0.0), (0.0, 0.0, -k2), (0.0, 1.0, 0.0))
     return h, p, k
 
 
-def bilinear_form(kp: KappaPair) -> np.ndarray:
+def bilinear_form(kp: KappaPair) -> Matrix3:
     """G = diag(1, kappa1, kappa1*kappa2), the invariant of the group."""
-    return np.diag([1.0, kp.kappa1, kp.kappa1 * kp.kappa2])
+    return ((1.0, 0.0, 0.0), (0.0, kp.kappa1, 0.0), (0.0, 0.0, kp.kappa1 * kp.kappa2))
 
 
-def exp_h(kp: KappaPair, alpha: float) -> np.ndarray:
+def exp_h(kp: KappaPair, alpha: float) -> Matrix3:
     """Closed form of exp(alpha*H): a label-kappa1 rotation of the z-t plane."""
     c, s = cosk_sink(kp.kappa1, alpha)
-    return np.array(
-        [[c, -kp.kappa1 * s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
-    )
+    return ((c, -kp.kappa1 * s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
 
 
-def exp_p(kp: KappaPair, beta: float) -> np.ndarray:
+def exp_p(kp: KappaPair, beta: float) -> Matrix3:
     """Closed form of exp(beta*P): label kappa1*kappa2 on the z-x plane."""
     k12 = kp.kappa1 * kp.kappa2
     c, s = cosk_sink(k12, beta)
-    return np.array([[c, 0.0, -k12 * s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    return ((c, 0.0, -k12 * s), (0.0, 1.0, 0.0), (s, 0.0, c))
 
 
-def exp_k(kp: KappaPair, theta: float) -> np.ndarray:
+def exp_k(kp: KappaPair, theta: float) -> Matrix3:
     """Closed form of exp(theta*K): label kappa2 on the t-x plane."""
     c, s = cosk_sink(kp.kappa2, theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -kp.kappa2 * s], [0.0, s, c]])
+    return ((1.0, 0.0, 0.0), (0.0, c, -kp.kappa2 * s), (0.0, s, c))
 
 
 _EXPONENTIALS = {"H": exp_h, "P": exp_p, "K": exp_k}
 
 
-def exp_generator(kp: KappaPair, gen: str, param: float) -> np.ndarray:
+def exp_generator(kp: KappaPair, gen: str, param: float) -> Matrix3:
     try:
         return _EXPONENTIALS[gen](kp, param)
     except KeyError:
         raise KeyError(f"unknown generator {gen!r}, expected H, P, or K") from None
 
 
-def word_matrix(kp: KappaPair, word: list[tuple[str, float]]) -> np.ndarray:
-    """Left-to-right product of generator exponentials."""
-    m = np.eye(3)
+def word_matrix(kp: KappaPair, word: list[tuple[str, float]]) -> Matrix3:
+    """Left-to-right product of generator exponentials, from the identity."""
+    m = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     for gen, param in word:
-        m = m @ exp_generator(kp, gen, param)
+        cols = tuple(zip(*exp_generator(kp, gen, param)))
+        m = tuple(
+            tuple(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols)
+            for r0, r1, r2 in m
+        )
     return m
 
 
@@ -133,7 +139,7 @@ def _one_plus_kappa1_sqmod(kappa1: float, w: GenComplex) -> tuple[float, int]:
     return (d, 0) if d < math.inf else (c * s, j + 2 * k)
 
 
-def unproject(kp: KappaPair, w: GenComplex) -> np.ndarray:
+def unproject(kp: KappaPair, w: GenComplex) -> Triple:
     """The quadric point projecting to w.
 
     Inverse of :func:`project`; the z coordinate is nonnegative exactly when
@@ -146,11 +152,11 @@ def unproject(kp: KappaPair, w: GenComplex) -> np.ndarray:
     if e:  # 2*w/denom is 2*w/(kappa1*sqmod(w)) to rounding
         re, im, _, k = w._scaled()
         t, x = (_times_pow2(2.0 * v, k - e, denom) for v in (re, im))
-        return np.array([-1.0, t, x])
+        return (-1.0, t, x)
     if denom <= 0.0:
         raise OutsideModel(f"1 + kappa1*|w|^2 = {denom} <= 0")
     scale = 2.0 / denom
-    return np.array([scale - 1.0, w.re * scale, w.im * scale])
+    return (scale - 1.0, w.re * scale, w.im * scale)
 
 
 def metric_g1(kp: KappaPair, w: GenComplex, dw: GenComplex) -> float:

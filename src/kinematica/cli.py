@@ -29,8 +29,6 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import ckgeom, clifford, conformal, kinclass, spin
 from .ckgeom import KappaPair
 from .errors import KinematicaError, NonFiniteResult
@@ -77,10 +75,14 @@ def _dump_list(obj: list | tuple, precision: int) -> str:
 
 
 def _dump_other(obj, precision: int) -> str:
-    if isinstance(obj, np.integer):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return _dump_float(float(obj), precision)
+    # a numpy scalar exists only once numpy is loaded, so numpy is read from
+    # sys.modules and never imported here
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return str(int(obj))
+        if isinstance(obj, np.floating):
+            return _dump_float(float(obj), precision)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -122,21 +124,18 @@ _WRITERS: dict[type, Callable[[object, int], str]] = {
 def dumps(obj, precision: int) -> str:
     """Minimal JSON writer with controlled float formatting, insertion order.
 
-    The writer is chosen by the exact type of each value: dict, list, tuple,
-    str, bool, None, int and float, plus numpy integers and floats and
-    :class:`Serialised` answers.  Any other type, a subclass of those
-    included, raises TypeError; a nan or infinite float raises
-    NonFiniteResult.
+    The writer is chosen by the exact type of each value: dict, list, tuple
+    (written as a list, so a matrix of row tuples is a list of lists), str,
+    bool, None, int and float, plus :class:`Serialised` answers and, when the
+    caller has loaded numpy, numpy integers and floats.  Any other type, a
+    subclass of those included, raises TypeError; a nan or infinite float
+    raises NonFiniteResult.
     """
     return _WRITERS.get(type(obj), _dump_other)(obj, precision)
 
 
 def _gc_json(w: GenComplex) -> dict:
     return {"re": w.re, "im": w.im, "kappa": w.kappa}
-
-
-def _matrix_json(m: np.ndarray) -> list:
-    return np.asarray(m, dtype=float).tolist()
 
 
 class UsageError(Exception):
@@ -236,7 +235,7 @@ def _run_exp(args) -> dict:
     return {
         "generator": args.gen,
         "param": args.param,
-        "matrix": _matrix_json(ckgeom.exp_generator(_kappas(args), args.gen, args.param)),
+        "matrix": ckgeom.exp_generator(_kappas(args), args.gen, args.param),
     }
 
 
@@ -246,8 +245,7 @@ def _run_project(args) -> dict:
 
 def _run_unproject(args) -> dict:
     kp = _kappas(args)
-    point = ckgeom.unproject(kp, gc(*args.w, kp.kappa2))
-    return {"point": point.tolist()}
+    return {"point": ckgeom.unproject(kp, gc(*args.w, kp.kappa2))}
 
 
 def _run_distance(args) -> dict:
@@ -272,7 +270,7 @@ def _run_spin(args) -> dict:
     return {
         "alpha": _gc_json(s.alpha),
         "beta": _gc_json(s.beta),
-        "so3": _matrix_json(spin.cover_to_so3(s)),
+        "so3": spin.cover_to_so3(s),
     }
 
 

@@ -111,16 +111,6 @@ class NonFiniteResult(KinematicaError, ValueError):
     """A result holding nan or an infinity, which JSON cannot carry."""
 
 
-# -- numerics --------------------------------------------------------------------
-
-class NonConvergence(KinematicaError):
-    """Adaptive quadrature exhausted its recursion depth."""
-
-
-class SingularMetric(KinematicaError):
-    """Conformal factor non-positive at a stencil point."""
-
-
 # -- classification ---------------------------------------------------------------
 
 class DivergentContraction(KinematicaError):

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .ckgeom import KappaPair
+from .ckgeom import KappaPair, Matrix3
 from .errors import KappaMismatch, NotSpin
 from .gencomplex import GenComplex, Mat2, gc
 from .gentrig import cosk_sink
@@ -208,7 +206,7 @@ def is_su2_algebra(kp: KappaPair, b: Mat2, tol: float = 1e-12) -> bool:
     return condition.max_abs() <= tol and abs(tr.re) <= tol and abs(tr.im) <= tol
 
 
-def cover_to_so3(s: SpinElement) -> np.ndarray:
+def cover_to_so3(s: SpinElement) -> Matrix3:
     """The 3x3 motion induced by a spin element on vector components.
 
     Two-to-one: s and -s give the same matrix.  The entries are the Clifford
@@ -221,20 +219,20 @@ def cover_to_so3(s: SpinElement) -> np.ndarray:
         raise NotSpin(f"unit condition violated by {defect}")
     k1, k2 = s.kp.kappa1, s.kp.kappa2
     a0, a1, b0, b1 = s.alpha.re, s.alpha.im, s.beta.re, s.beta.im
-    return np.array([
-        [
+    return (
+        (
             a0 * a0 + k2 * a1 * a1 - k1 * b0 * b0 - k1 * k2 * b1 * b1,
             -2.0 * k1 * (a0 * b0 + k2 * a1 * b1),
             -2.0 * k1 * k2 * (a0 * b1 - a1 * b0),
-        ],
-        [
+        ),
+        (
             2.0 * (a0 * b0 - k2 * a1 * b1),
             a0 * a0 - k2 * a1 * a1 - k1 * b0 * b0 + k1 * k2 * b1 * b1,
             -2.0 * k2 * (a0 * a1 + k1 * b0 * b1),
-        ],
-        [
+        ),
+        (
             2.0 * (a0 * b1 + a1 * b0),
             2.0 * (a0 * a1 - k1 * b0 * b1),
             a0 * a0 - k2 * a1 * a1 + k1 * b0 * b0 - k1 * k2 * b1 * b1,
-        ],
-    ])
+        ),
+    )

@@ -53,7 +53,7 @@ def act_and_project_equivariance(
     product and M the Moebius map of the corresponding spin word; the two
     agree whenever everything is defined.
     """
-    moved = word_matrix(kp, word) @ np.asarray(point, dtype=float)
+    moved = np.asarray(word_matrix(kp, word)) @ np.asarray(point, dtype=float)
     return project(kp, moved), moebius_of_word(kp, word).apply(project(kp, point))
 
 

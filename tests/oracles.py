@@ -5,7 +5,7 @@ exponential is a hand-rolled scaling-and-squaring series, the quadrature is
 plain adaptive Simpson, the curvature estimator is a finite-difference
 Liouville formula, and the 2x2 generalized-complex product table is computed
 from raw (re, im) pairs.  None of it shares code with the closed-form
-implementations it is used to check.
+implementations it is used to check, and none of it is part of the library.
 """
 
 from __future__ import annotations
@@ -15,7 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergence, SingularMetric
+from kinematica.errors import KinematicaError
+
+
+class NonConvergence(KinematicaError):
+    """Adaptive quadrature exhausted its recursion depth."""
+
+
+class SingularMetric(KinematicaError):
+    """Conformal factor non-positive at a stencil point."""
 
 
 SERIES_TERMS = 40  # terms of the series expm sums after scaling

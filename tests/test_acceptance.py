@@ -20,7 +20,7 @@ from kinematica.ckgeom import KappaPair
 from kinematica.cli import main as cli_main
 from kinematica.gencomplex import Mat2, gc, gc_exp_unit
 from kinematica.gentrig import atank, cosk, sink, tank
-from kinematica.numerics import (
+from oracles import (
     expm,
     gaussian_curvature_fd,
     pauli_product_table,
@@ -142,7 +142,7 @@ def test_criterion_03_closed_form_exponentials():
     with Budget(3, 5.0, "exp_H/exp_P/exp_K match the series oracle to 1e-10"):
         rng = np.random.default_rng(2026)
         for kp in NINE_PATTERNS:
-            h, p, k = ckgeom.so3_generators(kp)
+            h, p, k = map(np.asarray, ckgeom.so3_generators(kp))
             for _ in range(100):
                 t = float(rng.uniform(-2.0, 2.0))
                 assert np.max(np.abs(ckgeom.exp_h(kp, t) - expm(t * h))) < 1e-10
@@ -264,7 +264,7 @@ def test_criterion_07_double_cover():
                 s2 = spin.spin_from_axis(kp, *n2, float(rng.uniform(-2, 2)))
                 np.testing.assert_allclose(
                     spin.cover_to_so3(s1 * s2),
-                    spin.cover_to_so3(s1) @ spin.cover_to_so3(s2),
+                    np.asarray(spin.cover_to_so3(s1)) @ spin.cover_to_so3(s2),
                     atol=1e-9,
                 )
                 np.testing.assert_allclose(
@@ -384,7 +384,7 @@ def test_criterion_10_equivariance():
                 if 1.0 + kp.kappa1 * w.sqmod() <= 0.2:
                     continue
                 point = ckgeom.unproject(kp, w)
-                g = ckgeom.word_matrix(kp, word)
+                g = np.asarray(ckgeom.word_matrix(kp, word))
                 moved = g @ point
                 if moved[0] + 1.0 < 1e-2:
                     continue

@@ -14,6 +14,7 @@ from kinematica.ckgeom import (
     KappaPair,
     bilinear_form,
     distance,
+    exp_generator,
     exp_h,
     exp_k,
     exp_p,
@@ -33,7 +34,7 @@ from kinematica.errors import (
     WrongGeometry,
 )
 from kinematica.gencomplex import gc, gc_exp_unit
-from kinematica.numerics import expm, quad_adaptive
+from oracles import expm, quad_adaptive
 
 # one representative per sign pattern, exact in binary so the generator
 # commutators can be compared bit-for-bit
@@ -46,14 +47,14 @@ SIGN_PATTERNS = [
 
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_generator_commutators_exact(kp):
-    h, p, k = so3_generators(kp)
+    h, p, k = map(np.asarray, so3_generators(kp))
     np.testing.assert_array_equal(k @ h - h @ k, p)
     np.testing.assert_array_equal(k @ p - p @ k, -kp.kappa2 * h)
     np.testing.assert_array_equal(h @ p - p @ h, kp.kappa1 * k)
 
 
 def test_heisenberg_at_double_zero():
-    h, p, k = so3_generators(KappaPair(0.0, 0.0))
+    h, p, k = map(np.asarray, so3_generators(KappaPair(0.0, 0.0)))
     np.testing.assert_array_equal(k @ h - h @ k, p)
     np.testing.assert_array_equal(k @ p - p @ k, np.zeros((3, 3)))
     np.testing.assert_array_equal(h @ p - p @ h, np.zeros((3, 3)))
@@ -66,7 +67,7 @@ def test_exp_at_zero_is_identity():
 
 
 def test_boost_block_minkowski():
-    m = exp_k(KappaPair(1.0, -1.0), 0.8)
+    m = np.asarray(exp_k(KappaPair(1.0, -1.0), 0.8))
     block = m[1:, 1:]
     expected = np.array(
         [[math.cosh(0.8), math.sinh(0.8)], [math.sinh(0.8), math.cosh(0.8)]]
@@ -77,15 +78,15 @@ def test_boost_block_minkowski():
 
 def test_space_translation_elliptic_uses_product_label():
     kp = KappaPair(1.0, 1.0)
-    m = exp_p(kp, 0.6)
-    h, p, k = so3_generators(kp)
+    m = np.asarray(exp_p(kp, 0.6))
+    h, p, k = map(np.asarray, so3_generators(kp))
     np.testing.assert_allclose(m, expm(0.6 * p), atol=1e-12)
     assert m[0, 0] == pytest.approx(math.cos(0.6))
 
 
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_closed_forms_match_exponential_oracle(kp):
-    h, p, k = so3_generators(kp)
+    h, p, k = map(np.asarray, so3_generators(kp))
     rng = np.random.default_rng(7)
     for _ in range(20):
         t = rng.uniform(-2.0, 2.0)
@@ -100,7 +101,7 @@ def test_closed_forms_match_exponential_oracle(kp):
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_closed_forms_match_exponential_oracle_at_large_parameters(kp, t):
     for f, generator in zip((exp_h, exp_p, exp_k), so3_generators(kp)):
-        oracle = expm(t * generator)
+        oracle = expm(t * np.asarray(generator))
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(f(kp, t) - oracle)) <= 1e-12 * scale
 
@@ -108,7 +109,7 @@ def test_closed_forms_match_exponential_oracle_at_large_parameters(kp, t):
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_one_parameter_additivity(kp):
     for f in (exp_h, exp_p, exp_k):
-        lhs = f(kp, 0.9) @ f(kp, -0.35)
+        lhs = np.asarray(f(kp, 0.9)) @ f(kp, -0.35)
         np.testing.assert_allclose(lhs, f(kp, 0.55), atol=1e-12)
 
 
@@ -123,9 +124,29 @@ def test_words_preserve_bilinear_form_and_volume(kp):
             (gens[rng.integers(0, 3)], rng.uniform(-2.0, 2.0))
             for _ in range(length)
         ]
-        m = word_matrix(kp, word)
+        m = np.asarray(word_matrix(kp, word))
         np.testing.assert_allclose(m.T @ g @ m, g, atol=1e-10)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
+
+
+# word_matrix sums each entry's three products left to right in plain floats;
+# numpy's matmul may sum in another order, and multi_dot also brackets the
+# product its own way, so the two are compared entry by entry to a bound
+# relative to |F1| @ |F2| @ ... @ |Fn|: 1e-14, a few times n * 3 * 2**-53 for
+# words of up to 8 letters
+@pytest.mark.parametrize("kp", SIGN_PATTERNS)
+def test_word_matrix_is_the_product_of_its_factors(kp):
+    assert word_matrix(kp, []) == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        word = [
+            ("HPK"[rng.integers(0, 3)], rng.uniform(-3.0, 3.0))
+            for _ in range(rng.integers(2, 9))
+        ]
+        factors = [np.asarray(exp_generator(kp, gen, t)) for gen, t in word]
+        bound = 1e-14 * np.linalg.multi_dot([np.abs(f) for f in factors])
+        error = np.abs(np.asarray(word_matrix(kp, word)) - np.linalg.multi_dot(factors))
+        assert np.all(error <= bound), word
 
 
 def test_project_examples():
@@ -150,7 +171,7 @@ def test_unproject_at_flat_kappa1_ignores_an_overflowing_modulus():
     # at kappa1 = 0 the lift is (1, 2u, 2v) even where sqmod(w) overflows
     for kappa2 in (1.0, 0.0, -1.0):
         point = unproject(KappaPair(0.0, kappa2), gc(1e200, -3e190, kappa2))
-        assert point.tolist() == [1.0, 2e200, -6e190]
+        assert np.asarray(point).tolist() == [1.0, 2e200, -6e190]
 
 
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
@@ -210,8 +231,8 @@ def test_metric_g1_is_quarter_pullback_of_ambient_metric(kp):
         dw = gc(rng.uniform(-1, 1), rng.uniform(-1, 1), kp.kappa2)
         if 1.0 + kp.kappa1 * w.sqmod() <= 0.1:
             continue
-        plus = unproject(kp, gc(w.re + eps * dw.re, w.im + eps * dw.im, kp.kappa2))
-        minus = unproject(kp, gc(w.re - eps * dw.re, w.im - eps * dw.im, kp.kappa2))
+        plus = np.asarray(unproject(kp, gc(w.re + eps * dw.re, w.im + eps * dw.im, kp.kappa2)))
+        minus = np.asarray(unproject(kp, gc(w.re - eps * dw.re, w.im - eps * dw.im, kp.kappa2)))
         velocity = (plus - minus) / (2 * eps)
         ambient = float(velocity @ g @ velocity) / kp.kappa1
         assert ambient == pytest.approx(4.0 * metric_g1(kp, w, dw), abs=1e-8)

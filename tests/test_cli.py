@@ -1052,3 +1052,38 @@ def test_entry_point_runs_as_a_module():
                                "print('argparse' in sys.modules, file=sys.stderr)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert probe.stderr == "False\n"
+
+
+def python_after_the_cli(lines: list[str]) -> subprocess.CompletedProcess:
+    """Run ``lines`` in a fresh interpreter that has imported only sys and the CLI."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    script = "\n".join(["import sys", "from kinematica.cli import dumps, main", *lines])
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_the_command_line_imports_no_numpy():
+    # numpy is a dependency of the tests, demos and oracles only
+    argv, expected = PINNED_OUTPUTS[0]
+    done = python_after_the_cli([
+        "print('numpy' in sys.modules)",
+        f"main({argv!r})",
+        "print('numpy' in sys.modules)",
+    ])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\n" + expected + "False\n"
+
+
+def test_dumps_writes_numpy_scalars_loaded_after_the_cli():
+    # the CLI never imports numpy, so dumps looks it up when it meets a value
+    # of a type it has no writer for
+    done = python_after_the_cli([
+        "import numpy as np",
+        "print(dumps([np.float64(0.5), np.int64(-3), np.float32(0.25)], 17))",
+        "try:",
+        "    dumps(object(), 17)",
+        "except TypeError as exc:",
+        "    print(exc)",
+    ])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[0.5,-3,0.25]\ncannot serialize <class 'object'>\n"

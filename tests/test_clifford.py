@@ -41,7 +41,7 @@ from kinematica.errors import (
 )
 from kinematica.gencomplex import gc
 from kinematica.gentrig import cosk, sink
-from kinematica.numerics import pauli_product_table
+from oracles import pauli_product_table
 from kinematica.spin import UNIT_TOL, SpinElement
 
 PATTERNS = [

@@ -224,7 +224,7 @@ def test_jacobi_identity_holds_exactly_as_polynomials_in_the_labels():
 @pytest.mark.parametrize("kp", PATTERNS)
 def test_motion_block_matches_the_3x3_generators_and_the_classification(kp):
     table = computed_brackets(kp)
-    gens = dict(zip(("H", "P", "K"), so3_generators(kp)))
+    gens = dict(zip(("H", "P", "K"), map(np.asarray, so3_generators(kp))))
     for x, y in itertools.permutations(gens, 2):
         assert set(table[(x, y)]) <= set(gens)
         commutator = gens[x] @ gens[y] - gens[y] @ gens[x]

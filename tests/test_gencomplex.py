@@ -162,10 +162,12 @@ def test_only_gencomplex_scales_or_compares_the_squared_modulus():
     assert found == []
 
 
-@pytest.mark.parametrize("name", ["gencomplex.py", "clifford.py"])
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in Path(kinematica.__file__).parent.glob("*.py"))
+)
 def test_the_scalar_algebras_import_no_numpy(name):
-    # generalized complex numbers and multivectors compute on Python floats,
-    # so numpy stays the dependency of the matrix layers alone
+    # every layer computes on Python floats, matrices and points included, so
+    # numpy is a dependency of the tests, demos and oracles alone
     path = Path(kinematica.__file__).parent / name
     found = []
     for node in ast.walk(ast.parse(path.read_text())):

@@ -26,7 +26,7 @@ from kinematica.kinclass import (
     symmetry_exclusions,
     triple_of_name,
 )
-from kinematica.numerics import expm
+from oracles import expm
 
 
 def test_enumeration():

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kinematica.errors import NonConvergence, SingularMetric
-from kinematica.numerics import expm, gaussian_curvature_fd, quad_adaptive
+from oracles import (
+    NonConvergence,
+    SingularMetric,
+    expm,
+    gaussian_curvature_fd,
+    quad_adaptive,
+)
 
 
 def test_expm_zero_is_identity():
