@@ -19,6 +19,13 @@ runners return a :class:`Serialised` answer whose kept text is written from
 then on.  The parser accepts the command lines argparse accepted for the same
 table, with the same values and argparse's one-line error messages; the one
 difference is that a ``--`` given after ``=`` is read as the value ``--``.
+
+Importing this module registers all seven layers but runs none of them (see
+the package docstring).  A runner reaches a layer's names through the layer,
+as ``ckgeom.KappaPair`` or ``gencomplex.gc``, and the first such access runs
+that layer and the layers it imports, so a request runs only the layers it
+uses: ``graph`` runs ``kinclass`` alone, ``distance`` runs ``ckgeom``,
+``gencomplex`` and ``gentrig``, and ``--help`` runs none.
 """
 
 from __future__ import annotations
@@ -29,10 +36,8 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from . import ckgeom, clifford, conformal, kinclass, spin
-from .ckgeom import KappaPair
+from . import ckgeom, clifford, conformal, gencomplex, kinclass, spin
 from .errors import KinematicaError, NonFiniteResult
-from .gencomplex import GenComplex, gc
 
 
 def _precision() -> int:
@@ -134,7 +139,7 @@ def dumps(obj, precision: int) -> str:
     return _WRITERS.get(type(obj), _dump_other)(obj, precision)
 
 
-def _gc_json(w: GenComplex) -> dict:
+def _gc_json(w: gencomplex.GenComplex) -> dict:
     return {"re": w.re, "im": w.im, "kappa": w.kappa}
 
 
@@ -199,8 +204,8 @@ class Command(NamedTuple):
     run: Callable[[SimpleNamespace], object]
 
 
-def _kappas(args) -> KappaPair:
-    return KappaPair(args.kappa1, args.kappa2)
+def _kappas(args) -> ckgeom.KappaPair:
+    return ckgeom.KappaPair(args.kappa1, args.kappa2)
 
 
 _CLASSIFY = Serialised(lambda: {
@@ -245,12 +250,12 @@ def _run_project(args) -> dict:
 
 def _run_unproject(args) -> dict:
     kp = _kappas(args)
-    return {"point": ckgeom.unproject(kp, gc(*args.w, kp.kappa2))}
+    return {"point": ckgeom.unproject(kp, gencomplex.gc(*args.w, kp.kappa2))}
 
 
 def _run_distance(args) -> dict:
     kp = _kappas(args)
-    w1, w2 = gc(*args.w1, kp.kappa2), gc(*args.w2, kp.kappa2)
+    w1, w2 = gencomplex.gc(*args.w1, kp.kappa2), gencomplex.gc(*args.w2, kp.kappa2)
     return {"distance": ckgeom.distance(kp, w1, w2)}
 
 
@@ -316,7 +321,9 @@ COMMANDS: dict[str, Command] = {
     "classify": Command("the 27 bracket structures and counts", (), _run_classify),
     "contract": Command("contract a named kinematical algebra", (
         Option("--from", dest="source"),
-        Option("--type", dest="kind", choices=tuple(sorted(kinclass.CONTRACTION_EXPONENTS))),
+        # sorted(kinclass.CONTRACTION_EXPONENTS), spelled out so that building
+        # the table does not load kinclass
+        Option("--type", dest="kind", choices=("space-time", "speed-space", "speed-time")),
     ), _run_contract),
     "graph": Command("the contraction graph", (
         Option("--format", required=False, choices=("json", "dot"), default="json"),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AtInfinity,
@@ -322,6 +321,8 @@ class GammaPoint:
         [v0, -kappa*v1], [v1, v0]]: up to sign and a factor kappa they are
         sqmod(u), sqmod(v), u0*v0 + kappa*u1*v1 and u1*v0 - u0*v1, here
         evaluated exactly.  A pair with a non-finite component is no point."""
+        from fractions import Fraction  # loaded here, off the path of every request
+
         parts = (self.u.re, self.u.im, self.v.re, self.v.im, self.kappa)
         if not all(map(math.isfinite, parts)):
             return False

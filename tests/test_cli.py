@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -1087,3 +1088,60 @@ def test_dumps_writes_numpy_scalars_loaded_after_the_cli():
     ])
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[0.5,-3,0.25]\ncannot serialize <class 'object'>\n"
+
+
+LAYERS = ("gentrig", "gencomplex", "ckgeom", "spin", "clifford", "kinclass", "conformal")
+GEOMETRY = {"gentrig", "gencomplex", "ckgeom"}
+# one valid command line per subcommand, and the layers that answering it runs
+KAPPAS = ["--kappa1", "1", "--kappa2", "-1"]
+LOAD_MAP = [
+    (["classify"], {"kinclass"}),
+    (["contract", "--from", "dS", "--type", "speed-space"], {"kinclass"}),
+    (["graph"], {"kinclass"}),
+    (["exp", "--gen", "P", "--param", "0.4", *KAPPAS], GEOMETRY),
+    (["project", "--point", "0.6,0.8,0", *KAPPAS], GEOMETRY),
+    (["unproject", "--w", "0.1,0.2", *KAPPAS], GEOMETRY),
+    (["distance", "--w1", "0,0", "--w2", "0.5,0", *KAPPAS], GEOMETRY),
+    (["region", *KAPPAS], GEOMETRY),
+    (["rotate", "--axis", "1,0,0", "--angle", "1.5", "--vector", "1,0,0", *KAPPAS],
+     GEOMETRY | {"spin", "clifford"}),
+    (["spin", "--gen", "H", "--param", "0.3", *KAPPAS], GEOMETRY | {"spin"}),
+    (["conformal-table", "--diff-paper", *KAPPAS], GEOMETRY | {"spin", "conformal"}),
+    (["--help"], set()),
+    (["distance", "--kappa1", "nan"], set()),  # rejected before any layer is used
+]
+
+
+def test_the_load_map_covers_every_subcommand():
+    assert {argv[0] for argv, _ in LOAD_MAP} >= set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv,expected", LOAD_MAP, ids=[argv[0] for argv, _ in LOAD_MAP])
+def test_a_command_line_runs_only_the_layers_it_uses(argv, expected):
+    # every layer is registered at import, which is what the benchmark's
+    # tracer reads, but a layer's body runs only when a request first uses it
+    done = python_after_the_cli([
+        "import types",
+        f"code = main({argv!r})",
+        "report = {",
+        "    'code': code,",
+        f"    'registered': [m for m in {LAYERS!r} if 'kinematica.' + m in sys.modules],",
+        f"    'ran': [m for m in {LAYERS!r}",
+        "            if type(sys.modules['kinematica.' + m]) is types.ModuleType],",
+        "    'fractions': 'fractions' in sys.modules,",
+        "}",
+        "print(repr(report), file=sys.stderr)",
+    ])
+    report = ast.literal_eval(done.stderr.splitlines()[-1])
+    assert report["code"] == (2 if argv[-1] == "nan" else 0)
+    assert report["registered"] == list(LAYERS)
+    assert set(report["ran"]) == expected
+    # exact rationals belong to the classification alone
+    assert report["fractions"] == ("kinclass" in expected)
+
+
+def test_contract_type_choices_are_the_contraction_kinds():
+    from kinematica import kinclass
+
+    kind = next(o for o in COMMANDS["contract"].options if o.dest == "kind")
+    assert kind.choices == tuple(sorted(kinclass.CONTRACTION_EXPONENTS))

@@ -181,6 +181,46 @@ def test_the_scalar_algebras_import_no_numpy(name):
     assert found == []
 
 
+def imports_run_at_load(path: Path):
+    """(line, imported module, relative level) of each import the module body runs,
+    which is every import outside a function."""
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name, 0) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or "", node.level
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in Path(kinematica.__file__).parent.glob("*.py"))
+)
+def test_only_the_classification_imports_fractions_at_load(name):
+    # exact rationals serve kinclass; elsewhere they are imported where used,
+    # so a geometry request never loads them
+    path = Path(kinematica.__file__).parent / name
+    found = [f"{name}:{line}" for line, module, _ in imports_run_at_load(path)
+             if module.split(".")[0] == "fractions"]
+    assert bool(found) == (name == "kinclass.py"), found
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_the_package_and_the_cli_import_no_layer_names_at_load(name):
+    # ``from .ckgeom import X`` would run ckgeom on import; the layers are
+    # reached as lazy modules instead (``from . import ckgeom``)
+    layers = {"gentrig", "gencomplex", "ckgeom", "spin", "clifford", "kinclass", "conformal"}
+    path = Path(kinematica.__file__).parent / name
+    found = [
+        f"{name}:{line}: {module}" for line, module, level in imports_run_at_load(path)
+        if (module if level else module.removeprefix("kinematica.")) in layers
+    ]
+    assert found == []
+
+
 def test_zero_divisors_exist_iff_kappa_nonpositive():
     assert gc(1, 1, -1.0).is_zero_divisor()
     assert gc(0, 3, 0.0).is_zero_divisor()
