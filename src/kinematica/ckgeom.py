@@ -30,7 +30,7 @@ from .errors import (
     ProjectionPole,
     WrongGeometry,
 )
-from .gencomplex import GenComplex, _times_pow2, gc
+from .gencomplex import GenComplex, _split_pow2, _times_pow2, gc
 from .gentrig import atank, cosk_sink
 
 
@@ -134,7 +134,7 @@ def _one_plus_kappa1_sqmod(kappa1: float, w: GenComplex) -> tuple[float, int]:
     if d < math.inf:
         return d, 0
     _, _, s, k = w._scaled()
-    c, _, _, j = gc(kappa1, 0.0, 0.0)._scaled()
+    c, j = _split_pow2(kappa1)
     d = 1.0 + _times_pow2(c * s, j + 2 * k)
     return (d, 0) if d < math.inf else (c * s, j + 2 * k)
 
@@ -167,10 +167,10 @@ def metric_g1(kp: KappaPair, w: GenComplex, dw: GenComplex) -> float:
     num = dw.sqmod()
     if not e and math.isfinite(num) and denom * denom < math.inf:
         return num / (denom * denom)
-    # num = s * 4**k and (denom * 2**e)**2 = mm * 4**(e + j), s and mm normal
+    # num = s * 4**k and (denom * 2**e)**2 = m*m * 4**(e + j), s and m*m normal
     _, _, s, k = dw._scaled()
-    _, _, mm, j = gc(denom, 0.0, 0.0)._scaled()
-    return _times_pow2(s, 2 * (k - e - j), mm)
+    m, j = _split_pow2(denom)
+    return _times_pow2(s, 2 * (k - e - j), m * m)
 
 
 def metric_g2(kp: KappaPair, t0: float, dx: float) -> float:
@@ -178,6 +178,8 @@ def metric_g2(kp: KappaPair, t0: float, dx: float) -> float:
     if kp.kappa2 != 0.0:
         raise WrongGeometry("subsidiary leaf metric needs kappa2 = 0")
     denom = 1.0 + kp.kappa1 * t0 * t0
+    if denom == 0.0:
+        raise BoundarySingularity("metric evaluated on the model boundary")
     return dx * dx / (denom * denom)
 
 

@@ -16,16 +16,15 @@ while reversing bracket order is an isomorphism pairing (k, h, p) with
 the 6 non-kinematical ones into 3.
 
 Contractions rescale a subset of generators by epsilon and take the singular
-limit; they are computed here on exact rational constants with integer
-epsilon exponents, never with floats.
+limit, which keeps each constant or sets it to zero.  So they are exact
+integer contractions: computed on the triple itself with integer epsilon
+exponents, never with floats.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DivergentContraction
@@ -39,24 +38,8 @@ class BracketTriple(NamedTuple):
     p: int
 
 
-def _sign(x: Fraction | float) -> int:
+def _sign(x: float) -> int:
     return 0 if x == 0 else (1 if x > 0 else -1)
-
-
-@dataclass(frozen=True)
-class GeneralAlgebra:
-    """Un-normalized structure constants, kept rational for exact limits."""
-
-    ck: Fraction
-    ch: Fraction
-    cp: Fraction
-
-    @classmethod
-    def from_triple(cls, t: BracketTriple) -> "GeneralAlgebra":
-        return cls(Fraction(t.k), Fraction(t.h), Fraction(t.p))
-
-    def to_triple(self) -> BracketTriple:
-        return BracketTriple(_sign(self.ck), _sign(self.ch), _sign(self.cp))
 
 
 # display constants from the standard naming tables, (k, h, p)
@@ -169,40 +152,32 @@ def apply_symmetry(sym: str, t: BracketTriple) -> BracketTriple:
     raise KeyError(f"unknown symmetry {sym!r}")
 
 
-def contract(
-    a: GeneralAlgebra, exponents: tuple[int, int, int]
-) -> GeneralAlgebra:
+def contract(t: BracketTriple, exponents: tuple[int, int, int]) -> BracketTriple:
     """Singular limit after K -> eps^eK K, H -> eps^eH H, P -> eps^eP P.
 
     Each constant picks up eps to (sum of the two bracketed generators'
     exponents minus the product generator's exponent); the eps -> 0 limit
     keeps constants with exponent 0, kills positive exponents, and is
-    divergent for a nonzero constant with negative exponent.
+    divergent for a nonzero constant with negative exponent.  The constants
+    need not be normalized: each comes back as it was or as 0.
     """
     ek, eh, ep = exponents
     if min(ek, eh, ep) < 0:
         raise ValueError("exponents must be nonnegative")
-    powers = {
-        "ck": eh + ep - ek,
-        "ch": ek + ep - eh,
-        "cp": ek + eh - ep,
-    }
-    out = {}
-    for field, power in powers.items():
-        value: Fraction = getattr(a, field)
+    powers = (eh + ep - ek, ek + ep - eh, ek + eh - ep)
+    out = []
+    for field, value, power in zip(("ck", "ch", "cp"), t, powers):
         if power < 0 and value != 0:
             raise DivergentContraction(
                 f"constant {field} = {value} scales as eps^{power}"
             )
-        out[field] = value if power == 0 else Fraction(0)
-    return GeneralAlgebra(**out)
+        out.append(value if power == 0 else 0)
+    return BracketTriple(*out)
 
 
 def contract_triple(t: BracketTriple, kind: str) -> BracketTriple:
     """Apply one of the three fundamental contraction types to a triple."""
-    return contract(
-        GeneralAlgebra.from_triple(t), CONTRACTION_EXPONENTS[kind]
-    ).to_triple()
+    return contract(t, CONTRACTION_EXPONENTS[kind])
 
 
 @functools.cache

@@ -1,10 +1,11 @@
 """Replay the benchmark's seeded request streams and print one digest per workload.
 
-A tool, not a test: it checks that a change leaves every CLI answer byte for
-byte as it was.  For each workload in ``bench/workloads.py`` it runs the first
-N requests of the seeded stream through ``kinematica.cli.main`` in this
-process and hashes each request's argv, exit code, stdout and stderr, in
-order, into one sha256.  Run it on two checkouts and compare the lines:
+It checks that a change leaves every CLI answer byte for byte as it was;
+``tests/test_replay.py`` pins the seed-7 digests of 20,000 requests.  For
+each workload in ``bench/workloads.py`` it runs the first N requests of the
+seeded stream through ``kinematica.cli.main`` in this process and hashes each
+request's argv, exit code, stdout and stderr, in order, into one sha256.  Run
+it on two checkouts and compare the lines:
 
     python tests/replay.py                          # this checkout
     python tests/replay.py --root ../other-checkout # any other one

@@ -27,6 +27,7 @@ from kinematica.ckgeom import (
     word_matrix,
 )
 from kinematica.errors import (
+    BoundarySingularity,
     DenominatorNotInvertible,
     NullOrImaginarySeparation,
     OutsideModel,
@@ -244,6 +245,9 @@ def test_metric_g2():
     assert metric_g2(KappaPair(0.0, 0.0), 5.0, 0.3) == pytest.approx(0.09)
     with pytest.raises(WrongGeometry):
         metric_g2(KappaPair(1.0, -1.0), 0.0, 1.0)
+    # 1 + kappa1*t0^2 = 0 on the leaf boundary, as for metric_g1
+    with pytest.raises(BoundarySingularity, match="^metric evaluated on the model boundary$"):
+        metric_g2(KappaPair(-1.0, 0.0), 1.0, 0.5)
 
 
 def test_distance_examples():

@@ -1129,6 +1129,7 @@ def test_a_command_line_runs_only_the_layers_it_uses(argv, expected):
         f"    'ran': [m for m in {LAYERS!r}",
         "            if type(sys.modules['kinematica.' + m]) is types.ModuleType],",
         "    'fractions': 'fractions' in sys.modules,",
+        "    'dataclasses': 'dataclasses' in sys.modules,",
         "}",
         "print(repr(report), file=sys.stderr)",
     ])
@@ -1136,8 +1137,11 @@ def test_a_command_line_runs_only_the_layers_it_uses(argv, expected):
     assert report["code"] == (2 if argv[-1] == "nan" else 0)
     assert report["registered"] == list(LAYERS)
     assert set(report["ran"]) == expected
-    # exact rationals belong to the classification alone
-    assert report["fractions"] == ("kinclass" in expected)
+    # no command line computes on exact rationals, and the classification
+    # contracts plain integer triples, so only the other layers' dataclasses
+    # are loaded
+    assert report["fractions"] is False
+    assert report["dataclasses"] == bool(expected - {"kinclass"})
 
 
 def test_contract_type_choices_are_the_contraction_kinds():

@@ -200,12 +200,23 @@ def imports_run_at_load(path: Path):
     "name", sorted(path.name for path in Path(kinematica.__file__).parent.glob("*.py"))
 )
 def test_only_the_classification_imports_fractions_at_load(name):
-    # exact rationals serve kinclass; elsewhere they are imported where used,
-    # so a geometry request never loads them
+    # exact rationals are imported where used (GammaPoint.is_admissible), so
+    # no command line loads them; the classification contracts its integer
+    # triples and imports neither them nor dataclasses
     path = Path(kinematica.__file__).parent / name
     found = [f"{name}:{line}" for line, module, _ in imports_run_at_load(path)
              if module.split(".")[0] == "fractions"]
-    assert bool(found) == (name == "kinclass.py"), found
+    if name == "kinclass.py":  # anywhere in the file, not only at load
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for module in modules
+                      if module.split(".")[0] in ("fractions", "dataclasses")]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", ["__init__.py", "cli.py"])

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from kinematica.errors import DivergentContraction
 from kinematica.kinclass import (
     BracketTriple,
-    GeneralAlgebra,
     KINEMATICAL_NAMES,
     NAME_ALIASES,
     apply_symmetry,
@@ -149,11 +147,10 @@ def test_contraction_facts():
 
 
 def test_two_step_rescaling_reaches_static_de_sitter():
-    ds = GeneralAlgebra.from_triple(triple_of_name("dS"))
-    limit = contract(ds, (2, 1, 1))
-    assert limit == GeneralAlgebra(Fraction(-1), Fraction(0), Fraction(0))
-    assert name_of(limit.to_triple()) == "SdS"
-    assert canonicalize(limit.to_triple()) == canonicalize(triple_of_name("SdS"))
+    limit = contract(triple_of_name("dS"), (2, 1, 1))
+    assert limit == BracketTriple(-1, 0, 0)
+    assert name_of(limit) == "SdS"
+    assert canonicalize(limit) == canonicalize(triple_of_name("SdS"))
 
 
 def test_contraction_target_reads_every_name_and_alias():
@@ -188,9 +185,20 @@ def test_contraction_idempotent_per_type():
 
 
 def test_divergent_contraction():
-    adS = GeneralAlgebra.from_triple(triple_of_name("adS"))
     with pytest.raises(DivergentContraction):
-        contract(adS, (2, 0, 0))
+        contract(triple_of_name("adS"), (2, 0, 0))
+
+
+def test_contract_keeps_or_zeroes_each_constant():
+    # un-normalized constants come back as they were or as 0
+    assert contract(BracketTriple(3, -2, 5), (1, 0, 1)) == BracketTriple(3, 0, 5)
+    assert contract(BracketTriple(-4, 7, 0), (0, 0, 0)) == BracketTriple(-4, 7, 0)
+    with pytest.raises(DivergentContraction, match=r"^constant ck = 1 scales as eps\^-2$"):
+        contract(triple_of_name("adS"), (2, 0, 0))
+    with pytest.raises(DivergentContraction, match=r"^constant cp = -3 scales as eps\^-1$"):
+        contract(BracketTriple(0, 0, -3), (0, 0, 1))
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        contract(triple_of_name("adS"), (1, -1, 0))
 
 
 def test_graph_edges():
