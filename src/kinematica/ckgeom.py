@@ -19,7 +19,7 @@ is the inverse labeled tangent of |w|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BoundarySingularity,
@@ -34,16 +34,15 @@ from .gencomplex import GenComplex, _split_pow2, _times_pow2, gc
 from .gentrig import atank, cosk_sink
 
 
-@dataclass(frozen=True)
-class KappaPair:
+class KappaPair(NamedTuple("KappaPair", [("kappa1", float), ("kappa2", float)])):
     """The two real labels; spacetimes need kappa2 <= 0 (non-compact boost)."""
 
-    kappa1: float
-    kappa2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa1) and math.isfinite(self.kappa2)):
+    def __new__(cls, kappa1: float, kappa2: float) -> "KappaPair":
+        if not (math.isfinite(kappa1) and math.isfinite(kappa2)):
             raise ValueError("kappa labels must be finite")
+        return super().__new__(cls, kappa1, kappa2)
 
 
 # a 3x3 matrix is 3 row tuples of floats and a quadric point (z, t, x) a
@@ -177,10 +176,7 @@ def metric_g2(kp: KappaPair, t0: float, dx: float) -> float:
     """Subsidiary metric dx^2/(1 + kappa1*t0^2)^2 on leaves w = t0 (kappa2=0)."""
     if kp.kappa2 != 0.0:
         raise WrongGeometry("subsidiary leaf metric needs kappa2 = 0")
-    denom = 1.0 + kp.kappa1 * t0 * t0
-    if denom == 0.0:
-        raise BoundarySingularity("metric evaluated on the model boundary")
-    return dx * dx / (denom * denom)
+    return metric_g1(kp, gc(t0, 0, 0), gc(dx, 0, 0))
 
 
 def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:

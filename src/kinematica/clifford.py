@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ckgeom import KappaPair
 from .errors import (
@@ -145,8 +145,7 @@ def _gather(terms, x, y, coef: tuple[float, ...]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class Multivector:
+class Multivector(NamedTuple("Multivector", [("kp", KappaPair), ("coeffs", tuple[float, ...])])):
     """Eight real coefficients over the documented basis order, held as a
     tuple of floats.
 
@@ -154,16 +153,14 @@ class Multivector:
     compares within a tolerance.
     """
 
-    kp: KappaPair
-    coeffs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c = self.coeffs
+    def __new__(cls, kp: KappaPair, coeffs) -> "Multivector":
         # a str or a number is not 8 coefficients, nor are 8 rows of an array
-        if (isinstance(c, str) or not hasattr(c, "__len__") or len(c) != 8
-                or any(hasattr(x, "__len__") for x in c)):
+        if (isinstance(coeffs, str) or not hasattr(coeffs, "__len__") or len(coeffs) != 8
+                or any(hasattr(x, "__len__") for x in coeffs)):
             raise ValueError("need exactly 8 coefficients")
-        object.__setattr__(self, "coeffs", tuple(map(float, c)))
+        return super().__new__(cls, kp, tuple(map(float, coeffs)))
 
     # -- constructors ----------------------------------------------------
 
@@ -304,16 +301,12 @@ def bivector_kappa(b: Multivector) -> float:
     return axis_label(b.kp, *b.coeffs[IS1:S3CHECK + 1])
 
 
-@dataclass(frozen=True)
-class UnitAxis:
+class UnitAxis(NamedTuple("UnitAxis", [("n1", float), ("n2", float), ("n3", float)])):
     """Euclidean-normalized rotation axis coefficients."""
 
-    n1: float
-    n2: float
-    n3: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n1, n2, n3 = self.n1, self.n2, self.n3
+    def __new__(cls, n1: float, n2: float, n3: float) -> "UnitAxis":
         try:
             squares = n1**2 + n2**2 + n3**2
         except OverflowError:  # float ** raises where * would give inf
@@ -324,9 +317,12 @@ class UnitAxis:
         norm = math.sqrt(squares)
         if norm == 0.0 or not math.isfinite(norm):
             raise DegenerateAxis(f"axis norm {norm} must be nonzero and finite")
-        object.__setattr__(self, "n1", n1 / norm)
-        object.__setattr__(self, "n2", n2 / norm)
-        object.__setattr__(self, "n3", n3 / norm)
+        return super().__new__(cls, n1 / norm, n2 / norm, n3 / norm)
+
+    def __reduce__(self):
+        # a copy or an unpickled axis keeps its coefficients: normalizing
+        # them again could move the last bit
+        return self._make, (tuple(self),)
 
 
 def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:

@@ -25,7 +25,7 @@ coordinates that no affine w can represent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AtInfinity,
@@ -67,8 +67,7 @@ def _split_pow2(x: float) -> tuple[float, int]:
     return math.frexp(x)
 
 
-@dataclass(frozen=True)
-class GenComplex:
+class GenComplex(NamedTuple):
     """An element re + i*im of the algebra with i**2 = -kappa."""
 
     re: float
@@ -193,19 +192,16 @@ def gc_exp_unit(kappa: float, phi: float) -> GenComplex:
 # -- 2x2 matrices and Moebius maps -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple("Mat2", [("a", GenComplex), ("b", GenComplex),
+                               ("c", GenComplex), ("d", GenComplex)])):
     """A 2x2 matrix [[a, b], [c, d]] over one generalized complex algebra."""
 
-    a: GenComplex
-    b: GenComplex
-    c: GenComplex
-    d: GenComplex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = self.a.kappa
-        for entry in (self.b, self.c, self.d):
-            _check_same_kappa(k, entry.kappa)
+    def __new__(cls, a: GenComplex, b: GenComplex, c: GenComplex, d: GenComplex) -> "Mat2":
+        for entry in (b, c, d):
+            _check_same_kappa(a.kappa, entry.kappa)
+        return super().__new__(cls, a, b, c, d)
 
     @property
     def kappa(self) -> float:
@@ -288,22 +284,23 @@ class Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a)
 
 
-@dataclass(frozen=True)
 class MoebiusMap(Mat2):
     """A ``Mat2`` with invertible determinant, used as w -> (a*w + b)/(c*w + d)."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        det = self.det()
+    __slots__ = ()
+
+    def __new__(cls, a: GenComplex, b: GenComplex, c: GenComplex, d: GenComplex) -> "MoebiusMap":
+        m = super().__new__(cls, a, b, c, d)
+        det = m.det()
         if det.is_zero() or det.is_zero_divisor():
             raise ValueError("Moebius matrix determinant must be invertible")
+        return m
 
 
 # -- projective completion ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaPoint:
+class GammaPoint(NamedTuple("GammaPoint", [("u", GenComplex), ("v", GenComplex)])):
     """Homogeneous pair [u : v] over the algebra, up to invertible scaling.
 
     Admissible iff no single nonzero algebra element annihilates both
@@ -312,11 +309,11 @@ class GammaPoint:
     "(u, v) generates the unit ideal" and works for every kappa.
     """
 
-    u: GenComplex
-    v: GenComplex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_same_kappa(self.u.kappa, self.v.kappa)
+    def __new__(cls, u: GenComplex, v: GenComplex) -> "GammaPoint":
+        _check_same_kappa(u.kappa, v.kappa)
+        return super().__new__(cls, u, v)
 
     @property
     def kappa(self) -> float:

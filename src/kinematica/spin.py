@@ -28,7 +28,7 @@ kernel {+1, -1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ckgeom import KappaPair, Matrix3
 from .errors import KappaMismatch, NotSpin
@@ -64,17 +64,16 @@ def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
     return h, p, k
 
 
-@dataclass(frozen=True)
-class SpinElement:
+class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenComplex),
+                                             ("beta", GenComplex)])):
     """An element of Spin(3), stored as the pair (alpha, beta)."""
 
-    kp: KappaPair
-    alpha: GenComplex
-    beta: GenComplex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha.kappa != self.kp.kappa2 or self.beta.kappa != self.kp.kappa2:
+    def __new__(cls, kp: KappaPair, alpha: GenComplex, beta: GenComplex) -> "SpinElement":
+        if alpha.kappa != kp.kappa2 or beta.kappa != kp.kappa2:
             raise KappaMismatch("spin entries must carry kappa2")
+        return super().__new__(cls, kp, alpha, beta)
 
     def pseudo_norm(self) -> float:
         """alpha*conj(alpha) + kappa1*beta*conj(beta), 1 on Spin(3)."""

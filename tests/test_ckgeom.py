@@ -248,6 +248,9 @@ def test_metric_g2():
     # 1 + kappa1*t0^2 = 0 on the leaf boundary, as for metric_g1
     with pytest.raises(BoundarySingularity, match="^metric evaluated on the model boundary$"):
         metric_g2(KappaPair(-1.0, 0.0), 1.0, 0.5)
+    # dx^2 and (1 + kappa1*t0^2)^2 both overflow; their quotient, about
+    # 1e-400, is 0 in floats (metric_g1's scaled path)
+    assert metric_g2(KappaPair(1.0, 0.0), 1e200, 1e200) == 0.0
 
 
 def test_distance_examples():

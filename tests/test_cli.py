@@ -18,8 +18,11 @@ import numpy as np
 from cli_reference import build_parser as reference_parser
 from dumps_reference import dumps as reference_dumps
 from kinematica import conformal
+from kinematica.ckgeom import KappaPair
 from kinematica.cli import COMMANDS, UsageError, dumps, main, parse_args
+from kinematica.clifford import Multivector
 from kinematica.errors import NonFiniteResult
+from kinematica.gencomplex import gc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -605,6 +608,20 @@ def test_dumps_rejects_what_the_reference_rejects(bad, precision):
         assert str(caught.value) == str(expected.value)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [gc(1.5, -2.0, 1.0), KappaPair(1.0, -1.0), Multivector.vector(KappaPair(1.0, 1.0), 1, 2, 3)],
+    ids=lambda value: type(value).__name__,
+)
+def test_dumps_rejects_a_value_type_though_it_is_a_tuple(value):
+    # the writer goes by exact type, so a named tuple is no array (the
+    # reference writes any tuple as a list, so it cannot decide this case)
+    for obj in (value, [0, value], {"x": (1.5, {"y": value})}):
+        with pytest.raises(TypeError) as caught:
+            dumps(obj, 17)
+        assert str(caught.value) == f"cannot serialize {type(value)}"
+
+
 JSON_SUBCOMMANDS = [
     ["classify"],
     ["contract", "--from", "M", "--type", "speed-time"],
@@ -1130,6 +1147,7 @@ def test_a_command_line_runs_only_the_layers_it_uses(argv, expected):
         "            if type(sys.modules['kinematica.' + m]) is types.ModuleType],",
         "    'fractions': 'fractions' in sys.modules,",
         "    'dataclasses': 'dataclasses' in sys.modules,",
+        "    'inspect': 'inspect' in sys.modules,",
         "}",
         "print(repr(report), file=sys.stderr)",
     ])
@@ -1137,11 +1155,11 @@ def test_a_command_line_runs_only_the_layers_it_uses(argv, expected):
     assert report["code"] == (2 if argv[-1] == "nan" else 0)
     assert report["registered"] == list(LAYERS)
     assert set(report["ran"]) == expected
-    # no command line computes on exact rationals, and the classification
-    # contracts plain integer triples, so only the other layers' dataclasses
-    # are loaded
+    # no command line computes on exact rationals, and the value types are
+    # named tuples, so none loads dataclasses or the inspect it imports
     assert report["fractions"] is False
-    assert report["dataclasses"] == bool(expected - {"kinclass"})
+    assert report["dataclasses"] is False
+    assert report["inspect"] is False
 
 
 def test_contract_type_choices_are_the_contraction_kinds():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -39,10 +41,10 @@ from kinematica.errors import (
     NotAVector,
     NotUnitRotor,
 )
-from kinematica.gencomplex import gc
+from kinematica.gencomplex import GammaPoint, Mat2, MoebiusMap, gc
 from kinematica.gentrig import cosk, sink
 from oracles import pauli_product_table
-from kinematica.spin import UNIT_TOL, SpinElement
+from kinematica.spin import UNIT_TOL, SpinElement, spin_from_axis
 
 PATTERNS = [
     KappaPair(k1, k2)
@@ -292,6 +294,26 @@ def test_a_tiny_axis_is_normalised_as_its_scaled_copy():
     assert UnitAxis(*(math.ldexp(x, -700) for x in n)) == UnitAxis(*n)
     tiny = UnitAxis(1e-200, 1e-200, 0)
     assert tiny.n1 == tiny.n2 == pytest.approx(UnitAxis(1, 1, 0).n1, rel=1e-15)
+
+
+AXIS_PART = st.floats(-1e150, 1e150)  # squares stay finite
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(AXIS_PART, AXIS_PART, AXIS_PART).filter(any))
+def test_copies_and_unpickled_values_equal_the_original(n):
+    # a value type rebuilds through its constructor, which must not
+    # normalize an axis a second time
+    kp = KappaPair(1.0, -1.0)
+    axis = UnitAxis(*n)
+    w, one = gc(0.5, -2.0, -1.0), gc(1.0, 0.0, -1.0)
+    values = [kp, w, Mat2(w, w, w, w), MoebiusMap(one, w, w * 0.0, one),
+              GammaPoint(w, one), spin_from_axis(kp, *axis, 0.7), rotor(kp, axis, 0.7), axis]
+    for value in values:
+        for copied in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value)
+            assert copied == value
 
 
 def test_rotor_examples():

@@ -202,20 +202,21 @@ def imports_run_at_load(path: Path):
 def test_only_the_classification_imports_fractions_at_load(name):
     # exact rationals are imported where used (GammaPoint.is_admissible), so
     # no command line loads them; the classification contracts its integer
-    # triples and imports neither them nor dataclasses
+    # triples and imports no fractions at all, and the value types are named
+    # tuples, so no module imports dataclasses anywhere, not only at load
     path = Path(kinematica.__file__).parent / name
     found = [f"{name}:{line}" for line, module, _ in imports_run_at_load(path)
              if module.split(".")[0] == "fractions"]
-    if name == "kinclass.py":  # anywhere in the file, not only at load
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [f"{name}:{node.lineno}" for module in modules
-                      if module.split(".")[0] in ("fractions", "dataclasses")]
+    banned = ("fractions", "dataclasses") if name == "kinclass.py" else ("dataclasses",)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}" for module in modules
+                  if module.split(".")[0] in banned]
     assert found == []
 
 
