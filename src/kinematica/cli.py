@@ -13,12 +13,16 @@ and its runner.  A small parser reads the command line from the options, the
 :func:`main` calls the runner.  A runner returns either a JSON value, which
 is printed as one line, or a ``str``, which is written unchanged: the dot
 graph, and the SVG of ``region`` (empty once ``--svg`` has written it to a
-file).  The answers that take no input, ``classify`` and ``graph --format
-json``, are serialised once per process and precision, on first use: their
-runners return a :class:`Serialised` answer whose kept text is written from
-then on.  The parser accepts the command lines argparse accepted for the same
-table, with the same values and argparse's one-line error messages; the one
-difference is that a ``--`` given after ``=`` is read as the value ``--``.
+file).  An answer of fixed shape is kept as text: a :class:`Template`, written
+once per process and precision on first use, holds one ``%``-slot per float,
+and its runner returns the template :class:`Filled` with the floats, so no
+answer dict is built per request.  The answers of ``exp``, ``project``,
+``unproject``, ``distance``, ``rotate`` and ``spin`` are templates; those that
+take no input, ``classify`` and ``graph --format json``, are the templates
+without a slot.  The parser accepts the command lines argparse accepted for
+the same table, with the same values and argparse's one-line error messages;
+the one difference is that a ``--`` given after ``=`` is read as the value
+``--``.
 
 Importing this module registers all seven layers but runs none of them (see
 the package docstring).  A runner reaches a layer's names through the layer,
@@ -91,25 +95,54 @@ def _dump_other(obj, precision: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-class Serialised:
-    """An input-free JSON answer, serialised once per process and precision.
+class _Slot:
+    """The type of :data:`SLOT`."""
 
-    ``build()`` makes the value on first use at a precision; :func:`dumps`
-    writes the text kept for that precision from then on.  A runner returns
-    it in place of the value, so the answer still counts as JSON, not text.
+    __slots__ = ()
+
+
+# stands for one float in a template's skeleton; written as a NUL, which no
+# other value writes (a string's control characters are escaped)
+SLOT = _Slot()
+
+
+class Template:
+    """The text of a fixed-shape JSON answer, with one ``%``-slot per float.
+
+    ``skeleton()`` makes the answer with :data:`SLOT` in place of each float.
+    :func:`dumps` writes it once per process and precision, on first use, so
+    keys, order and escaping come from the one writer; each slot becomes
+    ``%.{precision}g`` and each ``%`` of a kept string is doubled.  A template
+    without a slot is an input-free answer kept whole.
     """
 
-    __slots__ = ("build", "texts")
+    __slots__ = ("skeleton", "texts")
 
-    def __init__(self, build: Callable[[], object]) -> None:
-        self.build = build
+    def __init__(self, skeleton: Callable[[], object]) -> None:
+        self.skeleton = skeleton
         self.texts: dict[int, str] = {}
 
-    def text(self, precision: int) -> str:
+    def _text(self, precision: int) -> str:
         text = self.texts.get(precision)
         if text is None:
-            text = self.texts[precision] = dumps(self.build(), precision)
+            raw = dumps(self.skeleton(), precision).replace("%", "%%")
+            text = self.texts[precision] = raw.replace("\0", f"%.{precision}g")
         return text
+
+
+class Filled(NamedTuple):
+    """A template and its floats, in writing order: what a templated runner returns."""
+
+    template: Template
+    values: tuple[float, ...] = ()
+
+
+def _dump_filled(obj: Filled, precision: int) -> str:
+    template, values = obj
+    for x in values:
+        if not math.isfinite(x):
+            raise NonFiniteResult(f"result {x} is not finite")
+    return template._text(precision) % tuple([x + 0.0 for x in values])  # + 0.0 folds -0.0
 
 
 # exact type -> writer; any other type goes to _dump_other
@@ -122,7 +155,8 @@ _WRITERS: dict[type, Callable[[object, int], str]] = {
     type(None): lambda obj, precision: "null",
     int: lambda obj, precision: str(obj),
     float: _dump_float,
-    Serialised: lambda obj, precision: obj.text(precision),
+    Filled: _dump_filled,
+    _Slot: lambda obj, precision: "\0",
 }
 
 
@@ -131,16 +165,12 @@ def dumps(obj, precision: int) -> str:
 
     The writer is chosen by the exact type of each value: dict, list, tuple
     (written as a list, so a matrix of row tuples is a list of lists), str,
-    bool, None, int and float, plus :class:`Serialised` answers and, when the
+    bool, None, int and float, plus :class:`Filled` templates and, when the
     caller has loaded numpy, numpy integers and floats.  Any other type, a
     subclass of those included, raises TypeError; a nan or infinite float
     raises NonFiniteResult.
     """
     return _WRITERS.get(type(obj), _dump_other)(obj, precision)
-
-
-def _gc_json(w: gencomplex.GenComplex) -> dict:
-    return {"re": w.re, "im": w.im, "kappa": w.kappa}
 
 
 class UsageError(Exception):
@@ -194,9 +224,9 @@ class Option(NamedTuple):
 class Command(NamedTuple):
     """One subcommand: its ``--help`` summary, its options and its runner.
 
-    ``run(args)`` returns a JSON value (or a :class:`Serialised` one), which
-    :func:`main` prints as one line, or a ``str``, which :func:`main` writes
-    unchanged.
+    ``run(args)`` returns a JSON value (a :class:`Filled` template among
+    them), which :func:`main` prints as one line, or a ``str``, which
+    :func:`main` writes unchanged.
     """
 
     summary: str
@@ -208,16 +238,32 @@ def _kappas(args) -> ckgeom.KappaPair:
     return ckgeom.KappaPair(args.kappa1, args.kappa2)
 
 
-_CLASSIFY = Serialised(lambda: {
+_CLASSIFY = Filled(Template(lambda: {
     "counts": kinclass.classification_counts(),
     "algebras": kinclass.classification_rows(),
-})
-_GRAPH = Serialised(lambda: [
+}))
+_GRAPH = Filled(Template(lambda: [
     {"from": s, "to": d, "type": k} for s, d, k in kinclass.contraction_graph()
-])
+]))
+
+_GC = {"re": SLOT, "im": SLOT, "kappa": SLOT}
+_MATRIX3 = ((SLOT,) * 3,) * 3
+# exp names its generator in the text, so each letter has a template
+_EXP = {
+    gen: Template(lambda gen=gen: {"generator": gen, "param": SLOT, "matrix": _MATRIX3})
+    for gen in "HPK"
+}
+_PROJECT = Template(lambda: _GC)
+_UNPROJECT = Template(lambda: {"point": (SLOT,) * 3})
+_DISTANCE = Template(lambda: {"distance": SLOT})
+_ROTATE = Template(lambda: {
+    "rotor": {"kappa1": SLOT, "kappa2": SLOT, "coeffs": (SLOT,) * 8},
+    "vector": (SLOT,) * 3,
+})
+_SPIN = Template(lambda: {"alpha": _GC, "beta": _GC, "so3": _MATRIX3})
 
 
-def _run_classify(args) -> Serialised:
+def _run_classify(args) -> Filled:
     return _CLASSIFY
 
 
@@ -228,7 +274,7 @@ def _run_contract(args) -> dict:
         raise UsageError(str(exc)) from None
 
 
-def _run_graph(args) -> Serialised | str:
+def _run_graph(args) -> Filled | str:
     if args.format == "json":
         return _GRAPH
     edges = kinclass.contraction_graph()
@@ -236,47 +282,39 @@ def _run_graph(args) -> Serialised | str:
     return "\n".join(["digraph contractions {", *lines, "}", ""])
 
 
-def _run_exp(args) -> dict:
-    return {
-        "generator": args.gen,
-        "param": args.param,
-        "matrix": ckgeom.exp_generator(_kappas(args), args.gen, args.param),
-    }
+def _run_exp(args) -> Filled:
+    m = ckgeom.exp_generator(_kappas(args), args.gen, args.param)
+    return Filled(_EXP[args.gen], (args.param, *m[0], *m[1], *m[2]))
 
 
-def _run_project(args) -> dict:
-    return _gc_json(ckgeom.project(_kappas(args), args.point))
+def _run_project(args) -> Filled:
+    # a GenComplex is the tuple (re, im, kappa)
+    return Filled(_PROJECT, ckgeom.project(_kappas(args), args.point))
 
 
-def _run_unproject(args) -> dict:
+def _run_unproject(args) -> Filled:
     kp = _kappas(args)
-    return {"point": ckgeom.unproject(kp, gencomplex.gc(*args.w, kp.kappa2))}
+    return Filled(_UNPROJECT, ckgeom.unproject(kp, gencomplex.gc(*args.w, kp.kappa2)))
 
 
-def _run_distance(args) -> dict:
+def _run_distance(args) -> Filled:
     kp = _kappas(args)
     w1, w2 = gencomplex.gc(*args.w1, kp.kappa2), gencomplex.gc(*args.w2, kp.kappa2)
-    return {"distance": ckgeom.distance(kp, w1, w2)}
+    return Filled(_DISTANCE, (ckgeom.distance(kp, w1, w2),))
 
 
-def _run_rotate(args) -> dict:
+def _run_rotate(args) -> Filled:
     kp = _kappas(args)
     axis = clifford.UnitAxis(*args.axis)
     r = clifford.rotor(kp, axis, args.angle)
     out = clifford.sandwich(r, clifford.Multivector.vector(kp, *args.vector))
-    return {
-        "rotor": {"kappa1": kp.kappa1, "kappa2": kp.kappa2, "coeffs": r.coeffs},
-        "vector": out.vector_components(),
-    }
+    return Filled(_ROTATE, (kp.kappa1, kp.kappa2, *r.coeffs, *out.vector_components()))
 
 
-def _run_spin(args) -> dict:
+def _run_spin(args) -> Filled:
     s = spin.SL2[args.gen](_kappas(args), args.param)
-    return {
-        "alpha": _gc_json(s.alpha),
-        "beta": _gc_json(s.beta),
-        "so3": spin.cover_to_so3(s),
-    }
+    so3 = spin.cover_to_so3(s)
+    return Filled(_SPIN, (*s.alpha, *s.beta, *so3[0], *so3[1], *so3[2]))
 
 
 def _run_conformal(args) -> dict:

@@ -333,7 +333,8 @@ def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:
 def _lift(s: SpinElement) -> Multivector:
     """The spin element (alpha, beta) in the slots that :func:`sandwich` reads back."""
     a, b = s.alpha, s.beta
-    return Multivector(s.kp, (a.re, 0.0, 0.0, 0.0, a.im, b.im, b.re, 0.0))
+    # the fields are already a KappaPair and 8 floats: _make skips the checks
+    return Multivector._make((s.kp, (a.re, 0.0, 0.0, 0.0, a.im, b.im, b.re, 0.0)))
 
 
 def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:
@@ -384,7 +385,8 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     # the even grades of the result are exactly 0: the off-grade part is i's
     if not abs(out[VOLUME]) <= UNIT_TOL * max(1.0, scale):
         raise GradeError("sandwich result is not a vector")
-    return Multivector.vector(r.kp, *out[S1:S3 + 1])
+    # out holds floats, so the vector is made without the constructor's checks
+    return Multivector._make((r.kp, (0.0, out[S1], out[S2], out[S3], 0.0, 0.0, 0.0, 0.0)))
 
 
 def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:

@@ -2,6 +2,7 @@ import argparse
 import ast
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,11 +18,12 @@ import numpy as np
 
 from cli_reference import build_parser as reference_parser
 from dumps_reference import dumps as reference_dumps
-from kinematica import conformal
+from kinematica import ckgeom, clifford, conformal, spin
 from kinematica.ckgeom import KappaPair
-from kinematica.cli import COMMANDS, UsageError, dumps, main, parse_args
+from kinematica.cli import (COMMANDS, SLOT, Filled, Template, UsageError, dumps, main,
+                            parse_args)
 from kinematica.clifford import Multivector
-from kinematica.errors import NonFiniteResult
+from kinematica.errors import KinematicaError, NonFiniteResult
 from kinematica.gencomplex import gc
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1046,6 +1048,131 @@ def test_every_command_line_ends_in_an_answer_or_one_json_error(argv, tmp_path, 
         assert code in (1, 2) and out == ""
         assert err.endswith("\n") and err.count("\n") == 1
         assert "error" in json.loads(err)
+
+
+# -- the templated answers against the library and the reference writer ------
+
+SIGN_PATTERNS = [(k1, k2) for k1 in (1.0, 0.0, -1.0) for k2 in (1.0, 0.0, -1.0)]
+TEMPLATED = ["exp", "project", "unproject", "distance", "rotate", "spin"]
+
+
+def library_answer(args) -> dict:
+    """The answer of a templated subcommand as a dict, built from the library calls."""
+    kp = KappaPair(args.kappa1, args.kappa2)
+    if args.command == "exp":
+        matrix = ckgeom.exp_generator(kp, args.gen, args.param)
+        return {"generator": args.gen, "param": args.param, "matrix": matrix}
+    if args.command == "project":
+        w = ckgeom.project(kp, args.point)
+        return {"re": w.re, "im": w.im, "kappa": w.kappa}
+    if args.command == "unproject":
+        return {"point": ckgeom.unproject(kp, gc(*args.w, kp.kappa2))}
+    if args.command == "distance":
+        return {"distance": ckgeom.distance(kp, gc(*args.w1, kp.kappa2), gc(*args.w2, kp.kappa2))}
+    if args.command == "rotate":
+        r = clifford.rotor(kp, clifford.UnitAxis(*args.axis), args.angle)
+        out = clifford.sandwich(r, Multivector.vector(kp, *args.vector))
+        return {"rotor": {"kappa1": kp.kappa1, "kappa2": kp.kappa2, "coeffs": r.coeffs},
+                "vector": out.vector_components()}
+    s = spin.SL2[args.gen](kp, args.param)
+    return {"alpha": {"re": s.alpha.re, "im": s.alpha.im, "kappa": s.alpha.kappa},
+            "beta": {"re": s.beta.re, "im": s.beta.im, "kappa": s.beta.kappa},
+            "so3": spin.cover_to_so3(s)}
+
+
+def reference_run(argv, precision):
+    """(exit code, stdout, stderr) that the reference writer gives for a command line."""
+    try:
+        return 0, reference_dumps(library_answer(parse_args(argv)), precision) + "\n", ""
+    except KinematicaError as exc:
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        return 1, "", reference_dumps(payload, precision) + "\n"
+
+
+@st.composite
+def templated_argvs(draw, command, labels):
+    """A well-formed command line of ``command``; labels drawn when ``labels`` is None."""
+    kappa1, kappa2 = labels or draw(st.tuples(FINITE, FINITE))
+    argv = [command, "--kappa1", repr(kappa1), "--kappa2", repr(kappa2)]
+    for option in COMMANDS[command].options:
+        if option.name not in ("--kappa1", "--kappa2"):
+            argv += [option.name, draw(good_value(option))]
+    return argv
+
+
+@pytest.mark.parametrize("labels", [*SIGN_PATTERNS, None],
+                         ids=[*(f"{k1:g},{k2:g}" for k1, k2 in SIGN_PATTERNS), "drawn"])
+@pytest.mark.parametrize("command", TEMPLATED)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), precision=st.sampled_from([1, 5, 17]))
+def test_templated_answers_write_the_reference_bytes(command, labels, data, precision,
+                                                     monkeypatch):
+    # stdout is the reference writer's text of the library's answer, and an
+    # error is the reference's one-line payload, at every precision
+    argv = data.draw(templated_argvs(command, labels))
+    monkeypatch.setenv("KINEMATICA_PRECISION", str(precision))
+    assert run_cli(argv) == reference_run(argv, precision)
+
+
+@pytest.mark.parametrize("precision", [1, 5, 17])
+def test_a_negative_zero_slot_prints_zero(precision, monkeypatch):
+    argv = ["exp", "--gen", "K", "--param", "-0.0", "--kappa1", "1", "--kappa2", "1"]
+    values = COMMANDS["exp"].run(parse_args(argv)).values
+    assert [math.copysign(1.0, x) for x in values].count(-1.0) == 2  # param and sin(-0.0)
+    monkeypatch.setenv("KINEMATICA_PRECISION", str(precision))
+    expected = '{"generator":"K","param":0,"matrix":[[1,0,0],[0,1,0],[0,0,1]]}\n'
+    assert run_cli(argv) == reference_run(argv, precision) == (0, expected, "")
+
+
+def filled_skeleton(skeleton, values):
+    """The skeleton with its slots replaced by the values, in writing order."""
+    values = iter(values)
+
+    def fill(value):
+        if value is SLOT:
+            return next(values)
+        if isinstance(value, dict):
+            return {key: fill(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [fill(item) for item in value]
+        return value
+
+    return fill(skeleton)
+
+
+# one command line per template: exp has one for each generator letter
+TEMPLATE_ARGVS = [
+    *(["exp", "--gen", gen, "--param", "0.4", "--kappa1", "1", "--kappa2", "-1"] for gen in "HPK"),
+    *(argv for argv in JSON_SUBCOMMANDS if argv[0] in TEMPLATED and argv[0] != "exp"),
+]
+
+
+@pytest.mark.parametrize("argv", TEMPLATE_ARGVS, ids=lambda a: a[0] + "-" + a[2])
+@pytest.mark.parametrize("precision", [1, 5, 17])
+def test_the_first_non_finite_slot_raises_the_reference_error(argv, precision):
+    template, values = COMMANDS[argv[0]].run(parse_args(argv))
+    skeleton = template.skeleton()
+    assert dumps(Filled(template, values), precision) == reference_dumps(
+        filled_skeleton(skeleton, values), precision)
+    for i in range(len(values)):  # -inf in each slot, and a nan after it
+        bad = (*values[:i], -math.inf, *values[i + 1:-1], math.nan)[:len(values)]
+        with pytest.raises(NonFiniteResult) as expected:
+            reference_dumps(filled_skeleton(skeleton, bad), precision)
+        with pytest.raises(NonFiniteResult) as caught:
+            dumps(Filled(template, bad), precision)
+        assert str(caught.value) == str(expected.value) == "result -inf is not finite"
+
+
+@pytest.mark.parametrize("precision", [1, 5, 17])
+def test_a_percent_sign_in_a_skeleton_string_is_written_unchanged(precision):
+    skeleton = {"100%": SLOT, "%s%%d": [SLOT, "%.17g", "%", {"%(x)s": SLOT}], "%": "50%"}
+    values = (0.1, -0.0, 12.5)
+    template = Template(lambda: skeleton)
+    for _ in range(2):  # written once, then served from the kept text
+        assert dumps(Filled(template, values), precision) == reference_dumps(
+            filled_skeleton(skeleton, values), precision)
+    assert dumps(Filled(Template(lambda: ["%%", "%d"])), precision) == '["%%","%d"]'
 
 
 def test_entry_point_runs_as_a_module():

@@ -3,9 +3,10 @@
 Each workload's seed-7 stream from ``bench/workloads.py`` is replayed for
 20,000 requests through ``kinematica.cli.main`` in this process, and
 :func:`replay.digest` hashes each request's argv, exit code, stdout and
-stderr, in order.  The digests are pinned like the goldens: a change that
-alters an answer on purpose updates its pin and says why.  ``bench/`` is only
-read.
+stderr, in order.  The digests are pinned like the goldens, at the default
+precision of 17 digits and at ``KINEMATICA_PRECISION=5``, since the command
+line keeps its answer templates per precision: a change that alters an answer
+on purpose updates its pin and says why.  ``bench/`` is only read.
 """
 
 from pathlib import Path
@@ -22,6 +23,11 @@ DIGESTS = {
     "rotors-sweep": "b0cc200f4c3f1f45abb0f7509c67424246e9d1c07738596449e38358455061b9",
     "nine-geometries": "0ed944f945c21fbe23963f7fab0bc903e365f01d3a2dc490e50332bd257d1559",
 }
+DIGESTS_AT_PRECISION_5 = {
+    "geometry-sweep": "eb74db213116b9e8b302083fb4d65a53743a7914530435095a0c18e61e26584c",
+    "rotors-sweep": "496390b20effdb8a85dbe159131773682c3e93b86cd39ffaad3c2da0aad4b2ba",
+    "nine-geometries": "3945bbe67c46b5ffd35da58aa17ee5e344a4cd993ed5674ea2c40260c6c0476e",
+}
 
 
 @pytest.fixture
@@ -33,10 +39,17 @@ def workloads(monkeypatch):
 
 
 def test_every_workload_is_pinned(workloads):
-    assert set(DIGESTS) == set(workloads.WORKLOADS)
+    assert set(DIGESTS) == set(DIGESTS_AT_PRECISION_5) == set(workloads.WORKLOADS)
 
 
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_the_replayed_answers_are_the_pinned_bytes(workloads, name):
     stream = workloads.WORKLOADS[name](SEED)
     assert replay.digest(cli.main, stream, REQUESTS) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(DIGESTS_AT_PRECISION_5))
+def test_the_replayed_answers_at_precision_5_are_the_pinned_bytes(workloads, name, monkeypatch):
+    monkeypatch.setenv("KINEMATICA_PRECISION", "5")
+    stream = workloads.WORKLOADS[name](SEED)
+    assert replay.digest(cli.main, stream, REQUESTS) == DIGESTS_AT_PRECISION_5[name]
