@@ -147,11 +147,7 @@ def _gather(terms, x, y, coef: tuple[float, ...]) -> list[float]:
 
 class Multivector(NamedTuple("Multivector", [("kp", KappaPair), ("coeffs", tuple[float, ...])])):
     """Eight real coefficients over the documented basis order, held as a
-    tuple of floats.
-
-    ``==`` compares the labels and the coefficients; :meth:`approx_eq`
-    compares within a tolerance.
-    """
+    tuple of floats; ``==`` compares the labels and the coefficients."""
 
     __slots__ = ()
 
@@ -247,10 +243,6 @@ class Multivector(NamedTuple("Multivector", [("kp", KappaPair), ("coeffs", tuple
     def is_even(self) -> bool:
         return self.off_grade_norm((0, 2)) == 0.0
 
-    def approx_eq(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        self._check(other)
-        return all(abs(x - y) <= tol for x, y in zip(self.coeffs, other.coeffs))
-
     def __str__(self) -> str:
         terms = [
             f"{c:+g}*{label}"
@@ -323,11 +315,6 @@ class UnitAxis(NamedTuple("UnitAxis", [("n1", float), ("n2", float), ("n3", floa
         # a copy or an unpickled axis keeps its coefficients: normalizing
         # them again could move the last bit
         return self._make, (tuple(self),)
-
-
-def axis_bivector(kp: KappaPair, n: UnitAxis) -> Multivector:
-    """n1*is1 + n2*is2 + n3*s3check."""
-    return Multivector.bivector(kp, n.n1, n.n2, n.n3)
 
 
 def _lift(s: SpinElement) -> Multivector:

@@ -27,13 +27,9 @@ import math
 from .ckgeom import KappaPair
 from .errors import DecompositionFailure
 from .gencomplex import Mat2, gc
-from .spin import SL2, so3_matrix_generators
+from .spin import ALGEBRA_TOL, SL2, so3_matrix_generators
 
 GENERATOR_TAGS = ("H", "P", "K", "G1", "G2", "D")
-
-# absolute bound on a trace component of a matrix in the span, and on a
-# coefficient difference between the computed and the published table
-TOL = 1e-12
 
 
 def conformal_basis(kp: KappaPair) -> dict[str, Mat2]:
@@ -57,12 +53,12 @@ def decompose(kp: KappaPair, m: Mat2) -> dict[str, float]:
     trace and finite coefficients are the whole check.
 
     Raises:
-        DecompositionFailure: if a trace component exceeds ``TOL`` (m not in
-            the span) or a coefficient is not finite.
+        DecompositionFailure: if a trace component exceeds ``ALGEBRA_TOL``
+            (m not in the span) or a coefficient is not finite.
     """
     tr = m.trace()
-    # written `not x <= TOL` so that a nan trace fails too
-    if not (abs(tr.re) <= TOL and abs(tr.im) <= TOL):
+    # written `not x <= ALGEBRA_TOL` so that a nan trace fails too
+    if not (abs(tr.re) <= ALGEBRA_TOL and abs(tr.im) <= ALGEBRA_TOL):
         raise DecompositionFailure(f"trace {tr} is not zero: off the six-generator span")
     coeffs = {
         "H": 2.0 * m.b.re,
@@ -187,7 +183,7 @@ def diff_vs_tabulated(
 
     Only the ``ERRATA`` slots can disagree.  Of those, undefined-symbol slots
     are always flagged, and numeric slots when any coefficient differs by
-    more than ``TOL`` at these labels.
+    more than ``ALGEBRA_TOL`` at these labels.
     """
     diffs = []
     for row in GENERATOR_TAGS:
@@ -207,7 +203,7 @@ def diff_vs_tabulated(
                 continue
             tags = set(claimed) | set(actual)
             if any(
-                abs(claimed.get(t, 0.0) - actual.get(t, 0.0)) > TOL for t in tags
+                abs(claimed.get(t, 0.0) - actual.get(t, 0.0)) > ALGEBRA_TOL for t in tags
             ):
                 diffs.append(
                     {"bracket": [row, col], "computed": actual, "claimed": claimed}

@@ -167,10 +167,6 @@ class GenComplex(NamedTuple):
         s = re * re + kappa * im * im if kappa else re * re
         return re, im, s, k
 
-    def approx_eq(self, other: "GenComplex", tol: float = 1e-12) -> bool:
-        _check_same_kappa(self.kappa, other.kappa)
-        return abs(self.re - other.re) <= tol and abs(self.im - other.im) <= tol
-
     def __str__(self) -> str:
         return f"({self.re} + {self.im}i | i^2 = {-self.kappa})"
 
@@ -263,9 +259,6 @@ class Mat2(NamedTuple("Mat2", [("a", GenComplex), ("b", GenComplex),
         parts = [abs(v) for e in (self.a, self.b, self.c, self.d) for v in (e.re, e.im)]
         return math.nan if any(map(math.isnan, parts)) else max(parts)
 
-    def approx_eq(self, other: "Mat2", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
-
     def apply(self, w: GenComplex) -> GenComplex:
         """Evaluate the Moebius map (a*w + b)/(c*w + d) at an affine point.
 
@@ -338,11 +331,6 @@ class GammaPoint(NamedTuple("GammaPoint", [("u", GenComplex), ("v", GenComplex)]
         if self.v.is_zero() or self.v.is_zero_divisor():
             raise AtInfinity(f"[{self.u} : {self.v}] has no affine image")
         return self.u * self.v.inv()
-
-    def projectively_equal(self, other: "GammaPoint", tol: float = 1e-10) -> bool:
-        """Same point of the completion: the cross products u1*v2, u2*v1 agree."""
-        _check_same_kappa(self.kappa, other.kappa)
-        return (self.u * other.v).approx_eq(other.u * self.v, tol)
 
 
 def gamma_lift(w: GenComplex) -> GammaPoint:

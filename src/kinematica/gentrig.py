@@ -83,7 +83,7 @@ def tank(kappa: float, phi: float) -> float:
     """Labeled tangent sink/cosk.
 
     Raises:
-        PoleError: when |cosk(kappa, phi)| < 1e-12.
+        PoleError: when |cosk(kappa, phi)| < POLE_TOL.
     """
     c, s = cosk_sink(kappa, phi)
     if abs(c) < POLE_TOL:

@@ -28,6 +28,7 @@ kernel {+1, -1}.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .ckgeom import KappaPair, Matrix3
@@ -38,6 +39,10 @@ from .gentrig import cosk_sink
 # the one bound on unit_defect().  Absolute: a relative bound admits
 # ill-conditioned elements whose cover entries cancel (K boosts of rapidity 40)
 UNIT_TOL = 1e-8
+# absolute bound on the residuals of generator matrices with entries of size
+# O(1): the trace and B* A + A B in is_su2_algebra, and in conformal the trace
+# of a matrix in the span and a bracket coefficient against the published one
+ALGEBRA_TOL = 1e-12
 
 
 def a_matrix(kp: KappaPair) -> Mat2:
@@ -197,12 +202,19 @@ def spin_from_mat2(kp: KappaPair, m: Mat2) -> SpinElement:
     return SpinElement(kp, m.a, m.b)
 
 
-def is_su2_algebra(kp: KappaPair, b: Mat2, tol: float = 1e-12) -> bool:
-    """Tangent-space test: B* A + A B = 0 and trace B = 0."""
+def is_su2_algebra(kp: KappaPair, b: Mat2) -> bool:
+    """Tangent-space test: B* A + A B = 0 and trace B = 0, within ALGEBRA_TOL."""
     a = a_matrix(kp)
     condition = b.star() @ a + a @ b
     tr = b.trace()
-    return condition.max_abs() <= tol and abs(tr.re) <= tol and abs(tr.im) <= tol
+    return (condition.max_abs() <= ALGEBRA_TOL
+            and abs(tr.re) <= ALGEBRA_TOL and abs(tr.im) <= ALGEBRA_TOL)
+
+
+def _label_times(label: float, x: float) -> float:
+    """label * x, with a zero x giving the signed zero of the finite product
+    also where the label overflowed to inf, instead of 0 * inf = nan."""
+    return label * x if x != 0.0 else math.copysign(0.0, label) * x
 
 
 def cover_to_so3(s: SpinElement) -> Matrix3:
@@ -221,13 +233,13 @@ def cover_to_so3(s: SpinElement) -> Matrix3:
     return (
         (
             a0 * a0 + k2 * a1 * a1 - k1 * b0 * b0 - k1 * k2 * b1 * b1,
-            -2.0 * k1 * (a0 * b0 + k2 * a1 * b1),
-            -2.0 * k1 * k2 * (a0 * b1 - a1 * b0),
+            _label_times(-2.0 * k1, a0 * b0 + k2 * a1 * b1),
+            _label_times(-2.0 * k1 * k2, a0 * b1 - a1 * b0),
         ),
         (
             2.0 * (a0 * b0 - k2 * a1 * b1),
             a0 * a0 - k2 * a1 * a1 - k1 * b0 * b0 + k1 * k2 * b1 * b1,
-            -2.0 * k2 * (a0 * a1 + k1 * b0 * b1),
+            _label_times(-2.0 * k2, a0 * a1 + k1 * b0 * b1),
         ),
         (
             2.0 * (a0 * b1 + a1 * b0),

@@ -1,8 +1,11 @@
-"""Checks of the projective model and the rotors that only the tests use.
+"""Checks of the projective model and the rotors, and the comparators, that
+only the tests use.
 
-Each returns a flag or both sides of an identity of :mod:`kinematica.ckgeom`
-or :mod:`kinematica.clifford`; ``test_ckgeom.py``, ``test_clifford.py`` and
-``test_acceptance.py`` import them from here.
+Each check returns a flag or both sides of an identity of
+:mod:`kinematica.ckgeom` or :mod:`kinematica.clifford`; ``test_ckgeom.py``,
+``test_clifford.py`` and ``test_acceptance.py`` import them from here.  The
+comparators :func:`approx_eq` and :func:`projectively_equal` take their
+absolute bound from the caller, with no default, so every test states its own.
 """
 
 from __future__ import annotations
@@ -17,10 +20,39 @@ from kinematica.clifford import (
     sandwich,
     wedge,
 )
-from kinematica.errors import DegeneratePlane
-from kinematica.gencomplex import GenComplex
+from kinematica.errors import DegeneratePlane, KappaMismatch
+from kinematica.gencomplex import GammaPoint, GenComplex, Mat2
 from kinematica.gentrig import cosk_sink
 from kinematica.spin import moebius_of_word
+
+
+def _label_and_parts(x) -> tuple:
+    """The label and the real parts of a GenComplex, a Mat2 or a Multivector."""
+    if isinstance(x, GenComplex):
+        return x.kappa, (x.re, x.im)
+    if isinstance(x, Mat2):
+        return x.kappa, tuple(part for entry in x for part in (entry.re, entry.im))
+    if isinstance(x, Multivector):
+        return x.kp, x.coeffs
+    raise TypeError(f"no parts to compare in a {type(x).__name__}")
+
+
+def approx_eq(x, y, tol: float) -> bool:
+    """x and y agree part by part within the absolute bound tol.
+
+    A nan part is never close.  On a Mat2 this is max_abs(x - y) <= tol.
+    Operands with different labels raise KappaMismatch rather than compare.
+    """
+    (kx, px), (ky, py) = _label_and_parts(x), _label_and_parts(y)
+    if kx != ky:
+        raise KappaMismatch(f"labels differ: {kx} vs {ky}")
+    return all(abs(a - b) <= tol for a, b in zip(px, py, strict=True))
+
+
+def projectively_equal(p: GammaPoint, q: GammaPoint, tol: float) -> bool:
+    """Same point of the completion: the cross products p.u*q.v and q.u*p.v
+    agree within tol."""
+    return approx_eq(p.u * q.v, q.u * p.v, tol)
 
 
 def on_sigma(kp: KappaPair, point, tol: float = 1e-10) -> bool:
@@ -41,7 +73,7 @@ def is_hemisphere_boundary(point, tol: float = 1e-10) -> bool:
 
 def boundary_equivalent(w1: GenComplex, w2: GenComplex, tol: float = 1e-10) -> bool:
     """Equality of rim images up to the antipodal sign."""
-    return w1.approx_eq(w2, tol) or w1.approx_eq(-w2, tol)
+    return approx_eq(w1, w2, tol) or approx_eq(w1, -w2, tol)
 
 
 def act_and_project_equivariance(

@@ -13,7 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geometry_checks import act_and_project_equivariance, in_plane_rotation_check
+from geometry_checks import (
+    act_and_project_equivariance,
+    approx_eq,
+    in_plane_rotation_check,
+)
 from kinematica import ckgeom, clifford, conformal, kinclass, spin
 from kinematica.ckgeom import KappaPair
 from kinematica.cli import main as cli_main
@@ -203,7 +207,7 @@ def test_criterion_05_clifford_table_cross_check():
                 a = clifford.Multivector(kp, rng.uniform(-1, 1, 8))
                 b = clifford.Multivector(kp, rng.uniform(-1, 1, 8))
                 c = clifford.Multivector(kp, rng.uniform(-1, 1, 8))
-                assert ((a * b) * c).approx_eq(a * (b * c), 1e-10)
+                assert approx_eq((a * b) * c, a * (b * c), 1e-10)
 
 
 def test_criterion_06_rotation_contract():
@@ -223,13 +227,13 @@ def test_criterion_06_rotation_contract():
                     clifford.ck_dot(out, out) - clifford.ck_dot(a, a)
                 ) < 1e-10
                 normal, _ = clifford.axis_of(kp, axis)
-                assert clifford.sandwich(r, normal).approx_eq(normal, 1e-10)
+                assert approx_eq(clifford.sandwich(r, normal), normal, 1e-10)
 
                 b = clifford.Multivector.vector(kp, *rng.uniform(-1, 1, 3))
                 if np.max(np.abs(clifford.wedge(a, b).coeffs)) < 1e-3:
                     continue
                 lhs, rhs = in_plane_rotation_check(kp, a, b, phi)
-                assert lhs.approx_eq(rhs, 1e-10)
+                assert approx_eq(lhs, rhs, 1e-10)
                 done += 1
 
 
@@ -312,7 +316,7 @@ def test_criterion_08_conformal_algebra():
                         if den.sqmod() == 0.0:
                             continue
                         direct = (m.a * w + m.b) * den.inv()
-                        assert mo.apply(w).approx_eq(direct, 1e-12)
+                        assert approx_eq(mo.apply(w), direct, 1e-12)
 
 
 def test_criterion_09_metric_and_distance():

@@ -6,6 +6,7 @@ import pytest
 
 from geometry_checks import (
     act_and_project_equivariance,
+    approx_eq,
     boundary_equivalent,
     is_hemisphere_boundary,
     on_sigma,
@@ -152,9 +153,9 @@ def test_word_matrix_is_the_product_of_its_factors(kp):
 
 def test_project_examples():
     kp = KappaPair(1.0, 1.0)
-    assert project(kp, (1.0, 0.0, 0.0)).approx_eq(gc(0, 0, 1.0), 0)
-    assert project(kp, (0.0, 1.0, 0.0)).approx_eq(gc(1, 0, 1.0), 0)
-    assert project(kp, (0.0, 0.0, 1.0)).approx_eq(gc(0, 1, 1.0), 0)
+    assert approx_eq(project(kp, (1.0, 0.0, 0.0)), gc(0, 0, 1.0), 0)
+    assert approx_eq(project(kp, (0.0, 1.0, 0.0)), gc(1, 0, 1.0), 0)
+    assert approx_eq(project(kp, (0.0, 0.0, 1.0)), gc(0, 1, 1.0), 0)
     with pytest.raises(ProjectionPole):
         project(kp, (-1.0, 0.0, 0.0))
 
@@ -186,7 +187,7 @@ def test_project_unproject_round_trip(kp):
         point = unproject(kp, w)
         assert on_sigma(kp, point, 1e-10)
         back = project(kp, point)
-        assert back.approx_eq(w, 1e-12)
+        assert approx_eq(back, w, 1e-12)
         count += 1
 
 
@@ -337,22 +338,22 @@ def test_equivariance_boost_is_plane_rotation():
     point = unproject(kp, w)
     lhs, rhs = act_and_project_equivariance(kp, [("K", theta)], point)
     expected = gc_exp_unit(kp.kappa2, theta) * w
-    assert lhs.approx_eq(expected, 1e-12)
-    assert rhs.approx_eq(expected, 1e-12)
+    assert approx_eq(lhs, expected, 1e-12)
+    assert approx_eq(rhs, expected, 1e-12)
 
 
 def test_equivariance_identity_word():
     kp = KappaPair(-1.0, 0.0)
     point = unproject(kp, gc(0.3, -0.2, 0.0))
     lhs, rhs = act_and_project_equivariance(kp, [], point)
-    assert lhs.approx_eq(rhs, 0)
+    assert approx_eq(lhs, rhs, 0)
 
 
 def test_equivariance_time_translation_at_origin():
     kp = KappaPair(1.0, -1.0)
     origin = (1.0, 0.0, 0.0)
     lhs, rhs = act_and_project_equivariance(kp, [("H", 0.3)], origin)
-    assert lhs.approx_eq(rhs, 1e-12)
+    assert approx_eq(lhs, rhs, 1e-12)
 
 
 def test_region_svg_shapes():
@@ -388,7 +389,7 @@ def test_boundary_rim_flag_and_antipodal_comparison():
     # explicitly, never silently
     w_plus = project(kp, rim)
     w_minus = project(kp, -rim)
-    assert not w_plus.approx_eq(w_minus, 1e-12)
+    assert not approx_eq(w_plus, w_minus, 1e-12)
     assert boundary_equivalent(w_plus, w_minus)
     assert not boundary_equivalent(w_plus, gc(0.5, 0.5, 1.0))
 

@@ -408,6 +408,24 @@ def test_unproject_whose_squared_modulus_overflows(kappa1):
         assert abs(Fraction(value) - exact) <= abs(exact) * Fraction(2) ** -50
 
 
+IDENTITY_SO3 = '"so3":[[1,0,0],[0,1,0],[0,0,1]]}\n'
+
+
+@pytest.mark.parametrize("argv,kappa2", [
+    (["spin", "--gen", "P", "--param", "-0.0", "--kappa1", "1.326399172571593",
+      "--kappa2", "-1e+308"], "-1e+308"),
+    (["spin", "--gen", "K", "--param", "0", "--kappa1", "1", "--kappa2", "-1e308"], "-1e+308"),
+    (["spin", "--gen", "H", "--param", "0", "--kappa1", "1e308", "--kappa2", "0.5"], "0.5"),
+], ids=["P", "K", "H"])
+def test_spin_at_zero_param_is_the_identity_where_a_doubled_label_overflows(argv, kappa2):
+    # cover_to_so3 forms -2*kappa1, -2*kappa2 or -2*kappa1*kappa2 before the
+    # coordinate factor; these overflow to inf, and 0 * inf once ended in
+    # NonFiniteResult "result nan is not finite"
+    expected = (f'{{"alpha":{{"re":1,"im":0,"kappa":{kappa2}}},'
+                f'"beta":{{"re":0,"im":0,"kappa":{kappa2}}},' + IDENTITY_SO3)
+    assert run_cli(argv) == (0, expected, "")
+
+
 # labels next to 0 take the branch of their sign; |kappa| < 1e-300 was once
 # read as kappa = 0.  The references are computed in 600-bit arithmetic at the
 # float arguments the code forms.
@@ -734,7 +752,7 @@ def test_json_subcommand_output_is_byte_identical(argv, expected):
 
 
 # the exact stdout of conformal-table at the nine sign patterns, at a generic
-# pair and at (1e-13, 1e-13), where the TOL test hides the [K,G2] erratum:
+# pair and at (1e-13, 1e-13), where the ALGEBRA_TOL test hides the [K,G2] erratum:
 # (kappa1, kappa2) -> (the brackets object, the --diff-paper list)
 CONFORMAL_PINS = {
     ("1", "1"): (

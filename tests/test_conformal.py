@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geometry_checks import approx_eq
 from kinematica import conformal
 from kinematica.ckgeom import KappaPair, so3_generators
 from kinematica.conformal import (
@@ -48,25 +49,26 @@ def test_basis_matrices():
     kp = KappaPair(1.5, -1.0)
     basis = conformal_basis(kp)
     k2 = kp.kappa2
-    assert basis["H"].approx_eq(
+    assert approx_eq(
+        basis["H"],
         Mat2(gc(0, 0, k2), gc(0.5, 0, k2), gc(-0.75, 0, k2), gc(0, 0, k2)), 0
     )
-    assert basis["G1"].approx_eq(
-        Mat2(gc(0, 0, k2), gc(0, 0, k2), gc(1, 0, k2), gc(0, 0, k2)), 0
+    assert approx_eq(
+        basis["G1"], Mat2(gc(0, 0, k2), gc(0, 0, k2), gc(1, 0, k2), gc(0, 0, k2)), 0
     )
-    assert basis["G2"].approx_eq(
-        Mat2(gc(0, 0, k2), gc(0, 0, k2), gc(0, 1, k2), gc(0, 0, k2)), 0
+    assert approx_eq(
+        basis["G2"], Mat2(gc(0, 0, k2), gc(0, 0, k2), gc(0, 1, k2), gc(0, 0, k2)), 0
     )
-    assert basis["D"].approx_eq(
-        Mat2(gc(0.5, 0, k2), gc(0, 0, k2), gc(0, 0, k2), gc(-0.5, 0, k2)), 0
+    assert approx_eq(
+        basis["D"], Mat2(gc(0.5, 0, k2), gc(0, 0, k2), gc(0, 0, k2), gc(-0.5, 0, k2)), 0
     )
 
 
 def test_g1_exponential_is_lower_shear():
     kp = KappaPair(1.0, 1.0)
     m = conformal_moebius(kp, "G1", 1.7)
-    assert m.approx_eq(
-        Mat2(gc(1, 0, 1), gc(0, 0, 1), gc(1.7, 0, 1), gc(1, 0, 1)), 0
+    assert approx_eq(
+        m, Mat2(gc(1, 0, 1), gc(0, 0, 1), gc(1.7, 0, 1), gc(1, 0, 1)), 0
     )
 
 
@@ -356,7 +358,7 @@ def test_moebius_actions_match_exponentials(kp):
                 den = from_matrix.c * w + from_matrix.d
                 if den.sqmod() == 0.0:
                     continue
-                assert from_matrix.apply(w).approx_eq(expected_action(kp, tag, t, w), 1e-12)
+                assert approx_eq(from_matrix.apply(w), expected_action(kp, tag, t, w), 1e-12)
 
 
 def test_moebius_closed_forms():
@@ -365,17 +367,17 @@ def test_moebius_closed_forms():
     # dilation: w -> e^t w
     m = conformal_moebius(kp, "D", t)
     w = gc(1, 0, 1.0)
-    assert m.apply(w).approx_eq(gc(math.exp(t), 0, 1.0), 1e-12)
+    assert approx_eq(m.apply(w), gc(math.exp(t), 0, 1.0), 1e-12)
     # G1 fixes the origin and acts as w/(t w + 1)
     m = conformal_moebius(kp, "G1", t)
-    assert m.apply(gc(0, 0, 1.0)).approx_eq(gc(0, 0, 1.0), 0)
+    assert approx_eq(m.apply(gc(0, 0, 1.0)), gc(0, 0, 1.0), 0)
     w = gc(0.5, 0.25, 1.0)
     expected = w * (w * t + 1.0).inv()
-    assert m.apply(w).approx_eq(expected, 1e-12)
+    assert approx_eq(m.apply(w), expected, 1e-12)
     # G2 acts as w/(t i w + 1)
     m = conformal_moebius(kp, "G2", t)
     expected = w * (w * gc(0, t, 1.0) + 1.0).inv()
-    assert m.apply(w).approx_eq(expected, 1e-12)
+    assert approx_eq(m.apply(w), expected, 1e-12)
 
 
 def test_g1_pole_resolved_on_completion():
@@ -401,8 +403,8 @@ def test_special_maps_are_not_translations_when_curved():
     for u in (0.1, 0.4, 0.8):
         w = gc(u, 0, 1.0)
         displacements.append(m.apply(w) - w)
-    assert not displacements[0].approx_eq(displacements[1], 1e-9)
-    assert not displacements[1].approx_eq(displacements[2], 1e-9)
+    assert not approx_eq(displacements[0], displacements[1], 1e-9)
+    assert not approx_eq(displacements[1], displacements[2], 1e-9)
 
 
 def test_flat_time_translation_is_a_translation():
@@ -410,4 +412,4 @@ def test_flat_time_translation_is_a_translation():
     kp = KappaPair(0.0, -1.0)
     m = conformal_moebius(kp, "H", 0.9)
     for w in (gc(0.2, 0.6, -1.0), gc(-1.1, 0.3, -1.0)):
-        assert m.apply(w).approx_eq(w + gc(0.45, 0, -1.0), 1e-13)
+        assert approx_eq(m.apply(w), w + gc(0.45, 0, -1.0), 1e-13)

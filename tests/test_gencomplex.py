@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kinematica
+from geometry_checks import approx_eq, projectively_equal
 from kinematica.errors import (
     AtInfinity,
     DivisionByZero,
@@ -30,27 +31,27 @@ KAPPAS = [-2.0, -1.0, 0.0, 0.5, 1.0]
 
 
 def test_imaginary_unit_squares():
-    assert (gc(0, 1, 0.0) * gc(0, 1, 0.0)).approx_eq(gc(0, 0, 0.0), 0)
-    assert (gc(0, 1, -1.0) * gc(0, 1, -1.0)).approx_eq(gc(1, 0, -1.0), 0)
-    assert (gc(0, 1, 1.0) * gc(0, 1, 1.0)).approx_eq(gc(-1, 0, 1.0), 0)
+    assert approx_eq(gc(0, 1, 0.0) * gc(0, 1, 0.0), gc(0, 0, 0.0), 0)
+    assert approx_eq(gc(0, 1, -1.0) * gc(0, 1, -1.0), gc(1, 0, -1.0), 0)
+    assert approx_eq(gc(0, 1, 1.0) * gc(0, 1, 1.0), gc(-1, 0, 1.0), 0)
 
 
 def test_product_example():
     w = gc(1, 1, 1.0) * gc(1, -1, 1.0)
-    assert w.approx_eq(gc(2, 0, 1.0), 0)
+    assert approx_eq(w, gc(2, 0, 1.0), 0)
 
 
 def test_inverse_examples():
     inv_i = gc(0, 1, 1.0).inv()
-    assert inv_i.approx_eq(gc(0, -1, 1.0), 1e-15)
-    assert (gc(0, 1, 1.0) * inv_i).approx_eq(gc(1, 0, 1.0), 1e-14)
+    assert approx_eq(inv_i, gc(0, -1, 1.0), 1e-15)
+    assert approx_eq(gc(0, 1, 1.0) * inv_i, gc(1, 0, 1.0), 1e-14)
 
     with pytest.raises(ZeroDivisorError):
         gc(0, 1, 0.0).inv()
     with pytest.raises(DivisionByZero):
         gc(0, 0, 1.0).inv()
 
-    assert gc(2, 0, -1.0).inv().approx_eq(gc(0.5, 0, -1.0), 1e-15)
+    assert approx_eq(gc(2, 0, -1.0).inv(), gc(0.5, 0, -1.0), 1e-15)
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -58,7 +59,7 @@ def test_inverse_round_trip(kappa):
     for w in [gc(1.5, -0.3, kappa), gc(-0.2, 0.9, kappa), gc(2.0, 2.5, kappa)]:
         if w.sqmod() == 0.0:
             continue
-        assert (w * w.inv()).approx_eq(gc(1, 0, kappa), 1e-14)
+        assert approx_eq(w * w.inv(), gc(1, 0, kappa), 1e-14)
 
 
 def test_inverse_when_the_squared_modulus_overflows():
@@ -244,9 +245,9 @@ def test_zero_divisors_exist_iff_kappa_nonpositive():
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_conj_is_ring_morphism_and_involution(kappa):
     w1, w2 = gc(1.2, -0.7, kappa), gc(-0.4, 2.2, kappa)
-    assert (w1 * w2).conj().approx_eq(w1.conj() * w2.conj(), 0)
+    assert approx_eq((w1 * w2).conj(), w1.conj() * w2.conj(), 0)
     assert w1.conj().conj() == w1
-    assert (w1 * w1.conj()).approx_eq(gc(w1.sqmod(), 0, kappa), 1e-14)
+    assert approx_eq(w1 * w1.conj(), gc(w1.sqmod(), 0, kappa), 1e-14)
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -279,14 +280,14 @@ def test_exp_unit(kappa):
     e = gc_exp_unit(kappa, 0.8)
     assert e.sqmod() == pytest.approx(1.0, abs=1e-12)
     e1, e2 = gc_exp_unit(kappa, 0.35), gc_exp_unit(kappa, -1.2)
-    assert (e1 * e2).approx_eq(gc_exp_unit(kappa, 0.35 - 1.2), 1e-12)
+    assert approx_eq(e1 * e2, gc_exp_unit(kappa, 0.35 - 1.2), 1e-12)
 
 
 def test_exp_unit_examples():
-    assert gc_exp_unit(1.0, math.pi).approx_eq(gc(-1, 0, 1.0), 1e-12)
-    assert gc_exp_unit(0.0, 2.0).approx_eq(gc(1, 2, 0.0), 0)
-    assert gc_exp_unit(-1.0, 1.0).approx_eq(
-        gc(math.cosh(1), math.sinh(1), -1.0), 1e-12
+    assert approx_eq(gc_exp_unit(1.0, math.pi), gc(-1, 0, 1.0), 1e-12)
+    assert approx_eq(gc_exp_unit(0.0, 2.0), gc(1, 2, 0.0), 0)
+    assert approx_eq(
+        gc_exp_unit(-1.0, 1.0), gc(math.cosh(1), math.sinh(1), -1.0), 1e-12
     )
 
 
@@ -301,13 +302,13 @@ def test_moebius_identity_and_rotation():
     half = gc_exp_unit(kappa, 0.35)
     m = MoebiusMap(half, gc(0, 0, kappa), gc(0, 0, kappa), half.conj())
     w = gc(0.4, 0.2, kappa)
-    assert m.apply(w).approx_eq(gc_exp_unit(kappa, 0.7) * w, 1e-12)
+    assert approx_eq(m.apply(w), gc_exp_unit(kappa, 0.7) * w, 1e-12)
 
 
 def test_moebius_translation_dual_numbers():
     kappa = 0.0
     m = MoebiusMap(gc(1, 0, kappa), gc(1.7, 0, kappa), gc(0, 0, kappa), gc(1, 0, kappa))
-    assert m.apply(gc(0, 0, kappa)).approx_eq(gc(1.7, 0, kappa), 0)
+    assert approx_eq(m.apply(gc(0, 0, kappa)), gc(1.7, 0, kappa), 0)
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -320,7 +321,7 @@ def test_moebius_composition(kappa):
             chained = m1.apply(m2.apply(w))
         except (AtInfinity, ZeroDivisorError):
             continue
-        assert composed.approx_eq(chained, 1e-10)
+        assert approx_eq(composed, chained, 1e-10)
 
 
 def test_moebius_rejects_degenerate_determinant():
@@ -358,8 +359,8 @@ def test_gamma_extends_the_plane_dual_case():
     m = MoebiusMap(gc(1, 0, kappa), gc(0, 0, kappa), gc(0, 1, kappa), gc(1, 0, kappa))
     start = GammaPoint(gc(1, 0, kappa), gc(0, 0, kappa))
     image = gamma_apply(m, start)
-    assert image.u.approx_eq(gc(1, 0, kappa), 0)
-    assert image.v.approx_eq(gc(0, 1, kappa), 0)
+    assert approx_eq(image.u, gc(1, 0, kappa), 0)
+    assert approx_eq(image.v, gc(0, 1, kappa), 0)
     assert image.is_admissible()
     with pytest.raises(AtInfinity):
         image.to_affine()
@@ -372,8 +373,8 @@ def test_gamma_group_action_round_trip(kappa):
     for w in [gc(0.7, -0.1, kappa), gc(-0.4, 0.9, kappa)]:
         p = gamma_lift(w)
         back = gamma_apply(m.inverse(), gamma_apply(m, p))
-        assert back.projectively_equal(p, 1e-10)
-        assert not back.projectively_equal(gamma_lift(w + gc(1, 0, kappa)), 1e-6)
+        assert projectively_equal(back, p, 1e-10)
+        assert not projectively_equal(back, gamma_lift(w + gc(1, 0, kappa)), 1e-6)
 
 
 def test_gamma_admissibility():
@@ -439,11 +440,11 @@ def test_admissibility_is_the_exact_rank_of_the_stacked_matrix(kappa_sign, re_si
 )
 def test_mul_commutative_and_associative_property(kappa, a, b, c, d):
     w1, w2 = gc(a, b, kappa), gc(c, d, kappa)
-    assert (w1 * w2).approx_eq(w2 * w1, 1e-12)
+    assert approx_eq(w1 * w2, w2 * w1, 1e-12)
     w3 = gc(0.5, -0.25, kappa)
     lhs = (w1 * w2) * w3
     rhs = w1 * (w2 * w3)
-    assert lhs.approx_eq(rhs, 1e-9)
+    assert approx_eq(lhs, rhs, 1e-9)
 
 
 def _cross_ratio(w1, w2, w3, w4):
@@ -468,7 +469,7 @@ def test_cross_ratio_invariant_under_moebius(kappa):
         after = _cross_ratio(*images)
     except (AtInfinity, ZeroDivisorError):
         pytest.skip("sample hit a zero divisor")
-    assert after.approx_eq(before, 1e-10)
+    assert approx_eq(after, before, 1e-10)
 
     # four points of a degenerate cycle (a line) have a real cross-ratio,
     # and it stays real after the map even though the images are curved
@@ -491,4 +492,26 @@ def test_mat2_max_abs_is_nan_when_any_part_is(part):
     parts[part] = math.nan
     m = Mat2(*(gc(parts[2 * k], parts[2 * k + 1], 1.0) for k in range(4)))
     assert math.isnan(m.max_abs())
-    assert not m.approx_eq(m)
+    assert not approx_eq(m, m, 1e-12)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-13, -1e-11, math.nan, math.inf])
+def test_mat2_comparison_is_max_abs_of_the_difference(delta):
+    m = Mat2(gc(1, -2, 1.0), gc(0.5, 0, 1.0), gc(-3, 0.25, 1.0), gc(1.5, 2.5, 1.0))
+    for part in range(8):
+        parts = [v for entry in m for v in (entry.re, entry.im)]
+        parts[part] += delta
+        n = Mat2(*(gc(parts[2 * k], parts[2 * k + 1], 1.0) for k in range(4)))
+        for tol in (0.0, 1e-12, 1e-10):
+            assert approx_eq(m, n, tol) == ((m - n).max_abs() <= tol)
+
+
+def test_comparisons_across_labels_raise():
+    # values with different labels are never compared, so never pass
+    w, z = gc(1, 0, 1.0), gc(1, 0, -1.0)
+    with pytest.raises(KappaMismatch):
+        approx_eq(w, z, 1.0)
+    with pytest.raises(KappaMismatch):
+        approx_eq(Mat2.identity(1.0), Mat2.identity(-1.0), 1.0)
+    with pytest.raises(KappaMismatch):
+        projectively_equal(gamma_lift(w), gamma_lift(z), 1.0)

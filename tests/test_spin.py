@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kinematica
+from geometry_checks import approx_eq
 from kinematica.ckgeom import (
     KappaPair,
     exp_h,
@@ -167,14 +168,14 @@ def table14_branch(kp: KappaPair, beta: float) -> Mat2:
 def test_pauli_matrices_recover_classical_shape():
     kp = KappaPair(1.0, 1.0)
     s1, s2, s3 = pauli_generators(kp)
-    assert s1.approx_eq(
-        Mat2(gc(1, 0, 1), gc(0, 0, 1), gc(0, 0, 1), gc(-1, 0, 1)), 0
+    assert approx_eq(
+        s1, Mat2(gc(1, 0, 1), gc(0, 0, 1), gc(0, 0, 1), gc(-1, 0, 1)), 0
     )
-    assert s2.approx_eq(
-        Mat2(gc(0, 0, 1), gc(1, 0, 1), gc(1, 0, 1), gc(0, 0, 1)), 0
+    assert approx_eq(
+        s2, Mat2(gc(0, 0, 1), gc(1, 0, 1), gc(1, 0, 1), gc(0, 0, 1)), 0
     )
-    assert s3.approx_eq(
-        Mat2(gc(0, 0, 1), gc(0, 1, 1), gc(0, -1, 1), gc(0, 0, 1)), 0
+    assert approx_eq(
+        s3, Mat2(gc(0, 0, 1), gc(0, 1, 1), gc(0, -1, 1), gc(0, 0, 1)), 0
     )
 
 
@@ -182,14 +183,14 @@ def test_pauli_matrices_recover_classical_shape():
 def test_matrix_generators_satisfy_motion_brackets(kp):
     h, p, k = so3_matrix_generators(kp)
     zero = Mat2.zero(kp.kappa2)
-    assert (k.commutator(h) - p).approx_eq(zero, 0)
-    assert (k.commutator(p) - h.scale(-kp.kappa2)).approx_eq(zero, 0)
-    assert (h.commutator(p) - k.scale(kp.kappa1)).approx_eq(zero, 0)
+    assert approx_eq(k.commutator(h) - p, zero, 0)
+    assert approx_eq(k.commutator(p) - h.scale(-kp.kappa2), zero, 0)
+    assert approx_eq(h.commutator(p) - k.scale(kp.kappa1), zero, 0)
 
 
 def test_heisenberg_pattern_generators_commute():
     h, p, _ = so3_matrix_generators(KappaPair(0.0, 0.0))
-    assert h.commutator(p).approx_eq(Mat2.zero(0.0), 0)
+    assert approx_eq(h.commutator(p), Mat2.zero(0.0), 0)
 
 
 def test_sl2_exp_k_is_diagonal_unit_pair():
@@ -197,22 +198,22 @@ def test_sl2_exp_k_is_diagonal_unit_pair():
     theta = 0.9
     s = sl2_of_exp_k(kp, theta)
     half = gc_exp_unit(kp.kappa2, theta / 2)
-    assert s.alpha.approx_eq(half, 1e-14)
-    assert s.beta.approx_eq(gc(0, 0, kp.kappa2), 0)
+    assert approx_eq(s.alpha, half, 1e-14)
+    assert approx_eq(s.beta, gc(0, 0, kp.kappa2), 0)
     m = s.as_mat2()
-    assert m.b.approx_eq(gc(0, 0, kp.kappa2), 0)
-    assert m.c.approx_eq(gc(0, 0, kp.kappa2), 0)
-    assert m.d.approx_eq(half.conj(), 1e-14)
+    assert approx_eq(m.b, gc(0, 0, kp.kappa2), 0)
+    assert approx_eq(m.c, gc(0, 0, kp.kappa2), 0)
+    assert approx_eq(m.d, half.conj(), 1e-14)
 
 
 def test_flat_rows_of_printed_tables():
     kp = KappaPair(0.0, -1.0)
     m = sl2_of_exp_h(kp, 0.8).as_mat2()
-    assert m.approx_eq(table13_branch(kp, 0.8), 1e-14)
-    assert m.b.approx_eq(gc(0.4, 0, -1.0), 1e-15)
+    assert approx_eq(m, table13_branch(kp, 0.8), 1e-14)
+    assert approx_eq(m.b, gc(0.4, 0, -1.0), 1e-15)
     m = sl2_of_exp_p(kp, 0.8).as_mat2()
-    assert m.approx_eq(table14_branch(kp, 0.8), 1e-14)
-    assert m.b.approx_eq(gc(0, 0.4, -1.0), 1e-15)
+    assert approx_eq(m, table14_branch(kp, 0.8), 1e-14)
+    assert approx_eq(m.b, gc(0, 0.4, -1.0), 1e-15)
 
 
 @pytest.mark.parametrize("kp", GENERIC + PATTERNS)
@@ -220,13 +221,13 @@ def test_unified_closed_form_reproduces_printed_branches(kp):
     for t in (-1.4, -0.3, 0.6, 1.8):
         unified_h = sl2_of_exp_h(kp, t).canonical_sign()
         branch_h = spin_from_mat2(kp, table13_branch(kp, t)).canonical_sign()
-        assert unified_h.alpha.approx_eq(branch_h.alpha, 1e-12)
-        assert unified_h.beta.approx_eq(branch_h.beta, 1e-12)
+        assert approx_eq(unified_h.alpha, branch_h.alpha, 1e-12)
+        assert approx_eq(unified_h.beta, branch_h.beta, 1e-12)
 
         unified_p = sl2_of_exp_p(kp, t).canonical_sign()
         branch_p = spin_from_mat2(kp, table14_branch(kp, t)).canonical_sign()
-        assert unified_p.alpha.approx_eq(branch_p.alpha, 1e-12)
-        assert unified_p.beta.approx_eq(branch_p.beta, 1e-12)
+        assert approx_eq(unified_p.alpha, branch_p.alpha, 1e-12)
+        assert approx_eq(unified_p.beta, branch_p.beta, 1e-12)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
@@ -238,8 +239,8 @@ def test_sl2_matches_matrix_exponential_oracle(kp):
             target = real4_to_mat2(oracle, kp.kappa2)
             got = closed(kp, t).canonical_sign()
             want = spin_from_mat2(kp, target).canonical_sign()
-            assert got.alpha.approx_eq(want.alpha, 1e-10)
-            assert got.beta.approx_eq(want.beta, 1e-10)
+            assert approx_eq(got.alpha, want.alpha, 1e-10)
+            assert approx_eq(got.beta, want.beta, 1e-10)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
@@ -250,7 +251,7 @@ def test_derivative_at_zero_is_generator(kp):
         plus = closed(kp, eps).as_mat2()
         minus = closed(kp, -eps).as_mat2()
         derivative = (plus - minus).scale(1.0 / (2 * eps))
-        assert derivative.approx_eq(gen, 1e-8)
+        assert approx_eq(derivative, gen, 1e-8)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
@@ -287,11 +288,11 @@ def test_spin_characterized_by_invariant_form_and_det(kp):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         s = spin_from_axis(kp, *n, rng.uniform(-2, 2)).as_mat2()
-        assert (s.star() @ a @ s).approx_eq(a, 1e-12)
-        assert s.det().approx_eq(one, 1e-12)
+        assert approx_eq(s.star() @ a @ s, a, 1e-12)
+        assert approx_eq(s.det(), one, 1e-12)
     # conversely a shear fails the form condition
     shear = Mat2(one, one, gc(0, 0, kp.kappa2), one)
-    assert not (shear.star() @ a @ shear).approx_eq(a, 1e-12)
+    assert not approx_eq(shear.star() @ a @ shear, a, 1e-12)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
@@ -306,7 +307,10 @@ def test_su2_algebra_criterion(kp):
     derivative = (
         sl2_of_exp_p(kp, eps).as_mat2() - sl2_of_exp_p(kp, -eps).as_mat2()
     ).scale(1.0 / (2 * eps))
-    assert is_su2_algebra(kp, derivative, tol=1e-9)
+    # is_su2_algebra's residuals, bounded by 1e-9 for a finite difference
+    a = a_matrix(kp)
+    assert approx_eq(derivative.star() @ a + a @ derivative, Mat2.zero(kp.kappa2), 1e-9)
+    assert approx_eq(derivative.trace(), gc(0, 0, kp.kappa2), 1e-9)
 
 
 @pytest.mark.parametrize("kp", PATTERNS)
@@ -504,8 +508,8 @@ def test_closed_form_spin_matrix_entries(kp):
             gc(-kp.kappa1 * n[2] * s_, kp.kappa1 * n[1] * s_, kp.kappa2),
             gc(c, -n[0] * s_, kp.kappa2),
         )
-        assert m.approx_eq(expected, 1e-12)
-        assert m.det().approx_eq(gc(1, 0, kp.kappa2), 1e-12)
+        assert approx_eq(m, expected, 1e-12)
+        assert approx_eq(m.det(), gc(1, 0, kp.kappa2), 1e-12)
 
 
 @pytest.mark.parametrize("kp", [KappaPair(1.0, -1.0), KappaPair(-1.0, 0.0), KappaPair(0.0, -1.0)])
@@ -528,7 +532,7 @@ def test_word_cover_and_moebius_consistency(kp):
             continue
         lhs = project(kp, moved)
         rhs = moebius_of_word(kp, word).apply(w)
-        assert lhs.approx_eq(rhs, 1e-10)
+        assert approx_eq(lhs, rhs, 1e-10)
 
 
 def test_canonical_sign_determinism():
@@ -540,14 +544,23 @@ def test_canonical_sign_determinism():
 
 
 def test_no_tolerance_literal_sits_in_a_comparison():
-    # every bound is a named constant (UNIT_TOL, SERIES_CUTOFF, POLE_TOL,
-    # TOL), so that a tolerance is decided in one place
+    # every bound is a named constant (UNIT_TOL, ALGEBRA_TOL, POLE_TOL,
+    # SERIES_CUTOFF; see the README's tolerance table), so that a tolerance is
+    # decided in one place: no float literal in (0, 1e-6) sits in a comparison
+    # or a parameter default, and no function takes a tol option
     found = []
     for path in sorted(Path(kinematica.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Compare):
+            if isinstance(node, ast.Compare):
+                leaves = ast.walk(node)
+            elif isinstance(node, ast.arguments):
+                params = [*node.posonlyargs, *node.args, *node.kwonlyargs]
+                found += [f"{path.name}:{a.lineno}: parameter tol" for a in params if a.arg == "tol"]
+                defaults = [d for d in (*node.defaults, *node.kw_defaults) if d is not None]
+                leaves = (leaf for d in defaults for leaf in ast.walk(d))
+            else:
                 continue
-            for leaf in ast.walk(node):
+            for leaf in leaves:
                 if isinstance(leaf, ast.Constant) and isinstance(leaf.value, float):
                     if 0.0 < leaf.value < 1e-6:
                         found.append(f"{path.name}:{leaf.lineno}: {leaf.value!r}")
