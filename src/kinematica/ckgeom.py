@@ -18,6 +18,7 @@ is the inverse labeled tangent of |w|.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -213,11 +214,54 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _boundary_path(points: list[tuple[float, float]], close: bool = False) -> str:
-    d = "M " + " L ".join(f"{_fmt(t)},{_fmt(x)}" for t, x in points)
+def _path_text(points, close: bool = False) -> str:
+    """The ``<path>`` of a polyline as a ``%``-template for :func:`_fill`.
+
+    A coordinate that is None becomes a ``%.9g`` slot and a float is written
+    in, so a request formats only the coordinates that depend on the labels.
+    """
+    d = "M " + " L ".join(
+        ",".join("%.9g" if v is None else _fmt(v) for v in point) for point in points
+    )
     if close:
         d += " Z"
     return f'<path d="{d}" fill="none" stroke="black" stroke-width="0.02"/>'
+
+
+def _fill(text: str, values: list[float]) -> str:
+    """The template ``text`` with its slots filled, as :func:`_fmt` writes each value.
+
+    The first value that is not finite, in writing order, ends in
+    NonFiniteResult, and -0.0 is written as 0.
+    """
+    if not math.isfinite(sum(values)):  # a value is not finite, or the sum overflowed
+        for value in values:
+            _fmt(value)  # raises at the first value that is not finite
+    return text % tuple([value + 0.0 for value in values])
+
+
+# the abscissae -2 + 4i/64 at which a hyperbola branch is sampled
+_ABSCISSAE = tuple(-2.0 + 4.0 * i / 64.0 for i in range(65))
+
+
+@functools.cache
+def _unit_circle() -> tuple[tuple[float, float], ...]:
+    """(cos, sin) of the 96 angles 2*pi*i/96 at which the ellipse is sampled."""
+    angles = (2.0 * math.pi * i / 96.0 for i in range(96))
+    return tuple((math.cos(angle), math.sin(angle)) for angle in angles)
+
+
+@functools.cache
+def _paths() -> dict[str, str]:
+    """The path template of each boundary shape, built on first use."""
+    return {
+        "ellipse": _path_text([(None, None)] * 96, close=True),
+        "lines": _path_text([(None, -2.0), (None, 2.0)]),
+        # hyperbola branches open along the t axis, sampled at fixed x, and
+        # open along the x axis, sampled at fixed t
+        "along t": _path_text([(None, x) for x in _ABSCISSAE]),
+        "along x": _path_text([(t, None) for t in _ABSCISSAE]),
+    }
 
 
 def _boundary_elements(kp: KappaPair) -> list[str]:
@@ -226,39 +270,30 @@ def _boundary_elements(kp: KappaPair) -> list[str]:
     if k1 == 0.0:
         return []
     rhs = -1.0 / k1  # t^2 + kappa2*x^2 = rhs
-    out = []
+    paths = _paths()
     if rhs > 0.0:
         if k2 > 0.0:
             rx = math.sqrt(rhs)
             ry = math.sqrt(rhs / k2)
-            pts = []
-            for i in range(96):
-                angle = 2.0 * math.pi * i / 96.0
-                pts.append((rx * math.cos(angle), ry * math.sin(angle)))
-            out.append(_boundary_path(pts, close=True))
-        elif k2 == 0.0:
+            values = []
+            for c, s in _unit_circle():
+                values += (rx * c, ry * s)
+            return [_fill(paths["ellipse"], values)]
+        if k2 == 0.0:
             t0 = math.sqrt(rhs)
-            for sgn in (1.0, -1.0):
-                out.append(_boundary_path([(sgn * t0, -2.0), (sgn * t0, 2.0)]))
-        else:
-            # t^2 - |k2| x^2 = rhs > 0: branches open along the t axis
-            for sgn in (1.0, -1.0):
-                pts = []
-                for i in range(65):
-                    x = -2.0 + 4.0 * i / 64.0
-                    t = sgn * math.sqrt(rhs - k2 * x * x)
-                    pts.append((t, x))
-                out.append(_boundary_path(pts))
-    elif rhs < 0.0 and k2 < 0.0:
+            return [_fill(paths["lines"], [sgn * t0, sgn * t0]) for sgn in (1.0, -1.0)]
+        # t^2 - |k2| x^2 = rhs > 0: branches open along the t axis
+        return [
+            _fill(paths["along t"], [sgn * math.sqrt(rhs - k2 * x * x) for x in _ABSCISSAE])
+            for sgn in (1.0, -1.0)
+        ]
+    if rhs < 0.0 and k2 < 0.0:
         # t^2 - |k2| x^2 = rhs < 0: branches open along the x axis
-        for sgn in (1.0, -1.0):
-            pts = []
-            for i in range(65):
-                t = -2.0 + 4.0 * i / 64.0
-                x = sgn * math.sqrt((rhs - t * t) / k2)
-                pts.append((t, x))
-            out.append(_boundary_path(pts))
-    return out
+        return [
+            _fill(paths["along x"], [sgn * math.sqrt((rhs - t * t) / k2) for t in _ABSCISSAE])
+            for sgn in (1.0, -1.0)
+        ]
+    return []
 
 
 def region_svg(kp: KappaPair) -> str:
@@ -268,6 +303,15 @@ def region_svg(kp: KappaPair) -> str:
     Im w = x; the region boundary is stroked solid and, for kappa2 <= 0, the
     zero-divisor directions through the origin (the null cone of the
     here-now event) are dashed.
+
+    The boundary is one of four shapes (an ellipse, two lines, or hyperbola
+    branches open along the t or the x axis), and each shape's path is a
+    text template with one ``%.9g`` slot per coordinate that depends on the
+    labels, written once per process on first use; the sample abscissae of
+    a branch are written into its template.  A request computes only the
+    coordinates of its shape and fills them in with one ``%`` per path.
+    Every coordinate is written with 9 significant digits and -0.0 as 0; the
+    first that is not finite, in writing order, ends in NonFiniteResult.
     """
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '

@@ -19,7 +19,14 @@ and its runner returns the template :class:`Filled` with the floats, so no
 answer dict is built per request.  The answers of ``exp``, ``project``,
 ``unproject``, ``distance``, ``rotate`` and ``spin`` are templates; those that
 take no input, ``classify`` and ``graph --format json``, are the templates
-without a slot.  The parser accepts the command lines argparse accepted for
+without a slot, and the dot graph is written once per process.
+``conformal-table`` has one template per pattern (``--diff-paper``, whether
+each label is 0, the errata the diff reports), built from the library's
+answer the first time a request has that pattern: a +-1 coefficient is
+written in and a +-kappa1 or +-kappa2 coefficient is a slot, so a request
+only evaluates those monomials.  ``region``'s SVG fills one text template per
+boundary shape (see ``ckgeom.region_svg``).  No template is keyed by the
+label values.  The parser accepts the command lines argparse accepted for
 the same table, with the same values and argparse's one-line error messages;
 the one difference is that a ``--`` given after ``=`` is read as the value
 ``--``.
@@ -34,6 +41,7 @@ uses: ``graph`` runs ``kinclass`` alone, ``distance`` runs ``ckgeom``,
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -274,12 +282,16 @@ def _run_contract(args) -> dict:
         raise UsageError(str(exc)) from None
 
 
-def _run_graph(args) -> Filled | str:
-    if args.format == "json":
-        return _GRAPH
+@functools.cache
+def _graph_dot() -> str:
+    """The dot twin of :data:`_GRAPH`: input-free text, written once per process."""
     edges = kinclass.contraction_graph()
     lines = [f'  "{src}" -> "{dst}" [label="{kind}"];' for src, dst, kind in edges]
     return "\n".join(["digraph contractions {", *lines, "}", ""])
+
+
+def _run_graph(args) -> Filled | str:
+    return _GRAPH if args.format == "json" else _graph_dot()
 
 
 def _run_exp(args) -> Filled:
@@ -317,25 +329,64 @@ def _run_spin(args) -> Filled:
     return Filled(_SPIN, (*s.alpha, *s.beta, *so3[0], *so3[1], *so3[2]))
 
 
-def _run_conformal(args) -> dict:
-    kp = _kappas(args)
+# conformal-table's answer has one shape per pattern (--diff-paper, kappa1 == 0,
+# kappa2 == 0, the errata reported): pattern -> (template, monomial of each
+# slot).  It is never keyed by the label values.
+_CONFORMAL: dict[tuple, tuple[Template, tuple[tuple[int, int, int], ...]]] = {}
+
+
+def _conformal_template(kp: ckgeom.KappaPair, diff: bool):
+    """The template of conformal-table's answer at these labels, and its slots' monomials.
+
+    The skeleton is the answer the library gives at kp.  Each coefficient is
+    the signed monomial c0 + c1*kappa1 + c2*kappa2 of its table entry: +-1 is
+    written into the text, +-kappa1 and +-kappa2 become slots.  Which entries
+    the library drops and which slots it reports depend only on the pattern,
+    so the template serves every request with that pattern.
+    """
+    table = conformal._structure_constants()
     computed = conformal.computed_brackets(kp)
-    brackets = {
-        f"[{row},{col}]": coeffs
+    monomials = []
+
+    def slotted(coeffs: dict[str, float], entry: dict[str, tuple[int, int, int]]) -> dict:
+        out = {}
+        for tag in coeffs:
+            c0 = entry[tag][0]
+            if c0:  # +-1
+                out[tag] = float(c0)
+            else:
+                out[tag] = SLOT
+                monomials.append(entry[tag])
+        return out
+
+    answer = {"brackets": {
+        f"[{row},{col}]": slotted(coeffs, table[(row, col)])
         for (row, col), coeffs in computed.items()
         if row != col and coeffs
-    }
-    if not args.diff:
-        return {"brackets": brackets}
-    diff = [
-        {
-            "bracket": "[{},{}]".format(*record["bracket"]),
-            "computed": record["computed"],
-            "claimed": record["claimed"],
-        }
-        for record in conformal.diff_vs_tabulated(kp, computed)
-    ]
-    return {"brackets": brackets, "diff": diff}
+    }}
+    if diff:
+        answer["diff"] = records = []
+        for record in conformal.diff_vs_tabulated(kp, computed):
+            row, col = record["bracket"]
+            actual = slotted(record["computed"], table[(row, col)])  # slots before claimed's
+            claimed = record["claimed"]  # an entry of the published table, or a note
+            if not isinstance(claimed, str):
+                published = conformal._antisymmetric(conformal.TABULATED_BRACKETS, row, col)
+                claimed = slotted(claimed, published)
+            records.append({"bracket": f"[{row},{col}]", "computed": actual, "claimed": claimed})
+    return Template(lambda: answer), tuple(monomials)
+
+
+def _run_conformal(args) -> Filled:
+    kp = _kappas(args)
+    k1, k2 = kp
+    reported = conformal.reported_errata(kp) if args.diff else ()
+    pattern = (args.diff, k1 == 0.0, k2 == 0.0, reported)
+    found = _CONFORMAL.get(pattern)
+    if found is None:
+        found = _CONFORMAL[pattern] = _conformal_template(kp, args.diff)
+    template, monomials = found
+    return Filled(template, tuple([c0 + c1 * k1 + c2 * k2 for c0, c1, c2 in monomials]))
 
 
 def _run_region(args) -> str:

@@ -175,6 +175,33 @@ def tabulated_bracket(kp: KappaPair, row: str, col: str):
     return entry if entry == "S2" else _evaluate(kp, entry)
 
 
+# the ERRATA slots in table order, rows before columns
+_ERRATA_ORDER = tuple(
+    (row, col) for row in GENERATOR_TAGS for col in GENERATOR_TAGS if (row, col) in ERRATA
+)
+
+
+def _disagreement(kp: KappaPair, slot: tuple[str, str], actual: dict[str, float]):
+    """The claimed entry of an ERRATA slot where it disagrees with ``actual``
+    (see :func:`diff_vs_tabulated`), else None."""
+    claimed = tabulated_bracket(kp, *slot)
+    if claimed == "S2":
+        return "S2 (undefined symbol)"
+    tags = set(claimed) | set(actual)
+    if any(abs(claimed.get(t, 0.0) - actual.get(t, 0.0)) > ALGEBRA_TOL for t in tags):
+        return claimed
+    return None
+
+
+def reported_errata(kp: KappaPair) -> tuple[tuple[str, str], ...]:
+    """The slots :func:`diff_vs_tabulated` reports at these labels, in its order."""
+    table = _structure_constants()
+    return tuple(
+        slot for slot in _ERRATA_ORDER
+        if _disagreement(kp, slot, _evaluate(kp, table[slot])) is not None
+    )
+
+
 def diff_vs_tabulated(
     kp: KappaPair, computed: dict[tuple[str, str], dict[str, float]]
 ) -> list[dict]:
@@ -186,28 +213,11 @@ def diff_vs_tabulated(
     more than ``ALGEBRA_TOL`` at these labels.
     """
     diffs = []
-    for row in GENERATOR_TAGS:
-        for col in GENERATOR_TAGS:
-            if (row, col) not in ERRATA:
-                continue
-            claimed = tabulated_bracket(kp, row, col)
-            actual = computed[(row, col)]
-            if claimed == "S2":
-                diffs.append(
-                    {
-                        "bracket": [row, col],
-                        "computed": actual,
-                        "claimed": "S2 (undefined symbol)",
-                    }
-                )
-                continue
-            tags = set(claimed) | set(actual)
-            if any(
-                abs(claimed.get(t, 0.0) - actual.get(t, 0.0)) > ALGEBRA_TOL for t in tags
-            ):
-                diffs.append(
-                    {"bracket": [row, col], "computed": actual, "claimed": claimed}
-                )
+    for slot in _ERRATA_ORDER:
+        actual = computed[slot]
+        claimed = _disagreement(kp, slot, actual)
+        if claimed is not None:
+            diffs.append({"bracket": list(slot), "computed": actual, "claimed": claimed})
     return diffs
 
 

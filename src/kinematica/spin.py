@@ -234,7 +234,7 @@ def cover_to_so3(s: SpinElement) -> Matrix3:
         (
             a0 * a0 + k2 * a1 * a1 - k1 * b0 * b0 - k1 * k2 * b1 * b1,
             _label_times(-2.0 * k1, a0 * b0 + k2 * a1 * b1),
-            _label_times(-2.0 * k1 * k2, a0 * b1 - a1 * b0),
+            _label_times(-2.0 * (k1 * k2), a0 * b1 - a1 * b0),
         ),
         (
             2.0 * (a0 * b0 - k2 * a1 * b1),

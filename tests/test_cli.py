@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,8 @@ import numpy as np
 
 from cli_reference import build_parser as reference_parser
 from dumps_reference import dumps as reference_dumps
-from kinematica import ckgeom, clifford, conformal, spin
+import writers_reference
+from kinematica import ckgeom, cli, clifford, conformal, kinclass, spin
 from kinematica.ckgeom import KappaPair
 from kinematica.cli import (COMMANDS, SLOT, Filled, Template, UsageError, dumps, main,
                             parse_args)
@@ -154,6 +156,8 @@ def test_conformal_table_diff():
 
 
 def test_conformal_table_diff_computes_the_table_once(monkeypatch):
+    # --diff-paper never builds the table twice: a request builds it once when
+    # no template has its pattern yet, and not at all from the template
     calls = []
     original = conformal.computed_brackets
 
@@ -162,10 +166,40 @@ def test_conformal_table_diff_computes_the_table_once(monkeypatch):
         return original(kp)
 
     monkeypatch.setattr(conformal, "computed_brackets", counting)
-    code, _, _ = run_cli(
-        ["conformal-table", "--kappa1", "1", "--kappa2", "-1", "--diff-paper"]
-    )
-    assert code == 0 and len(calls) == 1
+    monkeypatch.setattr(cli, "_CONFORMAL", {})
+    for k1, k2 in [("1", "-1"), ("1", "-1"), ("2", "-3"), ("0", "-1"), ("2", "-3"), ("0", "0")]:
+        before, misses = len(calls), len(cli._CONFORMAL)
+        code, _, _ = run_cli(["conformal-table", "--kappa1", k1, "--kappa2", k2, "--diff-paper"])
+        assert code == 0 and len(calls) - before <= len(cli._CONFORMAL) - misses
+    assert len(calls) == len(cli._CONFORMAL) == 3
+
+
+def test_conformal_table_keeps_no_template_per_label_value(monkeypatch):
+    # the templates are keyed by (--diff-paper, kappa1 == 0, kappa2 == 0, the
+    # errata reported), never by the labels.  Without the diff that is 4
+    # patterns; with it the S2 slots are always reported and the [K,G2] pair
+    # when |kappa2| > ALGEBRA_TOL, so 2 x 3 more, as kappa2 = 0 hides the pair
+    monkeypatch.setattr(cli, "_CONFORMAL", {})
+    rng = random.Random(23)
+    for _ in range(400):
+        k1, k2 = (rng.choice([0.0, -0.0, rng.uniform(-4, 4), rng.choice([1, -1]) * 10.0 ** rng.uniform(-320, 300)])
+                  for _ in range(2))
+        diff = ["--diff-paper"] * rng.randint(0, 1)
+        assert run_cli(["conformal-table", f"--kappa1={k1!r}", f"--kappa2={k2!r}", *diff])[0] == 0
+    assert len(cli._CONFORMAL) <= 10
+    for diff, flat1, flat2, reported in cli._CONFORMAL:
+        assert {diff, flat1, flat2} <= {True, False}
+        assert set(reported) <= conformal.ERRATA and (diff or reported == ())
+
+
+def test_graph_dot_is_written_once_per_process(monkeypatch):
+    calls = []
+    original = kinclass.contraction_graph
+    monkeypatch.setattr(kinclass, "contraction_graph", lambda: calls.append(1) or original())
+    cli._graph_dot.cache_clear()
+    expected = (0, (GOLDEN / "graph.dot").read_text(), "")
+    assert [run_cli(["graph", "--format", "dot"]) for _ in range(3)] == [expected] * 3
+    assert len(calls) == 1
 
 
 def test_region_writes_file(tmp_path):
@@ -424,6 +458,16 @@ def test_spin_at_zero_param_is_the_identity_where_a_doubled_label_overflows(argv
     expected = (f'{{"alpha":{{"re":1,"im":0,"kappa":{kappa2}}},'
                 f'"beta":{{"re":0,"im":0,"kappa":{kappa2}}},' + IDENTITY_SO3)
     assert run_cli(argv) == (0, expected, "")
+
+
+def test_spin_p_shear_where_the_doubled_kappa1_overflows():
+    # -2*kappa1 overflows at 1e308, and (-2*kappa1)*kappa2 was inf * 0 = nan;
+    # the label is formed as -2*(kappa1*kappa2) = -0.0, so the shear answers
+    argv = ["spin", "--gen", "P", "--param", "0.5", "--kappa1", "1e308", "--kappa2", "0"]
+    expected = ('{"alpha":{"re":1,"im":0,"kappa":0},"beta":{"re":0,"im":0.25,"kappa":0},'
+                '"so3":[[1,0,0],[0,1,0],[0.5,0,1]]}\n')
+    assert run_cli(argv) == (0, expected, "")
+    assert run_cli([*argv[:6], "1e307", *argv[7:]]) == (0, expected, "")
 
 
 # labels next to 0 take the branch of their sign; |kappa| < 1e-300 was once
@@ -1099,9 +1143,16 @@ def library_answer(args) -> dict:
 
 
 def reference_run(argv, precision):
-    """(exit code, stdout, stderr) that the reference writer gives for a command line."""
+    """(exit code, stdout, stderr) that the reference writers give for a command line."""
+    args = parse_args(argv)
     try:
-        return 0, reference_dumps(library_answer(parse_args(argv)), precision) + "\n", ""
+        if args.command == "region":
+            return 0, writers_reference.region_svg(KappaPair(args.kappa1, args.kappa2)), ""
+        if args.command == "conformal-table":
+            answer = writers_reference.conformal_answer(KappaPair(args.kappa1, args.kappa2), args.diff)
+        else:
+            answer = library_answer(args)
+        return 0, reference_dumps(answer, precision) + "\n", ""
     except KinematicaError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         return 1, "", reference_dumps(payload, precision) + "\n"
@@ -1130,6 +1181,48 @@ def test_templated_answers_write_the_reference_bytes(command, labels, data, prec
     # error is the reference's one-line payload, at every precision
     argv = data.draw(templated_argvs(command, labels))
     monkeypatch.setenv("KINEMATICA_PRECISION", str(precision))
+    assert run_cli(argv) == reference_run(argv, precision)
+
+
+# label magnitudes at the edges: the float range's ends, 1e+-300, and next to
+# ALGEBRA_TOL, where conformal-table's [K,G2] diff record appears
+MAGNITUDES = st.one_of(
+    st.sampled_from([1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+                     math.nextafter(spin.ALGEBRA_TOL, 0.0), spin.ALGEBRA_TOL,
+                     math.nextafter(spin.ALGEBRA_TOL, 1.0)]),
+    st.floats(spin.ALGEBRA_TOL / 4, spin.ALGEBRA_TOL * 4),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+
+
+@st.composite
+def pattern_labels(draw):
+    """A label pair of one of the nine sign patterns; a zero label is 0.0 or -0.0."""
+    signs = draw(st.sampled_from(SIGN_PATTERNS))
+    return tuple(sign * draw(MAGNITUDES) if sign else draw(st.sampled_from([0.0, -0.0]))
+                 for sign in signs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=pattern_labels())
+def test_region_writes_the_reference_bytes(labels, monkeypatch):
+    # the per-shape templates give the SVG the per-point writer gave, and end
+    # in its error where a coordinate is not finite
+    monkeypatch.delenv("KINEMATICA_PRECISION", raising=False)
+    argv = ["region", "--kappa1", repr(labels[0]), "--kappa2", repr(labels[1])]
+    assert run_cli(argv) == reference_run(argv, 17)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=pattern_labels(), diff=st.booleans(), precision=st.sampled_from([1, 5, 17]))
+def test_conformal_table_writes_the_reference_bytes(labels, diff, precision, monkeypatch):
+    # the pattern templates give the bytes of the answer dict the library's
+    # table gives, at every precision
+    monkeypatch.setenv("KINEMATICA_PRECISION", str(precision))
+    argv = ["conformal-table", "--kappa1", repr(labels[0]), "--kappa2", repr(labels[1]),
+            *["--diff-paper"] * diff]
     assert run_cli(argv) == reference_run(argv, precision)
 
 
