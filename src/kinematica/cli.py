@@ -29,7 +29,10 @@ boundary shape (see ``ckgeom.region_svg``).  No template is keyed by the
 label values.  The parser accepts the command lines argparse accepted for
 the same table, with the same values and argparse's one-line error messages;
 the one difference is that a ``--`` given after ``=`` is read as the value
-``--``.
+``--``.  A command line whose every option is its full name with ``=value``,
+or a flag's bare name, is read in one pass; every other form, and every such
+command line the pass rejects, is read by the general reader exactly as
+before, and only that reader reports errors.
 
 Importing this module registers all seven layers but runs none of them (see
 the package docstring).  A runner reaches a layer's names through the layer,
@@ -121,7 +124,8 @@ class Template:
     :func:`dumps` writes it once per process and precision, on first use, so
     keys, order and escaping come from the one writer; each slot becomes
     ``%.{precision}g`` and each ``%`` of a kept string is doubled.  A template
-    without a slot is an input-free answer kept whole.
+    without a slot is an input-free answer: it keeps its finished text, with
+    no ``%`` doubled, and a request returns that text as it is.
     """
 
     __slots__ = ("skeleton", "texts")
@@ -133,8 +137,10 @@ class Template:
     def _text(self, precision: int) -> str:
         text = self.texts.get(precision)
         if text is None:
-            raw = dumps(self.skeleton(), precision).replace("%", "%%")
-            text = self.texts[precision] = raw.replace("\0", f"%.{precision}g")
+            text = dumps(self.skeleton(), precision)
+            if "\0" in text:
+                text = text.replace("%", "%%").replace("\0", f"%.{precision}g")
+            self.texts[precision] = text
         return text
 
 
@@ -147,6 +153,8 @@ class Filled(NamedTuple):
 
 def _dump_filled(obj: Filled, precision: int) -> str:
     template, values = obj
+    if not values:
+        return template._text(precision)
     for x in values:
         if not math.isfinite(x):
             raise NonFiniteResult(f"result {x} is not finite")
@@ -465,7 +473,16 @@ _TABLES = {
     name: tuple(o._replace(dest=o.dest or o.name[2:].replace("-", "_")) for o in command.options)
     for name, command in COMMANDS.items()
 }
-_OPTIONS = {command: {**_TOP, **{o.name: o for o in table}} for command, table in _TABLES.items()}
+_EXACT = {command: {o.name: o for o in table} for command, table in _TABLES.items()}
+_OPTIONS = {command: {**_TOP, **exact} for command, exact in _EXACT.items()}
+# subcommand -> the namespace before any option is read, and the dests it requires
+_DEFAULTS = {
+    command: {"command": command, **{o.dest: o.default for o in table}}
+    for command, table in _TABLES.items()
+}
+_REQUIRED = {
+    command: frozenset(o.dest for o in table if o.required) for command, table in _TABLES.items()
+}
 
 
 def _choice_error(prog: str, name: str, value, choices) -> UsageError:
@@ -515,7 +532,7 @@ def _check_flag(option: Option, name: str, explicit: str | None, prog: str) -> N
 
 
 def _parse_options(command: str, tokens: list[str], extras: list[str]) -> dict:
-    """The values of one subcommand's options; unknown tokens go to ``extras``.
+    """The subcommand and the values of its options; unknown tokens go to ``extras``.
 
     A token after ``--`` is never an option.  The last occurrence of a
     repeated option wins, but every occurrence must convert.
@@ -526,7 +543,7 @@ def _parse_options(command: str, tokens: list[str], extras: list[str]) -> dict:
     # every token is read before any is used, so an ambiguous option is
     # reported ahead of a bad value
     kinds = [_classify(token, options, prog) for token in tokens[:end]]
-    values = {o.dest: o.default for o in table}
+    values = _DEFAULTS[command].copy()
     seen = set()
     i = 0
     while i < end:
@@ -563,12 +580,58 @@ def _parse_options(command: str, tokens: list[str], extras: list[str]) -> dict:
     return values
 
 
+def _read_exact(argv: list[str]) -> SimpleNamespace | None:
+    """One pass over a command line whose every option is its exact name.
+
+    After the subcommand each token must be ``--name=value`` for an option
+    that takes a value, or the bare name of a flag.  Returns None for any
+    other form (a prefix, a spaced value, ``--``, help, an unknown token) and
+    for a value, a choice or a missing option that the general reader
+    rejects; it raises nothing, so that reader reports every error.
+    """
+    options = _EXACT.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    values = _DEFAULTS[argv[0]].copy()
+    seen = set()
+    for token in argv[1:]:
+        name, eq, text = token.partition("=")
+        option = options.get(name)
+        if option is None:
+            return None
+        convert = option.type
+        if convert is None:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            return None
+        else:
+            try:
+                value = convert(text)
+            except UsageError:
+                return None
+            if option.choices and value not in option.choices:
+                return None
+        values[option.dest] = value
+        seen.add(option.dest)
+    if not _REQUIRED[argv[0]] <= seen:
+        return None
+    return SimpleNamespace(**values)
+
+
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace of one command line: ``command`` plus one entry per option.
 
-    Raises :class:`UsageError` for a command line it rejects.  ``--help``
-    writes the help text to stdout and raises ``SystemExit(0)``.
+    A command line in the exact ``--name=value`` form is read in one pass
+    (:func:`_read_exact`); any other, and any that pass rejects, is read by
+    the general reader below, which alone reports errors.  Raises
+    :class:`UsageError` for a command line it rejects.  ``--help`` writes the
+    help text to stdout and raises ``SystemExit(0)``.
     """
+    namespace = _read_exact(argv)
+    if namespace is not None:
+        return namespace
     extras: list[str] = []
     command = None
     for i, token in enumerate(argv):
@@ -591,7 +654,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     values = _parse_options(command, argv[i + 1:], extras)
     if extras:
         raise UsageError(f"kinematica: unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(command=command, **values)
+    return SimpleNamespace(**values)
 
 
 def _usage(option: Option) -> str:
@@ -619,6 +682,11 @@ def _help_text(command: str | None) -> str:
     return "\n".join([f"usage: kinematica {usage}", "", summary, "", *lines, ""])
 
 
+def _error_line(kind: str, message: str) -> str:
+    """The one-line JSON error ``{"error": kind, "message": message}`` that main writes."""
+    return '{"error":%s,"message":%s}\n' % (_dump_str(kind, 0), _dump_str(message, 0))
+
+
 def main(argv: list[str] | None = None) -> int:
     precision = _precision()
     try:
@@ -628,11 +696,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help prints its text and exits 0
         return int(exc.code or 0)
     except UsageError as exc:
-        sys.stderr.write(dumps({"error": "usage", "message": str(exc)}, precision) + "\n")
+        sys.stderr.write(_error_line("usage", str(exc)))
         return 2
     except KinematicaError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(dumps(payload, precision) + "\n")
+        sys.stderr.write(_error_line(type(exc).__name__, str(exc)))
         return 1
     return 0
 

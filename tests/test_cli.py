@@ -1,6 +1,7 @@
 import argparse
 import ast
 import io
+import itertools
 import json
 import math
 import os
@@ -654,6 +655,22 @@ def test_dumps_writes_the_reference_bytes(obj, precision):
     assert dumps(obj, precision) == reference_dumps(obj, precision)
 
 
+ERROR_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from([*EDGE_TEXT, "%", "%s", "%%", "%(x)s", "%.17g"]), max_size=6)
+    .map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(["usage", "NonFiniteResult"]), ERROR_TEXT), ERROR_TEXT,
+       st.sampled_from([1, 5, 17]))
+def test_error_line_is_the_json_error_object(kind, message, precision):
+    line = cli._error_line(kind, message)
+    assert line == dumps({"error": kind, "message": message}, precision) + "\n"
+    assert json.loads(line) == {"error": kind, "message": message}
+
+
 @pytest.mark.parametrize("precision", [1, 5, 17])
 @pytest.mark.parametrize(
     "bad",
@@ -1089,6 +1106,71 @@ def test_option_table_defaults_and_prefixes():
     assert args.diff is True
 
 
+EXACT_EXP = ["exp", "--gen=H", "--param=1", "--kappa1=1", "--kappa2=1"]
+
+
+# command lines that are all, or nearly all, in the exact --name=value form but
+# that argparse reads with a precedence of errors a one-pass reader could miss
+@pytest.mark.parametrize("argv", [
+    ["exp", "--param=x", "--kappa", "1"],  # the ambiguous option before the bad value
+    ["exp", "--param=x", "--param=1", "--gen=H", "--kappa1=1", "--kappa2=1"],  # each converts
+    ["exp", "--gen=H", "--param=1", "--param=x", "--kappa1=1", "--kappa2=1"],
+    ["exp", "--gen=X", "--param=1", "--kappa1=1"],  # the bad choice before the missing option
+    ["exp", "--gen=H", "--param=1", "--kappa1="],
+    ["exp", "--gen=H", "--param=1", "--kappa1=1"],
+    EXACT_EXP + ["--foo=1"],
+    EXACT_EXP + ["--", "--kappa2=2"],
+    EXACT_EXP + ["--"],
+    EXACT_EXP + ["-h"],
+    EXACT_EXP + ["--help"],
+    ["exp", "--gen=H", "--param=1", "--kappa1=1", "--kappa1=2", "--kappa2=1"],  # the last wins
+    ["conformal-table", "--diff-paper=1", "--kappa1=1", "--kappa2=1"],
+    ["conformal-table", "--diff-paper=", "--kappa1=1", "--kappa2=1"],
+    ["conformal-table", "--diff-paper", "--diff-paper", "--kappa1=1", "--kappa2=1"],
+    ["region", "--svg=", "--kappa1=1", "--kappa2=1"],
+    ["region", "--svg=a=b", "--kappa1=1", "--kappa2=1"],
+    ["graph", "--format=dot", "--format=json"],
+    ["classify", "--format=json"],
+    ["contract", "--from=M", "--type=speed-time", "--type=time"],
+], ids=lambda argv: " ".join(argv))
+def test_exact_form_keeps_the_error_precedence_of_argparse(argv):
+    assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    return workloads
+
+
+def test_exact_command_lines_are_read_in_one_pass(workloads, monkeypatch):
+    # the general reader classifies every token; a request in the exact form
+    # never reaches it, and any other form still does
+    classified = []
+    original = cli._classify
+
+    def counting(token, options, prog):
+        classified.append(token)
+        return original(token, options, prog)
+
+    monkeypatch.setattr(cli, "_classify", counting)
+    commands = set()
+    for name, stream in workloads.WORKLOADS.items():
+        for request in itertools.islice(stream(7), 2000):
+            parse_args(request.argv)
+            commands.add(request.argv[0])
+    parse_args(["conformal-table", "--diff-paper", "--kappa1=1", "--kappa2=-1"])
+    assert classified == [] and commands == set(COMMANDS)
+    for argv in (["exp", "--gen=H", "--par=1", "--kappa1=1", "--kappa2=1"],
+                 ["exp", "--gen", "H", "--param=1", "--kappa1=1", "--kappa2=1"],
+                 ["conformal-table", "--diff", "--kappa1=1", "--kappa2=-1"]):
+        classified.clear()
+        parse_args(argv)
+        assert classified, argv
+
+
 def reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
@@ -1284,6 +1366,18 @@ def test_a_percent_sign_in_a_skeleton_string_is_written_unchanged(precision):
         assert dumps(Filled(template, values), precision) == reference_dumps(
             filled_skeleton(skeleton, values), precision)
     assert dumps(Filled(Template(lambda: ["%%", "%d"])), precision) == '["%%","%d"]'
+
+
+@pytest.mark.parametrize("filled,golden", [(cli._CLASSIFY, "classify.json"),
+                                           (cli._GRAPH, "graph.json"),
+                                           (Filled(Template(lambda: ["100%", "%%d"])), None)])
+def test_input_free_answers_are_kept_as_finished_text(filled, golden):
+    # a template without a slot keeps the text it writes, unescaped, and a
+    # request returns that text without formatting it
+    first = dumps(filled, 17)
+    expected = (GOLDEN / golden).read_text() if golden else '["100%","%%d"]\n'
+    assert first + "\n" == expected
+    assert dumps(filled, 17) is first is filled.template.texts[17]
 
 
 def test_entry_point_runs_as_a_module():
