@@ -1137,14 +1137,6 @@ def test_exact_form_keeps_the_error_precedence_of_argparse(argv):
     assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    import workloads
-
-    return workloads
-
-
 def test_exact_command_lines_are_read_in_one_pass(workloads, monkeypatch):
     # the general reader classifies every token; a request in the exact form
     # never reaches it, and any other form still does

@@ -9,14 +9,11 @@ line keeps its answer templates per precision: a change that alters an answer
 on purpose updates its pin and says why.  ``bench/`` is only read.
 """
 
-from pathlib import Path
-
 import pytest
 
 import replay
 from kinematica import cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED, REQUESTS = 7, 20000
 DIGESTS = {
     "geometry-sweep": "f033d60ee378fe03bd9e1b740c4da6117885b7f7c1f5de0ecd5ce1c2de963f7e",
@@ -28,14 +25,6 @@ DIGESTS_AT_PRECISION_5 = {
     "rotors-sweep": "496390b20effdb8a85dbe159131773682c3e93b86cd39ffaad3c2da0aad4b2ba",
     "nine-geometries": "3945bbe67c46b5ffd35da58aa17ee5e344a4cd993ed5674ea2c40260c6c0476e",
 }
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    import workloads
-
-    return workloads
 
 
 def test_every_workload_is_pinned(workloads):
