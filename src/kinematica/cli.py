@@ -21,10 +21,11 @@ answer dict is built per request.  The answers of ``exp``, ``project``,
 take no input, ``classify`` and ``graph --format json``, are the templates
 without a slot, and the dot graph is written once per process.
 ``conformal-table`` has one template per pattern (``--diff-paper``, whether
-each label is 0, the errata the diff reports), built from the library's
-answer the first time a request has that pattern: a +-1 coefficient is
-written in and a +-kappa1 or +-kappa2 coefficient is a slot, so a request
-only evaluates those monomials.  ``region``'s SVG fills one text template per
+each label is 0, the errata slots the diff reports), built the first time a
+request has that pattern from ``conformal.bracket_monomials`` and
+``conformal.errata``, which hold no label value: a +-1 coefficient is written
+in and a +-kappa1 or +-kappa2 coefficient is a slot, so a request only
+evaluates those monomials.  ``region``'s SVG fills one text template per
 boundary shape (see ``ckgeom.region_svg``).  No template is keyed by the
 label values.  The parser accepts the command lines argparse accepted for
 the same table, with the same values and argparse's one-line error messages;
@@ -64,12 +65,6 @@ def _precision() -> int:
     return max(1, min(17, value))
 
 
-def _fmt_float(x: float, precision: int) -> str:
-    if x == 0.0:
-        x = 0.0  # fold -0.0
-    return f"{x:.{precision}g}"
-
-
 def _dump_str(obj: str, precision: int) -> str:
     escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
     if not escaped.isprintable():  # JSON strings hold no raw control characters
@@ -80,7 +75,7 @@ def _dump_str(obj: str, precision: int) -> str:
 def _dump_float(obj: float, precision: int) -> str:
     if not math.isfinite(obj):
         raise NonFiniteResult(f"result {obj} is not finite")
-    return _fmt_float(obj, precision)
+    return f"{obj + 0.0:.{precision}g}"  # + 0.0 folds -0.0
 
 
 def _dump_dict(obj: dict, precision: int) -> str:
@@ -338,61 +333,55 @@ def _run_spin(args) -> Filled:
 
 
 # conformal-table's answer has one shape per pattern (--diff-paper, kappa1 == 0,
-# kappa2 == 0, the errata reported): pattern -> (template, monomial of each
-# slot).  It is never keyed by the label values.
+# kappa2 == 0, the errata slots): pattern -> (template, monomial of each slot).
+# It is never keyed by the label values.
 _CONFORMAL: dict[tuple, tuple[Template, tuple[tuple[int, int, int], ...]]] = {}
 
 
-def _conformal_template(kp: ckgeom.KappaPair, diff: bool):
-    """The template of conformal-table's answer at these labels, and its slots' monomials.
+def _conformal_template(table: dict, errata: tuple | None):
+    """The template of conformal-table's answer, and its slots' monomials.
 
-    The skeleton is the answer the library gives at kp.  Each coefficient is
-    the signed monomial c0 + c1*kappa1 + c2*kappa2 of its table entry: +-1 is
-    written into the text, +-kappa1 and +-kappa2 become slots.  Which entries
-    the library drops and which slots it reports depend only on the pattern,
-    so the template serves every request with that pattern.
+    ``table`` is ``conformal.bracket_monomials`` and ``errata`` the records of
+    ``conformal.errata``, or None without ``--diff-paper``.  Each coefficient
+    c0 + c1*kappa1 + c2*kappa2 with c0 != 0 is +-1 and is written into the
+    text; any other is a slot.  Neither argument holds a label value, so the
+    template serves every request with its pattern.
     """
-    table = conformal._structure_constants()
-    computed = conformal.computed_brackets(kp)
     monomials = []
 
-    def slotted(coeffs: dict[str, float], entry: dict[str, tuple[int, int, int]]) -> dict:
+    def slotted(entry: dict[str, tuple[int, int, int]]) -> dict:
         out = {}
-        for tag in coeffs:
-            c0 = entry[tag][0]
-            if c0:  # +-1
-                out[tag] = float(c0)
+        for tag, monomial in entry.items():
+            if monomial[0]:
+                out[tag] = float(monomial[0])
             else:
                 out[tag] = SLOT
-                monomials.append(entry[tag])
+                monomials.append(monomial)
         return out
 
     answer = {"brackets": {
-        f"[{row},{col}]": slotted(coeffs, table[(row, col)])
-        for (row, col), coeffs in computed.items()
-        if row != col and coeffs
+        f"[{row},{col}]": slotted(entry) for (row, col), entry in table.items() if entry
     }}
-    if diff:
-        answer["diff"] = records = []
-        for record in conformal.diff_vs_tabulated(kp, computed):
-            row, col = record["bracket"]
-            actual = slotted(record["computed"], table[(row, col)])  # slots before claimed's
-            claimed = record["claimed"]  # an entry of the published table, or a note
-            if not isinstance(claimed, str):
-                published = conformal._antisymmetric(conformal.TABULATED_BRACKETS, row, col)
-                claimed = slotted(claimed, published)
-            records.append({"bracket": f"[{row},{col}]", "computed": actual, "claimed": claimed})
+    if errata is not None:
+        answer["diff"] = [
+            {  # computed's slots come before claimed's
+                "bracket": f"[{row},{col}]",
+                "computed": slotted(table[(row, col)]),
+                "claimed": claimed if isinstance(claimed, str) else slotted(claimed),
+            }
+            for (row, col), claimed in errata
+        ]
     return Template(lambda: answer), tuple(monomials)
 
 
 def _run_conformal(args) -> Filled:
     kp = _kappas(args)
     k1, k2 = kp
-    reported = conformal.reported_errata(kp) if args.diff else ()
-    pattern = (args.diff, k1 == 0.0, k2 == 0.0, reported)
+    errata = conformal.errata(kp) if args.diff else None
+    pattern = (args.diff, k1 == 0.0, k2 == 0.0, tuple([slot for slot, _ in errata or ()]))
     found = _CONFORMAL.get(pattern)
     if found is None:
-        found = _CONFORMAL[pattern] = _conformal_template(kp, args.diff)
+        found = _CONFORMAL[pattern] = _conformal_template(conformal.bracket_monomials(kp), errata)
     template, monomials = found
     return Filled(template, tuple([c0 + c1 * k1 + c2 * k2 for c0, c1, c2 in monomials]))
 

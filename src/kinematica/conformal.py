@@ -12,11 +12,15 @@ Every coefficient of every bracket is one signed monomial: +-1, +-kappa1 or
 first use, from the matrices themselves: the commutator of each unordered
 pair of generators is decomposed over the six-generator basis at three label
 points, and the reversed pairs are filled by antisymmetry.
-``computed_brackets`` only evaluates that table at the labels.
+``bracket_monomials`` gives that table with the monomials of a zero label
+dropped, so it depends only on whether each label is 0, and
+``computed_brackets`` only evaluates it at the labels.
 ``TABULATED_BRACKETS`` keeps the published form of the same table verbatim
 as claimed data: it contains an undefined symbol "S2" in the [K, G1] slots
-and a mislabeled [K, G2] entry, and ``diff_vs_tabulated`` reports those
-discrepancies instead of silently correcting either side.
+and a mislabeled [K, G2] entry.  ``errata`` names the slots where the two
+disagree at the labels, with their published monomials, and
+``diff_vs_tabulated`` reports them as values instead of silently correcting
+either side.
 """
 
 from __future__ import annotations
@@ -122,23 +126,41 @@ def _antisymmetric(table: dict, row: str, col: str):
     return {t: (-c0, -c1, -c2) for t, (c0, c1, c2) in entry.items()}
 
 
+def _nonzero(entry: dict, kappa1, kappa2) -> dict[str, tuple[int, int, int]]:
+    """entry without the monomials of a zero label; only each label's truth value is read."""
+    return {t: m for t, m in entry.items() if m[0] or m[1] and kappa1 or m[2] and kappa2}
+
+
 def _evaluate(kp: KappaPair, entry: dict[str, tuple[int, int, int]]) -> dict[str, float]:
-    """{tag: c0 + c1*kappa1 + c2*kappa2} over one table entry, zeros dropped."""
-    out = {}
-    for tag, (c0, c1, c2) in entry.items():
-        value = c0 + c1 * kp.kappa1 + c2 * kp.kappa2
-        if value != 0.0:
-            out[tag] = float(value)
-    return out
+    """{tag: c0 + c1*kappa1 + c2*kappa2} over one entry of :func:`_nonzero` monomials."""
+    return {t: float(c0 + c1 * kp.kappa1 + c2 * kp.kappa2) for t, (c0, c1, c2) in entry.items()}
+
+
+@functools.cache
+def _monomials(kappa1: bool, kappa2: bool):
+    """The derived table and the published ``ERRATA`` entries in table order (a
+    note for the undefined symbol), the monomials of a zero label dropped;
+    kappa1 and kappa2 say whether each label is nonzero."""
+    derived = {slot: _nonzero(e, kappa1, kappa2) for slot, e in _structure_constants().items()}
+    published = tuple(
+        (slot, "S2 (undefined symbol)" if e == "S2" else _nonzero(e, kappa1, kappa2))
+        for slot in _ERRATA_ORDER
+        for e in [_antisymmetric(TABULATED_BRACKETS, *slot)]
+    )
+    return derived, published
+
+
+def bracket_monomials(kp: KappaPair) -> dict[tuple[str, str], dict[str, tuple[int, int, int]]]:
+    """The table {(row, col): {tag: (c0, c1, c2)}} over every ordered pair of
+    ``GENERATOR_TAGS``, the monomials of a zero label dropped: one table per
+    pattern of zero labels, shared by its calls, to be read and not changed."""
+    return _monomials(kp.kappa1 != 0.0, kp.kappa2 != 0.0)[0]
 
 
 def computed_brackets(kp: KappaPair) -> dict[tuple[str, str], dict[str, float]]:
-    """All brackets [row, col] over the basis at the labels, zeros dropped.
-
-    Keys run over every ordered pair of ``GENERATOR_TAGS``; the monomials are
-    derived from the matrices on the first call (:func:`_structure_constants`).
-    """
-    return {slot: _evaluate(kp, entry) for slot, entry in _structure_constants().items()}
+    """All brackets [row, col] over the basis at the labels, zeros dropped:
+    :func:`bracket_monomials` evaluated at the labels."""
+    return {slot: _evaluate(kp, entry) for slot, entry in bracket_monomials(kp).items()}
 
 
 # The published bracket table, row = first argument. Each entry is a linear
@@ -162,9 +184,10 @@ TABULATED_BRACKETS: dict[tuple[str, str], dict | str] = {
     ("G2", "D"): {"G2": (1, 0, 0)},
 }
 
-# The slots whose published entry differs from the derived one; every other
-# slot evaluates to the same floats on both sides at every label.
-ERRATA = frozenset({("K", "G1"), ("G1", "K"), ("K", "G2"), ("G2", "K")})
+# The slots whose published entry differs from the derived one, in table order;
+# every other slot evaluates to the same floats on both sides at every label.
+_ERRATA_ORDER = (("K", "G1"), ("K", "G2"), ("G1", "K"), ("G2", "K"))
+ERRATA = frozenset(_ERRATA_ORDER)
 
 
 def tabulated_bracket(kp: KappaPair, row: str, col: str):
@@ -172,53 +195,36 @@ def tabulated_bracket(kp: KappaPair, row: str, col: str):
     if row == col:
         return {}
     entry = _antisymmetric(TABULATED_BRACKETS, row, col)
-    return entry if entry == "S2" else _evaluate(kp, entry)
+    return entry if entry == "S2" else _evaluate(kp, _nonzero(entry, *kp))
 
 
-# the ERRATA slots in table order, rows before columns
-_ERRATA_ORDER = tuple(
-    (row, col) for row in GENERATOR_TAGS for col in GENERATOR_TAGS if (row, col) in ERRATA
-)
-
-
-def _disagreement(kp: KappaPair, slot: tuple[str, str], actual: dict[str, float]):
-    """The claimed entry of an ERRATA slot where it disagrees with ``actual``
-    (see :func:`diff_vs_tabulated`), else None."""
-    claimed = tabulated_bracket(kp, *slot)
-    if claimed == "S2":
-        return "S2 (undefined symbol)"
-    tags = set(claimed) | set(actual)
-    if any(abs(claimed.get(t, 0.0) - actual.get(t, 0.0)) > ALGEBRA_TOL for t in tags):
-        return claimed
-    return None
-
-
-def reported_errata(kp: KappaPair) -> tuple[tuple[str, str], ...]:
-    """The slots :func:`diff_vs_tabulated` reports at these labels, in its order."""
-    table = _structure_constants()
-    return tuple(
-        slot for slot in _ERRATA_ORDER
-        if _disagreement(kp, slot, _evaluate(kp, table[slot])) is not None
-    )
+def errata(kp: KappaPair) -> tuple[tuple[tuple[str, str], dict | str], ...]:
+    """The ``ERRATA`` slots where the published table disagrees at these labels,
+    in table order, each with its published monomials as in
+    :func:`bracket_monomials` or "S2 (undefined symbol)": the S2 slots always,
+    the others where a coefficient differs from the derived one by more than
+    ``ALGEBRA_TOL``."""
+    derived, published = _monomials(kp.kappa1 != 0.0, kp.kappa2 != 0.0)
+    out = []
+    for slot, claimed in published:
+        if isinstance(claimed, dict):
+            a, b = _evaluate(kp, derived[slot]), _evaluate(kp, claimed)
+            if not any(abs(a.get(t, 0.0) - b.get(t, 0.0)) > ALGEBRA_TOL for t in a.keys() | b):
+                continue
+        out.append((slot, claimed))
+    return tuple(out)
 
 
 def diff_vs_tabulated(
     kp: KappaPair, computed: dict[tuple[str, str], dict[str, float]]
 ) -> list[dict]:
-    """Slots where ``computed``, the table of :func:`computed_brackets`,
-    disagrees with the published one.
-
-    Only the ``ERRATA`` slots can disagree.  Of those, undefined-symbol slots
-    are always flagged, and numeric slots when any coefficient differs by
-    more than ``ALGEBRA_TOL`` at these labels.
-    """
-    diffs = []
-    for slot in _ERRATA_ORDER:
-        actual = computed[slot]
-        claimed = _disagreement(kp, slot, actual)
-        if claimed is not None:
-            diffs.append({"bracket": list(slot), "computed": actual, "claimed": claimed})
-    return diffs
+    """The :func:`errata` at these labels as records of ``computed``, the table
+    of :func:`computed_brackets`, and of the published entry's values."""
+    return [
+        {"bracket": list(slot), "computed": computed[slot],
+         "claimed": claimed if isinstance(claimed, str) else _evaluate(kp, claimed)}
+        for slot, claimed in errata(kp)
+    ]
 
 
 def conformal_moebius(kp: KappaPair, tag: str, t: float) -> Mat2:

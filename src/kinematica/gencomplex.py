@@ -61,10 +61,8 @@ def _times_pow2(x: float, k: int, s: float = 1.0) -> float:
         return math.copysign(math.inf, x) / s
 
 
-def _split_pow2(x: float) -> tuple[float, int]:
-    """(m, k) with x = m * 2**k and 1/2 <= |m| < 1, the parts a real number
-    scales by in :meth:`GenComplex._scaled`; 0, inf and nan give (x, 0)."""
-    return math.frexp(x)
+# math.frexp under this layer's name, for ckgeom's scalings: frexp and ldexp stay here
+_split_pow2 = math.frexp
 
 
 class GenComplex(NamedTuple):

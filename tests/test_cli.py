@@ -160,13 +160,13 @@ def test_conformal_table_diff_computes_the_table_once(monkeypatch):
     # --diff-paper never builds the table twice: a request builds it once when
     # no template has its pattern yet, and not at all from the template
     calls = []
-    original = conformal.computed_brackets
+    original = conformal.bracket_monomials
 
     def counting(kp):
         calls.append(kp)
         return original(kp)
 
-    monkeypatch.setattr(conformal, "computed_brackets", counting)
+    monkeypatch.setattr(conformal, "bracket_monomials", counting)
     monkeypatch.setattr(cli, "_CONFORMAL", {})
     for k1, k2 in [("1", "-1"), ("1", "-1"), ("2", "-3"), ("0", "-1"), ("2", "-3"), ("0", "0")]:
         before, misses = len(calls), len(cli._CONFORMAL)
@@ -191,6 +191,29 @@ def test_conformal_table_keeps_no_template_per_label_value(monkeypatch):
     for diff, flat1, flat2, reported in cli._CONFORMAL:
         assert {diff, flat1, flat2} <= {True, False}
         assert set(reported) <= conformal.ERRATA and (diff or reported == ())
+
+
+def test_the_cli_reads_no_private_name_of_a_layer():
+    # the command line reaches each layer through its public names only
+    layers = {"gentrig", "gencomplex", "ckgeom", "spin", "clifford", "kinclass", "conformal"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module is None
+        for alias in node.names if alias.name in layers
+    }
+    assert bound >= {"ckgeom", "conformal", "gencomplex"}
+    found = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound and node.attr.startswith("_")
+    ] + [
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in layers
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert found == []
 
 
 def test_graph_dot_is_written_once_per_process(monkeypatch):

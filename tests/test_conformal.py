@@ -28,6 +28,7 @@ from kinematica.errors import AtInfinity, DecompositionFailure
 from kinematica.gencomplex import Mat2, gamma_apply, gamma_lift, gc, gc_exp_unit
 from kinematica.gentrig import cosk, sink
 from kinematica.kinclass import so3_triple
+from kinematica.spin import ALGEBRA_TOL
 
 PATTERNS = [
     KappaPair(k1, k2)
@@ -263,6 +264,58 @@ def test_computed_table_keeps_exact_values_where_the_matrices_underflow_or_overf
     assert tiny[("P", "K")] == {"H": 5e-324}
     huge = computed_brackets(KappaPair(1e200, 1e200))
     assert huge[("H", "P")] == {"K": 1e200} and huge[("K", "P")] == {"H": -1e200}
+
+
+# labels on both sides of every cut the table and the diff make: the nine sign
+# patterns, a signed zero, the least subnormal and ALGEBRA_TOL to one ulp
+EDGE_LABELS = [
+    sign * x
+    for sign in (1.0, -1.0)
+    for x in (1.0, 0.0, 5e-324, math.nextafter(ALGEBRA_TOL, 0.0), ALGEBRA_TOL,
+              math.nextafter(ALGEBRA_TOL, 1.0))
+]
+
+
+def _hex_table(table):
+    return {slot: {t: v.hex() for t, v in entry.items()} for slot, entry in table.items()}
+
+
+def test_monomials_and_errata_depend_only_on_the_pattern_and_give_the_floats():
+    monomials, records = {}, {}
+    for k1, k2 in itertools.product(EDGE_LABELS, repeat=2):
+        kp = KappaPair(k1, k2)
+
+        def at(entry):
+            return {t: float(c0 + c1 * k1 + c2 * k2) for t, (c0, c1, c2) in entry.items()}
+
+        table = conformal.bracket_monomials(kp)
+        found = conformal.errata(kp)
+        slots = tuple(slot for slot, _ in found)
+        # the same monomials and, with the same slots, the same records per pattern
+        assert monomials.setdefault((k1 == 0.0, k2 == 0.0), table) == table
+        assert records.setdefault((k1 == 0.0, k2 == 0.0, slots), found) == found
+        # S2 is always reported, the mislabelled pair where |kappa2| shows it
+        assert slots == tuple(
+            slot for slot in [("K", "G1"), ("K", "G2"), ("G1", "K"), ("G2", "K")]
+            if "G1" in slot or abs(k2) > ALGEBRA_TOL
+        )
+        # the floats are the monomials evaluated, and those of every nonzero
+        # coefficient of the full table
+        evaluated = {slot: at(entry) for slot, entry in table.items()}
+        full = {
+            slot: {t: v for t, (c0, c1, c2) in entry.items() if (v := c0 + c1 * k1 + c2 * k2)}
+            for slot, entry in conformal._structure_constants().items()
+        }
+        computed = computed_brackets(kp)
+        assert _hex_table(computed) == _hex_table(evaluated) == _hex_table(full)
+        expected = []
+        for slot, claimed in found:
+            if not isinstance(claimed, str):
+                claimed = at(claimed)
+                assert claimed == tabulated_bracket(kp, *slot)
+            expected.append({"bracket": list(slot), "computed": computed[slot], "claimed": claimed})
+        assert diff_vs_tabulated(kp, computed) == expected
+    assert len(monomials) == 4 and len(records) == 6
 
 
 def test_import_derives_neither_table():
