@@ -30,10 +30,11 @@ boundary shape (see ``ckgeom.region_svg``).  No template is keyed by the
 label values.  The parser accepts the command lines argparse accepted for
 the same table, with the same values and argparse's one-line error messages;
 the one difference is that a ``--`` given after ``=`` is read as the value
-``--``.  A command line whose every option is its full name with ``=value``,
-or a flag's bare name, is read in one pass; every other form, and every such
-command line the pass rejects, is read by the general reader exactly as
-before, and only that reader reports errors.
+``--``.  One reader converts every value: it reads the exact form, where each
+option is its full name with ``=value`` or a flag's bare name.  A command line
+in that form is read as it is; every other form, and every exact command line
+the reader rejects, is first rewritten into it (prefixes expanded, spaced
+values joined on, unknown tokens set aside) and then read by the same reader.
 
 Importing this module registers all seven layers but runs none of them (see
 the package docstring).  A runner reaches a layer's names through the layer,
@@ -520,20 +521,58 @@ def _check_flag(option: Option, name: str, explicit: str | None, prog: str) -> N
         raise UsageError(f"{prog}: argument {option.name}: ignored explicit argument {explicit!r}")
 
 
-def _parse_options(command: str, tokens: list[str], extras: list[str]) -> dict:
-    """The subcommand and the values of its options; unknown tokens go to ``extras``.
+def _read(command: str, tokens: list[str], options: dict[str, Option]) -> SimpleNamespace:
+    """The namespace of a subcommand's tokens, each ``--name=value`` or a flag's bare name.
 
-    A token after ``--`` is never an option.  The last occurrence of a
-    repeated option wins, but every occurrence must convert.
+    The one reader of option values: in token order it converts each value,
+    checks its choices, checks each flag and stops at help, with argparse's
+    messages, then checks the required options.  The last occurrence of a
+    repeated option wins, but every occurrence must convert.  A name that is
+    not in ``options`` raises KeyError; an option that needs a value and has
+    none is "expected one argument".
     """
-    prog = f"kinematica {command}"
-    table, options = _TABLES[command], _OPTIONS[command]
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    # every token is read before any is used, so an ambiguous option is
-    # reported ahead of a bad value
-    kinds = [_classify(token, options, prog) for token in tokens[:end]]
     values = _DEFAULTS[command].copy()
     seen = set()
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        option = options[name]
+        if (convert := option.type) is None:
+            if eq:
+                _check_flag(option, name, text, f"kinematica {command}")
+            if option is _HELP:
+                sys.stdout.write(_help_text(command))
+                raise SystemExit(0)
+            value = True
+        elif not eq:
+            raise UsageError(f"kinematica {command}: argument {option.name}: expected one argument")
+        else:
+            try:
+                value = convert(text)
+            except UsageError as exc:
+                raise UsageError(f"kinematica {command}: argument {option.name}: {exc}") from None
+            if option.choices and value not in option.choices:
+                raise _choice_error(f"kinematica {command}", option.name, value, option.choices)
+        values[option.dest] = value
+        seen.add(option.dest)
+    if not _REQUIRED[command] <= seen:
+        missing = ", ".join(o.name for o in _TABLES[command] if o.required and o.dest not in seen)
+        raise UsageError(f"kinematica {command}: the following arguments are required: {missing}")
+    return SimpleNamespace(**values)
+
+
+def _rewrite(command: str, tokens: list[str], extras: list[str]) -> list[str]:
+    """A subcommand's tokens in the form :func:`_read` reads; the others go to ``extras``.
+
+    Every token before ``--`` is classified first, so an ambiguous option is
+    reported ahead of any other error.  Then each option becomes its full
+    name, a value in its own token is joined onto its option after ``=``, and
+    an option left without a value stays bare.  Unknown tokens, and every
+    token from ``--`` on, go to ``extras``.
+    """
+    options, prog = _OPTIONS[command], f"kinematica {command}"
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_classify(token, options, prog) for token in tokens[:end]]
+    exact = []
     i = 0
     while i < end:
         found = kinds[i]
@@ -542,85 +581,30 @@ def _parse_options(command: str, tokens: list[str], extras: list[str]) -> dict:
             extras.append(tokens[i - 1])
             continue
         option, name, text = found
-        if option.type is None:
-            _check_flag(option, name, text, prog)
-            if option is _HELP:
-                sys.stdout.write(_help_text(command))
-                raise SystemExit(0)
-            value = True
-        else:
-            if text is None:
-                if i == end or kinds[i] is not None:
-                    raise UsageError(f"{prog}: argument {option.name}: expected one argument")
-                text = tokens[i]
-                i += 1
-            try:
-                value = option.type(text)
-            except UsageError as exc:
-                raise UsageError(f"{prog}: argument {option.name}: {exc}") from None
-            if option.choices and value not in option.choices:
-                raise _choice_error(prog, option.name, value, option.choices)
-        values[option.dest] = value
-        seen.add(option.dest)
+        if text is None and option.type is not None and i < end and kinds[i] is None:
+            text = tokens[i]
+            i += 1
+        exact.append(name if text is None else f"{name}={text}")
     extras.extend(tokens[end:])
-    missing = [o.name for o in table if o.required and o.dest not in seen]
-    if missing:
-        raise UsageError(f"{prog}: the following arguments are required: {', '.join(missing)}")
-    return values
-
-
-def _read_exact(argv: list[str]) -> SimpleNamespace | None:
-    """One pass over a command line whose every option is its exact name.
-
-    After the subcommand each token must be ``--name=value`` for an option
-    that takes a value, or the bare name of a flag.  Returns None for any
-    other form (a prefix, a spaced value, ``--``, help, an unknown token) and
-    for a value, a choice or a missing option that the general reader
-    rejects; it raises nothing, so that reader reports every error.
-    """
-    options = _EXACT.get(argv[0]) if argv else None
-    if options is None:
-        return None
-    values = _DEFAULTS[argv[0]].copy()
-    seen = set()
-    for token in argv[1:]:
-        name, eq, text = token.partition("=")
-        option = options.get(name)
-        if option is None:
-            return None
-        convert = option.type
-        if convert is None:
-            if eq:
-                return None
-            value = True
-        elif not eq:
-            return None
-        else:
-            try:
-                value = convert(text)
-            except UsageError:
-                return None
-            if option.choices and value not in option.choices:
-                return None
-        values[option.dest] = value
-        seen.add(option.dest)
-    if not _REQUIRED[argv[0]] <= seen:
-        return None
-    return SimpleNamespace(**values)
+    return exact
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace of one command line: ``command`` plus one entry per option.
 
-    A command line in the exact ``--name=value`` form is read in one pass
-    (:func:`_read_exact`); any other, and any that pass rejects, is read by
-    the general reader below, which alone reports errors.  Raises
-    :class:`UsageError` for a command line it rejects.  ``--help`` writes the
-    help text to stdout and raises ``SystemExit(0)``.
+    :func:`_read` reads a command line in the exact ``--name=value`` form as
+    it is.  Any other form, and any exact command line that ``_read``
+    rejects, is first rewritten into that form (:func:`_rewrite`) and read
+    again by ``_read``, so the messages and their precedence do not depend on
+    the form.  Raises :class:`UsageError` for a command line it rejects.
+    ``--help`` writes the help text to stdout and raises ``SystemExit(0)``.
     """
-    namespace = _read_exact(argv)
-    if namespace is not None:
-        return namespace
+    options = _EXACT.get(argv[0]) if argv else None
+    if options is not None:
+        try:
+            return _read(argv[0], argv[1:], options)
+        except (KeyError, UsageError):
+            pass  # another form, or an error the rewritten command line reports
     extras: list[str] = []
     command = None
     for i, token in enumerate(argv):
@@ -640,10 +624,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         raise UsageError("kinematica: the following arguments are required: command")
     if command not in COMMANDS:
         raise _choice_error("kinematica", "command", command, COMMANDS)
-    values = _parse_options(command, argv[i + 1:], extras)
+    namespace = _read(command, _rewrite(command, argv[i + 1:], extras), _OPTIONS[command])
     if extras:
         raise UsageError(f"kinematica: unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**values)
+    return namespace
 
 
 def _usage(option: Option) -> str:

@@ -1155,6 +1155,18 @@ EXACT_EXP = ["exp", "--gen=H", "--param=1", "--kappa1=1", "--kappa2=1"]
     ["graph", "--format=dot", "--format=json"],
     ["classify", "--format=json"],
     ["contract", "--from=M", "--type=speed-time", "--type=time"],
+    # forms that are rewritten into the exact one before they are read
+    ["exp", "--gen", "--param=1", "--kappa1=1", "--kappa2=1"],  # a bare option, then another
+    ["region", "--svg", "--", "--kappa1=1", "--kappa2=1"],
+    ["region", "--svg", "a=b", "--kappa1=1", "--kappa2=1"],  # a spaced value holding "="
+    ["exp", "--param=x", "--help", "--gen=H", "--kappa1=1", "--kappa2=1"],  # the error before help
+    ["exp", "--gen=H", "--help", "--k=1"],  # the ambiguous option before help
+    ["exp", "--gen", "H", "--param", "-1", "--kappa1", "-.5", "--kappa2=1"],
+    EXACT_EXP + ["-hh"],
+    EXACT_EXP + ["-h=x"],
+    EXACT_EXP + ["--he"],
+    ["conformal-table", "--diff", "x", "--kappa1=1", "--kappa2=1"],  # a flag takes no value
+    ["graph", "--format", "dot", "--", "--format=json"],
 ], ids=lambda argv: " ".join(argv))
 def test_exact_form_keeps_the_error_precedence_of_argparse(argv):
     assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
@@ -1184,6 +1196,47 @@ def test_exact_command_lines_are_read_in_one_pass(workloads, monkeypatch):
         classified.clear()
         parse_args(argv)
         assert classified, argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argvs())
+def test_a_command_line_that_parses_is_rewritten_into_the_exact_form(argv):
+    # a rewritten command line is in the exact form, which parse_args reads
+    # to the same namespace without classifying a token
+    outcome = parse_outcome(parse_args, argv)
+    if outcome[0] != "ok":
+        return
+    extras = []
+    exact = cli._rewrite(argv[0], argv[1:], extras)
+    assert extras == []
+    options = cli._EXACT[argv[0]]
+    for token in exact:
+        name, eq, _ = token.partition("=")
+        assert name in options and bool(eq) == (options[name].type is not None), token
+    classified = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_classify", lambda *args: classified.append(args))
+        assert parse_outcome(parse_args, [argv[0], *exact]) == outcome
+    assert classified == []
+
+
+def test_one_call_site_converts_an_option_value():
+    # one reader converts the values of every form of the command line; a
+    # second reader would call an option's converter again
+    tree = ast.parse(Path(cli.__file__).read_text())
+    bound = {  # names an option's converter is bound to
+        target.id for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.NamedExpr)) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "type"
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    calls = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "type"
+            or isinstance(node.func, ast.Name) and node.func.id in bound)
+    ]
+    assert len(calls) == 1, calls
 
 
 def reject_constant(name):
