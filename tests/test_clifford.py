@@ -796,6 +796,30 @@ def test_a_coefficient_float_cannot_read_raises_the_conversion_error(item, error
         Multivector(KappaPair(1.0, 1.0), [item] * 8)
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("item", [1, np.float64(2.0)])
+def test_vector_turns_each_component_into_a_python_float(slot, item):
+    components = [0, 0, 0]
+    components[slot] = item
+    m = Multivector.vector(KappaPair(1.0, 1.0), *components)
+    assert all(type(x) is float for x in m.coeffs)
+    assert m.coeffs[S1:S3 + 1] == tuple(float(x) for x in components)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize(
+    "item, error, message",
+    [("1.5", ValueError, "^need exactly 8 coefficients$"),
+     (np.ones(1), ValueError, "^need exactly 8 coefficients$"),
+     (1j, TypeError, None), (2**2000, OverflowError, None)],
+)
+def test_vector_rejects_a_component_as_the_constructor_does(slot, item, error, message):
+    components = [0, 0, 0]
+    components[slot] = item
+    with pytest.raises(error, match=message):
+        Multivector.vector(KappaPair(1.0, 1.0), *components)
+
+
 def test_coefficients_are_a_tuple_of_floats_and_equality_reads_them():
     kp = KappaPair(1.0, -1.0)
     m = Multivector(kp, np.arange(8))

@@ -38,6 +38,7 @@ from kinematica.spin import (
     SL2,
     SpinElement,
     a_matrix,
+    axis_label,
     cover_to_so3,
     is_spin,
     is_su2_algebra,
@@ -565,3 +566,12 @@ def test_no_tolerance_literal_sits_in_a_comparison():
                     if 0.0 < leaf.value < 1e-6:
                         found.append(f"{path.name}:{leaf.lineno}: {leaf.value!r}")
     assert found == []
+
+
+def test_spin_from_axis_builds_float_entries_that_carry_kappa2():
+    kp = KappaPair(1, 2)
+    s = spin_from_axis(kp, 1, 0, 0, 1)
+    assert all(type(x) is float for entry in (s.alpha, s.beta) for x in entry)
+    assert s.alpha.kappa == s.beta.kappa == 2.0
+    c, sn = cosk_sink(axis_label(kp, 1, 0, 0), 0.5)
+    assert s == SpinElement(kp, gc(c, sn, 2), gc(0, 0, 2))
