@@ -17,14 +17,14 @@ s1^2 = 1, s2^2 = kappa1, s1*s2 = -s2*s1 = s3check, i central with
 i^2 = -kappa2: every basis element is a reduced word i^a s1^b s2^c, and word
 multiplication only ever produces a sign times a monomial kappa1^e1 *
 kappa2^e2, so each row of the table is a signed permutation of the basis.
-The table is the source of truth for all products, and every product is one
-engine, :func:`_gather`, summing a term list of it on plain floats (the blade
-product of Dorst, Fontijne and Mann, Geometric Algebra for Computer Science,
-2007).  ``Multivector.__mul__``, the general product, sums all 64 terms;
-:func:`sandwich` sums only the 28 that an even rotor and a vector can make
-nonzero, 12 for reverse(r) * a and 16 for the rest, in the same order, so
-its result is bit for bit the one the two 64-term products give.  The
-linear operations (sums, scaling, reversal, grade parts) are float loops
+The table is the source of truth for all products.  The general product,
+``Multivector.__mul__``, is one engine, :func:`_gather`, summing all 64 of
+its terms on plain floats (the blade product of Dorst, Fontijne and Mann,
+Geometric Algebra for Computer Science, 2007).  :func:`sandwich` writes out
+only the 28 terms that an even rotor and a vector can make nonzero, 12 for
+reverse(r) * a and 16 for the rest, as straight-line sums in the same
+order, so its result is bit for bit the one the two 64-term products give.
+The linear operations (sums, scaling, reversal, grade parts) are float loops
 over the 8 slots, so the algebra needs no numpy.  The 2x2 matrix picture
 is only an oracle (it is not faithful when kappa1 = 0, where s2 and
 s3check share a matrix).
@@ -48,8 +48,7 @@ from .errors import (
     NotAVector,
     NotUnitRotor,
 )
-from .gencomplex import gc
-from .spin import UNIT_TOL, SpinElement, axis_label, spin_from_axis
+from .spin import UNIT_TOL, SpinElement, axis_label, pseudo_norm, spin_from_axis
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
 
@@ -90,34 +89,13 @@ SYMBOLIC_TABLE = tuple(
 )
 
 
-_EVEN = tuple(k for k, g in enumerate(GRADES) if g % 2 == 0)
-_ODD = tuple(k for k, g in enumerate(GRADES) if g % 2)
-_VECTOR = tuple(k for k, g in enumerate(GRADES) if g == 1)
-_NOT_VECTOR = tuple(k for k, g in enumerate(GRADES) if g != 1)
-
-
-def _structural_terms(left, right, left_signs) -> tuple[tuple[int, int, int, int], ...]:
-    """(i, j, coefficient index, result index) of each e_i * e_j with i in left
-    and j in right, in the flat (i, j) order.
-
-    The coefficient index points into :func:`_coefficients`, by the table's
-    sign times ``left_signs[i]``.
-    """
-    terms = []
-    for i in left:
-        for j in right:
-            sign, e1, e2, k = SYMBOLIC_TABLE[i][j]
-            terms.append((i, j, e1 + 2 * e2 + (4 if sign * left_signs[i] < 0 else 0), k))
-    return tuple(terms)
-
-
-# all 64 terms of the general product; then the only terms of reverse(r) * a
-# and of that odd result times r that an even r and a vector a can make
-# nonzero, the first reading r's own coefficients with the reversal's signs
-# folded into the coefficient indices
-_ALL_TERMS = _structural_terms(range(8), range(8), (1.0,) * 8)
-_REVERSED_EVEN_TIMES_VECTOR = _structural_terms(_EVEN, _VECTOR, _REVERSE_SIGNS)
-_ODD_TIMES_EVEN = _structural_terms(_ODD, _EVEN, (1.0,) * 8)
+# (i, j, index into _coefficients by sign and monomial, result index) of the
+# general product's 64 terms e_i * e_j, in the flat (i, j) order
+_ALL_TERMS = tuple(
+    (i, j, e1 + 2 * e2 + (4 if sign < 0 else 0), k)
+    for i, row in enumerate(SYMBOLIC_TABLE)
+    for j, (sign, e1, e2, k) in enumerate(row)
+)
 
 
 def _coefficients(kp: KappaPair) -> tuple[float, ...]:
@@ -127,18 +105,18 @@ def _coefficients(kp: KappaPair) -> tuple[float, ...]:
     return (1.0, k1, k2, k12, -1.0, -k1, -k2, -k12)
 
 
-def _gather(terms, x, y, coef: tuple[float, ...]) -> list[float]:
-    """The given terms of the product x * y, each slot summed from +0.0.
+def _gather(x, y, kp: KappaPair) -> list[float]:
+    """The product of the coefficients x and y, each slot summed from +0.0
+    over the 64 terms in (i, j) order.
 
-    Every product of this module is this sum over a term list of
-    ``SYMBOLIC_TABLE``: 64 terms for ``__mul__``, 28 for :func:`sandwich`.
     The coefficient product comes first, and a term is scaled by its
     monomial only when nonzero, so a zero term stays 0 where kappa1*kappa2
     is infinite; a zero term adds nothing to a sum that, started at +0.0,
     is never -0.0.
     """
+    coef = _coefficients(kp)
     out = [0.0] * 8
-    for i, j, m, k in terms:
+    for i, j, m, k in _ALL_TERMS:
         t = x[i] * y[j]
         if t != 0.0:
             out[k] += t * coef[m]
@@ -170,7 +148,10 @@ class Multivector(NamedTuple("Multivector", [("kp", KappaPair), ("coeffs", tuple
 
     @classmethod
     def vector(cls, kp: KappaPair, a1: float, a2: float, a3: float) -> "Multivector":
-        return cls(kp, (0.0, a1, a2, a3, 0.0, 0.0, 0.0, 0.0))
+        # the constructor's checks on the three slots that are not 0.0
+        if hasattr(a1, "__len__") or hasattr(a2, "__len__") or hasattr(a3, "__len__"):
+            raise ValueError("need exactly 8 coefficients")
+        return cls._make((kp, (0.0, float(a1), float(a2), float(a3), 0.0, 0.0, 0.0, 0.0)))
 
     @classmethod
     def bivector(cls, kp: KappaPair, b1: float, b2: float, b3: float) -> "Multivector":
@@ -208,8 +189,7 @@ class Multivector(NamedTuple("Multivector", [("kp", KappaPair), ("coeffs", tuple
         if isinstance(other, (int, float)):  # every slot, so 0 * inf is nan
             return Multivector(self.kp, [x * other for x in self.coeffs])
         self._check(other)
-        coef = _coefficients(self.kp)
-        return Multivector(self.kp, _gather(_ALL_TERMS, self.coeffs, other.coeffs, coef))
+        return Multivector(self.kp, _gather(self.coeffs, other.coeffs, self.kp))
 
     __rmul__ = __mul__
 
@@ -345,35 +325,48 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     r_s3check + i*r_is2).  The result is a rotated about the rotor's axis,
     with the same inner-product length; other grades are rounding of |r|^2 |a|.
 
-    :func:`_gather` sums only the 28 structural terms of the two products
-    (see the module docstring); the result and the errors are those of the
-    two 64-term products.
+    The 28 terms of the module docstring, written out as :func:`_gather` sums
+    them: from +0.0, in (i, j) order, each (x*y)*monomial.  Only a kappa1*kappa2
+    term is skipped where zero (a zero term elsewhere adds nothing), so the
+    result and the errors are those of the two 64-term products.
     """
-    c, v = r.coeffs, a.coeffs
-    if any(c[k] != 0.0 for k in _ODD):  # `!=`, so that a nan is not a zero
+    c0, c1, c2, c3, c4, c5, c6, c7 = r.coeffs
+    if c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:  # `!=`: a nan is not a zero
         raise GradeError("rotor must be an even multivector")
-    k2 = r.kp.kappa2
-    spin = SpinElement(r.kp, gc(c[SCALAR], c[IS1], k2), gc(c[S3CHECK], c[IS2], k2))
+    norm = pseudo_norm(r.kp, c0, c4, c6, c5)
     # written `not x <= bound` so that a nan passes neither check
-    if not spin.unit_defect() <= UNIT_TOL:
-        raise NotUnitRotor(f"rotor pseudo-norm {spin.pseudo_norm()} != 1")
-    if any(v[k] != 0.0 for k in _NOT_VECTOR):
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise NotUnitRotor(f"rotor pseudo-norm {norm} != 1")
+    v0, v1, v2, v3, v4, v5, v6, v7 = a.coeffs
+    if v0 != 0.0 or v4 != 0.0 or v5 != 0.0 or v6 != 0.0 or v7 != 0.0:
         raise GradeError(f"{a} is not a pure vector")
     r._check(a)
-    coef = _coefficients(r.kp)
-    half = _gather(_REVERSED_EVEN_TIMES_VECTOR, c, v, coef)
+    k1, k2 = r.kp
+    k12 = k1 * k2
+    # reverse(r) * a, in s1, s2, s3 and i
+    t = c5 * v3
+    h1 = 0.0 + c0 * v1 + (t * -k12 if t != 0.0 else 0.0) + (c6 * v2) * -k1
+    h2 = 0.0 + c0 * v2 + (c4 * v3) * k2 + c6 * v1
+    h3 = 0.0 + c0 * v3 - c4 * v2 + c5 * v1
+    h7 = 0.0 - c4 * v1 + (c5 * v2) * -k1 + (c6 * v3) * k1
     # in the 64-term product a non-finite half meets r's zero odd slots,
     # which puts a nan into the even grades of the result
-    if not all(map(math.isfinite, half)):
+    if not (math.isfinite(h1) and math.isfinite(h2) and math.isfinite(h3)
+            and math.isfinite(h7)):
         raise GradeError("sandwich result is not a vector")
-    out = _gather(_ODD_TIMES_EVEN, half, c, coef)
-    size = sum(map(abs, c))  # `*` below, since float ** raises on overflow
-    scale = size * size * sum(map(abs, v))
+    # that half times r, in s1, s2, s3 and i
+    t = h3 * c5
+    o1 = 0.0 + h1 * c0 + (h2 * c6) * -k1 + (t * -k12 if t != 0.0 else 0.0) + (h7 * c4) * -k2
+    o2 = 0.0 + h1 * c6 + h2 * c0 + (h3 * c4) * k2 + (h7 * c5) * -k2
+    o3 = 0.0 + h1 * c5 - h2 * c4 + h3 * c0 + h7 * c6
+    o7 = 0.0 + h1 * c4 + (h2 * c5) * k1 + (h3 * c6) * -k1 + h7 * c0
+    size = abs(c0) + abs(c4) + abs(c5) + abs(c6)  # `*` below, since float ** raises on overflow
+    scale = size * size * (abs(v1) + abs(v2) + abs(v3))
     # the even grades of the result are exactly 0: the off-grade part is i's
-    if not abs(out[VOLUME]) <= UNIT_TOL * max(1.0, scale):
+    if not abs(o7) <= UNIT_TOL * max(1.0, scale):
         raise GradeError("sandwich result is not a vector")
-    # out holds floats, so the vector is made without the constructor's checks
-    return Multivector._make((r.kp, (0.0, out[S1], out[S2], out[S3], 0.0, 0.0, 0.0, 0.0)))
+    # the slots are floats, so the vector is made without the constructor's checks
+    return Multivector._make((r.kp, (0.0, o1, o2, o3, 0.0, 0.0, 0.0, 0.0)))
 
 
 def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:

@@ -69,6 +69,13 @@ def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
     return h, p, k
 
 
+def pseudo_norm(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> float:
+    """alpha*conj(alpha) + kappa1*beta*conj(beta), alpha = a0 + i*a1, beta = b0 + i*b1:
+    the one evaluation of the unit condition, for SpinElement and clifford.sandwich."""
+    k2 = kp.kappa2
+    return a0 * a0 + k2 * a1 * a1 + kp.kappa1 * (b0 * b0 + k2 * b1 * b1)
+
+
 class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenComplex),
                                              ("beta", GenComplex)])):
     """An element of Spin(3), stored as the pair (alpha, beta)."""
@@ -82,7 +89,8 @@ class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenCom
 
     def pseudo_norm(self) -> float:
         """alpha*conj(alpha) + kappa1*beta*conj(beta), 1 on Spin(3)."""
-        return self.alpha.sqmod() + self.kp.kappa1 * self.beta.sqmod()
+        a, b = self.alpha, self.beta
+        return pseudo_norm(self.kp, a.re, a.im, b.re, b.im)
 
     def unit_defect(self) -> float:
         """|pseudo_norm() - 1|, the quantity UNIT_TOL bounds."""
@@ -149,11 +157,9 @@ def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
 def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> SpinElement:
     """exp((phi/2) * (n1*is1 + n2*is2 + n3*s3check)) in closed form."""
     c, s = cosk_sink(axis_label(kp, n1, n2, n3), 0.5 * phi)
-    return SpinElement(
-        kp,
-        gc(c, n1 * s, kp.kappa2),
-        gc(n3 * s, n2 * s, kp.kappa2),
-    )
+    k2 = float(kp.kappa2)  # both entries carry kappa2: made without SpinElement's check
+    return SpinElement._make((kp, GenComplex(float(c), float(n1 * s), k2),
+                              GenComplex(float(n3 * s), float(n2 * s), k2)))
 
 
 def sl2_of_exp_k(kp: KappaPair, theta: float) -> SpinElement:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 
@@ -708,6 +709,27 @@ def test_sandwich_is_the_dense_product_bit_for_bit(pair):
     # including every overflow, or the same typed error
     r, a = pair
     assert outcome(sandwich, r, a) == outcome(dense_sandwich, r, a)
+
+
+def signed_outcome(rotate, r, a):
+    """The coefficients' bits as they are, a -0.0 apart from a +0.0, or the error."""
+    try:
+        return np.asarray(rotate(r, a).coeffs).view(np.uint64).tolist()
+    except KinematicaError as exc:
+        return type(exc), str(exc)
+
+
+def test_sandwich_keeps_the_signs_of_the_dense_products_zeros():
+    # rotors and vectors whose slots are +-1, +0 or -0, so that many result
+    # slots sum only zero terms
+    signed = (1.0, -1.0, 0.0, -0.0)
+    for k1, k2 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 0.0), (0.0, -1.0)):
+        kp = KappaPair(k1, k2)
+        for c0, c4, c5, c6 in itertools.product(signed, repeat=4):
+            r = Multivector(kp, (c0, 0.0, 0.0, 0.0, c4, c5, c6, 0.0))
+            for v in itertools.product(signed, repeat=3):
+                a = Multivector.vector(kp, *v)
+                assert signed_outcome(sandwich, r, a) == signed_outcome(dense_sandwich, r, a)
 
 
 def product_bits(product, x, y):
