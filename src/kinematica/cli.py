@@ -91,14 +91,6 @@ def _dump_list(obj: list | tuple, precision: int) -> str:
 
 
 def _dump_other(obj, precision: int) -> str:
-    # a numpy scalar exists only once numpy is loaded, so numpy is read from
-    # sys.modules and never imported here
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return _dump_float(float(obj), precision)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -177,10 +169,9 @@ def dumps(obj, precision: int) -> str:
 
     The writer is chosen by the exact type of each value: dict, list, tuple
     (written as a list, so a matrix of row tuples is a list of lists), str,
-    bool, None, int and float, plus :class:`Filled` templates and, when the
-    caller has loaded numpy, numpy integers and floats.  Any other type, a
-    subclass of those included, raises TypeError; a nan or infinite float
-    raises NonFiniteResult.
+    bool, None, int and float, plus :class:`Filled` templates.  Any other
+    type, a subclass of those included, raises TypeError; a nan or infinite
+    float raises NonFiniteResult.
     """
     return _WRITERS.get(type(obj), _dump_other)(obj, precision)
 
@@ -465,13 +456,13 @@ _TABLES = {
 }
 _EXACT = {command: {o.name: o for o in table} for command, table in _TABLES.items()}
 _OPTIONS = {command: {**_TOP, **exact} for command, exact in _EXACT.items()}
-# subcommand -> the namespace before any option is read, and the dests it requires
+# stands for the value of a required option that has not been read
+_MISSING = object()
+# subcommand -> the namespace before any option is read: each required option
+# starts as _MISSING, each optional one as its default
 _DEFAULTS = {
-    command: {"command": command, **{o.dest: o.default for o in table}}
+    command: {"command": command, **{o.dest: _MISSING if o.required else o.default for o in table}}
     for command, table in _TABLES.items()
-}
-_REQUIRED = {
-    command: frozenset(o.dest for o in table if o.required) for command, table in _TABLES.items()
 }
 
 
@@ -526,13 +517,13 @@ def _read(command: str, tokens: list[str], options: dict[str, Option]) -> Simple
 
     The one reader of option values: in token order it converts each value,
     checks its choices, checks each flag and stops at help, with argparse's
-    messages, then checks the required options.  The last occurrence of a
-    repeated option wins, but every occurrence must convert.  A name that is
-    not in ``options`` raises KeyError; an option that needs a value and has
-    none is "expected one argument".
+    messages.  Each required option starts as ``_MISSING``; one still
+    ``_MISSING`` after the last token is reported as required.  The last
+    occurrence of a repeated option wins, but every occurrence must convert.
+    A name that is not in ``options`` raises KeyError; an option that needs a
+    value and has none is "expected one argument".
     """
     values = _DEFAULTS[command].copy()
-    seen = set()
     for token in tokens:
         name, eq, text = token.partition("=")
         option = options[name]
@@ -553,9 +544,8 @@ def _read(command: str, tokens: list[str], options: dict[str, Option]) -> Simple
             if option.choices and value not in option.choices:
                 raise _choice_error(f"kinematica {command}", option.name, value, option.choices)
         values[option.dest] = value
-        seen.add(option.dest)
-    if not _REQUIRED[command] <= seen:
-        missing = ", ".join(o.name for o in _TABLES[command] if o.required and o.dest not in seen)
+    if _MISSING in values.values():
+        missing = ", ".join(o.name for o in _TABLES[command] if values[o.dest] is _MISSING)
         raise UsageError(f"kinematica {command}: the following arguments are required: {missing}")
     return SimpleNamespace(**values)
 

@@ -650,11 +650,7 @@ FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 EDGE_TEXT = ['"', "\\", '\\"', "\x00\x1f\x7f", "line\nbreak\ttab", "é ∞ 𝔤 \u2028", ""]
 JSON_SCALARS = st.one_of(
     st.integers(),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.integers(-2**31, 2**31 - 1).map(np.int32),
     FINITE_FLOATS,
-    FINITE_FLOATS.map(np.float64),
-    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
     st.booleans(),
     st.none(),
     st.text(),
@@ -697,8 +693,8 @@ def test_error_line_is_the_json_error_object(kind, message, precision):
 @pytest.mark.parametrize("precision", [1, 5, 17])
 @pytest.mark.parametrize(
     "bad",
-    [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float64("-inf"),
-     object(), {1, 2}, 1j, Fraction(1, 3), np.bool_(True), b"bytes"],
+    [float("nan"), float("inf"), -float("inf"), object(), {1, 2}, 1j, Fraction(1, 3),
+     np.bool_(True), b"bytes"],
     # a bare object's repr holds its address, which differs from run to run
     ids=lambda bad: "object()" if type(bad) is object else repr(bad),
 )
@@ -1492,19 +1488,25 @@ def test_the_command_line_imports_no_numpy():
     assert done.stdout == "False\n" + expected + "False\n"
 
 
-def test_dumps_writes_numpy_scalars_loaded_after_the_cli():
-    # the CLI never imports numpy, so dumps looks it up when it meets a value
-    # of a type it has no writer for
+def test_dumps_rejects_numpy_scalars_loaded_after_the_cli():
+    # dumps writes JSON's own types only: a numpy scalar is a type it has no
+    # writer for, whether or not numpy is loaded
     done = python_after_the_cli([
         "import numpy as np",
-        "print(dumps([np.float64(0.5), np.int64(-3), np.float32(0.25)], 17))",
-        "try:",
-        "    dumps(object(), 17)",
-        "except TypeError as exc:",
-        "    print(exc)",
+        "for value in (np.float64(0.5), np.int64(-3), np.float64('nan')):",
+        "    try:",
+        "        dumps(value, 17)",
+        "    except TypeError as exc:",
+        "        print(exc)",
+        "print(dumps([0.5, -3], 17))",
     ])
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[0.5,-3,0.25]\ncannot serialize <class 'object'>\n"
+    assert done.stdout == (
+        "cannot serialize <class 'numpy.float64'>\n"
+        "cannot serialize <class 'numpy.int64'>\n"
+        "cannot serialize <class 'numpy.float64'>\n"
+        "[0.5,-3]\n"
+    )
 
 
 LAYERS = ("gentrig", "gencomplex", "ckgeom", "spin", "clifford", "kinclass", "conformal")
