@@ -26,7 +26,7 @@ from kinematica.ckgeom import KappaPair
 from kinematica.cli import (COMMANDS, SLOT, Filled, Template, UsageError, dumps, main,
                             parse_args)
 from kinematica.clifford import Multivector
-from kinematica.errors import KinematicaError, NonFiniteResult
+from kinematica.errors import KinematicaError, NonFiniteResult, NotSpin
 from kinematica.gencomplex import gc
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -476,17 +476,19 @@ IDENTITY_SO3 = '"so3":[[1,0,0],[0,1,0],[0,0,1]]}\n'
     (["spin", "--gen", "H", "--param", "0", "--kappa1", "1e308", "--kappa2", "0.5"], "0.5"),
 ], ids=["P", "K", "H"])
 def test_spin_at_zero_param_is_the_identity_where_a_doubled_label_overflows(argv, kappa2):
-    # cover_to_so3 forms -2*kappa1, -2*kappa2 or -2*kappa1*kappa2 before the
-    # coordinate factor; these overflow to inf, and 0 * inf once ended in
-    # NonFiniteResult "result nan is not finite"
+    # the cover of the spin element, which printed so3 before exp's closed form
+    # did, formed -2*kappa1, -2*kappa2 or -2*kappa1*kappa2 before the coordinate
+    # factor; these overflow to inf, and 0 * inf once ended in NonFiniteResult
+    # "result nan is not finite"
     expected = (f'{{"alpha":{{"re":1,"im":0,"kappa":{kappa2}}},'
                 f'"beta":{{"re":0,"im":0,"kappa":{kappa2}}},' + IDENTITY_SO3)
     assert run_cli(argv) == (0, expected, "")
 
 
 def test_spin_p_shear_where_the_doubled_kappa1_overflows():
-    # -2*kappa1 overflows at 1e308, and (-2*kappa1)*kappa2 was inf * 0 = nan;
-    # the label is formed as -2*(kappa1*kappa2) = -0.0, so the shear answers
+    # -2*kappa1 overflows at 1e308, and the cover's (-2*kappa1)*kappa2 was
+    # inf * 0 = nan; exp's closed form takes the label kappa1*kappa2 = 0, so
+    # the shear answers
     argv = ["spin", "--gen", "P", "--param", "0.5", "--kappa1", "1e308", "--kappa2", "0"]
     expected = ('{"alpha":{"re":1,"im":0,"kappa":0},"beta":{"re":0,"im":0.25,"kappa":0},'
                 '"so3":[[1,0,0],[0,1,0],[0.5,0,1]]}\n')
@@ -505,12 +507,14 @@ TINY_AND_HUGE_LABELS = [
      '{"generator":"H","param":1e+151,"matrix":[[-0.99978607287932586,6.5407069689388404e-153,0],'
      '[-6.5407069689388404e+148,-0.99978607287932586,0],[0,0,1]]}\n'),
     # alpha = -cos(x/2) = 0.0103423189052094491, beta = -sin(x/2)/sqrt(1e-301)
-    # = -3.16210853140695136e150 (was NotSpin, "unit condition violated by 2.5")
+    # = -3.16210853140695136e150 (was NotSpin, "unit condition violated by 2.5");
+    # so3 is exp's matrix above (the cover of alpha and beta printed cos x as
+    # -0.99978607287932564 and the fixed entry as 0.99999999999999967)
     (["spin", "--gen=H", "--param=1e151", "--kappa1=1e-301", "--kappa2=1"],
      '{"alpha":{"re":0.010342318905209449,"im":0,"kappa":1},'
      '"beta":{"re":-3.1621085314069512e+150,"im":0,"kappa":1},'
-     '"so3":[[-0.99978607287932564,6.5407069689388393e-153,0],'
-     '[-6.5407069689388393e+148,-0.99978607287932564,0],[0,0,0.99999999999999967]]}\n'),
+     '"so3":[[-0.99978607287932586,6.5407069689388404e-153,0],'
+     '[-6.5407069689388404e+148,-0.99978607287932586,0],[0,0,1]]}\n'),
     # atan(sqrt(k)*w)/sqrt(k) = 9.99999999999999982e-201 (was 0: the product
     # sqrt(1e-250)*1e-200 underflows)
     (["distance", "--w1=0,0", "--w2=1e-200,0", "--kappa1=1e-250", "--kappa2=1"],
@@ -809,8 +813,8 @@ PINNED_OUTPUTS = [
     (["spin", "--gen", "H", "--param", "0.3", "--kappa1", "1", "--kappa2", "0"],
      '{"alpha":{"re":0.98877107793604224,"im":0,"kappa":0},'
      '"beta":{"re":0.14943813247359922,"im":0,"kappa":0},'
-     '"so3":[[0.95533648912560587,-0.29552020666133955,0],'
-     '[0.29552020666133955,0.95533648912560587,0],[0,0,0.99999999999999989]]}\n'),
+     '"so3":[[0.95533648912560598,-0.29552020666133955,0],'
+     '[0.29552020666133955,0.95533648912560598,0],[0,0,1]]}\n'),
     (["conformal-table", "--kappa1", "1", "--kappa2", "-1", "--diff-paper"],
      '{"brackets":{"[H,P]":{"K":1},"[H,K]":{"P":-1},"[H,G1]":{"D":1},"[H,G2]":{"K":1},'
      '"[H,D]":{"H":-1,"G1":-1},"[P,H]":{"K":-1},"[P,K]":{"H":-1},"[P,G1]":{"K":1},'
@@ -1039,11 +1043,11 @@ def good_value(option):
 
 
 @st.composite
-def argvs(draw):
-    """A command line near the grammar: every subcommand; each option missing,
-    once or twice, by its full name or a prefix, spaced, after ``=`` or bare,
-    with a value it takes or any other; stray tokens anywhere."""
-    command = draw(st.sampled_from([*COMMANDS, "no-such-command", "-1", ""]))
+def argvs(draw, commands=(*COMMANDS, "no-such-command", "-1", "")):
+    """A command line near the grammar: every subcommand (or one of ``commands``);
+    each option missing, once or twice, by its full name or a prefix, spaced,
+    after ``=`` or bare, with a value it takes or any other; stray tokens anywhere."""
+    command = draw(st.sampled_from(commands))
     argv = [command]
     clean = draw(st.booleans())  # half are well formed, with values the options take
     for option in COMMANDS[command].options if command in COMMANDS else ():
@@ -1285,7 +1289,7 @@ def library_answer(args) -> dict:
     s = spin.SL2[args.gen](kp, args.param)
     return {"alpha": {"re": s.alpha.re, "im": s.alpha.im, "kappa": s.alpha.kappa},
             "beta": {"re": s.beta.re, "im": s.beta.im, "kappa": s.beta.kappa},
-            "so3": spin.cover_to_so3(s)}
+            "so3": ckgeom.exp_generator(kp, args.gen, args.param)}
 
 
 def reference_run(argv, precision):
@@ -1328,6 +1332,65 @@ def test_templated_answers_write_the_reference_bytes(command, labels, data, prec
     argv = data.draw(templated_argvs(command, labels))
     monkeypatch.setenv("KINEMATICA_PRECISION", str(precision))
     assert run_cli(argv) == reference_run(argv, precision)
+
+
+# -- spin prints exp's matrix --------------------------------------------------
+
+
+def motion_text(result, key: str):
+    """The text of an answer's ``key`` (``so3`` or ``matrix``, the last value),
+    or (exit code, error kind) of a line that ends in an error."""
+    code, out, err = result
+    if code:
+        return code, json.loads(err)["error"]
+    return out[out.index(f'"{key}":') + len(key) + 3:-2]
+
+
+def exp_line(argv):
+    """The exp command line of a spin command line's generator, parameter and labels."""
+    args = parse_args(argv)
+    return ["exp", f"--gen={args.gen}", f"--param={args.param!r}",
+            f"--kappa1={args.kappa1!r}", f"--kappa2={args.kappa2!r}"]
+
+
+@pytest.mark.parametrize("precision", ["17", "5"])
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs(commands=("spin",)))
+def test_spin_prints_the_matrix_exp_prints(argv, precision, monkeypatch):
+    # one closed form per printed motion: spin's so3 is the text of exp's
+    # matrix for the same generator, parameter and labels, or both lines end
+    # in the same typed error
+    if parse_outcome(parse_args, argv)[0] != "ok":
+        return
+    monkeypatch.setenv("KINEMATICA_PRECISION", precision)
+    assert motion_text(run_cli(argv), "so3") == motion_text(run_cli(exp_line(argv)), "matrix")
+
+
+@pytest.mark.parametrize("precision", ["17", "5"])
+def test_spin_prints_the_matrix_exp_prints_on_the_replayed_streams(workloads, precision,
+                                                                   monkeypatch):
+    monkeypatch.setenv("KINEMATICA_PRECISION", precision)
+    spins = 0
+    for name in ("rotors-sweep", "nine-geometries"):
+        for request in itertools.islice(workloads.WORKLOADS[name](7), 20000):
+            if request.argv[0] == "spin":
+                spins += 1
+                assert (motion_text(run_cli(request.argv), "so3")
+                        == motion_text(run_cli(exp_line(request.argv)), "matrix")), request.argv
+    assert spins > 10000
+
+
+def test_spin_answers_where_the_cover_of_its_element_fails():
+    # exp(40 K) is a boost with cosh 40 = 1.2e17; the spin element's pseudo-norm
+    # a0^2 - a1^2 cancels to 0, so its cover ends in NotSpin, and spin once did
+    argv = ["spin", "--gen=K", "--param=40", "--kappa1=1", "--kappa2=-1"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert motion_text((code, out, err), "so3") == motion_text(run_cli(exp_line(argv)), "matrix")
+    kp = KappaPair(1.0, -1.0)
+    with pytest.raises(NotSpin):
+        spin.cover_to_so3(spin.SL2["K"](kp, 40.0))
 
 
 # label magnitudes at the edges: the float range's ends, 1e+-300, and next to

@@ -17,8 +17,8 @@ from kinematica import cli
 SEED, REQUESTS = 7, 20000
 DIGESTS = {
     "geometry-sweep": "f033d60ee378fe03bd9e1b740c4da6117885b7f7c1f5de0ecd5ce1c2de963f7e",
-    "rotors-sweep": "b0cc200f4c3f1f45abb0f7509c67424246e9d1c07738596449e38358455061b9",
-    "nine-geometries": "0ed944f945c21fbe23963f7fab0bc903e365f01d3a2dc490e50332bd257d1559",
+    "rotors-sweep": "15c976853fcf3892ab66e62c5a326c4e5b3428c0d287b1b236006b598a3c5e85",
+    "nine-geometries": "960b1e23e6399d9e42b208cb9b7323f7df0a7f53bf8598aab312db9c5aa3846a",
 }
 DIGESTS_AT_PRECISION_5 = {
     "geometry-sweep": "eb74db213116b9e8b302083fb4d65a53743a7914530435095a0c18e61e26584c",
