@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     NullOrImaginarySeparation,
     OutsideModel,
     ProjectionPole,
+    TrigOverflow,
     WrongGeometry,
 )
 from .gencomplex import GenComplex, _split_pow2, _times_pow2, gc
@@ -76,8 +78,11 @@ def exp_h(kp: KappaPair, alpha: float) -> Matrix3:
 
 
 def exp_p(kp: KappaPair, beta: float) -> Matrix3:
-    """Closed form of exp(beta*P): label kappa1*kappa2 on the z-x plane."""
+    """Closed form of exp(beta*P): label kappa1*kappa2 on the z-x plane; TrigOverflow
+    where its rounding below the normal floats would decide a nonzero beta's answer."""
     k12 = kp.kappa1 * kp.kappa2
+    if beta and kp.kappa1 and kp.kappa2 and abs(k12) < sys.float_info.min:
+        raise TrigOverflow(f"P label kappa1*kappa2 rounds to {k12!r}, below the normal floats")
     c, s = cosk_sink(k12, beta)
     return ((c, 0.0, -k12 * s), (0.0, 1.0, 0.0), (s, 0.0, c))
 

@@ -191,17 +191,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _finite_floats(shape: str) -> Callable[[str], tuple[float, ...]]:
-    """The type of a pair or triple option, shaped ``'u,v'`` or ``'a,b,c'``."""
-    count = shape.count(",") + 1
+def _parse_pair(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise UsageError(f"expected 'u,v', got {text!r}")
+    return _finite_float(parts[0]), _finite_float(parts[1])
 
-    def parse(text: str) -> tuple[float, ...]:
-        parts = text.split(",")
-        if len(parts) != count:
-            raise UsageError(f"expected {shape!r}, got {text!r}")
-        return tuple(map(_finite_float, parts))
 
-    return parse
+def _parse_triple(text: str) -> tuple[float, float, float]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise UsageError(f"expected 'a,b,c', got {text!r}")
+    return _finite_float(parts[0]), _finite_float(parts[1]), _finite_float(parts[2])
 
 
 class Option(NamedTuple):
@@ -318,7 +319,6 @@ def _run_rotate(args) -> Filled:
 
 
 def _run_spin(args) -> Filled:
-    # exp's closed form, not the cover of the rounded half-angle element
     kp = _kappas(args)
     s = spin.SL2[args.gen](kp, args.param)
     so3 = ckgeom.exp_generator(kp, args.gen, args.param)
@@ -392,7 +392,6 @@ def _run_region(args) -> str:
 
 
 _KAPPAS = (Option("--kappa1", _finite_float), Option("--kappa2", _finite_float))
-# exp and spin take the same generator and parameter
 _MOTION = (Option("--gen", choices=("H", "P", "K")), Option("--param", _finite_float))
 
 _DESCRIPTION = "two-parameter plane kinematics and Cayley-Klein geometry"
@@ -411,22 +410,22 @@ COMMANDS: dict[str, Command] = {
     ), _run_graph),
     "exp": Command("closed-form one-parameter subgroup element", (*_MOTION, *_KAPPAS), _run_exp),
     "project": Command("central projection of a quadric point", (
-        Option("--point", _finite_floats("a,b,c"), metavar="z,t,x"),
+        Option("--point", _parse_triple, metavar="z,t,x"),
         *_KAPPAS,
     ), _run_project),
     "unproject": Command("lift a plane point to the quadric", (
-        Option("--w", _finite_floats("u,v"), metavar="u,v"),
+        Option("--w", _parse_pair, metavar="u,v"),
         *_KAPPAS,
     ), _run_unproject),
     "distance": Command("closed-form distance between plane points", (
-        Option("--w1", _finite_floats("u,v"), metavar="u,v"),
-        Option("--w2", _finite_floats("u,v"), metavar="u,v"),
+        Option("--w1", _parse_pair, metavar="u,v"),
+        Option("--w2", _parse_pair, metavar="u,v"),
         *_KAPPAS,
     ), _run_distance),
     "rotate": Command("rotor sandwich of a vector", (
-        Option("--axis", _finite_floats("a,b,c"), metavar="n1,n2,n3"),
+        Option("--axis", _parse_triple, metavar="n1,n2,n3"),
         Option("--angle", _finite_float),
-        Option("--vector", _finite_floats("a,b,c"), metavar="a1,a2,a3"),
+        Option("--vector", _parse_triple, metavar="a1,a2,a3"),
         *_KAPPAS,
     ), _run_rotate),
     "spin": Command("spin element over a generator exponential", (*_MOTION, *_KAPPAS),

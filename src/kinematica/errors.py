@@ -20,7 +20,7 @@ class DomainError(KinematicaError):
 
 
 class TrigOverflow(KinematicaError, OverflowError):
-    """A labeled cosine or sine whose argument or value leaves the float range."""
+    """A labeled cosine or sine whose label, argument or value leaves the float range."""
 
 
 # -- generalized complex numbers ----------------------------------------------

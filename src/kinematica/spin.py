@@ -23,8 +23,7 @@ closed-form 3x3 exponentials at once: raw conjugation matches the
 translation conventions but reverses the boost orientation (the coordinate
 planes do not carry mutually consistent orientations), and the twist is an
 automorphism, so the cover stays a two-to-one group homomorphism with
-kernel {+1, -1}.  The ``spin`` subcommand prints ``ckgeom.exp_generator``,
-the closed form of the same motion, which needs no unit check.
+kernel {+1, -1}.
 """
 
 from __future__ import annotations

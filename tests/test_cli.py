@@ -1393,6 +1393,33 @@ def test_spin_answers_where_the_cover_of_its_element_fails():
         spin.cover_to_so3(spin.SL2["K"](kp, 40.0))
 
 
+@pytest.mark.parametrize("command", ["spin", "exp"])
+@pytest.mark.parametrize("labels,product", [
+    # the product 1e-400 flushes to 0, which printed the shear [[1,0,-0],[0,1,0],
+    # [1e200,0,1]] where the angle is 1 rad (spin's cover once refused it with
+    # NotSpin "unit condition violated by 0.25")
+    (["--param=1e200", "--kappa1=1e-200", "--kappa2=1e-200"], "0.0"),
+    # the product 4.09e-324 rounds to 5e-324, an angle of 3.03e7 rad for 2.76e7
+    (["--param=1.3624198980624286e+169", "--kappa1=-2.7872957096014277e-267",
+      "--kappa2=-1.4674241482648512e-57"], "5e-324"),
+])
+def test_a_p_label_below_the_normal_floats_ends_in_a_typed_error(command, labels, product):
+    # spin prints exp's matrix, and exp refuses where the rounding of
+    # kappa1*kappa2 would decide its answer, so neither prints a wrong motion
+    message = f"P label kappa1*kappa2 rounds to {product}, below the normal floats"
+    code, out, err = run_cli([command, "--gen=P", *labels])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "TrigOverflow", "message": message}
+
+
+@pytest.mark.parametrize("command,key", [("spin", "so3"), ("exp", "matrix")])
+def test_a_p_label_below_the_normal_floats_keeps_the_identity_at_zero(command, key):
+    code, out, err = run_cli([command, "--gen=P", "--param=0", "--kappa1=1e-200",
+                              "--kappa2=1e-200"])
+    assert (code, err) == (0, "")
+    assert motion_text((code, out, err), key) == "[[1,0,0],[0,1,0],[0,0,1]]"
+
+
 # label magnitudes at the edges: the float range's ends, 1e+-300, and next to
 # ALGEBRA_TOL, where conformal-table's [K,G2] diff record appears
 MAGNITUDES = st.one_of(
