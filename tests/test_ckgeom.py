@@ -1,8 +1,14 @@
+import contextlib
+import io
+import itertools
 import math
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geometry_checks import (
     act_and_project_equivariance,
@@ -27,15 +33,18 @@ from kinematica.ckgeom import (
     unproject,
     word_matrix,
 )
+from kinematica.cli import main
 from kinematica.errors import (
     BoundarySingularity,
     DenominatorNotInvertible,
+    NonFiniteResult,
     NullOrImaginarySeparation,
     OutsideModel,
     ProjectionPole,
     WrongGeometry,
 )
-from kinematica.gencomplex import gc, gc_exp_unit
+from kinematica.gencomplex import GenComplex, _times_pow2, gc, gc_exp_unit
+from kinematica.gentrig import atank
 from oracles import expm, quad_adaptive
 
 # one representative per sign pattern, exact in binary so the generator
@@ -322,6 +331,94 @@ def test_distance_errors():
     # kappa1*conj(w1)*w2 + 1 = 1 + i, a double-number zero divisor
     with pytest.raises(DenominatorNotInvertible):
         distance(KappaPair(1.0, -1.0), gc(1, 0, -1.0), gc(0, 1, -1.0))
+
+
+def gencomplex_distance(kp, w1, w2):
+    """distance as the conformal-model expression reads, in GenComplex arithmetic."""
+    den = kp.kappa1 * w1.conj() * w2 + 1.0
+    if den.is_zero() or den.is_zero_divisor():
+        raise DenominatorNotInvertible(f"denominator {den} is not invertible")
+    arg = (w2 - w1) * den.inv()
+    _, _, s, k = arg._scaled()
+    if s < 0.0:
+        raise NullOrImaginarySeparation(f"squared separation {_times_pow2(s, 2 * k)} < 0")
+    return atank(kp.kappa1, _times_pow2(math.sqrt(s), k))
+
+
+def distance_outcome(dist, kp, w1, w2):
+    """The result's bits, or the error's type and message."""
+    try:
+        return struct.unpack("<Q", struct.pack("<d", dist(kp, w1, w2)))[0]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+SPECIAL = (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max)
+magnitudes = st.one_of(
+    st.sampled_from((1.0, 0.5, 2.0) + SPECIAL[1:]),
+    st.integers(1, 3),  # int labels
+    st.floats(1e-6, 1e6),
+)
+parts = st.one_of(
+    st.sampled_from(SPECIAL + tuple(-x for x in SPECIAL)),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def distance_inputs(draw):
+    """(kp, w1, w2) over the nine sign patterns, with the special cases drawn often."""
+    k1, k2 = (sign * draw(magnitudes) if sign else draw(st.sampled_from((0, 0.0, -0.0)))
+              for sign in draw(st.sampled_from(list(itertools.product((1, 0, -1), repeat=2)))))
+    kp = KappaPair(k1, k2)
+    kind = draw(st.sampled_from(("any", "any", "same", "zero-divisor", "mismatch")))
+    w1 = GenComplex(draw(parts), draw(parts), k2)
+    if kind == "zero-divisor":
+        # kappa1*u*u + 1 is exactly 0 at u = 2**e: den = (0, kappa1*u*v), the zero
+        # element at v = 0 and a dual-number zero divisor at kappa2 = 0
+        u = draw(st.sampled_from((-1, 1))) * math.ldexp(1.0, draw(st.integers(-511, 511)))
+        kp = KappaPair(-1.0 / (u * u), draw(st.sampled_from((0.0, 0.0, 1.0, -1.0))))
+        w1 = GenComplex(u, 0.0, kp.kappa2)
+        return kp, w1, GenComplex(u, draw(st.sampled_from((0.0, -0.0)) | parts), kp.kappa2)
+    if kind == "same":
+        return kp, w1, w1
+    kappa = draw(magnitudes) if kind == "mismatch" else k2
+    return kp, w1, GenComplex(draw(parts), draw(parts), kappa)
+
+
+# the two argvs of the open overflow FOUND line: conj(w1)*w2 overflows, and the
+# answer is nan, which the command line reports as NonFiniteResult
+FOUND_OVERFLOW = (
+    (KappaPair(1.0, 1.0), gc(-1e308, -1, 1.0), gc(-1e308, -1, 1.0)),
+    (KappaPair(1.0, 1.0), gc(1.1451526593172272e-113, 3.379709152122347e+16, 1.0),
+     gc(-1e+308, -1.0, 1.0)),
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(distance_inputs())
+@example(FOUND_OVERFLOW[0])
+@example(FOUND_OVERFLOW[1])
+@example((KappaPair(1.0, -1.0), gc(1, 0, -1.0), gc(0, 1, -1.0)))  # den = 1 + i, kappa2 = -1
+@example((KappaPair(-0.25, 0.0), gc(2, 0, 0.0), gc(2, 3, 0.0)))  # den = -1.5i, dual
+@example((KappaPair(1, -1), gc(0.1, 0.5, -1.0), gc(0.3, -0.2, -1.0)))  # int labels
+@example((KappaPair(1.0, 0.0), gc(0, 0, 0.0), gc(1, 0, -0.0)))  # kappas 0.0 and -0.0
+def test_distance_is_the_gencomplex_expression_bit_for_bit(inputs):
+    # the written-out sums against the GenComplex expression: the same bits,
+    # including every overflow, underflow and signed zero, or the same error
+    assert distance_outcome(distance, *inputs) == distance_outcome(gencomplex_distance, *inputs)
+
+
+@pytest.mark.parametrize("kp,w1,w2", FOUND_OVERFLOW)
+def test_the_overflowing_denominator_still_ends_in_a_non_finite_result(kp, w1, w2):
+    assert math.isnan(distance(kp, w1, w2))
+    argv = ["distance", f"--w1={w1.re!r},{w1.im!r}", f"--w2={w2.re!r},{w2.im!r}",
+            f"--kappa1={kp.kappa1!r}", f"--kappa2={kp.kappa2!r}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue().startswith(f'{{"error":"{NonFiniteResult.__name__}"')
 
 
 def test_null_cone_at_origin():
