@@ -33,7 +33,15 @@ from .errors import (
     TrigOverflow,
     WrongGeometry,
 )
-from .gencomplex import GenComplex, _split_pow2, _times_pow2, gc
+from .gencomplex import (
+    GenComplex,
+    _check_same_kappa,
+    _inverse_parts,
+    _scaled_parts,
+    _split_pow2,
+    _times_pow2,
+    gc,
+)
 from .gentrig import atank, cosk_sink
 
 
@@ -189,20 +197,34 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
     """Closed-form geodesic distance in the conformal model.
 
     d(w1, w2) = atank(kappa1, |(w2 - w1) / (kappa1*conj(w1)*w2 + 1)|),
-    reducing to atank(kappa1, |w|) from the origin.
+    reducing to atank(kappa1, |w|) from the origin.  The sums are written out
+    on the parts in the order GenComplex arithmetic evaluates the expression,
+    bit for bit: kappa1*conj(w1), then times w2, then plus 1 (whose im part
+    adds 0.0, turning -0.0 into 0.0), then w2 - w1 times the inverse.  The
+    denominator carries w1's kappa label and the argument w2's.
 
     Raises:
+        KappaMismatch: when w1 and w2 carry different kappa labels.
         DenominatorNotInvertible: when the denominator is a zero divisor.
         NullOrImaginarySeparation: when the argument's squared modulus is
             negative (mixed causal character, kappa2 < 0).
     """
-    den = kp.kappa1 * w1.conj() * w2 + 1.0
-    if den.is_zero() or den.is_zero_divisor():
+    re1, im1, kappa = w1
+    re2, im2, kappa_w2 = w2
+    a_re, a_im = re1 * kp.kappa1, -im1 * kp.kappa1
+    _check_same_kappa(kappa, kappa_w2)
+    den_re = a_re * re2 - kappa * a_im * im2 + 1.0
+    den_im = a_re * im2 + re2 * a_im + 0.0
+    inverse = _inverse_parts(den_re, den_im, kappa)
+    if inverse is None:
+        den = GenComplex(den_re, den_im, kappa)
         raise DenominatorNotInvertible(f"denominator {den} is not invertible")
-    arg = (w2 - w1) * den.inv()
+    inv_re, inv_im = inverse
+    d_re, d_im = re2 - re1, im2 - im1
     # |arg| = sqrt(s) * 2**k, where s, the squared modulus of arg / 2**k,
     # neither underflows nor overflows
-    _, _, s, k = arg._scaled()
+    _, _, s, k = _scaled_parts(
+        d_re * inv_re - kappa_w2 * d_im * inv_im, d_re * inv_im + inv_re * d_im, kappa_w2)
     if s < 0.0:
         raise NullOrImaginarySeparation(f"squared separation {_times_pow2(s, 2 * k)} < 0")
     return atank(kp.kappa1, _times_pow2(math.sqrt(s), k))

@@ -7,7 +7,9 @@ sqmod(w) = re**2 + kappa*im**2 equals w * conj(w); when kappa <= 0 it can
 vanish on nonzero elements, and those zero divisors are exactly the
 non-invertible directions (the null cone of the plane geometries built on
 top of this algebra).  Every layer leaves that decision to ``inv`` and
-``is_zero_divisor``, which take it once, on the power-of-two-scaled modulus.
+``is_zero_divisor``, or, on float parts, to ``_inverse_parts``, through which
+both go and which ``ckgeom.distance`` calls: it is taken once, on the
+power-of-two-scaled modulus where the plain one may be inexact.
 
 Values carrying different kappa labels never mix: arithmetic between them
 raises ``KappaMismatch`` instead of silently coercing.
@@ -63,6 +65,41 @@ def _times_pow2(x: float, k: int, s: float = 1.0) -> float:
 
 # math.frexp under this layer's name, for ckgeom's scalings: frexp and ldexp stay here
 _split_pow2 = math.frexp
+
+
+def _scaled_parts(re: float, im: float, kappa: float) -> tuple[float, float, float, int]:
+    """(re, im, s, k): the parts of w / 2**k and s = sqmod(w) / 4**k, w = re + i*im.
+
+    k is read off the exponents of the nonzero terms re**2 and kappa*im**2,
+    so the larger lies in [1/16, 1) and s neither underflows nor overflows;
+    at kappa = 0 the im term is left out, where 0*inf would be nan.
+    """
+    k = math.frexp(re)[1]
+    if im and kappa:
+        k_im = math.frexp(im)[1] + (math.frexp(kappa)[1] + 1) // 2
+        k = max(k, k_im) if re else k_im
+    re, im = math.ldexp(re, -k), _times_pow2(im, -k)
+    s = re * re + kappa * im * im if kappa else re * re
+    return re, im, s, k
+
+
+def _inverse_parts(re: float, im: float, kappa: float) -> tuple[float, float] | None:
+    """The parts of 1/w = conj(w)/sqmod(w), w = re + i*im, or None where w is 0
+    or a zero divisor: the one invertibility decision, on float parts.
+
+    Where the plain sqmod may be inexact (:func:`_is_plain`), 1/w is
+    (1/(w/2**k)) / 2**k, which overflows to inf only where 1/w is beyond the
+    float range, and w is a zero divisor where the scaled sqmod is 0.
+    """
+    s = re * re + kappa * im * im
+    if _is_plain(s, kappa):
+        return re / s, -im / s
+    if re == 0.0 and im == 0.0:
+        return None
+    re, im, s, k = _scaled_parts(re, im, kappa)
+    if s == 0.0:
+        return None
+    return _times_pow2(re, -k, s), _times_pow2(-im, -k, s)
 
 
 class GenComplex(NamedTuple):
@@ -124,46 +161,26 @@ class GenComplex(NamedTuple):
 
     def is_zero_divisor(self) -> bool:
         """Nonzero with vanishing squared modulus (possible iff kappa <= 0),
-        read off w / 2**k where the plain sqmod may be inexact (:func:`_is_plain`)."""
-        if _is_plain(self.sqmod(), self.kappa) or self.is_zero():
-            return False
-        return self._scaled()[2] == 0.0
+        decided by :func:`_inverse_parts`."""
+        return not self.is_zero() and _inverse_parts(*self) is None
 
     def inv(self) -> "GenComplex":
-        """Multiplicative inverse conj(w)/sqmod(w).
-
-        Where the plain sqmod may be inexact, 1/w = (1/(w/2**k)) / 2**k, which
-        overflows to inf only where 1/w is beyond the float range.
+        """Multiplicative inverse conj(w)/sqmod(w), formed by :func:`_inverse_parts`.
 
         Raises:
             DivisionByZero: for the zero element.
             ZeroDivisorError: for a zero divisor (:meth:`is_zero_divisor`).
         """
-        if self.is_zero():
-            raise DivisionByZero("inverse of 0")
-        s = self.sqmod()
-        if _is_plain(s, self.kappa):
-            return GenComplex(self.re / s, -self.im / s, self.kappa)
-        re, im, s, k = self._scaled()
-        if s == 0.0:
+        parts = _inverse_parts(*self)
+        if parts is None:
+            if self.is_zero():
+                raise DivisionByZero("inverse of 0")
             raise ZeroDivisorError(f"{self} is a zero divisor")
-        return GenComplex(_times_pow2(re, -k, s), _times_pow2(-im, -k, s), self.kappa)
+        return GenComplex(*parts, self.kappa)
 
     def _scaled(self) -> tuple[float, float, float, int]:
-        """(re, im, s, k): the parts of w / 2**k and s = sqmod(w) / 4**k.
-
-        k is read off the exponents of the nonzero terms re**2 and kappa*im**2,
-        so the larger lies in [1/16, 1) and s neither underflows nor overflows;
-        at kappa = 0 the im term is left out, where 0*inf would be nan.
-        """
-        re, im, kappa = self.re, self.im, self.kappa
-        k = math.frexp(re)[1]
-        if im and kappa:
-            k_im = math.frexp(im)[1] + (math.frexp(kappa)[1] + 1) // 2
-            k = max(k, k_im) if re else k_im
-        re, im = math.ldexp(re, -k), _times_pow2(im, -k)
-        s = re * re + kappa * im * im if kappa else re * re
-        return re, im, s, k
+        """(re, im, s, k): the parts of w / 2**k and s = sqmod(w) / 4**k (:func:`_scaled_parts`)."""
+        return _scaled_parts(*self)
 
     def __str__(self) -> str:
         return f"({self.re} + {self.im}i | i^2 = {-self.kappa})"
