@@ -507,7 +507,7 @@ def _check_flag(option: Option, name: str, explicit: str | None, prog: str) -> N
         raise UsageError(f"{prog}: argument {option.name}: ignored explicit argument {explicit!r}")
 
 
-def _read(command: str, tokens: list[str], options: dict[str, Option]) -> SimpleNamespace:
+def _read(command: str, tokens: list[str], options: dict[str, Option]) -> SimpleNamespace | Option:
     """The namespace of a subcommand's tokens, each ``--name=value`` or a flag's bare name.
 
     The one reader of option values: in token order it converts each value,
@@ -515,8 +515,10 @@ def _read(command: str, tokens: list[str], options: dict[str, Option]) -> Simple
     messages.  Each required option starts as ``_MISSING``; one still
     ``_MISSING`` after the last token is reported as required.  The last
     occurrence of a repeated option wins, but every occurrence must convert.
-    A name that is not in ``options`` raises KeyError; an option that needs a
-    value and has none is "expected one argument".
+    A name that is not in ``options`` raises KeyError.  An option that needs a
+    value and has none ends the reading there and is returned in place of the
+    namespace, so that a failed exact pass formats no message; :func:`parse_args`
+    reports it as "expected one argument".
     """
     values = _DEFAULTS[command].copy()
     for token in tokens:
@@ -530,7 +532,7 @@ def _read(command: str, tokens: list[str], options: dict[str, Option]) -> Simple
                 raise SystemExit(0)
             value = True
         elif not eq:
-            raise UsageError(f"kinematica {command}: argument {option.name}: expected one argument")
+            return option
         else:
             try:
                 value = convert(text)
@@ -587,9 +589,12 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     options = _EXACT.get(argv[0]) if argv else None
     if options is not None:
         try:
-            return _read(argv[0], argv[1:], options)
+            namespace = _read(argv[0], argv[1:], options)
         except (KeyError, UsageError):
             pass  # another form, or an error the rewritten command line reports
+        else:
+            if not isinstance(namespace, Option):
+                return namespace
     extras: list[str] = []
     command = None
     for i, token in enumerate(argv):
@@ -610,6 +615,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if command not in COMMANDS:
         raise _choice_error("kinematica", "command", command, COMMANDS)
     namespace = _read(command, _rewrite(command, argv[i + 1:], extras), _OPTIONS[command])
+    if isinstance(namespace, Option):
+        raise UsageError(f"kinematica {command}: argument {namespace.name}: expected one argument")
     if extras:
         raise UsageError(f"kinematica: unrecognized arguments: {' '.join(extras)}")
     return namespace
