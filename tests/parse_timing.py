@@ -1,15 +1,16 @@
-"""Time ``kinematica.cli.parse_args`` and the rotor path, and print the cost in µs.
+"""Time ``kinematica.cli.parse_args`` and the geometry paths, and print the cost in µs.
 
 The first table times ``parse_args`` on four command lines: the exact
 ``--name=value`` form of ``exp``, ``distance`` and ``rotate``, the form of
 every benchmark request, and an ``exp`` whose values are spaced, which the
 parser first rewrites into that form.  The second table times the path of
-``rotate`` and ``spin``: ``clifford.sandwich``, ``clifford.rotor``,
-``spin.spin_from_axis`` and ``Multivector.vector`` on the values of the
-``rotate`` line, and ``cli.main`` on the exact ``rotate`` and ``spin`` lines,
-its output sent to a writer that discards it.  Each figure is the timeit
-best of 7 repeats, in µs per call.  Run it on one checkout, or alternate two
-to compare them:
+``rotate``, ``spin`` and ``distance``: ``clifford.sandwich``,
+``clifford.rotor``, ``spin.spin_from_axis`` and ``Multivector.vector`` on the
+values of the ``rotate`` line, ``ckgeom.distance`` on the values of the
+``distance`` line, and ``cli.main`` on the exact ``rotate``, ``spin`` and
+``distance`` lines, its output sent to a writer that discards it.  Each
+figure is the timeit best of 7 repeats, in µs per call.  Run it on one
+checkout, or alternate two to compare them:
 
     python tests/parse_timing.py                             # this checkout
     python tests/parse_timing.py --root ../other-checkout    # any other one
@@ -39,7 +40,7 @@ LINES = {
     "spaced-exp": ["exp", "--gen", "H", "--param", "0.5", "--kappa1", "-1", "--kappa2", "1"],
 }
 SPIN = ["spin", "--gen=K", "--param=0.5", "--kappa1=1", "--kappa2=-1"]
-# the rotor path's calls, on the values of the rotate line
+# the rotor path's calls, on the values of the rotate line, then the distance path's
 CALLS = {
     "sandwich": "clifford.sandwich(r, a)",
     "rotor": "clifford.rotor(kp, axis, 0.7)",
@@ -47,6 +48,9 @@ CALLS = {
     "vector": "clifford.Multivector.vector(kp, 1.0, 2.0, 3.0)",
     "main-rotate": "cli.main(rotate)",
     "main-spin": "cli.main(spin_line)",
+    # the distance path's call, on the values of the distance line
+    "distance": "ckgeom.distance(kp_d, w1, w2)",
+    "main-distance": "cli.main(distance_line)",
 }
 NUMBER = 20000  # calls per timeit repeat
 
@@ -70,17 +74,20 @@ def time_parse() -> dict[str, float]:
             for name, argv in LINES.items()}
 
 
-def time_rotor() -> dict[str, float]:
-    """µs per call of each step of the rotor path."""
-    from kinematica import cli, clifford, spin
-    from kinematica.ckgeom import KappaPair
+def time_paths() -> dict[str, float]:
+    """µs per call of each step of the rotor and distance paths."""
+    from kinematica import ckgeom, cli, clifford, spin
+    from kinematica.gencomplex import gc
 
-    kp = KappaPair(1.0, 1.0)
+    kp = ckgeom.KappaPair(1.0, 1.0)
     axis = clifford.UnitAxis(0.0, 0.0, 1.0)
     names = {"cli": cli, "clifford": clifford, "spin": spin, "kp": kp, "axis": axis,
              "r": clifford.rotor(kp, axis, 0.7),
              "a": clifford.Multivector.vector(kp, 1.0, 2.0, 3.0),
-             "rotate": LINES["rotate"], "spin_line": SPIN}
+             "rotate": LINES["rotate"], "spin_line": SPIN,
+             "ckgeom": ckgeom, "kp_d": ckgeom.KappaPair(1.0, -1.0),
+             "w1": gc(0.1, 0.2, -1.0), "w2": gc(-0.3, 0.4, -1.0),
+             "distance_line": LINES["distance"]}
     with contextlib.redirect_stdout(NullWriter()):
         return {name: best_us(statement, names, NUMBER // 4)
                 for name, statement in CALLS.items()}
@@ -101,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     if len(roots) == 1 and args.runs == 1:
         sys.path.insert(0, str(roots[0] / "src"))
         print(row(roots[0], time_parse()), flush=True)
-        print(row(roots[0], time_rotor()), flush=True)
+        print(row(roots[0], time_paths()), flush=True)
         return 0
     tables = (LINES, CALLS)
     runs: dict[Path, list[list[dict[str, float]]]] = {root: [] for root in roots}
