@@ -593,7 +593,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         except (KeyError, UsageError):
             pass  # another form, or an error the rewritten command line reports
         else:
-            if not isinstance(namespace, Option):
+            if type(namespace) is not Option:
                 return namespace
     extras: list[str] = []
     command = None
@@ -615,7 +615,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if command not in COMMANDS:
         raise _choice_error("kinematica", "command", command, COMMANDS)
     namespace = _read(command, _rewrite(command, argv[i + 1:], extras), _OPTIONS[command])
-    if isinstance(namespace, Option):
+    if type(namespace) is Option:
         raise UsageError(f"kinematica {command}: argument {namespace.name}: expected one argument")
     if extras:
         raise UsageError(f"kinematica: unrecognized arguments: {' '.join(extras)}")
