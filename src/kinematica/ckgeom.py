@@ -200,8 +200,7 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
     reducing to atank(kappa1, |w|) from the origin.  The sums are written out
     on the parts in the order GenComplex arithmetic evaluates the expression,
     bit for bit: kappa1*conj(w1), then times w2, then plus 1 (whose im part
-    adds 0.0, turning -0.0 into 0.0), then w2 - w1 times the inverse.  The
-    denominator carries w1's kappa label and the argument w2's.
+    adds 0.0, turning -0.0 into 0.0), then w2 - w1 times the inverse.
 
     Raises:
         KappaMismatch: when w1 and w2 carry different kappa labels.
@@ -224,7 +223,7 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
     # |arg| = sqrt(s) * 2**k, where s, the squared modulus of arg / 2**k,
     # neither underflows nor overflows
     _, _, s, k = _scaled_parts(
-        d_re * inv_re - kappa_w2 * d_im * inv_im, d_re * inv_im + inv_re * d_im, kappa_w2)
+        d_re * inv_re - kappa * d_im * inv_im, d_re * inv_im + inv_re * d_im, kappa)
     if s < 0.0:
         raise NullOrImaginarySeparation(f"squared separation {_times_pow2(s, 2 * k)} < 0")
     return atank(kp.kappa1, _times_pow2(math.sqrt(s), k))
