@@ -346,11 +346,14 @@ def gencomplex_distance(kp, w1, w2):
 
 
 def distance_outcome(dist, kp, w1, w2):
-    """The result's bits, or the error's type and message."""
+    """The result's bits, with every nan read as the one quiet nan, or the error's
+    type and message.  The sign of a nan is left out: CPython's specialized float
+    operations may order two nan operands the other way round, and so flip it."""
     try:
-        return struct.unpack("<Q", struct.pack("<d", dist(kp, w1, w2)))[0]
+        value = dist(kp, w1, w2)
     except Exception as exc:
         return type(exc), str(exc)
+    return struct.unpack("<Q", struct.pack("<d", math.nan if math.isnan(value) else value))[0]
 
 
 SPECIAL = (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max)
