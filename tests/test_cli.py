@@ -20,6 +20,7 @@ import numpy as np
 
 from cli_reference import build_parser as reference_parser
 from dumps_reference import dumps as reference_dumps
+import spin_reference
 import writers_reference
 from kinematica import ckgeom, cli, clifford, conformal, kinclass, spin
 from kinematica.ckgeom import KappaPair
@@ -631,6 +632,21 @@ def test_precision_env_override(monkeypatch):
         ["distance", "--kappa1", "-1", "--kappa2", "1", "--w1", "0,0", "--w2", "0.5,0"]
     )
     assert out == '{"distance":0.54931}\n'
+
+
+def test_each_call_reads_the_precision_of_its_environment(monkeypatch):
+    # one process, consecutive calls: each answer has the width the variable
+    # names at that call, and 17 where it is not an integer or is unset
+    argv = ["distance", "--kappa1=-1", "--kappa2=1", "--w1=0,0", "--w2=0.5,0"]
+    value = json.loads((GOLDEN / "distance_poincare.json").read_text())["distance"]
+    for raw, width in (("17", 17), ("5", 5), ("17", 17), ("junk", 17), (None, 17),
+                       ("5", 5), ("0", 1), ("99", 17)):
+        if raw is None:
+            monkeypatch.delenv("KINEMATICA_PRECISION")
+        else:
+            monkeypatch.setenv("KINEMATICA_PRECISION", raw)
+        assert cli._precision() == width
+        assert run_cli(argv) == (0, '{"distance":%.*g}\n' % (width, value), ""), raw
 
 
 def test_dumps_round_trips_through_json():
@@ -1269,7 +1285,9 @@ TEMPLATED = ["exp", "project", "unproject", "distance", "rotate", "spin"]
 
 
 def library_answer(args) -> dict:
-    """The answer of a templated subcommand as a dict, built from the library calls."""
+    """The answer of a templated subcommand as a dict, built from the library calls;
+    the spin element and the rotor of ``spin`` and ``rotate`` from the object
+    composition kept in ``spin_reference``."""
     kp = KappaPair(args.kappa1, args.kappa2)
     if args.command == "exp":
         matrix = ckgeom.exp_generator(kp, args.gen, args.param)
@@ -1282,11 +1300,12 @@ def library_answer(args) -> dict:
     if args.command == "distance":
         return {"distance": ckgeom.distance(kp, gc(*args.w1, kp.kappa2), gc(*args.w2, kp.kappa2))}
     if args.command == "rotate":
-        r = clifford.rotor(kp, clifford.UnitAxis(*args.axis), args.angle)
+        r = spin_reference.lift(spin_reference.spin_element(
+            kp, *clifford.UnitAxis(*args.axis), args.angle))
         out = clifford.sandwich(r, Multivector.vector(kp, *args.vector))
         return {"rotor": {"kappa1": kp.kappa1, "kappa2": kp.kappa2, "coeffs": r.coeffs},
                 "vector": out.vector_components()}
-    s = spin.SL2[args.gen](kp, args.param)
+    s = spin_reference.generator_element(kp, args.gen, args.param)
     return {"alpha": {"re": s.alpha.re, "im": s.alpha.im, "kappa": s.alpha.kappa},
             "beta": {"re": s.beta.re, "im": s.beta.im, "kappa": s.beta.kappa},
             "so3": ckgeom.exp_generator(kp, args.gen, args.param)}
@@ -1330,6 +1349,38 @@ def test_templated_answers_write_the_reference_bytes(command, labels, data, prec
     # stdout is the reference writer's text of the library's answer, and an
     # error is the reference's one-line payload, at every precision
     argv = data.draw(templated_argvs(command, labels))
+    monkeypatch.setenv("KINEMATICA_PRECISION", str(precision))
+    assert run_cli(argv) == reference_run(argv, precision)
+
+
+# the edges of the float range, each with both signs
+EXTREMES = (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max)
+EXTREME = st.one_of(st.sampled_from(EXTREMES + tuple(-x for x in EXTREMES)),
+                    st.floats(-3, 3), st.floats(allow_nan=False, allow_infinity=False))
+EXTREME_TRIPLE = st.tuples(EXTREME, EXTREME, EXTREME).map(lambda v: ",".join(map(repr, v)))
+
+
+@st.composite
+def rotor_argvs(draw):
+    """An exact ``spin`` or ``rotate`` line: labels of one of the nine sign
+    patterns or drawn, and every value drawn with the edges of the range."""
+    command = draw(st.sampled_from(["spin", "rotate"]))
+    kappa1, kappa2 = draw(st.one_of(st.sampled_from(SIGN_PATTERNS), st.tuples(EXTREME, EXTREME)))
+    if command == "spin":
+        argv = [command, f"--gen={draw(st.sampled_from('HPK'))}", f"--param={draw(EXTREME)!r}"]
+    else:
+        argv = [command, f"--axis={draw(EXTREME_TRIPLE)}", f"--angle={draw(EXTREME)!r}",
+                f"--vector={draw(EXTREME_TRIPLE)}"]
+    return [*argv, f"--kappa1={kappa1!r}", f"--kappa2={kappa2!r}"]
+
+
+@pytest.mark.parametrize("precision", [17, 5])
+@settings(max_examples=1500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=rotor_argvs())
+def test_spin_and_rotate_write_the_object_reference_bytes(argv, precision, monkeypatch):
+    # the answers filled from the four float parts are the bytes, or the
+    # typed error, of the spin element and rotor built as objects
     monkeypatch.setenv("KINEMATICA_PRECISION", str(precision))
     assert run_cli(argv) == reference_run(argv, precision)
 
@@ -1509,6 +1560,24 @@ def test_the_first_non_finite_slot_raises_the_reference_error(argv, precision):
         with pytest.raises(NonFiniteResult) as caught:
             dumps(Filled(template, bad), precision)
         assert str(caught.value) == str(expected.value) == "result -inf is not finite"
+
+
+@pytest.mark.parametrize("values", [(1.7e308, 1.7e308), (-math.inf, math.inf),
+                                    (math.nan, -math.inf), (1.7e308, 1.7e308, math.nan)])
+@pytest.mark.parametrize("precision", [1, 5, 17])
+def test_the_slot_sum_check_prints_an_overflowing_sum_and_names_the_first_bad_value(
+        values, precision):
+    # finite slots whose sum overflows still print; where a slot is not
+    # finite, the error names the first such slot, as the reference does
+    skeleton = [SLOT] * len(values)
+    try:
+        expected = reference_dumps(list(values), precision)
+    except NonFiniteResult as exc:
+        with pytest.raises(NonFiniteResult) as caught:
+            dumps(Filled(Template(lambda: skeleton), values), precision)
+        assert str(caught.value) == str(exc)
+    else:
+        assert dumps(Filled(Template(lambda: skeleton), values), precision) == expected
 
 
 @pytest.mark.parametrize("precision", [1, 5, 17])
