@@ -58,12 +58,16 @@ from .errors import KinematicaError, NonFiniteResult
 
 
 def _precision() -> int:
-    raw = os.environ.get("KINEMATICA_PRECISION", "17")
+    """The width KINEMATICA_PRECISION names, read on each call: an int clamped to 1..17, else 17."""
+    return _width(os.environ.get("KINEMATICA_PRECISION", "17"))
+
+
+@functools.lru_cache(maxsize=1)  # the last value read, which the next call almost always reads
+def _width(raw: str) -> int:
     try:
-        value = int(raw)
+        return max(1, min(17, int(raw)))
     except ValueError:
-        value = 17
-    return max(1, min(17, value))
+        return 17
 
 
 def _dump_str(obj: str, precision: int) -> str:
@@ -143,9 +147,9 @@ def _dump_filled(obj: Filled, precision: int) -> str:
     template, values = obj
     if not values:
         return template._text(precision)
-    for x in values:
-        if not math.isfinite(x):
-            raise NonFiniteResult(f"result {x} is not finite")
+    if not math.isfinite(sum(values)):  # a value is not finite, or the sum overflowed
+        for x in values:
+            _dump_float(x, precision)  # raises at the first value that is not finite
     return template._text(precision) % tuple([x + 0.0 for x in values])  # + 0.0 folds -0.0
 
 
@@ -238,7 +242,7 @@ class Command(NamedTuple):
 
 
 def _kappas(args) -> ckgeom.KappaPair:
-    return ckgeom.KappaPair(args.kappa1, args.kappa2)
+    return ckgeom.KappaPair._make((args.kappa1, args.kappa2))  # parsed finite: no check
 
 
 _CLASSIFY = Filled(Template(lambda: {
@@ -312,17 +316,18 @@ def _run_distance(args) -> Filled:
 
 def _run_rotate(args) -> Filled:
     kp = _kappas(args)
-    axis = clifford.UnitAxis(*args.axis)
-    r = clifford.rotor(kp, axis, args.angle)
-    out = clifford.sandwich(r, clifford.Multivector.vector(kp, *args.vector))
+    r = clifford.rotor(kp, clifford.UnitAxis(*args.axis), args.angle)
+    # the parser has made three finite floats: _make skips the vector's checks
+    a = clifford.Multivector._make((kp, (0.0, *args.vector, 0.0, 0.0, 0.0, 0.0)))
+    out = clifford.sandwich(r, a)
     return Filled(_ROTATE, (kp.kappa1, kp.kappa2, *r.coeffs, *out.vector_components()))
 
 
 def _run_spin(args) -> Filled:
     kp = _kappas(args)
-    s = spin.SL2[args.gen](kp, args.param)
+    a0, a1, b0, b1 = spin.canonical_parts(spin.axis_parts(kp, *spin.AXES[args.gen], args.param))
     so3 = ckgeom.exp_generator(kp, args.gen, args.param)
-    return Filled(_SPIN, (*s.alpha, *s.beta, *so3[0], *so3[1], *so3[2]))
+    return Filled(_SPIN, (a0, a1, kp.kappa2, b0, b1, kp.kappa2, *so3[0], *so3[1], *so3[2]))
 
 
 # conformal-table's answer has one shape per pattern (--diff-paper, kappa1 == 0,

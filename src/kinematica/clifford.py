@@ -48,7 +48,7 @@ from .errors import (
     NotAVector,
     NotUnitRotor,
 )
-from .spin import UNIT_TOL, SpinElement, axis_label, pseudo_norm, spin_from_axis
+from .spin import UNIT_TOL, axis_label, axis_parts, pseudo_norm
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
 
@@ -148,10 +148,7 @@ class Multivector(NamedTuple("Multivector", [("kp", KappaPair), ("coeffs", tuple
 
     @classmethod
     def vector(cls, kp: KappaPair, a1: float, a2: float, a3: float) -> "Multivector":
-        # the constructor's checks on the three slots that are not 0.0
-        if hasattr(a1, "__len__") or hasattr(a2, "__len__") or hasattr(a3, "__len__"):
-            raise ValueError("need exactly 8 coefficients")
-        return cls._make((kp, (0.0, float(a1), float(a2), float(a3), 0.0, 0.0, 0.0, 0.0)))
+        return cls(kp, (0.0, a1, a2, a3, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def bivector(cls, kp: KappaPair, b1: float, b2: float, b3: float) -> "Multivector":
@@ -219,9 +216,6 @@ class Multivector(NamedTuple("Multivector", [("kp", KappaPair), ("coeffs", tuple
 
     def is_bivector(self) -> bool:
         return self.off_grade_norm((2,)) == 0.0
-
-    def is_even(self) -> bool:
-        return self.off_grade_norm((0, 2)) == 0.0
 
     def __str__(self) -> str:
         terms = [
@@ -297,25 +291,19 @@ class UnitAxis(NamedTuple("UnitAxis", [("n1", float), ("n2", float), ("n3", floa
         return self._make, (tuple(self),)
 
 
-def _lift(s: SpinElement) -> Multivector:
-    """The spin element (alpha, beta) in the slots that :func:`sandwich` reads back."""
-    a, b = s.alpha, s.beta
-    # the fields are already a KappaPair and 8 floats: _make skips the checks
-    return Multivector._make((s.kp, (a.re, 0.0, 0.0, 0.0, a.im, b.im, b.re, 0.0)))
-
-
 def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:
-    """exp((phi/2) B) = cosk(x, phi/2) + B sink(x, phi/2), x = -B^2.
-
-    The element of :func:`spin.spin_from_axis`, lifted into the 8 slots.
-    """
+    """exp((phi/2) B) = cosk(x, phi/2) + B sink(x, phi/2), x = -B^2."""
     _require_bivector(b)
-    return _lift(spin_from_axis(b.kp, *b.coeffs[IS1:S3CHECK + 1], phi))
+    return rotor(b.kp, b.coeffs[IS1:S3CHECK + 1], phi)
 
 
-def rotor(kp: KappaPair, n: UnitAxis, phi: float) -> Multivector:
-    """The rotor about axis n through angle phi."""
-    return _lift(spin_from_axis(kp, n.n1, n.n2, n.n3, phi))
+def rotor(kp: KappaPair, n: tuple[float, float, float], phi: float) -> Multivector:
+    """The rotor about axis n, a UnitAxis or any triple (not normalized here), through
+    angle phi: the parts of :func:`spin.axis_parts` in the slots :func:`sandwich` reads."""
+    n1, n2, n3 = n
+    a0, a1, b0, b1 = axis_parts(kp, n1, n2, n3, phi)
+    # the fields are already a KappaPair and 8 floats: _make skips the checks
+    return Multivector._make((kp, (a0, 0.0, 0.0, 0.0, a1, b1, b0, 0.0)))
 
 
 def sandwich(r: Multivector, a: Multivector) -> Multivector:

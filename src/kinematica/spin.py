@@ -9,7 +9,9 @@ kappa1*beta*conj(beta) = 1; equivalently the matrices U with U* A U = A and
 det U = 1, where A = diag(kappa1, 1).  The one-parameter families covering
 the boost and the two translations are rotors: each is
 cosk(x, t/2) + B*sink(x, t/2) for the matching basis bivector B with label
-x = -B^2.
+x = -B^2.  Spin elements, rotors and the ``spin`` and ``rotate`` answers
+are all read from the four parts of :func:`axis_parts`, signed by
+:func:`canonical_parts`.
 
 ``cover_to_so3`` sends a spin element to the 3x3 motion it induces on
 vectors, in closed form: each entry is a quadratic in (Re alpha, Im alpha,
@@ -49,15 +51,6 @@ def a_matrix(kp: KappaPair) -> Mat2:
     """A = diag(kappa1, 1), the invariant form of the spin group."""
     k2 = kp.kappa2
     return Mat2(gc(kp.kappa1, 0, k2), gc(0, 0, k2), gc(0, 0, k2), gc(1, 0, k2))
-
-
-def pauli_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
-    """The generalized Pauli-type matrices (s1, s2, s3) over the kappa2 algebra."""
-    k1, k2 = kp.kappa1, kp.kappa2
-    s1 = Mat2(gc(1, 0, k2), gc(0, 0, k2), gc(0, 0, k2), gc(-1, 0, k2))
-    s2 = Mat2(gc(0, 0, k2), gc(1, 0, k2), gc(k1, 0, k2), gc(0, 0, k2))
-    s3 = Mat2(gc(0, 0, k2), gc(0, 1, k2), gc(0, -k1, k2), gc(0, 0, k2))
-    return s1, s2, s3
 
 
 def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
@@ -125,17 +118,10 @@ class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenCom
         return SpinElement(self.kp, self.alpha.conj(), -self.beta)
 
     def canonical_sign(self) -> "SpinElement":
-        """The deterministic representative of {s, -s}.
-
-        Nonnegative Re(alpha) first, then nonnegative Im(alpha), then the
-        same on beta.
-        """
-        for value in (self.alpha.re, self.alpha.im, self.beta.re, self.beta.im):
-            if value > 0.0:
-                return self
-            if value < 0.0:
-                return -self
-        return self
+        """The deterministic representative of {s, -s}, by :func:`canonical_parts`."""
+        a, b = self.alpha, self.beta
+        parts = (a.re, a.im, b.re, b.im)
+        return self if canonical_parts(parts) is parts else -self
 
 
 def spin_identity(kp: KappaPair) -> SpinElement:
@@ -154,27 +140,47 @@ def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
     return n1 * n1 * k2 + n2_term + n3 * n3 * k1
 
 
+def axis_parts(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> tuple[float, ...]:
+    """The parts (Re alpha, Im alpha, Re beta, Im beta) of :func:`spin_from_axis`."""
+    c, s = cosk_sink(axis_label(kp, n1, n2, n3), 0.5 * phi)
+    return c, n1 * s, n3 * s, n2 * s
+
+
+def canonical_parts(parts: tuple[float, ...]) -> tuple[float, ...]:
+    """The representative of {s, -s}: ``parts``, negated where a part < 0.0 precedes any > 0.0."""
+    for value in parts:
+        if value > 0.0:
+            return parts
+        if value < 0.0:
+            a0, a1, b0, b1 = parts
+            return -a0, -a1, -b0, -b1
+    return parts
+
+
 def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> SpinElement:
     """exp((phi/2) * (n1*is1 + n2*is2 + n3*s3check)) in closed form."""
-    c, s = cosk_sink(axis_label(kp, n1, n2, n3), 0.5 * phi)
+    a0, a1, b0, b1 = axis_parts(kp, n1, n2, n3, phi)
     k2 = float(kp.kappa2)  # both entries carry kappa2: made without SpinElement's check
-    return SpinElement._make((kp, GenComplex(float(c), float(n1 * s), k2),
-                              GenComplex(float(n3 * s), float(n2 * s), k2)))
+    return SpinElement._make((kp, GenComplex(float(a0), float(a1), k2),
+                              GenComplex(float(b0), float(b1), k2)))
+
+
+AXES = {"K": (1.0, 0.0, 0.0), "H": (0.0, 0.0, 1.0), "P": (0.0, 1.0, 0.0)}  # each generator's axis
 
 
 def sl2_of_exp_k(kp: KappaPair, theta: float) -> SpinElement:
     """diag(e^{i theta/2}, e^{-i theta/2}): the + representative."""
-    return spin_from_axis(kp, 1.0, 0.0, 0.0, theta).canonical_sign()
+    return spin_from_axis(kp, *AXES["K"], theta).canonical_sign()
 
 
 def sl2_of_exp_h(kp: KappaPair, alpha: float) -> SpinElement:
     """The spin element over the time translation exp(alpha H)."""
-    return spin_from_axis(kp, 0.0, 0.0, 1.0, alpha).canonical_sign()
+    return spin_from_axis(kp, *AXES["H"], alpha).canonical_sign()
 
 
 def sl2_of_exp_p(kp: KappaPair, beta: float) -> SpinElement:
     """The spin element over the space translation exp(beta P)."""
-    return spin_from_axis(kp, 0.0, 1.0, 0.0, beta).canonical_sign()
+    return spin_from_axis(kp, *AXES["P"], beta).canonical_sign()
 
 
 # the spin element over exp(t * generator), by generator tag

@@ -50,7 +50,7 @@ largest budget use and how many answers are over budget:
 compares ``exp_generator``, which ``spin`` prints, with ``cover_to_so3`` of
 the spin element, which it printed before; ``exp`` widens the draws to the
 nine sign patterns, labels from 1e-3 to 10 and t in [-6, 6], and measures
-``exp_generator``.  Like ``tests/parse_timing.py``, pytest does not collect
+``exp_generator``.  Like ``tests/ab_timing.py``, pytest does not collect
 it; ``tests/test_exact.py`` checks the budget and the engines' order.
 """
 

@@ -43,7 +43,6 @@ from kinematica.spin import (
     is_spin,
     is_su2_algebra,
     moebius_of_word,
-    pauli_generators,
     sl2_of_exp_h,
     sl2_of_exp_k,
     sl2_of_exp_p,
@@ -163,20 +162,6 @@ def table14_branch(kp: KappaPair, beta: float) -> Mat2:
         gc(0, s / root, k2),
         gc(0, -root * s, k2),
         gc(c, 0, k2),
-    )
-
-
-def test_pauli_matrices_recover_classical_shape():
-    kp = KappaPair(1.0, 1.0)
-    s1, s2, s3 = pauli_generators(kp)
-    assert approx_eq(
-        s1, Mat2(gc(1, 0, 1), gc(0, 0, 1), gc(0, 0, 1), gc(-1, 0, 1)), 0
-    )
-    assert approx_eq(
-        s2, Mat2(gc(0, 0, 1), gc(1, 0, 1), gc(1, 0, 1), gc(0, 0, 1)), 0
-    )
-    assert approx_eq(
-        s3, Mat2(gc(0, 0, 1), gc(0, 1, 1), gc(0, -1, 1), gc(0, 0, 1)), 0
     )
 
 
