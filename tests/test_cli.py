@@ -649,6 +649,50 @@ def test_each_call_reads_the_precision_of_its_environment(monkeypatch):
         assert run_cli(argv) == (0, '{"distance":%.*g}\n' % (width, value), ""), raw
 
 
+def test_the_precision_follows_each_way_of_changing_the_environment(monkeypatch):
+    # os.environ item assignment, update and deletion, os.environb and
+    # monkeypatch each reach the next call; monkeypatch's first delenv
+    # restores the variable afterwards
+    monkeypatch.delenv("KINEMATICA_PRECISION", raising=False)
+    assert cli._precision() == 17
+    os.environ["KINEMATICA_PRECISION"] = "4"
+    assert cli._precision() == 4
+    os.environ["KINEMATICA_PRECISION"] = "9"
+    assert cli._precision() == 9
+    del os.environ["KINEMATICA_PRECISION"]
+    assert cli._precision() == 17
+    monkeypatch.setenv("KINEMATICA_PRECISION", "3")
+    assert cli._precision() == 3
+    os.environ.update(KINEMATICA_PRECISION="12")
+    assert cli._precision() == 12
+    if os.supports_bytes_environ:  # os.environb shares os.environ's data
+        os.environb[b"KINEMATICA_PRECISION"] = b"6"
+        assert cli._precision() == 6
+        os.environb[b"KINEMATICA_PRECISION"] = b"\xff"  # not UTF-8: not an int
+        assert cli._precision() == 17
+        os.environ["KINEMATICA_PRECISION"] = "12"
+    assert os.environ.pop("KINEMATICA_PRECISION") == "12"
+    assert cli._precision() == 17
+
+
+def _int_width(raw: str) -> int:
+    try:
+        return max(1, min(17, int(raw)))
+    except ValueError:
+        return 17
+
+
+@pytest.mark.parametrize("raw,width", [
+    (" 5 ", 5), ("1_7", 17), ("٥", 5), ("+3", 3), ("-2", 1), ("", 17), ("0x5", 17),
+    ("5.0", 17), ("\t8\n", 8),
+])
+def test_the_precision_is_the_clamped_int_of_the_value(raw, width, monkeypatch):
+    # whatever int() accepts (spaces, underscores, other decimal digits, a
+    # sign) gives its clamped value; anything else gives 17
+    monkeypatch.setenv("KINEMATICA_PRECISION", raw)
+    assert cli._precision() == _int_width(raw) == width
+
+
 def test_dumps_round_trips_through_json():
     obj = {
         "name": 'quote"slash\\',
