@@ -194,7 +194,21 @@ def metric_g2(kp: KappaPair, t0: float, dx: float) -> float:
 
 
 def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
-    """Closed-form geodesic distance in the conformal model.
+    """Closed-form geodesic distance in the conformal model: :func:`distance_parts`
+    on the parts of w1 and w2, once their labels are checked.
+
+    Raises:
+        KappaMismatch: when w1 and w2 carry different kappa labels.
+    """
+    re1, im1, kappa = w1
+    re2, im2, kappa_w2 = w2
+    _check_same_kappa(kappa, kappa_w2)
+    return distance_parts(kp.kappa1, kappa, re1, im1, re2, im2)
+
+
+def distance_parts(kappa1: float, kappa: float, re1: float, im1: float, re2: float,
+                   im2: float) -> float:
+    """The distance between w1 = re1 + i*im1 and w2 = re2 + i*im2, i**2 = -kappa.
 
     d(w1, w2) = atank(kappa1, |(w2 - w1) / (kappa1*conj(w1)*w2 + 1)|),
     reducing to atank(kappa1, |w|) from the origin.  The sums are written out
@@ -203,15 +217,11 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
     adds 0.0, turning -0.0 into 0.0), then w2 - w1 times the inverse.
 
     Raises:
-        KappaMismatch: when w1 and w2 carry different kappa labels.
         DenominatorNotInvertible: when the denominator is a zero divisor.
         NullOrImaginarySeparation: when the argument's squared modulus is
             negative (mixed causal character, kappa2 < 0).
     """
-    re1, im1, kappa = w1
-    re2, im2, kappa_w2 = w2
-    a_re, a_im = re1 * kp.kappa1, -im1 * kp.kappa1
-    _check_same_kappa(kappa, kappa_w2)
+    a_re, a_im = re1 * kappa1, -im1 * kappa1
     den_re = a_re * re2 - kappa * a_im * im2 + 1.0
     den_im = a_re * im2 + re2 * a_im + 0.0
     inverse = _inverse_parts(den_re, den_im, kappa)
@@ -226,7 +236,7 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
         d_re * inv_re - kappa * d_im * inv_im, d_re * inv_im + inv_re * d_im, kappa)
     if s < 0.0:
         raise NullOrImaginarySeparation(f"squared separation {_times_pow2(s, 2 * k)} < 0")
-    return atank(kp.kappa1, _times_pow2(math.sqrt(s), k))
+    return atank(kappa1, _times_pow2(math.sqrt(s), k))
 
 
 # -- region rendering -----------------------------------------------------------

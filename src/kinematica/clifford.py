@@ -276,9 +276,12 @@ class UnitAxis(NamedTuple("UnitAxis", [("n1", float), ("n2", float), ("n3", floa
         try:
             squares = n1**2 + n2**2 + n3**2
         except OverflowError:  # float ** raises where * would give inf
-            raise DegenerateAxis(f"axis ({n1}, {n2}, {n3}) overflows when squared") from None
-        if squares < sys.float_info.min:  # subnormal squares lose bits; 2**600 is exact
-            n1, n2, n3 = (x * 2.0**600 for x in (n1, n2, n3))
+            squares = math.inf
+        if squares < sys.float_info.min or squares == math.inf:
+            # subnormal squares lose bits and huge ones overflow: normalize the
+            # copy scaled by an exact power of two (an inf part stays inf)
+            scale = 2.0**600 if squares < 1.0 else 2.0**-600
+            n1, n2, n3 = (x * scale for x in (n1, n2, n3))
             squares = n1**2 + n2**2 + n3**2
         norm = math.sqrt(squares)
         if norm == 0.0 or not math.isfinite(norm):

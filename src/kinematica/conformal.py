@@ -190,14 +190,6 @@ _ERRATA_ORDER = (("K", "G1"), ("K", "G2"), ("G1", "K"), ("G2", "K"))
 ERRATA = frozenset(_ERRATA_ORDER)
 
 
-def tabulated_bracket(kp: KappaPair, row: str, col: str):
-    """Claimed entry for [row, col]; 'S2' where the symbol is undefined."""
-    if row == col:
-        return {}
-    entry = _antisymmetric(TABULATED_BRACKETS, row, col)
-    return entry if entry == "S2" else _evaluate(kp, _nonzero(entry, *kp))
-
-
 def errata(kp: KappaPair) -> tuple[tuple[tuple[str, str], dict | str], ...]:
     """The ``ERRATA`` slots where the published table disagrees at these labels,
     in table order, each with its published monomials as in

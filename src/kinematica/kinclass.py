@@ -264,15 +264,6 @@ def classification_rows() -> list[dict]:
     return rows
 
 
-def symmetry_exclusions(sym: str) -> set[str]:
-    """Names of kinematical classes whose image under sym is non-kinematical."""
-    out = set()
-    for name, triple in KINEMATICAL_NAMES.items():
-        if not is_kinematical(apply_symmetry(sym, triple)):
-            out.add(name)
-    return out
-
-
 def so3_triple(kappa1: float, kappa2: float) -> BracketTriple:
     """Sign-normalized constants (k, h, p) = (sgn kappa1, -sgn kappa2, 1)."""
     return BracketTriple(_sign(kappa1), -_sign(kappa2), 1)

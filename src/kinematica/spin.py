@@ -208,12 +208,6 @@ def is_spin(kp: KappaPair, m: Mat2) -> bool:
     return shape <= UNIT_TOL * max(1.0, m.max_abs()) and s.unit_defect() <= UNIT_TOL
 
 
-def spin_from_mat2(kp: KappaPair, m: Mat2) -> SpinElement:
-    if not is_spin(kp, m):
-        raise NotSpin(f"matrix is not in Spin(3) for {kp}")
-    return SpinElement(kp, m.a, m.b)
-
-
 def is_su2_algebra(kp: KappaPair, b: Mat2) -> bool:
     """Tangent-space test: B* A + A B = 0 and trace B = 0, within ALGEBRA_TOL."""
     a = a_matrix(kp)

@@ -13,10 +13,15 @@ on each side, the side that goes first switching from round to round, so
 the CPU's drift in speed lands on both sides alike.  A side's figure for the
 burst is its fastest run, so a run that the machine interrupts does not
 count.  For each side and row the tool prints the best burst, the median
-burst and the bursts it won, in µs per call.
+burst and the bursts it won, in µs per call.  For each side after the first
+it then prints the median and the quartiles of its per-burst ratio to side 0:
+the two sides of a burst ran in the same rounds, so a spell in which the
+machine runs slow moves both and leaves their ratio.
 
 The rows:
 
+- ``precision``: ``cli._precision``, the read of ``KINEMATICA_PRECISION``
+  that starts every ``cli.main`` call;
 - ``parse-*``: ``cli.parse_args`` on the exact ``--name=value`` lines of
   ``exp``, ``distance`` and ``rotate``, the form of every benchmark request,
   and on an ``exp`` line with spaced values, which the parser first rewrites;
@@ -28,7 +33,7 @@ The rows:
 
 Run it on two checkouts, or give one checkout twice for an A/A run, whose
 medians should agree within 1% with neither side winning more than 40 of 60
-bursts::
+bursts, and whose median ratio should be within 1% of 1::
 
     python tests/ab_timing.py --root ../parent --root .
     python tests/ab_timing.py --root . --root . --rows main-spin main-rotate
@@ -75,6 +80,7 @@ MAIN_LINES = {
 }
 # row -> the statement it times, in the names of setup()
 ROWS = {
+    "precision": "cli._precision()",
     **{f"parse-{name}": f"cli.parse_args(lines[{name!r}])" for name in PARSE_LINES},
     "sandwich": "clifford.sandwich(r, a)",
     "rotor": "clifford.rotor(kp, axis, 0.7)",
@@ -172,8 +178,17 @@ def time_row(sides: list[list[dict]], statement: str, bursts: int,
     return times
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The first quartile, the median and the third quartile of ``values``."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def report(name: str, times: list[list[float]]) -> str:
-    """One line per row: each side's best and median burst and the bursts it won."""
+    """One line per row: each side's best and median burst and the bursts it
+    won, then each later side's median per-burst ratio to side 0 and its quartiles."""
     won = [0] * len(times)
     for burst_times in zip(*times):
         fastest = min(burst_times)
@@ -183,6 +198,9 @@ def report(name: str, times: list[list[float]]) -> str:
     for k, side in enumerate(times):
         cells.append(f"{k}: best {min(side):7.2f} median {statistics.median(side):7.2f}"
                      f" won {won[k]:>3}/{len(side)}")
+    for k, side in enumerate(times[1:], 1):
+        q1, median, q3 = quartiles([t / t0 for t, t0 in zip(side, times[0])])
+        cells.append(f"{k}/0: ratio {median:.3f} quartiles {q1:.3f} {q3:.3f}")
     return "  ".join(cells)
 
 

@@ -21,6 +21,7 @@ from kinematica.ckgeom import (
     KappaPair,
     bilinear_form,
     distance,
+    distance_parts,
     exp_generator,
     exp_h,
     exp_k,
@@ -411,6 +412,20 @@ def test_distance_is_the_gencomplex_expression_bit_for_bit(inputs):
     # the written-out sums against the GenComplex expression: the same bits,
     # including every overflow, underflow and signed zero, or the same error
     assert distance_outcome(distance, *inputs) == distance_outcome(gencomplex_distance, *inputs)
+
+
+def parts_distance(kp, w1, w2):
+    """:func:`distance_parts` on the labels and parts of one distance input."""
+    return distance_parts(kp.kappa1, w1.kappa, w1.re, w1.im, w2.re, w2.im)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(distance_inputs().filter(lambda inputs: inputs[1].kappa == inputs[2].kappa))
+@example(FOUND_OVERFLOW[0])
+@example((KappaPair(-0.25, 0.0), gc(2, 0, 0.0), gc(2, 3, 0.0)))
+def test_distance_parts_is_distance_on_the_parts(inputs):
+    # the command line's path: the same bits or the same error
+    assert distance_outcome(parts_distance, *inputs) == distance_outcome(distance, *inputs)
 
 
 @pytest.mark.parametrize("kp,w1,w2", FOUND_OVERFLOW)

@@ -393,11 +393,9 @@ def test_conformal_table_with_overflowing_label_product_prints_the_exact_table(e
          2, "usage"),
         (["rotate", "--axis=0,0,-1", "--angle=0.5", "--vector=1,-inf,0",
           "--kappa1=1", "--kappa2=1"], 2, "usage"),
-        # a zero axis, and one whose squares overflow
+        # a zero axis
         (["rotate", "--axis=0,0,0", "--angle=0.5", "--vector=1,0.5,-0.3",
           "--kappa1=0.5", "--kappa2=-1"], 1, "DegenerateAxis"),
-        (["rotate", "--axis=0,1e308,-1e300", "--angle=-1e300", "--vector=1,-0.3,-0.3",
-          "--kappa1=0", "--kappa2=2"], 1, "DegenerateAxis"),
         # cosh overflows, and sqrt(kappa1) * param overflows to inf
         (["spin", "--gen=H", "--param=1e300", "--kappa1=-1", "--kappa2=1"], 1, "TrigOverflow"),
         (["exp", "--gen=H", "--param=1e300", "--kappa1=1e300", "--kappa2=1"],
@@ -416,7 +414,7 @@ def test_conformal_table_with_overflowing_label_product_prints_the_exact_table(e
     ],
     ids=[
         "exp-nan", "unproject-inf", "distance-nan-label", "rotate-inf-vector",
-        "zero-axis", "overflowing-axis", "spin-cosh-overflow", "exp-cos-of-inf",
+        "zero-axis", "spin-cosh-overflow", "exp-cos-of-inf",
         "unproject-nan-result", "distance-inf-result", "rotate-non-finite-sandwich",
         "region-inf-coordinate",
     ],
@@ -576,6 +574,21 @@ def test_rotate_about_a_tiny_axis_normalises_it():
     assert run_cli(["rotate", "--axis=1e-200,1e-200,0", *rest]) == (0, expected, "")
     unit = json.loads(run_cli(["rotate", "--axis=1,1,0", *rest])[1])
     assert json.loads(expected)["vector"] == pytest.approx(unit["vector"], abs=1e-15)
+
+
+def test_rotate_about_a_huge_axis_normalises_it():
+    # the squares of these axes overflow; the second ended in DegenerateAxis
+    # "axis (0, 1e+308, -1e+300) overflows when squared"
+    rest = ["--angle=0.5", "--vector=1,2,3", "--kappa1=1", "--kappa2=1"]
+    assert run_cli(["rotate", "--axis=1e300,0,0", *rest]) == run_cli(["rotate", "--axis=1,0,0", *rest])
+    scaled = f"--axis=0,{math.ldexp(1e308, -600)!r},{math.ldexp(-1e300, -600)!r}"
+    expected = (
+        '{"rotor":{"kappa1":1,"kappa2":1,'
+        '"coeffs":[0.96891242171064484,0,0,0,0,0.24740395925452288,-2.4740395925452289e-09,0]},'
+        '"vector":[-0.56069404433372516,1.9999999988782677,3.1121732267236708]}\n'
+    )
+    assert run_cli(["rotate", "--axis=0,1e308,-1e300", *rest]) == (0, expected, "")
+    assert run_cli(["rotate", scaled, *rest]) == (0, expected, "")
 
 
 def test_region_svg_into_missing_directory_is_a_usage_error(tmp_path):

@@ -286,7 +286,10 @@ def test_bivector_kappa_examples():
 
 
 def test_degenerate_axis_is_a_typed_error():
-    for n in ((0, 0, 0), (0, math.nan, 1), (math.inf, 0, 0), (0, 1e308, -1e300)):
+    # a huge finite part beside an inf or nan one leaves the scaled copy's norm
+    # inf or nan
+    for n in ((0, 0, 0), (0, math.nan, 1), (math.inf, 0, 0), (1e308, math.inf, 0),
+              (math.nan, 1e308, 0)):
         with pytest.raises(DegenerateAxis) as caught:
             UnitAxis(*n)
         assert isinstance(caught.value, ValueError)
@@ -301,6 +304,19 @@ def test_a_tiny_axis_is_normalised_as_its_scaled_copy():
     assert UnitAxis(*(math.ldexp(x, -700) for x in n)) == UnitAxis(*n)
     tiny = UnitAxis(1e-200, 1e-200, 0)
     assert tiny.n1 == tiny.n2 == pytest.approx(UnitAxis(1, 1, 0).n1, rel=1e-15)
+
+
+def test_a_huge_axis_is_normalised_as_its_scaled_copy():
+    # the squares of these axes overflow (0, 1e308, -1e300 was DegenerateAxis):
+    # scaled by 2**-600, they normalise to the bits of the same direction
+    assert UnitAxis(1e300, 0, 0) == UnitAxis(1, 0, 0)
+    assert UnitAxis(0, 1e308, -1e300) == UnitAxis(0, math.ldexp(1e308, -600),
+                                                   math.ldexp(-1e300, -600))
+    n = (0.3, -1.2, 0.5)
+    assert UnitAxis(*(math.ldexp(x, 700) for x in n)) == UnitAxis(*n)
+    big = 1.7976931348623157e308  # the largest float
+    huge = UnitAxis(-big, big, big)
+    assert -huge.n1 == huge.n2 == huge.n3 == pytest.approx(UnitAxis(1, 1, 1).n1, rel=1e-15)
 
 
 AXIS_PART = st.floats(-1e150, 1e150)  # squares stay finite

@@ -22,13 +22,13 @@ from kinematica.conformal import (
     conformal_moebius,
     decompose,
     diff_vs_tabulated,
-    tabulated_bracket,
 )
 from kinematica.errors import AtInfinity, DecompositionFailure
 from kinematica.gencomplex import Mat2, gamma_apply, gamma_lift, gc, gc_exp_unit
 from kinematica.gentrig import cosk, sink
 from kinematica.kinclass import so3_triple
 from kinematica.spin import ALGEBRA_TOL
+from writers_reference import tabulated_bracket
 
 PATTERNS = [
     KappaPair(k1, k2)

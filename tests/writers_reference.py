@@ -5,6 +5,8 @@ Kept unchanged as the oracles of the differential tests in ``test_cli.py``:
 ``conformal_answer`` builds the answer dict of ``conformal-table`` from the
 library's table, for ``dumps_reference.dumps`` to write.  The template
 writers must give these bytes, and end in the same error where these do.
+``tabulated_bracket`` reads one entry of the published table at the labels,
+as the library once did for these writers.
 """
 
 from __future__ import annotations
@@ -93,13 +95,21 @@ def region_svg(kp: KappaPair) -> str:
     return "\n".join(lines) + "\n"
 
 
+def tabulated_bracket(kp: KappaPair, row: str, col: str):
+    """Claimed entry for [row, col]; 'S2' where the symbol is undefined."""
+    if row == col:
+        return {}
+    entry = conformal._antisymmetric(conformal.TABULATED_BRACKETS, row, col)
+    return entry if entry == "S2" else conformal._evaluate(kp, conformal._nonzero(entry, *kp))
+
+
 def _diff_vs_tabulated(kp: KappaPair, computed: dict) -> list[dict]:
     diffs = []
     for row in conformal.GENERATOR_TAGS:
         for col in conformal.GENERATOR_TAGS:
             if (row, col) not in conformal.ERRATA:
                 continue
-            claimed = conformal.tabulated_bracket(kp, row, col)
+            claimed = tabulated_bracket(kp, row, col)
             actual = computed[(row, col)]
             if claimed == "S2":
                 diffs.append(
