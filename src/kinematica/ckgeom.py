@@ -26,12 +26,12 @@ from typing import NamedTuple
 from .errors import (
     BoundarySingularity,
     DenominatorNotInvertible,
-    NonFiniteResult,
     NullOrImaginarySeparation,
     OutsideModel,
     ProjectionPole,
     TrigOverflow,
     WrongGeometry,
+    fill,
 )
 from .gencomplex import (
     GenComplex,
@@ -146,7 +146,7 @@ def _one_plus_kappa1_sqmod(kappa1: float, w: GenComplex) -> tuple[float, int]:
     d = 1.0 + kappa1 * w.sqmod()
     if d < math.inf:
         return d, 0
-    _, _, s, k = w._scaled()
+    _, _, s, k = _scaled_parts(*w)
     c, j = _split_pow2(kappa1)
     d = 1.0 + _times_pow2(c * s, j + 2 * k)
     return (d, 0) if d < math.inf else (c * s, j + 2 * k)
@@ -163,7 +163,7 @@ def unproject(kp: KappaPair, w: GenComplex) -> Triple:
     """
     denom, e = _one_plus_kappa1_sqmod(kp.kappa1, w)
     if e:  # 2*w/denom is 2*w/(kappa1*sqmod(w)) to rounding
-        re, im, _, k = w._scaled()
+        re, im, _, k = _scaled_parts(*w)
         t, x = (_times_pow2(2.0 * v, k - e, denom) for v in (re, im))
         return (-1.0, t, x)
     if denom <= 0.0:
@@ -181,7 +181,7 @@ def metric_g1(kp: KappaPair, w: GenComplex, dw: GenComplex) -> float:
     if not e and math.isfinite(num) and denom * denom < math.inf:
         return num / (denom * denom)
     # num = s * 4**k and (denom * 2**e)**2 = m*m * 4**(e + j), s and m*m normal
-    _, _, s, k = dw._scaled()
+    _, _, s, k = _scaled_parts(*dw)
     m, j = _split_pow2(denom)
     return _times_pow2(s, 2 * (k - e - j), m * m)
 
@@ -242,40 +242,6 @@ def distance_parts(kappa1: float, kappa: float, re1: float, im1: float, re2: flo
 # -- region rendering -----------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    if not math.isfinite(value):
-        raise NonFiniteResult(f"SVG coordinate {value} is not finite")
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.9g}"
-
-
-def _path_text(points, close: bool = False) -> str:
-    """The ``<path>`` of a polyline as a ``%``-template for :func:`_fill`.
-
-    A coordinate that is None becomes a ``%.9g`` slot and a float is written
-    in, so a request formats only the coordinates that depend on the labels.
-    """
-    d = "M " + " L ".join(
-        ",".join("%.9g" if v is None else _fmt(v) for v in point) for point in points
-    )
-    if close:
-        d += " Z"
-    return f'<path d="{d}" fill="none" stroke="black" stroke-width="0.02"/>'
-
-
-def _fill(text: str, values: list[float]) -> str:
-    """The template ``text`` with its slots filled, as :func:`_fmt` writes each value.
-
-    The first value that is not finite, in writing order, ends in
-    NonFiniteResult, and -0.0 is written as 0.
-    """
-    if not math.isfinite(sum(values)):  # a value is not finite, or the sum overflowed
-        for value in values:
-            _fmt(value)  # raises at the first value that is not finite
-    return text % tuple([value + 0.0 for value in values])
-
-
 # the abscissae -2 + 4i/64 at which a hyperbola branch is sampled
 _ABSCISSAE = tuple(-2.0 + 4.0 * i / 64.0 for i in range(65))
 
@@ -287,26 +253,41 @@ def _unit_circle() -> tuple[tuple[float, float], ...]:
     return tuple((math.cos(angle), math.sin(angle)) for angle in angles)
 
 
+def _path(points, close: bool = False) -> str:
+    """The ``<path>`` line of a polyline whose points are pairs of coordinate texts."""
+    d = " L ".join(f"{t},{x}" for t, x in points) + (" Z" if close else "")
+    return f'<path d="M {d}" fill="none" stroke="black" stroke-width="0.02"/>\n'
+
+
 @functools.cache
-def _paths() -> dict[str, str]:
-    """The path template of each boundary shape, built on first use."""
-    return {
-        "ellipse": _path_text([(None, None)] * 96, close=True),
-        "lines": _path_text([(None, -2.0), (None, 2.0)]),
+def _region_template(shape: str, null_lines: bool) -> str:
+    """The SVG of one boundary shape, with or without the null lines, as a
+    ``%``-template with one ``%.9g`` slot per value that depends on the labels."""
+    fixed = [f"{v:.9g}" for v in _ABSCISSAE]
+    paths = {
+        "none": [],
+        "ellipse": [_path([("%.9g", "%.9g")] * 96, close=True)],
+        "lines": [_path([("%.9g", "-2"), ("%.9g", "2")])] * 2,
         # hyperbola branches open along the t axis, sampled at fixed x, and
         # open along the x axis, sampled at fixed t
-        "along t": _path_text([(None, x) for x in _ABSCISSAE]),
-        "along x": _path_text([(t, None) for t in _ABSCISSAE]),
-    }
+        "along t": [_path([("%.9g", x) for x in fixed])] * 2,
+        "along x": [_path([(t, "%.9g") for t in fixed])] * 2,
+    }[shape]
+    line = ('<line x1="%.9g" y1="-2" x2="%.9g" y2="2" stroke="black" stroke-width="0.01" '
+            'stroke-dasharray="0.1,0.1"/>\n')
+    return "".join([
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-2 -2 4 4" width="400" height="400">\n',
+        "<!-- kappa1=%.9g kappa2=%.9g -->\n",
+        *paths, *[line] * (2 * null_lines), "</svg>\n",
+    ])
 
 
-def _boundary_elements(kp: KappaPair) -> list[str]:
+def _boundary_elements(k1: float, k2: float) -> tuple[str, list[float]]:
+    """The boundary shape of the model region and its coordinates, in writing order."""
     # boundary of the model region: 1 + kappa1*(t^2 + kappa2*x^2) = 0
-    k1, k2 = kp.kappa1, kp.kappa2
     if k1 == 0.0:
-        return []
+        return "none", []
     rhs = -1.0 / k1  # t^2 + kappa2*x^2 = rhs
-    paths = _paths()
     if rhs > 0.0:
         if k2 > 0.0:
             rx = math.sqrt(rhs)
@@ -314,22 +295,20 @@ def _boundary_elements(kp: KappaPair) -> list[str]:
             values = []
             for c, s in _unit_circle():
                 values += (rx * c, ry * s)
-            return [_fill(paths["ellipse"], values)]
+            return "ellipse", values
         if k2 == 0.0:
             t0 = math.sqrt(rhs)
-            return [_fill(paths["lines"], [sgn * t0, sgn * t0]) for sgn in (1.0, -1.0)]
+            return "lines", [sgn * t0 for sgn in (1.0, 1.0, -1.0, -1.0)]
         # t^2 - |k2| x^2 = rhs > 0: branches open along the t axis
-        return [
-            _fill(paths["along t"], [sgn * math.sqrt(rhs - k2 * x * x) for x in _ABSCISSAE])
-            for sgn in (1.0, -1.0)
+        return "along t", [
+            sgn * math.sqrt(rhs - k2 * x * x) for sgn in (1.0, -1.0) for x in _ABSCISSAE
         ]
     if rhs < 0.0 and k2 < 0.0:
         # t^2 - |k2| x^2 = rhs < 0: branches open along the x axis
-        return [
-            _fill(paths["along x"], [sgn * math.sqrt((rhs - t * t) / k2) for t in _ABSCISSAE])
-            for sgn in (1.0, -1.0)
+        return "along x", [
+            sgn * math.sqrt((rhs - t * t) / k2) for sgn in (1.0, -1.0) for t in _ABSCISSAE
         ]
-    return []
+    return "none", []
 
 
 def region_svg(kp: KappaPair) -> str:
@@ -341,29 +320,20 @@ def region_svg(kp: KappaPair) -> str:
     here-now event) are dashed.
 
     The boundary is one of four shapes (an ellipse, two lines, or hyperbola
-    branches open along the t or the x axis), and each shape's path is a
-    text template with one ``%.9g`` slot per coordinate that depends on the
-    labels, written once per process on first use; the sample abscissae of
-    a branch are written into its template.  A request computes only the
-    coordinates of its shape and fills them in with one ``%`` per path.
-    Every coordinate is written with 9 significant digits and -0.0 as 0; the
-    first that is not finite, in writing order, ends in NonFiniteResult.
+    branches open along the t or the x axis), or there is none.  The whole
+    SVG of each shape, with or without the null lines, is one text template
+    with a ``%.9g`` slot per value that depends on the labels (the labels in
+    the comment, the boundary's coordinates, the null lines' ends), written
+    once per process on first use; the sample abscissae of a branch are
+    written into its template.  A request computes only those values and
+    fills them in with one :func:`~kinematica.errors.fill`: every value is
+    written with 9 significant digits and -0.0 as 0, and the first that is
+    not finite, in writing order, ends in NonFiniteResult.
     """
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        'viewBox="-2 -2 4 4" width="400" height="400">',
-        f"<!-- kappa1={_fmt(kp.kappa1)} kappa2={_fmt(kp.kappa2)} -->",
-    ]
-    lines.extend(_boundary_elements(kp))
-    if kp.kappa2 <= 0.0:
-        slope = math.sqrt(-kp.kappa2)  # null directions t = +/- slope * x
-        for sgn in (1.0, -1.0):
-            lines.append(
-                f'<line x1="{_fmt(-sgn * slope * 2.0)}" y1="-2" '
-                f'x2="{_fmt(sgn * slope * 2.0)}" y2="2" '
-                'stroke="black" stroke-width="0.01" '
-                'stroke-dasharray="0.1,0.1"/>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
+    k1, k2 = kp
+    shape, values = _boundary_elements(k1, k2)
+    null_lines = k2 <= 0.0
+    if null_lines:
+        end = math.sqrt(-k2) * 2.0  # null directions t = +/- sqrt(-kappa2) * x
+        values += (-end, end, end, -end)
+    return fill(_region_template(shape, null_lines), [k1, k2, *values], "SVG coordinate")

@@ -25,9 +25,10 @@ each label is 0, the errata slots the diff reports), built the first time a
 request has that pattern from ``conformal.bracket_monomials`` and
 ``conformal.errata``, which hold no label value: a +-1 coefficient is written
 in and a +-kappa1 or +-kappa2 coefficient is a slot, so a request only
-evaluates those monomials.  ``region``'s SVG fills one text template per
-boundary shape (see ``ckgeom.region_svg``).  No template is keyed by the
-label values.  The parser accepts the command lines argparse accepted for
+evaluates those monomials.  ``region``'s SVG is one text template per
+boundary shape and null-line pattern (see ``ckgeom.region_svg``).  No
+template is keyed by the label values, and ``errors.fill`` writes the floats
+of every template.  The parser accepts the command lines argparse accepted for
 the same table, with the same values and argparse's one-line error messages;
 the one difference is that a ``--`` given after ``=`` is read as the value
 ``--``.  One reader converts every value: it reads the exact form, where each
@@ -54,7 +55,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import ckgeom, clifford, conformal, gencomplex, kinclass, spin
-from .errors import KinematicaError, NonFiniteResult
+from .errors import KinematicaError, fill
 
 
 # the key of KINEMATICA_PRECISION in os.environ's own dict, the one that
@@ -88,9 +89,7 @@ def _dump_str(obj: str, precision: int) -> str:
 
 
 def _dump_float(obj: float, precision: int) -> str:
-    if not math.isfinite(obj):
-        raise NonFiniteResult(f"result {obj} is not finite")
-    return f"{obj + 0.0:.{precision}g}"  # + 0.0 folds -0.0
+    return fill(f"%.{precision}g", (obj,))
 
 
 def _dump_dict(obj: dict, precision: int) -> str:
@@ -155,12 +154,8 @@ class Filled(NamedTuple):
 
 def _dump_filled(obj: Filled, precision: int) -> str:
     template, values = obj
-    if not values:
-        return template._text(precision)
-    if not math.isfinite(sum(values)):  # a value is not finite, or the sum overflowed
-        for x in values:
-            _dump_float(x, precision)  # raises at the first value that is not finite
-    return template._text(precision) % tuple([x + 0.0 for x in values])  # + 0.0 folds -0.0
+    text = template._text(precision)
+    return fill(text, values) if values else text  # an input-free text is finished
 
 
 # exact type -> writer; any other type goes to _dump_other

@@ -1,8 +1,13 @@
-"""Typed errors raised by the library.
+"""Typed errors raised by the library, and the one writer of a template's floats.
 
 Every domain error derives from :class:`KinematicaError` so callers (and the
-command line front end) can catch the whole family at once.
+command line front end) can catch the whole family at once.  :func:`fill`
+writes the floats of every ``%``-template, the command line's JSON answers
+and ``region``'s SVG alike, and raises :class:`NonFiniteResult`, the one
+error of a value that cannot be written.
 """
+
+import math
 
 
 class KinematicaError(Exception):
@@ -105,10 +110,26 @@ class DecompositionFailure(KinematicaError):
     """A bracket did not close in the six-generator span."""
 
 
-# -- command line ----------------------------------------------------------------
+# -- writing results -------------------------------------------------------------
 
 class NonFiniteResult(KinematicaError, ValueError):
     """A result holding nan or an infinity, which JSON cannot carry."""
+
+
+def fill(text: str, values, what: str = "result") -> str:
+    """The ``%``-template ``text`` with its slots filled by ``values``, in writing order.
+
+    -0.0 is written as 0: where a value equals 0, each value x is written as
+    x + 0.0.  The first value that is not finite ends in NonFiniteResult,
+    "<what> <value> is not finite".
+    """
+    if not math.isfinite(sum(values)):  # a value is not finite, or the sum overflowed
+        for x in values:
+            if not math.isfinite(x):
+                raise NonFiniteResult(f"{what} {x} is not finite")
+    if 0.0 in values:  # -0.0 == 0.0; x + 0.0 folds it and leaves every other x
+        return text % tuple([x + 0.0 for x in values])
+    return text % tuple(values)
 
 
 # -- classification ---------------------------------------------------------------

@@ -178,10 +178,6 @@ class GenComplex(NamedTuple):
             raise ZeroDivisorError(f"{self} is a zero divisor")
         return GenComplex(*parts, self.kappa)
 
-    def _scaled(self) -> tuple[float, float, float, int]:
-        """(re, im, s, k): the parts of w / 2**k and s = sqmod(w) / 4**k (:func:`_scaled_parts`)."""
-        return _scaled_parts(*self)
-
     def __str__(self) -> str:
         return f"({self.re} + {self.im}i | i^2 = {-self.kappa})"
 

@@ -28,6 +28,8 @@ The rows:
 - ``sandwich``, ``rotor``, ``spin_from_axis`` and ``vector``: the steps of the
   rotor path on the values of the ``rotate`` line; ``distance``:
   ``ckgeom.distance`` on the values of the ``distance`` line;
+- ``region-*``: ``ckgeom.region_svg`` on one label pair per boundary shape
+  (an ellipse, two lines, hyperbola branches along t and along x, and none);
 - ``main-*``: ``cli.main`` on one exact line per subcommand, its output sent
   to a writer that discards it.
 
@@ -78,6 +80,14 @@ MAIN_LINES = {
     "conformal-table": ["conformal-table", "--kappa1=-1", "--kappa2=0"],
     "region": ["region", "--kappa1=1", "--kappa2=-1"],
 }
+# boundary shape -> a label pair whose region has it
+REGION_LABELS = {
+    "ellipse": (-1.0, 1.0),
+    "lines": (-1.0, 0.0),
+    "along-t": (-1.0, -1.0),
+    "along-x": (1.0, -1.0),
+    "none": (1.0, 1.0),
+}
 # row -> the statement it times, in the names of setup()
 ROWS = {
     "precision": "cli._precision()",
@@ -87,6 +97,7 @@ ROWS = {
     "spin_from_axis": "spin.spin_from_axis(kp, 0.0, 0.0, 1.0, 0.7)",
     "vector": "clifford.Multivector.vector(kp, 1.0, 2.0, 3.0)",
     "distance": "ckgeom.distance(kp_d, w1, w2)",
+    **{f"region-{shape}": f"ckgeom.region_svg(regions[{shape!r}])" for shape in REGION_LABELS},
     **{f"main-{name}": f"cli.main(main_lines[{name!r}])" for name in MAIN_LINES},
 }
 
@@ -139,6 +150,7 @@ def setup(modules: dict[str, types.ModuleType]) -> dict[str, object]:
         "kp": kp, "axis": axis, "r": clifford.rotor(kp, axis, 0.7),
         "a": clifford.Multivector.vector(kp, 1.0, 2.0, 3.0),
         "kp_d": ckgeom.KappaPair(1.0, -1.0), "w1": gc(0.1, 0.2, -1.0), "w2": gc(-0.3, 0.4, -1.0),
+        "regions": {shape: ckgeom.KappaPair(*labels) for shape, labels in REGION_LABELS.items()},
     }
 
 

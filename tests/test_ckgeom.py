@@ -43,7 +43,7 @@ from kinematica.errors import (
     ProjectionPole,
     WrongGeometry,
 )
-from kinematica.gencomplex import GenComplex, _times_pow2, gc, gc_exp_unit
+from kinematica.gencomplex import GenComplex, _scaled_parts, _times_pow2, gc, gc_exp_unit
 from kinematica.gentrig import atank
 from oracles import expm, quad_adaptive
 
@@ -339,7 +339,7 @@ def gencomplex_distance(kp, w1, w2):
     if den.is_zero() or den.is_zero_divisor():
         raise DenominatorNotInvertible(f"denominator {den} is not invertible")
     arg = (w2 - w1) * den.inv()
-    _, _, s, k = arg._scaled()
+    _, _, s, k = _scaled_parts(*arg)
     if s < 0.0:
         raise NullOrImaginarySeparation(f"squared separation {_times_pow2(s, 2 * k)} < 0")
     return atank(kp.kappa1, _times_pow2(math.sqrt(s), k))

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import functools
 import io
 import itertools
 import json
@@ -14,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from kinematica.ckgeom import KappaPair
 from kinematica.cli import (COMMANDS, SLOT, Filled, Template, UsageError, dumps, main,
                             parse_args)
 from kinematica.clifford import Multivector
-from kinematica.errors import KinematicaError, NonFiniteResult, NotSpin
+from kinematica.errors import KinematicaError, NonFiniteResult, NotSpin, fill
 from kinematica.gencomplex import gc
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,6 +193,25 @@ def test_conformal_table_keeps_no_template_per_label_value(monkeypatch):
     for diff, flat1, flat2, reported in cli._CONFORMAL:
         assert {diff, flat1, flat2} <= {True, False}
         assert set(reported) <= conformal.ERRATA and (diff or reported == ())
+
+
+def test_region_keeps_no_template_per_label_value(monkeypatch):
+    # the SVG templates are keyed by (boundary shape, null lines), never by
+    # the labels: at most 5 shapes x 2, of which 6 occur
+    keys = []
+    original = ckgeom._region_template.__wrapped__
+    monkeypatch.setattr(ckgeom, "_region_template",
+                        functools.cache(lambda *key: keys.append(key) or original(*key)))
+    rng = random.Random(29)
+    for _ in range(400):
+        signs = rng.choice(SIGN_PATTERNS)
+        k1, k2 = (sign * rng.choice([rng.uniform(0, 4), 10.0 ** rng.uniform(-320, 300)]) if sign
+                  else rng.choice([0.0, -0.0]) for sign in signs)
+        assert run_cli(["region", f"--kappa1={k1!r}", f"--kappa2={k2!r}"])[0] in (0, 1)
+    assert len(keys) <= 10
+    for shape, null_lines in keys:
+        assert shape in {"none", "ellipse", "lines", "along t", "along x"}
+        assert null_lines in {True, False}
 
 
 def test_the_cli_reads_no_private_name_of_a_layer():
@@ -1550,6 +1570,15 @@ def pattern_labels(draw):
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(labels=pattern_labels())
+# the two labels whose SVG ends in an infinite coordinate, and one pair per
+# boundary shape (ellipse, lines, branches along t and along x, none)
+@example(labels=(-1e308, -1e308))
+@example(labels=(-5e-324, 1.0))
+@example(labels=(-1.0, 1.0))
+@example(labels=(-1.0, -0.0))
+@example(labels=(-1.0, -1.0))
+@example(labels=(1.0, -1.0))
+@example(labels=(-0.0, 1.0))
 def test_region_writes_the_reference_bytes(labels, monkeypatch):
     # the per-shape templates give the SVG the per-point writer gave, and end
     # in its error where a coordinate is not finite
@@ -1620,21 +1649,28 @@ def test_the_first_non_finite_slot_raises_the_reference_error(argv, precision):
 
 
 @pytest.mark.parametrize("values", [(1.7e308, 1.7e308), (-math.inf, math.inf),
-                                    (math.nan, -math.inf), (1.7e308, 1.7e308, math.nan)])
+                                    (math.nan, -math.inf), (1.7e308, 1.7e308, math.nan),
+                                    (-0.0, 1.7e308, 1.7e308)])
 @pytest.mark.parametrize("precision", [1, 5, 17])
 def test_the_slot_sum_check_prints_an_overflowing_sum_and_names_the_first_bad_value(
         values, precision):
-    # finite slots whose sum overflows still print; where a slot is not
-    # finite, the error names the first such slot, as the reference does
+    # finite slots whose sum overflows still print and -0.0 prints as 0;
+    # where a slot is not finite, the error names the first such slot, as the
+    # reference does, with the noun fill is given
     skeleton = [SLOT] * len(values)
+    text = "[" + ",".join([f"%.{precision}g"] * len(values)) + "]"
     try:
         expected = reference_dumps(list(values), precision)
     except NonFiniteResult as exc:
         with pytest.raises(NonFiniteResult) as caught:
             dumps(Filled(Template(lambda: skeleton), values), precision)
         assert str(caught.value) == str(exc)
+        with pytest.raises(NonFiniteResult) as caught:
+            fill(text, values, "SVG coordinate")
+        assert str(caught.value) == str(exc).replace("result", "SVG coordinate")
     else:
         assert dumps(Filled(Template(lambda: skeleton), values), precision) == expected
+        assert fill(text, values, "SVG coordinate") == expected
 
 
 @pytest.mark.parametrize("precision", [1, 5, 17])
