@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kinematica
+import spin_reference
 from geometry_checks import approx_eq
 from kinematica.ckgeom import (
     KappaPair,
@@ -35,10 +37,13 @@ from kinematica.gencomplex import Mat2, gc, gc_exp_unit
 from kinematica.gentrig import cosk, cosk_sink, sink
 from oracles import expm
 from kinematica.spin import (
+    AXES,
     SL2,
     SpinElement,
     a_matrix,
     axis_label,
+    axis_parts,
+    canonical_parts,
     cover_to_so3,
     is_spin,
     is_su2_algebra,
@@ -533,6 +538,51 @@ def test_canonical_sign_determinism():
     canon = s.canonical_sign()
     assert canon.alpha.re >= 0.0
     assert canon.canonical_sign() is canon
+
+
+# labels and parameters at the ends of the float range, both signs of each
+SPIN_EXTREMES = [sign * x for x in (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max)
+                 for sign in (1.0, -1.0)]
+SPIN_LABELS = ([KappaPair(k1, k2) for k1 in (1.0, 0.0, -1.0) for k2 in (1.0, 0.0, -1.0)]
+               + [KappaPair(k1, k2) for k1 in SPIN_EXTREMES for k2 in SPIN_EXTREMES])
+
+
+def outcome(make, bits):
+    """``bits`` of what ``make()`` returns, or the type and message of what it raises."""
+    try:
+        value = make()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+    return bits(value)
+
+
+def element_bits(s: SpinElement):
+    """A spin element's label pair and the bits of its entries."""
+    assert type(s) is SpinElement
+    return s.kp, parts_bits((s.alpha.re, s.alpha.im, s.alpha.kappa,
+                             s.beta.re, s.beta.im, s.beta.kappa))
+
+
+def parts_bits(parts: tuple) -> tuple:
+    """The bits of a tuple of floats."""
+    assert type(parts) is tuple
+    return tuple(map(float.hex, parts))
+
+
+def reference_parts(kp: KappaPair, gen: str, t: float) -> tuple:
+    s = spin_reference.generator_element(kp, gen, t)
+    return s.alpha.re, s.alpha.im, s.beta.re, s.beta.im
+
+
+@pytest.mark.parametrize("gen", "HPK")
+def test_sl2_of_exp_and_sl2_parts_give_the_reference_bits(gen):
+    for kp in SPIN_LABELS:
+        for t in SPIN_EXTREMES + [0.5, -1.7]:
+            want = outcome(lambda: spin_reference.generator_element(kp, gen, t), element_bits)
+            assert outcome(lambda: SL2[gen](kp, t), element_bits) == want, (kp, t)
+            want = outcome(lambda: reference_parts(kp, gen, t), parts_bits)
+            got = outcome(lambda: canonical_parts(axis_parts(kp, *AXES[gen], t)), parts_bits)
+            assert got == want, (kp, t)
 
 
 def test_no_tolerance_literal_sits_in_a_comparison():
