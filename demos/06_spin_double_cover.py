@@ -14,8 +14,8 @@ from kinematica.ckgeom import exp_k, project, unproject, word_matrix
 from kinematica.spin import (
     is_spin,
     is_su2_algebra,
-    moebius_of_word,
-    sl2_of_exp_k,
+    sl2_of_exp,
+    sl2_of_word,
     so3_matrix_generators,
     spin_from_axis,
 )
@@ -24,7 +24,7 @@ kp = KappaPair(1.0, -1.0)  # anti-de Sitter flavour: curved, Lorentzian
 
 print("=== a boost and its spin representative ===")
 theta = 0.6
-s = sl2_of_exp_k(kp, theta)
+s = sl2_of_exp(kp, "K", theta)
 print(f"alpha = {s.alpha}")
 print(f"beta  = {s.beta}")
 print(f"unit condition defect: {s.unit_defect():.2e}")
@@ -45,7 +45,7 @@ print(f"max |cover(s) - cover(-s)| = "
 print()
 print("=== a full turn upstairs is half a turn downstairs ===")
 kp_sphere = KappaPair(1.0, 1.0)
-full = sl2_of_exp_k(kp_sphere, 2 * np.pi)
+full = sl2_of_exp(kp_sphere, "K", 2 * np.pi)
 print(f"spin element after a 2*pi rotation: alpha = {full.alpha} (that is -1!)")
 print(f"its 3x3 image is the identity: "
       f"{np.allclose(cover_to_so3(full), np.eye(3))}")
@@ -63,7 +63,7 @@ rng = np.random.default_rng(0)
 word = [("H", 0.35), ("K", -0.5), ("P", 0.2)]
 w = gc(0.15, -0.1, kp.kappa2)
 upstairs = project(kp, np.asarray(word_matrix(kp, word)) @ unproject(kp, w))
-downstairs = moebius_of_word(kp, word).apply(w)
+downstairs = sl2_of_word(kp, word).as_mat2().apply(w)
 print(f"project(g . p)      = {upstairs}")
 print(f"Moebius(g)(project) = {downstairs}")
 

@@ -31,7 +31,7 @@ _LAYER_OF = {
         ("gentrig", "atank cosk cosk_sink sink tank"),
         ("kinclass", "BracketTriple canonicalize contract contraction_graph enumerate_all"
                      " is_kinematical name_of"),
-        ("spin", "SpinElement cover_to_so3 sl2_of_exp_h sl2_of_exp_k sl2_of_exp_p"),
+        ("spin", "SpinElement cover_to_so3 sl2_of_exp"),
     )
     for name in names.split()
 }

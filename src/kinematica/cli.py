@@ -329,7 +329,7 @@ def _run_rotate(args) -> Filled:
 
 def _run_spin(args) -> Filled:
     kp = _kappas(args)
-    a0, a1, b0, b1 = spin.canonical_parts(spin.axis_parts(kp, *spin.AXES[args.gen], args.param))
+    a0, a1, b0, b1 = spin.sl2_parts(kp, args.gen, args.param)
     so3 = ckgeom.exp_generator(kp, args.gen, args.param)
     return Filled(_SPIN, (a0, a1, kp.kappa2, b0, b1, kp.kappa2, *so3[0], *so3[1], *so3[2]))
 

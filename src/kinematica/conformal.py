@@ -31,7 +31,7 @@ import math
 from .ckgeom import KappaPair
 from .errors import DecompositionFailure
 from .gencomplex import Mat2, gc
-from .spin import ALGEBRA_TOL, SL2, so3_matrix_generators
+from .spin import ALGEBRA_TOL, AXES, sl2_of_exp, so3_matrix_generators
 
 GENERATOR_TAGS = ("H", "P", "K", "G1", "G2", "D")
 
@@ -231,6 +231,6 @@ def conformal_moebius(kp: KappaPair, tag: str, t: float) -> Mat2:
         return Mat2(one, zero, gc(0, t, k2), one)
     if tag == "D":
         return Mat2(gc(math.exp(0.5 * t), 0, k2), zero, zero, gc(math.exp(-0.5 * t), 0, k2))
-    if tag in SL2:
-        return SL2[tag](kp, t).as_mat2()
+    if tag in AXES:
+        return sl2_of_exp(kp, tag, t).as_mat2()
     raise KeyError(f"unknown conformal generator {tag!r}")

@@ -235,9 +235,6 @@ class Mat2(NamedTuple("Mat2", [("a", GenComplex), ("b", GenComplex),
             self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
         )
 
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         """Matrix product; as Moebius maps, self after other."""
         return Mat2(

@@ -208,29 +208,19 @@ def contraction_target(name: str, kind: str) -> str:
     return target
 
 
-@functools.cache
-def _contraction_edges() -> tuple[tuple[str, str, str], ...]:
-    order = {name: i for i, name in enumerate(KINEMATICAL_NAMES)}
-    kinds = tuple(CONTRACTION_EXPONENTS)
-    targets = _contraction_targets()
-    edges = set()
-    for name in KINEMATICAL_NAMES:
-        for kind in kinds:
-            target = targets[name, kind]
-            if target != name:
-                edges.add((name, target, kind))
-    return tuple(sorted(edges, key=lambda e: (order[e[0]], order[e[1]], kinds.index(e[2]))))
-
-
 def contraction_graph() -> list[tuple[str, str, str]]:
     """Directed edges (source, target, type) over the 11 kinematical classes.
 
-    One edge per (class, contraction type) pair with self-loops omitted;
-    deduplicated and deterministically ordered.  The graph takes no input, so
-    it is contracted once per process, on the first call, and cached; each
-    call returns a fresh list.
+    One edge per (class, contraction type) pair with self-loops omitted, in a
+    deterministic order, read from the table of :func:`contraction_target`;
+    each call returns a fresh list.
     """
-    return list(_contraction_edges())
+    order = {name: i for i, name in enumerate(KINEMATICAL_NAMES)}
+    kinds = tuple(CONTRACTION_EXPONENTS)
+    targets = _contraction_targets()
+    edges = [(name, targets[name, kind], kind) for name in KINEMATICAL_NAMES for kind in kinds
+             if targets[name, kind] != name]
+    return sorted(edges, key=lambda e: (order[e[0]], order[e[1]], kinds.index(e[2])))
 
 
 def classification_counts() -> dict[str, int]:

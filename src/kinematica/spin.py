@@ -11,7 +11,9 @@ the boost and the two translations are rotors: each is
 cosk(x, t/2) + B*sink(x, t/2) for the matching basis bivector B with label
 x = -B^2.  Spin elements, rotors and the ``spin`` and ``rotate`` answers
 are all read from the four parts of :func:`axis_parts`, signed by
-:func:`canonical_parts`.
+:func:`canonical_parts`.  The + element over exp(t*G), G one of the tags
+H, P and K, is :func:`sl2_of_exp`, and its parts, which the ``spin``
+request prints, are :func:`sl2_parts`.
 
 ``cover_to_so3`` sends a spin element to the 3x3 motion it induces on
 vectors, in closed form: each entry is a quadratic in (Re alpha, Im alpha,
@@ -114,18 +116,11 @@ class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenCom
     def __neg__(self) -> "SpinElement":
         return SpinElement(self.kp, -self.alpha, -self.beta)
 
-    def inverse(self) -> "SpinElement":
-        return SpinElement(self.kp, self.alpha.conj(), -self.beta)
-
     def canonical_sign(self) -> "SpinElement":
         """The deterministic representative of {s, -s}, by :func:`canonical_parts`."""
         a, b = self.alpha, self.beta
         parts = (a.re, a.im, b.re, b.im)
         return self if canonical_parts(parts) is parts else -self
-
-
-def spin_identity(kp: KappaPair) -> SpinElement:
-    return SpinElement(kp, gc(1, 0, kp.kappa2), gc(0, 0, kp.kappa2))
 
 
 def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
@@ -168,35 +163,29 @@ def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -
 AXES = {"K": (1.0, 0.0, 0.0), "H": (0.0, 0.0, 1.0), "P": (0.0, 1.0, 0.0)}  # each generator's axis
 
 
-def sl2_of_exp_k(kp: KappaPair, theta: float) -> SpinElement:
-    """diag(e^{i theta/2}, e^{-i theta/2}): the + representative."""
-    return spin_from_axis(kp, *AXES["K"], theta).canonical_sign()
+def sl2_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, ...]:
+    """The signed parts of :func:`sl2_of_exp`, the parts the ``spin`` request prints."""
+    try:
+        axis = AXES[gen]
+    except KeyError:
+        raise KeyError(f"unknown generator {gen!r}, expected H, P, or K") from None
+    return canonical_parts(axis_parts(kp, *axis, t))
 
 
-def sl2_of_exp_h(kp: KappaPair, alpha: float) -> SpinElement:
-    """The spin element over the time translation exp(alpha H)."""
-    return spin_from_axis(kp, *AXES["H"], alpha).canonical_sign()
-
-
-def sl2_of_exp_p(kp: KappaPair, beta: float) -> SpinElement:
-    """The spin element over the space translation exp(beta P)."""
-    return spin_from_axis(kp, *AXES["P"], beta).canonical_sign()
-
-
-# the spin element over exp(t * generator), by generator tag
-SL2 = {"K": sl2_of_exp_k, "H": sl2_of_exp_h, "P": sl2_of_exp_p}
+def sl2_of_exp(kp: KappaPair, gen: str, t: float) -> SpinElement:
+    """The + spin element over exp(t * generator), for the tag H, P or K."""
+    a0, a1, b0, b1 = sl2_parts(kp, gen, t)
+    k2 = float(kp.kappa2)  # as in spin_from_axis
+    return SpinElement._make((kp, GenComplex(float(a0), float(a1), k2),
+                              GenComplex(float(b0), float(b1), k2)))
 
 
 def sl2_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> SpinElement:
     """Spin representative of a left-to-right word of generator exponentials."""
-    out = spin_identity(kp)
+    out = SpinElement(kp, gc(1, 0, kp.kappa2), gc(0, 0, kp.kappa2))
     for gen, param in word:
-        out = out * SL2[gen](kp, param)
+        out = out * sl2_of_exp(kp, gen, param)
     return out
-
-
-def moebius_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> Mat2:
-    return sl2_of_word(kp, word).as_mat2()
 
 
 def is_spin(kp: KappaPair, m: Mat2) -> bool:

@@ -26,8 +26,9 @@ The rows:
   ``exp``, ``distance`` and ``rotate``, the form of every benchmark request,
   and on an ``exp`` line with spaced values, which the parser first rewrites;
 - ``sandwich``, ``rotor``, ``spin_from_axis`` and ``vector``: the steps of the
-  rotor path on the values of the ``rotate`` line; ``distance``:
-  ``ckgeom.distance`` on the values of the ``distance`` line;
+  rotor path on the values of the ``rotate`` line; ``sl2_parts``: the step
+  the ``spin`` request calls, on the values of the ``spin`` line;
+  ``distance``: ``ckgeom.distance`` on the values of the ``distance`` line;
 - ``region-*``: ``ckgeom.region_svg`` on one label pair per boundary shape
   (an ellipse, two lines, hyperbola branches along t and along x, and none);
 - ``main-*``: ``cli.main`` on one exact line per subcommand, its output sent
@@ -35,7 +36,9 @@ The rows:
 
 Run it on two checkouts, or give one checkout twice for an A/A run, whose
 medians should agree within 1% with neither side winning more than 40 of 60
-bursts, and whose median ratio should be within 1% of 1::
+bursts, and whose median ratio should be within 1% of 1.  A row that calls a
+function one checkout lacks (``sl2_parts`` before it was added) stops the
+run there; leave it out with ``--rows``::
 
     python tests/ab_timing.py --root ../parent --root .
     python tests/ab_timing.py --root . --root . --rows main-spin main-rotate
@@ -95,6 +98,7 @@ ROWS = {
     "sandwich": "clifford.sandwich(r, a)",
     "rotor": "clifford.rotor(kp, axis, 0.7)",
     "spin_from_axis": "spin.spin_from_axis(kp, 0.0, 0.0, 1.0, 0.7)",
+    "sl2_parts": "spin.sl2_parts(kp_spin, 'K', 0.5)",
     "vector": "clifford.Multivector.vector(kp, 1.0, 2.0, 3.0)",
     "distance": "ckgeom.distance(kp_d, w1, w2)",
     **{f"region-{shape}": f"ckgeom.region_svg(regions[{shape!r}])" for shape in REGION_LABELS},
@@ -149,6 +153,7 @@ def setup(modules: dict[str, types.ModuleType]) -> dict[str, object]:
         "spin": modules["kinematica.spin"], "lines": PARSE_LINES, "main_lines": MAIN_LINES,
         "kp": kp, "axis": axis, "r": clifford.rotor(kp, axis, 0.7),
         "a": clifford.Multivector.vector(kp, 1.0, 2.0, 3.0),
+        "kp_spin": ckgeom.KappaPair(1.0, -1.0),
         "kp_d": ckgeom.KappaPair(1.0, -1.0), "w1": gc(0.1, 0.2, -1.0), "w2": gc(-0.3, 0.4, -1.0),
         "regions": {shape: ckgeom.KappaPair(*labels) for shape, labels in REGION_LABELS.items()},
     }

@@ -226,7 +226,7 @@ def engines(sweep: str) -> dict:
         return ckgeom.exp_generator(ckgeom.KappaPair(k1, k2), gen, t)
 
     def cover_to_so3(k1, k2, gen, t):
-        return spin.cover_to_so3(spin.SL2[gen](ckgeom.KappaPair(k1, k2), t))
+        return spin.cover_to_so3(spin.sl2_of_exp(ckgeom.KappaPair(k1, k2), gen, t))
 
     if sweep == "exp":
         return {"exp_generator": exp_generator}

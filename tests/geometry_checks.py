@@ -23,7 +23,7 @@ from kinematica.clifford import (
 from kinematica.errors import DegeneratePlane, KappaMismatch
 from kinematica.gencomplex import GammaPoint, GenComplex, Mat2
 from kinematica.gentrig import cosk_sink
-from kinematica.spin import moebius_of_word
+from kinematica.spin import sl2_of_word
 
 
 def _label_and_parts(x) -> tuple:
@@ -86,7 +86,7 @@ def act_and_project_equivariance(
     agree whenever everything is defined.
     """
     moved = np.asarray(word_matrix(kp, word)) @ np.asarray(point, dtype=float)
-    return project(kp, moved), moebius_of_word(kp, word).apply(project(kp, point))
+    return project(kp, moved), sl2_of_word(kp, word).as_mat2().apply(project(kp, point))
 
 
 def in_plane_rotation_check(

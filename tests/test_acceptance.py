@@ -244,17 +244,17 @@ def test_criterion_07_double_cover():
             for t in rng.uniform(-2.0, 2.0, 6):
                 t = float(t)
                 np.testing.assert_allclose(
-                    spin.cover_to_so3(spin.sl2_of_exp_k(kp, t)),
+                    spin.cover_to_so3(spin.sl2_of_exp(kp, "K", t)),
                     ckgeom.exp_k(kp, t),
                     atol=1e-10,
                 )
                 np.testing.assert_allclose(
-                    spin.cover_to_so3(spin.sl2_of_exp_h(kp, t)),
+                    spin.cover_to_so3(spin.sl2_of_exp(kp, "H", t)),
                     ckgeom.exp_h(kp, t),
                     atol=1e-10,
                 )
                 np.testing.assert_allclose(
-                    spin.cover_to_so3(spin.sl2_of_exp_p(kp, t)),
+                    spin.cover_to_so3(spin.sl2_of_exp(kp, "P", t)),
                     ckgeom.exp_p(kp, t),
                     atol=1e-10,
                 )
@@ -391,7 +391,7 @@ def test_criterion_10_equivariance():
                 moved = g @ point
                 if moved[0] + 1.0 < 1e-2:
                     continue
-                mo = spin.moebius_of_word(kp, word)
+                mo = spin.sl2_of_word(kp, word).as_mat2()
                 den = mo.c * ckgeom.project(kp, point) + mo.d
                 if den.sqmod() == 0.0:
                     continue
@@ -425,3 +425,19 @@ def test_criterion_11_cli_golden_files():
                 code = cli_main(argv)
             assert code == 0 and err.getvalue() == ""
             assert out.getvalue() == (GOLDEN / name).read_text(), name
+
+
+def test_criterion_12_homogeneous_spacetimes_for_all_but_static():
+    with Budget(12, 1.0, "nine geometries x {1, S_P, S_H, S_K} reach 10 classes, all but St"):
+        reached = set()
+        for kp in NINE_PATTERNS:
+            triple = kinclass.so3_triple(kp.kappa1, kp.kappa2)
+            for image in (triple, *(kinclass.apply_symmetry(sym, triple)
+                                    for sym in ("S_P", "S_H", "S_K"))):
+                if kinclass.is_kinematical(image):
+                    reached.add(kinclass.name_of(image))
+        classes = {kinclass.name_of(t) for t in kinclass.enumerate_all()
+                   if kinclass.is_kinematical(t)}
+        assert len(classes) == 11 and reached <= classes
+        # the one class missed is the static one, whose brackets all vanish
+        assert classes - reached == {kinclass.name_of(kinclass.BracketTriple(0, 0, 0))}

@@ -564,18 +564,18 @@ def test_flat_conformal_structure_preserves_leaves_and_g2(kappa1):
     # kappa2 = 0: Re w labels the leaf of simultaneous events; boosts and
     # space translations keep each leaf, time translations move leaves while
     # transporting the subsidiary metric isometrically
-    from kinematica.spin import sl2_of_exp_h, sl2_of_exp_k, sl2_of_exp_p
+    from kinematica.spin import sl2_of_exp
 
     kp = KappaPair(kappa1, 0.0)
     t0, x = 0.4, 0.7
     w = gc(t0, x, 0.0)
 
-    for maker in (sl2_of_exp_k, sl2_of_exp_p):
-        image = maker(kp, 0.9).as_mat2().apply(w)
+    for gen in "KP":
+        image = sl2_of_exp(kp, gen, 0.9).as_mat2().apply(w)
         assert image.re == pytest.approx(t0, abs=1e-12)
 
     alpha = 0.8
-    mo = sl2_of_exp_h(kp, alpha).as_mat2()
+    mo = sl2_of_exp(kp, "H", alpha).as_mat2()
     image = mo.apply(w)
     new_leaf = mo.apply(gc(t0, 0.0, 0.0)).re
     assert image.re == pytest.approx(new_leaf, abs=1e-12)

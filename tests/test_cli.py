@@ -1518,7 +1518,7 @@ def test_spin_answers_where_the_cover_of_its_element_fails():
     assert motion_text((code, out, err), "so3") == motion_text(run_cli(exp_line(argv)), "matrix")
     kp = KappaPair(1.0, -1.0)
     with pytest.raises(NotSpin):
-        spin.cover_to_so3(spin.SL2["K"](kp, 40.0))
+        spin.cover_to_so3(spin.sl2_of_exp(kp, "K", 40.0))
 
 
 @pytest.mark.parametrize("command", ["spin", "exp"])

@@ -324,7 +324,7 @@ def test_import_derives_neither_table():
         "import kinematica, kinematica.cli\n"
         "from kinematica import conformal, kinclass\n"
         "print(conformal._structure_constants.cache_info().currsize,"
-        " kinclass._contraction_edges.cache_info().currsize)\n"
+        " kinclass._contraction_targets.cache_info().currsize)\n"
         "kinematica.cli.main(['conformal-table', '--kappa1=1', '--kappa2=-1'])\n"
         "print(conformal._structure_constants.cache_info().currsize)\n"
     )

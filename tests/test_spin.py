@@ -12,6 +12,7 @@ import spin_reference
 from geometry_checks import approx_eq
 from kinematica.ckgeom import (
     KappaPair,
+    exp_generator,
     exp_h,
     exp_k,
     exp_p,
@@ -37,24 +38,17 @@ from kinematica.gencomplex import Mat2, gc, gc_exp_unit
 from kinematica.gentrig import cosk, cosk_sink, sink
 from oracles import expm
 from kinematica.spin import (
-    AXES,
-    SL2,
     SpinElement,
     a_matrix,
     axis_label,
-    axis_parts,
-    canonical_parts,
     cover_to_so3,
     is_spin,
     is_su2_algebra,
-    moebius_of_word,
-    sl2_of_exp_h,
-    sl2_of_exp_k,
-    sl2_of_exp_p,
+    sl2_of_exp,
     sl2_of_word,
+    sl2_parts,
     so3_matrix_generators,
     spin_from_axis,
-    spin_identity,
 )
 
 PATTERNS = [
@@ -186,7 +180,7 @@ def test_heisenberg_pattern_generators_commute():
 def test_sl2_exp_k_is_diagonal_unit_pair():
     kp = KappaPair(1.0, -1.0)
     theta = 0.9
-    s = sl2_of_exp_k(kp, theta)
+    s = sl2_of_exp(kp, "K", theta)
     half = gc_exp_unit(kp.kappa2, theta / 2)
     assert approx_eq(s.alpha, half, 1e-14)
     assert approx_eq(s.beta, gc(0, 0, kp.kappa2), 0)
@@ -198,10 +192,10 @@ def test_sl2_exp_k_is_diagonal_unit_pair():
 
 def test_flat_rows_of_printed_tables():
     kp = KappaPair(0.0, -1.0)
-    m = sl2_of_exp_h(kp, 0.8).as_mat2()
+    m = sl2_of_exp(kp, "H", 0.8).as_mat2()
     assert approx_eq(m, table13_branch(kp, 0.8), 1e-14)
     assert approx_eq(m.b, gc(0.4, 0, -1.0), 1e-15)
-    m = sl2_of_exp_p(kp, 0.8).as_mat2()
+    m = sl2_of_exp(kp, "P", 0.8).as_mat2()
     assert approx_eq(m, table14_branch(kp, 0.8), 1e-14)
     assert approx_eq(m.b, gc(0, 0.4, -1.0), 1e-15)
 
@@ -216,12 +210,12 @@ def spin_from_mat2(kp: KappaPair, m: Mat2) -> SpinElement:
 @pytest.mark.parametrize("kp", GENERIC + PATTERNS)
 def test_unified_closed_form_reproduces_printed_branches(kp):
     for t in (-1.4, -0.3, 0.6, 1.8):
-        unified_h = sl2_of_exp_h(kp, t).canonical_sign()
+        unified_h = sl2_of_exp(kp, "H", t).canonical_sign()
         branch_h = spin_from_mat2(kp, table13_branch(kp, t)).canonical_sign()
         assert approx_eq(unified_h.alpha, branch_h.alpha, 1e-12)
         assert approx_eq(unified_h.beta, branch_h.beta, 1e-12)
 
-        unified_p = sl2_of_exp_p(kp, t).canonical_sign()
+        unified_p = sl2_of_exp(kp, "P", t).canonical_sign()
         branch_p = spin_from_mat2(kp, table14_branch(kp, t)).canonical_sign()
         assert approx_eq(unified_p.alpha, branch_p.alpha, 1e-12)
         assert approx_eq(unified_p.beta, branch_p.beta, 1e-12)
@@ -230,11 +224,11 @@ def test_unified_closed_form_reproduces_printed_branches(kp):
 @pytest.mark.parametrize("kp", PATTERNS)
 def test_sl2_matches_matrix_exponential_oracle(kp):
     h, p, k = so3_matrix_generators(kp)
-    for gen, closed in ((h, sl2_of_exp_h), (p, sl2_of_exp_p), (k, sl2_of_exp_k)):
+    for gen, tag in ((h, "H"), (p, "P"), (k, "K")):
         for t in (-1.1, 0.45, 1.7):
             oracle = expm(t * mat2_to_real4(gen))
             target = real4_to_mat2(oracle, kp.kappa2)
-            got = closed(kp, t).canonical_sign()
+            got = sl2_of_exp(kp, tag, t).canonical_sign()
             want = spin_from_mat2(kp, target).canonical_sign()
             assert approx_eq(got.alpha, want.alpha, 1e-10)
             assert approx_eq(got.beta, want.beta, 1e-10)
@@ -244,9 +238,9 @@ def test_sl2_matches_matrix_exponential_oracle(kp):
 def test_derivative_at_zero_is_generator(kp):
     h, p, k = so3_matrix_generators(kp)
     eps = 1e-6
-    for gen, closed in ((h, sl2_of_exp_h), (p, sl2_of_exp_p), (k, sl2_of_exp_k)):
-        plus = closed(kp, eps).as_mat2()
-        minus = closed(kp, -eps).as_mat2()
+    for gen, tag in ((h, "H"), (p, "P"), (k, "K")):
+        plus = sl2_of_exp(kp, tag, eps).as_mat2()
+        minus = sl2_of_exp(kp, tag, -eps).as_mat2()
         derivative = (plus - minus).scale(1.0 / (2 * eps))
         assert approx_eq(derivative, gen, 1e-8)
 
@@ -254,9 +248,9 @@ def test_derivative_at_zero_is_generator(kp):
 @pytest.mark.parametrize("kp", PATTERNS)
 def test_is_spin(kp):
     assert is_spin(kp, Mat2.identity(kp.kappa2))
-    assert is_spin(kp, sl2_of_exp_h(kp, 0.7).as_mat2())
-    assert is_spin(kp, sl2_of_exp_p(kp, -1.2).as_mat2())
-    assert is_spin(kp, sl2_of_exp_k(kp, 0.4).as_mat2())
+    assert is_spin(kp, sl2_of_exp(kp, "H", 0.7).as_mat2())
+    assert is_spin(kp, sl2_of_exp(kp, "P", -1.2).as_mat2())
+    assert is_spin(kp, sl2_of_exp(kp, "K", 0.4).as_mat2())
 
 
 def test_is_spin_rejects_shear():
@@ -302,7 +296,7 @@ def test_su2_algebra_criterion(kp):
     # tangent of the closed-form curve at 0
     eps = 1e-7
     derivative = (
-        sl2_of_exp_p(kp, eps).as_mat2() - sl2_of_exp_p(kp, -eps).as_mat2()
+        sl2_of_exp(kp, "P", eps).as_mat2() - sl2_of_exp(kp, "P", -eps).as_mat2()
     ).scale(1.0 / (2 * eps))
     # is_su2_algebra's residuals, bounded by 1e-9 for a finite difference
     a = a_matrix(kp)
@@ -314,19 +308,19 @@ def test_su2_algebra_criterion(kp):
 def test_cover_of_generator_families(kp):
     for t in (-1.3, 0.2, 0.9):
         np.testing.assert_allclose(
-            cover_to_so3(sl2_of_exp_k(kp, t)), exp_k(kp, t), atol=1e-10
+            cover_to_so3(sl2_of_exp(kp, "K", t)), exp_k(kp, t), atol=1e-10
         )
         np.testing.assert_allclose(
-            cover_to_so3(sl2_of_exp_h(kp, t)), exp_h(kp, t), atol=1e-10
+            cover_to_so3(sl2_of_exp(kp, "H", t)), exp_h(kp, t), atol=1e-10
         )
         np.testing.assert_allclose(
-            cover_to_so3(sl2_of_exp_p(kp, t)), exp_p(kp, t), atol=1e-10
+            cover_to_so3(sl2_of_exp(kp, "P", t)), exp_p(kp, t), atol=1e-10
         )
 
 
 def test_cover_identity_and_negative():
     kp = KappaPair(1.0, 1.0)
-    s = spin_identity(kp)
+    s = sl2_of_word(kp, [])
     np.testing.assert_allclose(cover_to_so3(s), np.eye(3), atol=0)
     np.testing.assert_allclose(cover_to_so3(-s), np.eye(3), atol=1e-15)
 
@@ -382,7 +376,7 @@ def labels(sign):
 
 def spin_elements(kp):
     params = st.floats(-3.0, 3.0, allow_nan=False)
-    return st.builds(lambda gen, t: SL2[gen](kp, t), st.sampled_from("KHP"), params)
+    return st.builds(lambda gen, t: sl2_of_exp(kp, gen, t), st.sampled_from("KHP"), params)
 
 
 @st.composite
@@ -409,7 +403,7 @@ def test_cover_is_a_two_to_one_homomorphism_in_every_regime(pair):
 def test_cover_closed_form_matches_sandwich(kp):
     rng = np.random.default_rng(71)
     gens = ("H", "P", "K")
-    elements = [spin_identity(kp), -spin_identity(kp)]
+    elements = [sl2_of_word(kp, []), -sl2_of_word(kp, [])]
     for _ in range(40):
         word = [
             (gens[rng.integers(0, 3)], float(rng.uniform(-1.5, 1.5)))
@@ -428,10 +422,10 @@ def test_cover_closed_form_matches_sandwich(kp):
 @pytest.mark.parametrize("kp", GENERIC)
 def test_exactly_two_preimages_in_closed_family(kp):
     theta = 0.77
-    s = sl2_of_exp_k(kp, theta)
+    s = sl2_of_exp(kp, "K", theta)
     target = cover_to_so3(s)
     matches = 0
-    for candidate in (s, -s, sl2_of_exp_k(kp, theta + 0.5), sl2_of_exp_h(kp, theta)):
+    for candidate in (s, -s, sl2_of_exp(kp, "K", theta + 0.5), sl2_of_exp(kp, "H", theta)):
         if np.allclose(cover_to_so3(candidate), target, atol=1e-9):
             matches += 1
     assert matches == 2
@@ -528,7 +522,7 @@ def test_word_cover_and_moebius_consistency(kp):
         if abs(moved[0] + 1.0) < 1e-3:
             continue
         lhs = project(kp, moved)
-        rhs = moebius_of_word(kp, word).apply(w)
+        rhs = sl2_of_word(kp, word).as_mat2().apply(w)
         assert approx_eq(lhs, rhs, 1e-10)
 
 
@@ -551,7 +545,7 @@ def outcome(make, bits):
     """``bits`` of what ``make()`` returns, or the type and message of what it raises."""
     try:
         value = make()
-    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+    except KinematicaError as exc:
         return type(exc), str(exc)
     return bits(value)
 
@@ -579,10 +573,21 @@ def test_sl2_of_exp_and_sl2_parts_give_the_reference_bits(gen):
     for kp in SPIN_LABELS:
         for t in SPIN_EXTREMES + [0.5, -1.7]:
             want = outcome(lambda: spin_reference.generator_element(kp, gen, t), element_bits)
-            assert outcome(lambda: SL2[gen](kp, t), element_bits) == want, (kp, t)
+            assert outcome(lambda: sl2_of_exp(kp, gen, t), element_bits) == want, (kp, t)
             want = outcome(lambda: reference_parts(kp, gen, t), parts_bits)
-            got = outcome(lambda: canonical_parts(axis_parts(kp, *AXES[gen], t)), parts_bits)
+            got = outcome(lambda: sl2_parts(kp, gen, t), parts_bits)
             assert got == want, (kp, t)
+
+
+@pytest.mark.parametrize("tag", ["X", "h", ""])
+def test_an_unknown_generator_tag_raises_exp_generators_message(tag):
+    kp = KappaPair(1.0, -1.0)
+    with pytest.raises(KeyError) as expected:
+        exp_generator(kp, tag, 0.5)
+    for make in (sl2_of_exp, sl2_parts):
+        with pytest.raises(KeyError) as raised:
+            make(kp, tag, 0.5)
+        assert raised.value.args == expected.value.args
 
 
 def test_no_tolerance_literal_sits_in_a_comparison():
