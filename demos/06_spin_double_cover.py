@@ -45,7 +45,8 @@ print(f"max |cover(s) - cover(-s)| = "
 print()
 print("=== a full turn upstairs is half a turn downstairs ===")
 kp_sphere = KappaPair(1.0, 1.0)
-full = sl2_of_exp(kp_sphere, "K", 2 * np.pi)
+# exp(2*pi K) itself: sl2_of_exp would return its + representative, +1
+full = spin_from_axis(kp_sphere, 1.0, 0.0, 0.0, 2 * np.pi)
 print(f"spin element after a 2*pi rotation: alpha = {full.alpha} (that is -1!)")
 print(f"its 3x3 image is the identity: "
       f"{np.allclose(cover_to_so3(full), np.eye(3))}")

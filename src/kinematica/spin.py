@@ -175,7 +175,7 @@ def sl2_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, ...]:
 def sl2_of_exp(kp: KappaPair, gen: str, t: float) -> SpinElement:
     """The + spin element over exp(t * generator), for the tag H, P or K."""
     a0, a1, b0, b1 = sl2_parts(kp, gen, t)
-    k2 = float(kp.kappa2)  # as in spin_from_axis
+    k2 = float(kp.kappa2)  # both entries carry kappa2, as in spin_from_axis
     return SpinElement._make((kp, GenComplex(float(a0), float(a1), k2),
                               GenComplex(float(b0), float(b1), k2)))
 
