@@ -8,7 +8,10 @@ kappa1 is the constant curvature (metric structure), kappa2 the conformal
 
 with one-parameter subgroups generated by H (time translation, rotating the
 z-t plane with label kappa1), P (space translation, z-x plane, label
-kappa1*kappa2), and K (boost, t-x plane, label kappa2).  Points live on the
+kappa1*kappa2), and K (boost, t-x plane, label kappa2).  Each exp(t*G) is one
+closed form, a labeled rotation of G's plane: :func:`exp_parts` gives its
+moving entries (c, -label*s, s, c), c, s = cosk_sink(label, t), and
+:func:`plane_rotation` lays them out in the 3x3.  Points live on the
 unit quadric z^2 + kappa1*t^2 + kappa1*kappa2*x^2 = 1; central projection
 from (-1, 0, 0) onto z = 0 identifies them with a region of the generalized
 complex plane carrying i^2 = -kappa2, where the invariant metric takes the
@@ -79,36 +82,55 @@ def bilinear_form(kp: KappaPair) -> Matrix3:
     return ((1.0, 0.0, 0.0), (0.0, kp.kappa1, 0.0), (0.0, 0.0, kp.kappa1 * kp.kappa2))
 
 
-def exp_h(kp: KappaPair, alpha: float) -> Matrix3:
-    """Closed form of exp(alpha*H): a label-kappa1 rotation of the z-t plane."""
-    c, s = cosk_sink(kp.kappa1, alpha)
-    return ((c, -kp.kappa1 * s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+# the coordinate plane of (z, t, x) that each generator rotates: its row and column indices
+PLANES = {"H": (0, 1), "P": (0, 2), "K": (1, 2)}
 
 
-def exp_p(kp: KappaPair, beta: float) -> Matrix3:
-    """Closed form of exp(beta*P): label kappa1*kappa2 on the z-x plane; TrigOverflow
-    where its rounding below the normal floats would decide a nonzero beta's answer."""
-    k12 = kp.kappa1 * kp.kappa2
-    if beta and kp.kappa1 and kp.kappa2 and abs(k12) < sys.float_info.min:
-        raise TrigOverflow(f"P label kappa1*kappa2 rounds to {k12!r}, below the normal floats")
-    c, s = cosk_sink(k12, beta)
-    return ((c, 0.0, -k12 * s), (0.0, 1.0, 0.0), (s, 0.0, c))
+def generator_label(kp: KappaPair, gen: str) -> float:
+    """The label of exp(t*gen)'s plane rotation: kappa1 (H), kappa1*kappa2 (P) or kappa2 (K)."""
+    if gen not in PLANES:
+        raise KeyError(f"unknown generator {gen!r}, expected H, P, or K")
+    return kp.kappa1 if gen == "H" else kp.kappa2 if gen == "K" else kp.kappa1 * kp.kappa2
 
 
-def exp_k(kp: KappaPair, theta: float) -> Matrix3:
-    """Closed form of exp(theta*K): label kappa2 on the t-x plane."""
-    c, s = cosk_sink(kp.kappa2, theta)
-    return ((1.0, 0.0, 0.0), (0.0, c, -kp.kappa2 * s), (0.0, s, c))
+def exp_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, float, float, float]:
+    """(c, -label*s, s, c), c, s = cosk_sink(label, t): exp(t*gen)'s entries in its plane.
+    TrigOverflow where the P label's rounding below the normal floats would decide a
+    nonzero t's answer."""
+    label = generator_label(kp, gen)
+    if gen == "P" and t and kp.kappa1 and kp.kappa2 and abs(label) < sys.float_info.min:
+        raise TrigOverflow(f"P label kappa1*kappa2 rounds to {label!r}, below the normal floats")
+    c, s = cosk_sink(label, t)
+    return c, -label * s, s, c
 
 
-_EXPONENTIALS = {"H": exp_h, "P": exp_p, "K": exp_k}
+def plane_rotation(gen: str, parts) -> tuple:
+    """The 3x3 with ``parts`` at gen's plane rows and columns, in writing order, 1.0 on
+    the third diagonal entry and 0.0 elsewhere: the one layout of exp(t*gen)."""
+    i, j = PLANES[gen]
+    m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    m[i][i], m[i][j], m[j][i], m[j][j] = parts
+    return tuple(map(tuple, m))
 
 
 def exp_generator(kp: KappaPair, gen: str, param: float) -> Matrix3:
-    try:
-        return _EXPONENTIALS[gen](kp, param)
-    except KeyError:
-        raise KeyError(f"unknown generator {gen!r}, expected H, P, or K") from None
+    """exp(param*gen) for the tag H, P or K, in closed form: :func:`exp_parts` laid out."""
+    return plane_rotation(gen, exp_parts(kp, gen, param))
+
+
+def exp_h(kp: KappaPair, alpha: float) -> Matrix3:
+    """exp(alpha*H): a label-kappa1 rotation of the z-t plane."""
+    return exp_generator(kp, "H", alpha)
+
+
+def exp_p(kp: KappaPair, beta: float) -> Matrix3:
+    """exp(beta*P): a label-kappa1*kappa2 rotation of the z-x plane."""
+    return exp_generator(kp, "P", beta)
+
+
+def exp_k(kp: KappaPair, theta: float) -> Matrix3:
+    """exp(theta*K): a label-kappa2 rotation of the t-x plane."""
+    return exp_generator(kp, "K", theta)
 
 
 def word_matrix(kp: KappaPair, word: list[tuple[str, float]]) -> Matrix3:

@@ -14,12 +14,17 @@ and its runner.  A small parser reads the command line from the options, the
 is printed as one line, or a ``str``, which is written unchanged: the dot
 graph, and the SVG of ``region`` (empty once ``--svg`` has written it to a
 file).  An answer of fixed shape is kept as text: a :class:`Template`, written
-once per process and precision on first use, holds one ``%``-slot per float,
-and its runner returns the template :class:`Filled` with the floats, so no
-answer dict is built per request.  The answers of ``exp``, ``project``,
-``unproject``, ``distance``, ``rotate`` and ``spin`` are templates; those that
-take no input, ``classify`` and ``graph --format json``, are the templates
-without a slot, and the dot graph is written once per process.
+once per process and precision on first use, holds one ``%``-slot per float
+that varies, and its runner returns the template :class:`Filled` with those
+floats, so no answer dict is built per request.  A constant of the shape is
+written into the text: the entries that exp(t*G) holds at 0 and 1 and the
+zero parts of the spin element over it, in one template per generator for
+``exp`` and one for ``spin`` (laid out by ``ckgeom.plane_rotation`` and
+``spin.AXES``), and the rotor's zero odd slots in ``rotate``.  The answers of
+``exp``, ``project``, ``unproject``, ``distance``, ``rotate`` and ``spin``
+are templates; those that take no input, ``classify`` and ``graph --format
+json``, are the templates without a slot, and the dot graph is written once
+per process.
 ``conformal-table`` has one template per pattern (``--diff-paper``, whether
 each label is 0, the errata slots the diff reports), built the first time a
 request has that pattern from ``conformal.bracket_monomials`` and
@@ -258,21 +263,33 @@ _GRAPH = Filled(Template(lambda: [
     {"from": s, "to": d, "type": k} for s, d, k in kinclass.contraction_graph()
 ]))
 
-_GC = {"re": SLOT, "im": SLOT, "kappa": SLOT}
-_MATRIX3 = ((SLOT,) * 3,) * 3
-# exp names its generator in the text, so each letter has a template
-_EXP = {
-    gen: Template(lambda gen=gen: {"generator": gen, "param": SLOT, "matrix": _MATRIX3})
-    for gen in "HPK"
-}
-_PROJECT = Template(lambda: _GC)
+_PROJECT = Template(lambda: {"re": SLOT, "im": SLOT, "kappa": SLOT})
 _UNPROJECT = Template(lambda: {"point": (SLOT,) * 3})
 _DISTANCE = Template(lambda: {"distance": SLOT})
+# the rotor's odd slots (s1, s2, s3, i) are 0
 _ROTATE = Template(lambda: {
-    "rotor": {"kappa1": SLOT, "kappa2": SLOT, "coeffs": (SLOT,) * 8},
+    "rotor": {"kappa1": SLOT, "kappa2": SLOT,
+              "coeffs": (SLOT, 0.0, 0.0, 0.0, SLOT, SLOT, SLOT, 0.0)},
     "vector": (SLOT,) * 3,
 })
-_SPIN = Template(lambda: {"alpha": _GC, "beta": _GC, "so3": _MATRIX3})
+
+
+def _motion(gen: str) -> tuple:
+    return ckgeom.plane_rotation(gen, (SLOT,) * 4)  # a slot for each part of exp_parts
+
+
+def _spin_skeleton(gen: str) -> dict:
+    # sink sits where gen's axis is 1, as spin.sl2_parts lays it out, and 0 elsewhere
+    im_alpha, im_beta, re_beta = (SLOT if n else 0.0 for n in spin.AXES[gen])
+    return {"alpha": {"re": SLOT, "im": im_alpha, "kappa": SLOT},
+            "beta": {"re": re_beta, "im": im_beta, "kappa": SLOT}, "so3": _motion(gen)}
+
+
+# exp names its generator, and both exp and spin lay out their generator's
+# constants, so each letter has a template of each
+_EXP = {gen: Template(lambda gen=gen: {"generator": gen, "param": SLOT, "matrix": _motion(gen)})
+        for gen in "HPK"}
+_SPIN = {gen: Template(lambda gen=gen: _spin_skeleton(gen)) for gen in "HPK"}
 
 
 def _run_classify(args) -> Filled:
@@ -299,8 +316,8 @@ def _run_graph(args) -> Filled | str:
 
 
 def _run_exp(args) -> Filled:
-    m = ckgeom.exp_generator(_kappas(args), args.gen, args.param)
-    return Filled(_EXP[args.gen], (args.param, *m[0], *m[1], *m[2]))
+    parts = ckgeom.exp_parts(_kappas(args), args.gen, args.param)
+    return Filled(_EXP[args.gen], (args.param, *parts))
 
 
 def _run_project(args) -> Filled:
@@ -320,18 +337,18 @@ def _run_distance(args) -> Filled:
 
 def _run_rotate(args) -> Filled:
     kp = _kappas(args)
-    r = clifford.rotor(kp, clifford.UnitAxis(*args.axis), args.angle)
-    # the parser has made three finite floats: _make skips the vector's checks
-    a = clifford.Multivector._make((kp, (0.0, *args.vector, 0.0, 0.0, 0.0, 0.0)))
-    out = clifford.sandwich(r, a)
-    return Filled(_ROTATE, (kp.kappa1, kp.kappa2, *r.coeffs, *out.vector_components()))
+    # the rotor's even slots 1, is1, is2, s3check hold Re alpha, Im alpha, Im beta, Re beta
+    a0, a1, b0, b1 = spin.axis_parts(kp, *clifford.UnitAxis(*args.axis), args.angle)
+    out = clifford.sandwich_parts(kp, a0, a1, b1, b0, *args.vector)
+    return Filled(_ROTATE, (kp.kappa1, kp.kappa2, a0, a1, b1, b0, *out))
 
 
 def _run_spin(args) -> Filled:
-    kp = _kappas(args)
-    a0, a1, b0, b1 = spin.sl2_parts(kp, args.gen, args.param)
-    so3 = ckgeom.exp_generator(kp, args.gen, args.param)
-    return Filled(_SPIN, (a0, a1, kp.kappa2, b0, b1, kp.kappa2, *so3[0], *so3[1], *so3[2]))
+    kp, gen = _kappas(args), args.gen
+    c, s = spin.half_angle_parts(kp, gen, args.param)
+    # in writing order: s is Im alpha over K, and a part of beta over H and P
+    parts = (c, s, kp.kappa2, kp.kappa2) if gen == "K" else (c, kp.kappa2, s, kp.kappa2)
+    return Filled(_SPIN[gen], (*parts, *ckgeom.exp_parts(kp, gen, args.param)))
 
 
 # conformal-table's answer has one shape per pattern (--diff-paper, kappa1 == 0,

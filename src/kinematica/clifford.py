@@ -20,10 +20,12 @@ kappa2^e2, so each row of the table is a signed permutation of the basis.
 The table is the source of truth for all products.  The general product,
 ``Multivector.__mul__``, is one engine, :func:`_gather`, summing all 64 of
 its terms on plain floats (the blade product of Dorst, Fontijne and Mann,
-Geometric Algebra for Computer Science, 2007).  :func:`sandwich` writes out
-only the 28 terms that an even rotor and a vector can make nonzero, 12 for
-reverse(r) * a and 16 for the rest, as straight-line sums in the same
-order, so its result is bit for bit the one the two 64-term products give.
+Geometric Algebra for Computer Science, 2007).  :func:`sandwich_parts`
+writes out only the 28 terms that an even rotor and a vector can make
+nonzero, 12 for reverse(r) * a and 16 for the rest, as straight-line sums in
+the same order, so its result is bit for bit the one the two 64-term
+products give.  It reads the rotor's four even parts, the plane-rotation
+closed form of :func:`spin.axis_parts`, and the vector's three as floats.
 The linear operations (sums, scaling, reversal, grade parts) are float loops
 over the 8 slots, so the algebra needs no numpy.  The 2x2 matrix picture
 is only an oracle (it is not faithful when kappa1 = 0, where s2 and
@@ -309,30 +311,44 @@ def rotor(kp: KappaPair, n: tuple[float, float, float], phi: float) -> Multivect
     return Multivector._make((kp, (a0, 0.0, 0.0, 0.0, a1, b1, b0, 0.0)))
 
 
+def _require_unit(kp: KappaPair, c0: float, c4: float, c5: float, c6: float) -> None:
+    norm = pseudo_norm(kp, c0, c4, c6, c5)
+    # written `not x <= bound` so that a nan passes neither check
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise NotUnitRotor(f"rotor pseudo-norm {norm} != 1")
+
+
 def sandwich(r: Multivector, a: Multivector) -> Multivector:
     """Rotate a vector: reverse(r) * a * r.
 
     The rotor must be even and unit as the spin element (r0 + i*r_is1,
     r_s3check + i*r_is2).  The result is a rotated about the rotor's axis,
     with the same inner-product length; other grades are rounding of |r|^2 |a|.
-
-    The 28 terms of the module docstring, written out as :func:`_gather` sums
-    them: from +0.0, in (i, j) order, each (x*y)*monomial.  Only a kappa1*kappa2
-    term is skipped where zero (a zero term elsewhere adds nothing), so the
-    result and the errors are those of the two 64-term products.
+    Checked in this order: r even, r unit, a a pure vector, the same labels.
     """
     c0, c1, c2, c3, c4, c5, c6, c7 = r.coeffs
     if c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:  # `!=`: a nan is not a zero
         raise GradeError("rotor must be an even multivector")
-    norm = pseudo_norm(r.kp, c0, c4, c6, c5)
-    # written `not x <= bound` so that a nan passes neither check
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        raise NotUnitRotor(f"rotor pseudo-norm {norm} != 1")
+    _require_unit(r.kp, c0, c4, c5, c6)
     v0, v1, v2, v3, v4, v5, v6, v7 = a.coeffs
     if v0 != 0.0 or v4 != 0.0 or v5 != 0.0 or v6 != 0.0 or v7 != 0.0:
         raise GradeError(f"{a} is not a pure vector")
     r._check(a)
-    k1, k2 = r.kp
+    out = sandwich_parts(r.kp, c0, c4, c5, c6, v1, v2, v3)
+    # the slots are floats, so the vector is made without the constructor's checks
+    return Multivector._make((r.kp, (0.0, *out, 0.0, 0.0, 0.0, 0.0)))
+
+
+def sandwich_parts(kp: KappaPair, c0: float, c4: float, c5: float, c6: float, v1: float,
+                   v2: float, v3: float) -> tuple[float, float, float]:
+    """The vector parts of reverse(r) * a * r, r = c0 + c4*is1 + c5*is2 + c6*s3check
+    unit (else NotUnitRotor) and a = v1*s1 + v2*s2 + v3*s3: the 28 terms of the
+    module docstring, written out as :func:`_gather` sums them, from +0.0, in (i, j)
+    order, each (x*y)*monomial.  Only a kappa1*kappa2 term is skipped where zero (a
+    zero term elsewhere adds nothing), so the result and the errors are those of
+    the two 64-term products."""
+    _require_unit(kp, c0, c4, c5, c6)
+    k1, k2 = kp
     k12 = k1 * k2
     # reverse(r) * a, in s1, s2, s3 and i
     t = c5 * v3
@@ -356,8 +372,7 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     # the even grades of the result are exactly 0: the off-grade part is i's
     if not abs(o7) <= UNIT_TOL * max(1.0, scale):
         raise GradeError("sandwich result is not a vector")
-    # the slots are floats, so the vector is made without the constructor's checks
-    return Multivector._make((r.kp, (0.0, o1, o2, o3, 0.0, 0.0, 0.0, 0.0)))
+    return o1, o2, o3
 
 
 def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:

@@ -9,11 +9,14 @@ kappa1*beta*conj(beta) = 1; equivalently the matrices U with U* A U = A and
 det U = 1, where A = diag(kappa1, 1).  The one-parameter families covering
 the boost and the two translations are rotors: each is
 cosk(x, t/2) + B*sink(x, t/2) for the matching basis bivector B with label
-x = -B^2.  Spin elements, rotors and the ``spin`` and ``rotate`` answers
-are all read from the four parts of :func:`axis_parts`, signed by
-:func:`canonical_parts`.  The + element over exp(t*G), G one of the tags
-H, P and K, is :func:`sl2_of_exp`, and its parts, which the ``spin``
-request prints, are :func:`sl2_parts`.
+x = -B^2.  Spin elements, rotors and the ``rotate`` answer are read from
+the four parts of :func:`axis_parts`.  The + element over exp(t*G), G one
+of the tags H, P and K, is :func:`sl2_of_exp`.  It is the one plane-rotation
+closed form of ``ckgeom.exp_parts`` at half the parameter: its two parts
+that vary are :func:`half_angle_parts`, cosk and sink of G's label at t/2
+with the sign that makes the element the + one, which the ``spin`` request
+prints, and :func:`sl2_parts` places them in (Re alpha, Im alpha, Re beta,
+Im beta) as :func:`axis_parts` does.
 
 ``cover_to_so3`` sends a spin element to the 3x3 motion it induces on
 vectors, in closed form: each entry is a quadratic in (Re alpha, Im alpha,
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ckgeom import KappaPair, Matrix3
+from .ckgeom import KappaPair, Matrix3, generator_label
 from .errors import KappaMismatch, NotSpin
 from .gencomplex import GenComplex, Mat2, gc
 from .gentrig import cosk_sink
@@ -66,9 +69,10 @@ def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
 
 def pseudo_norm(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> float:
     """alpha*conj(alpha) + kappa1*beta*conj(beta), alpha = a0 + i*a1, beta = b0 + i*b1:
-    the one evaluation of the unit condition, for SpinElement and clifford.sandwich."""
-    k2 = kp.kappa2
-    return a0 * a0 + k2 * a1 * a1 + kp.kappa1 * (b0 * b0 + k2 * b1 * b1)
+    the one evaluation of the unit condition, for SpinElement and clifford.sandwich.
+    At kappa1 = 0 the beta term is 0, also where its square overflows (0 * inf is nan)."""
+    k1, k2 = kp
+    return a0 * a0 + k2 * a1 * a1 + (k1 * (b0 * b0 + k2 * b1 * b1) if k1 != 0.0 else 0.0)
 
 
 class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenComplex),
@@ -117,10 +121,11 @@ class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenCom
         return SpinElement(self.kp, -self.alpha, -self.beta)
 
     def canonical_sign(self) -> "SpinElement":
-        """The deterministic representative of {s, -s}, by :func:`canonical_parts`."""
+        """The deterministic representative of {s, -s}: -s where a part < 0.0 precedes
+        any > 0.0, in the order Re alpha, Im alpha, Re beta, Im beta; else s."""
         a, b = self.alpha, self.beta
-        parts = (a.re, a.im, b.re, b.im)
-        return self if canonical_parts(parts) is parts else -self
+        first = next((x for x in (a.re, a.im, b.re, b.im) if x > 0.0 or x < 0.0), 0.0)
+        return -self if first < 0.0 else self
 
 
 def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
@@ -141,43 +146,38 @@ def axis_parts(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> tu
     return c, n1 * s, n3 * s, n2 * s
 
 
-def canonical_parts(parts: tuple[float, ...]) -> tuple[float, ...]:
-    """The representative of {s, -s}: ``parts``, negated where a part < 0.0 precedes any > 0.0."""
-    for value in parts:
-        if value > 0.0:
-            return parts
-        if value < 0.0:
-            a0, a1, b0, b1 = parts
-            return -a0, -a1, -b0, -b1
-    return parts
-
-
-def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> SpinElement:
-    """exp((phi/2) * (n1*is1 + n2*is2 + n3*s3check)) in closed form."""
-    a0, a1, b0, b1 = axis_parts(kp, n1, n2, n3, phi)
+def _element(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> SpinElement:
     k2 = float(kp.kappa2)  # both entries carry kappa2: made without SpinElement's check
     return SpinElement._make((kp, GenComplex(float(a0), float(a1), k2),
                               GenComplex(float(b0), float(b1), k2)))
 
 
+def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> SpinElement:
+    """exp((phi/2) * (n1*is1 + n2*is2 + n3*s3check)) in closed form."""
+    return _element(kp, *axis_parts(kp, n1, n2, n3, phi))
+
+
 AXES = {"K": (1.0, 0.0, 0.0), "H": (0.0, 0.0, 1.0), "P": (0.0, 1.0, 0.0)}  # each generator's axis
 
 
+def half_angle_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, float]:
+    """(c, s) = cosk_sink(label, t/2) over gen's ``ckgeom.generator_label``, negated where
+    c < 0.0, or c is 0.0 and s < 0.0: the parts of :func:`sl2_of_exp` that vary."""
+    c, s = cosk_sink(generator_label(kp, gen), 0.5 * t)
+    return (-c, -s) if c < 0.0 or (c == 0.0 and s < 0.0) else (c, s)
+
+
 def sl2_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, ...]:
-    """The signed parts of :func:`sl2_of_exp`, the parts the ``spin`` request prints."""
-    try:
-        axis = AXES[gen]
-    except KeyError:
-        raise KeyError(f"unknown generator {gen!r}, expected H, P, or K") from None
-    return canonical_parts(axis_parts(kp, *axis, t))
+    """(Re alpha, Im alpha, Re beta, Im beta) of :func:`sl2_of_exp`: those of
+    :func:`half_angle_parts` about gen's axis, laid out as :func:`axis_parts` lays them."""
+    c, s = half_angle_parts(kp, gen, t)
+    n1, n2, n3 = AXES[gen]
+    return c, n1 * s, n3 * s, n2 * s
 
 
 def sl2_of_exp(kp: KappaPair, gen: str, t: float) -> SpinElement:
     """The + spin element over exp(t * generator), for the tag H, P or K."""
-    a0, a1, b0, b1 = sl2_parts(kp, gen, t)
-    k2 = float(kp.kappa2)  # both entries carry kappa2, as in spin_from_axis
-    return SpinElement._make((kp, GenComplex(float(a0), float(a1), k2),
-                              GenComplex(float(b0), float(b1), k2)))
+    return _element(kp, *sl2_parts(kp, gen, t))
 
 
 def sl2_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> SpinElement:

@@ -26,9 +26,14 @@ The rows:
   ``exp``, ``distance`` and ``rotate``, the form of every benchmark request,
   and on an ``exp`` line with spaced values, which the parser first rewrites;
 - ``sandwich``, ``rotor``, ``spin_from_axis`` and ``vector``: the steps of the
-  rotor path on the values of the ``rotate`` line; ``sl2_parts``: the step
-  the ``spin`` request calls, on the values of the ``spin`` line;
-  ``distance``: ``ckgeom.distance`` on the values of the ``distance`` line;
+  rotor path on the values of the ``rotate`` line, and ``sandwich_parts``,
+  the float kernel the ``rotate`` request calls, on that rotor's even parts
+  and that vector; ``sl2_parts`` and ``half_angle_parts``: the spin element's
+  parts for library callers and the two that the ``spin`` request calls, on
+  the values of the ``spin`` line; ``exp_parts``: the exponential's plane
+  entries that the ``exp`` and ``spin`` requests call, on the values of the
+  ``exp`` line; ``distance``: ``ckgeom.distance`` on the values of the
+  ``distance`` line;
 - ``region-*``: ``ckgeom.region_svg`` on one label pair per boundary shape
   (an ellipse, two lines, hyperbola branches along t and along x, and none);
 - ``main-*``: ``cli.main`` on one exact line per subcommand, its output sent
@@ -37,7 +42,8 @@ The rows:
 Run it on two checkouts, or give one checkout twice for an A/A run, whose
 medians should agree within 1% with neither side winning more than 40 of 60
 bursts, and whose median ratio should be within 1% of 1.  A row that calls a
-function one checkout lacks (``sl2_parts`` before it was added) stops the
+function one checkout lacks (``sl2_parts``, ``exp_parts``,
+``half_angle_parts`` or ``sandwich_parts`` before they were added) stops the
 run there; leave it out with ``--rows``::
 
     python tests/ab_timing.py --root ../parent --root .
@@ -96,9 +102,12 @@ ROWS = {
     "precision": "cli._precision()",
     **{f"parse-{name}": f"cli.parse_args(lines[{name!r}])" for name in PARSE_LINES},
     "sandwich": "clifford.sandwich(r, a)",
+    "sandwich_parts": "clifford.sandwich_parts(kp, *rotor_parts, 1.0, 2.0, 3.0)",
     "rotor": "clifford.rotor(kp, axis, 0.7)",
     "spin_from_axis": "spin.spin_from_axis(kp, 0.0, 0.0, 1.0, 0.7)",
     "sl2_parts": "spin.sl2_parts(kp_spin, 'K', 0.5)",
+    "half_angle_parts": "spin.half_angle_parts(kp_spin, 'K', 0.5)",
+    "exp_parts": "ckgeom.exp_parts(kp_exp, 'H', 0.5)",
     "vector": "clifford.Multivector.vector(kp, 1.0, 2.0, 3.0)",
     "distance": "ckgeom.distance(kp_d, w1, w2)",
     **{f"region-{shape}": f"ckgeom.region_svg(regions[{shape!r}])" for shape in REGION_LABELS},
@@ -148,12 +157,13 @@ def setup(modules: dict[str, types.ModuleType]) -> dict[str, object]:
     kp = ckgeom.KappaPair(1.0, 1.0)
     axis = clifford.UnitAxis(0.0, 0.0, 1.0)
     gc = modules["kinematica.gencomplex"].gc
+    r = clifford.rotor(kp, axis, 0.7)
     return {
         "cli": modules["kinematica.cli"], "ckgeom": ckgeom, "clifford": clifford,
         "spin": modules["kinematica.spin"], "lines": PARSE_LINES, "main_lines": MAIN_LINES,
-        "kp": kp, "axis": axis, "r": clifford.rotor(kp, axis, 0.7),
+        "kp": kp, "axis": axis, "r": r, "rotor_parts": (r.coeffs[0], *r.coeffs[4:7]),
         "a": clifford.Multivector.vector(kp, 1.0, 2.0, 3.0),
-        "kp_spin": ckgeom.KappaPair(1.0, -1.0),
+        "kp_spin": ckgeom.KappaPair(1.0, -1.0), "kp_exp": ckgeom.KappaPair(-1.0, 1.0),
         "kp_d": ckgeom.KappaPair(1.0, -1.0), "w1": gc(0.1, 0.2, -1.0), "w2": gc(-0.3, 0.4, -1.0),
         "regions": {shape: ckgeom.KappaPair(*labels) for shape, labels in REGION_LABELS.items()},
     }

@@ -9,8 +9,8 @@ ROOT = Path(__file__).parents[1]
 
 def test_an_a_a_run_prints_one_line_per_row_with_both_sides():
     # run in its own process: the tool swaps the package's modules in sys.modules
-    rows = ["precision", "parse-exp", "rotor", "sl2_parts", "region-along-t", "main-spin",
-            "main-rotate"]
+    rows = ["precision", "parse-exp", "rotor", "sandwich_parts", "sl2_parts", "half_angle_parts",
+            "exp_parts", "region-along-t", "main-spin", "main-rotate"]
     done = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "ab_timing.py"), "--root", str(ROOT),
          "--root", str(ROOT), "--bursts", "3", "--number", "2", "--rows", *rows],

@@ -334,9 +334,13 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         # the sandwich's grade check reads a nan off-grade norm
         (["rotate", "--axis", "0,0,-1.2", "--angle", "-1.2", "--vector", "1e-200,1e300,0",
           "--kappa1=1e300", "--kappa2=-0.3"], "GradeError"),
-        # its pseudo-norm check reads a nan pseudo-norm: 0 * (5e299)**2
+        # its pseudo-norm check reads a nan pseudo-norm: cosh(500)**2 - sinh(500)**2
+        (["rotate", "--axis=1,0,0", "--angle=1000", "--vector=1,0,0",
+          "--kappa1=1", "--kappa2=-1"], "NotUnitRotor"),
+        # a unit rotor, 1 + 5e299*s3check at kappa1 = 0, whose second half
+        # meets its overflowing product (5e299)**2 with kappa1 = 0 in a nan
         (["rotate", "--axis=0,0,1", "--angle=1e300", "--vector=1,0,0",
-          "--kappa1=0", "--kappa2=1"], "NotUnitRotor"),
+          "--kappa1=0", "--kappa2=1"], "NonFiniteResult"),
         # a unit rotor, 1 + 5e299*is1 at kappa2 = 0, whose sandwich overflows
         (["rotate", "--axis=2,0,0", "--angle=1e300", "--vector=-1e300,-1e300,0.3",
           "--kappa1=1e-200", "--kappa2=0"], "GradeError"),
@@ -360,8 +364,8 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         (["rotate", "--axis=0,0,1", "--angle=1", "--vector=0,1e300,0",
           "--kappa1=1e17", "--kappa2=1"], "NonFiniteResult"),
     ],
-    ids=["nan-result", "nan-pseudo-norm", "overflowing-sandwich", "numpy-warning",
-         "overflowing-sink", "overflowing-first-half", "infinite-volume-slot",
+    ids=["nan-result", "nan-pseudo-norm", "kappa1-zero-second-half", "overflowing-sandwich",
+         "numpy-warning", "overflowing-sink", "overflowing-first-half", "infinite-volume-slot",
          "overflowing-second-half"],
 )
 def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):

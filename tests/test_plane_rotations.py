@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import sys
 
@@ -25,13 +26,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spin_reference
-from kinematica import clifford
-from kinematica.ckgeom import KappaPair, exp_generator, exp_h, exp_k, exp_p
+from kinematica.ckgeom import (KappaPair, PLANES, exp_generator, exp_h, exp_k, exp_p,
+                               exp_parts)
 from kinematica.cli import SLOT, Filled, Template, dumps, main, parse_args
-from kinematica.clifford import Multivector, UnitAxis, rotor, sandwich
+from kinematica.clifford import Multivector, UnitAxis, rotor, sandwich, sandwich_parts
 from kinematica.errors import GradeError, KinematicaError, NotUnitRotor, TrigOverflow
 from kinematica.gentrig import cosk_sink
-from kinematica.spin import UNIT_TOL, pseudo_norm, sl2_of_exp, sl2_parts
+from kinematica.spin import UNIT_TOL, half_angle_parts, pseudo_norm, sl2_of_exp, sl2_parts
 
 # -- the references ---------------------------------------------------------------
 
@@ -61,6 +62,13 @@ def reference_exp_k(kp: KappaPair, theta: float):
 REFERENCE_EXP = {"H": reference_exp_h, "P": reference_exp_p, "K": reference_exp_k}
 
 
+def reference_exp_parts(kp: KappaPair, gen: str, t: float) -> tuple:
+    """The four entries of the reference exp(t*gen) in gen's plane, rows then columns."""
+    i, j = PLANES[gen]
+    m = REFERENCE_EXP[gen](kp, t)
+    return m[i][i], m[i][j], m[j][i], m[j][j]
+
+
 def reference_sl2_parts(kp: KappaPair, gen: str, t: float) -> tuple:
     """(Re alpha, Im alpha, Re beta, Im beta) of the + spin element over exp(t*gen)."""
     s = spin_reference.generator_element(kp, gen, t)
@@ -68,7 +76,8 @@ def reference_sl2_parts(kp: KappaPair, gen: str, t: float) -> tuple:
 
 
 def reference_sandwich(r: Multivector, a: Multivector) -> Multivector:
-    """reverse(r) * a * r, as ``clifford.sandwich`` wrote out its 28 terms."""
+    """reverse(r) * a * r, as ``clifford.sandwich`` wrote out its 28 terms; the unit
+    condition is read by ``spin.pseudo_norm``, which is pinned on its own below."""
     c0, c1, c2, c3, c4, c5, c6, c7 = r.coeffs
     if c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:  # `!=`: a nan is not a zero
         raise GradeError("rotor must be an even multivector")
@@ -214,12 +223,59 @@ def test_each_generators_exponential_keeps_the_reference_bits(gen):
 
 
 @pytest.mark.parametrize("gen", "HPK")
+def test_exp_parts_are_the_reference_entries_in_the_generators_plane(gen):
+    for kp in LABELS:
+        for t in PARAMS:
+            want = outcome(reference_exp_parts, kp, gen, t)
+            assert outcome(exp_parts, kp, gen, t) == want, (kp, t)
+
+
+@pytest.mark.parametrize("gen", "HPK")
 def test_each_generators_spin_parts_keep_the_reference_bits(gen):
+    on_axis = {"K": 1, "H": 2, "P": 3}[gen]  # s is Im alpha, Re beta or Im beta
     for kp in LABELS:
         for t in PARAMS:
             want = outcome(reference_sl2_parts, kp, gen, t)
             assert outcome(sl2_parts, kp, gen, t) == want, (kp, t)
             assert outcome(element_parts, kp, gen, t) == want, (kp, t)
+            half = outcome(half_angle_parts, kp, gen, t)
+            assert half == (want if len(want) == 2 else (want[0], want[on_axis])), (kp, t)
+
+
+# -- the unit condition at kappa1 = 0 ----------------------------------------------
+
+
+def reference_pseudo_norm(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> float:
+    """The pseudo-norm as written before kappa1 = 0 dropped the beta term."""
+    k2 = kp.kappa2
+    return a0 * a0 + k2 * a1 * a1 + kp.kappa1 * (b0 * b0 + k2 * b1 * b1)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.builds(KappaPair, st.sampled_from(EDGES + [1.0, -1.0]), st.sampled_from(EDGES + [1.0])),
+       st.tuples(*[st.sampled_from(EDGES + [1.0, -0.5])] * 4))
+def test_every_finite_pseudo_norm_keeps_its_bits(kp, parts):
+    want = reference_pseudo_norm(kp, *parts)
+    got = pseudo_norm(kp, *parts)
+    if math.isfinite(want):
+        assert got.hex() == want.hex()
+    elif kp.kappa1 == 0.0:  # the beta term is exactly 0: the alpha part is the pseudo-norm
+        assert bits(got) == bits(parts[0] * parts[0] + kp.kappa2 * parts[1] * parts[1])
+    else:
+        assert bits(got) == bits(want) or math.isnan(got) and math.isnan(want)
+
+
+def test_a_unit_rotor_at_kappa1_zero_with_an_overflowing_beta_square_rotates():
+    # 1 - 5e299*is2 at kappa1 = 0 is unit, though kappa1 * (5e299)**2 is 0 * inf;
+    # the vector is exp(-1e300*P)'s action on it
+    kp = KappaPair(0.0, 2.0)
+    vector = (1e-300, -0.3, -0.3)
+    argv = ["rotate", "--axis=0,1,0", "--angle=-1e300", f"--vector={','.join(map(repr, vector))}",
+            "--kappa1=0", "--kappa2=2"]
+    code, out, err = run_cli(argv, 17)
+    assert (code, err) == (0, "")
+    moved = [sum(m * v for m, v in zip(row, vector)) for row in exp_p(kp, -1e300)]
+    assert json.loads(out)["vector"] == moved == [1e-300, -0.3, -1.3]
 
 
 EXTREME = st.one_of(st.sampled_from(EDGES), st.floats(-3, 3),
@@ -239,10 +295,21 @@ def rotor_and_vector(draw):
     return r, Multivector.vector(kp, *draw(TRIPLES))
 
 
+def vector_parts(r: Multivector, a: Multivector) -> tuple:
+    """:func:`sandwich_parts` on the even parts of r and the vector parts of a."""
+    c0, _, _, _, c4, c5, c6, _ = r.coeffs
+    return sandwich_parts(r.kp, c0, c4, c5, c6, *a.vector_components())
+
+
+def reference_vector_parts(r: Multivector, a: Multivector) -> tuple:
+    return reference_sandwich(r, a).vector_components()
+
+
 @settings(max_examples=1500, deadline=None, derandomize=True)
 @given(rotor_and_vector())
-def test_sandwich_keeps_the_reference_bits(pair):
+def test_sandwich_and_its_parts_keep_the_reference_bits(pair):
     assert outcome(sandwich, *pair) == outcome(reference_sandwich, *pair)
+    assert outcome(vector_parts, *pair) == outcome(reference_vector_parts, *pair)
 
 
 # -- the command line --------------------------------------------------------------
