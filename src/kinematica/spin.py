@@ -162,9 +162,11 @@ AXES = {"K": (1.0, 0.0, 0.0), "H": (0.0, 0.0, 1.0), "P": (0.0, 1.0, 0.0)}  # eac
 
 def half_angle_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, float]:
     """(c, s) = cosk_sink(label, t/2) over gen's ``ckgeom.generator_label``, negated where
-    c < 0.0, or c is 0.0 and s < 0.0: the parts of :func:`sl2_of_exp` that vary."""
+    c < 0.0: the parts of :func:`sl2_of_exp` that vary.  c, which leads the parts, is
+    never 0 (the cosine of a float is not 0, and cosh and the series are near 1 or
+    more), so its sign alone decides the + element."""
     c, s = cosk_sink(generator_label(kp, gen), 0.5 * t)
-    return (-c, -s) if c < 0.0 or (c == 0.0 and s < 0.0) else (c, s)
+    return (-c, -s) if c < 0.0 else (c, s)
 
 
 def sl2_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, ...]:
