@@ -329,7 +329,7 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     c0, c1, c2, c3, c4, c5, c6, c7 = r.coeffs
     if c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:  # `!=`: a nan is not a zero
         raise GradeError("rotor must be an even multivector")
-    _require_unit(r.kp, c0, c4, c5, c6)
+    _require_unit(r.kp, c0, c4, c5, c6)  # ahead of a's checks; sandwich_parts checks it again
     v0, v1, v2, v3, v4, v5, v6, v7 = a.coeffs
     if v0 != 0.0 or v4 != 0.0 or v5 != 0.0 or v6 != 0.0 or v7 != 0.0:
         raise GradeError(f"{a} is not a pure vector")
