@@ -13,12 +13,12 @@ import pathlib
 import numpy as np
 
 from kinematica import KappaPair, distance, gc, metric_g1, project, region_svg, unproject
-from kinematica.ckgeom import exp_h, exp_k, exp_p, bilinear_form, word_matrix
+from kinematica.ckgeom import bilinear_form, exp_generator, word_matrix
 
 print("=== the boost is a rotation, a shear, or a Lorentz boost ===")
 for kappa2, label in ((1.0, "rotation"), (0.0, "Galilean shear"), (-1.0, "Lorentz boost")):
     kp = KappaPair(1.0, kappa2)
-    block = np.asarray(exp_k(kp, 0.5))[1:, 1:]
+    block = np.asarray(exp_generator(kp, "K", 0.5))[1:, 1:]
     print(f"kappa2 = {kappa2:+.0f} ({label}):")
     for row in block:
         print(f"    [{row[0]:+.4f} {row[1]:+.4f}]")

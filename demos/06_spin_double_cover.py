@@ -10,7 +10,7 @@ upstairs on the quadric.
 import numpy as np
 
 from kinematica import KappaPair, cover_to_so3, gc
-from kinematica.ckgeom import exp_k, project, unproject, word_matrix
+from kinematica.ckgeom import exp_generator, project, unproject, word_matrix
 from kinematica.spin import (
     is_spin,
     is_su2_algebra,
@@ -35,7 +35,7 @@ print("=== the cover hits the 3x3 boost on the nose ===")
 print("cover(s) =")
 print(np.round(cover_to_so3(s), 6))
 print("exp_k    =")
-print(np.round(exp_k(kp, theta), 6))
+print(np.round(exp_generator(kp, "K", theta), 6))
 
 print()
 print("=== two-to-one: s and -s project to the same motion ===")

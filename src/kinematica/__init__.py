@@ -23,7 +23,7 @@ from . import errors
 _LAYER_OF = {
     name: layer
     for layer, names in (
-        ("ckgeom", "KappaPair distance exp_h exp_k exp_p metric_g1 metric_g2 project"
+        ("ckgeom", "KappaPair distance exp_generator metric_g1 metric_g2 project"
                    " region_svg so3_generators unproject"),
         ("clifford", "Multivector UnitAxis bivector_kappa ck_dot left_contract rotor"
                      " sandwich wedge"),

@@ -8,10 +8,12 @@ kappa1 is the constant curvature (metric structure), kappa2 the conformal
 
 with one-parameter subgroups generated by H (time translation, rotating the
 z-t plane with label kappa1), P (space translation, z-x plane, label
-kappa1*kappa2), and K (boost, t-x plane, label kappa2).  Each exp(t*G) is one
-closed form, a labeled rotation of G's plane: :func:`exp_parts` gives its
-moving entries (c, -label*s, s, c), c, s = cosk_sink(label, t), and
-:func:`plane_rotation` lays them out in the 3x3.  Points live on the
+kappa1*kappa2), and K (boost, t-x plane, label kappa2).  :data:`PLANES` is
+the one statement of those planes: the generators of :func:`so3_generators`
+and ``spin.AXES`` are read from it.  Each exp(t*G) is one closed form, a
+labeled rotation of G's plane: :func:`exp_parts` gives its moving entries
+(c, -label*s, s, c), c, s = cosk_sink(label, t), and :func:`plane_rotation`
+lays them out in the 3x3, as it lays out G itself.  Points live on the
 unit quadric z^2 + kappa1*t^2 + kappa1*kappa2*x^2 = 1; central projection
 from (-1, 0, 0) onto z = 0 identifies them with a region of the generalized
 complex plane carrying i^2 = -kappa2, where the invariant metric takes the
@@ -65,18 +67,6 @@ Triple = tuple[float, float, float]
 Matrix3 = tuple[Triple, Triple, Triple]
 
 
-def so3_generators(kp: KappaPair) -> tuple[Matrix3, Matrix3, Matrix3]:
-    """(H, P, K) acting on (z, t, x) columns.
-
-    Brackets: [K, H] = P, [K, P] = -kappa2*H, [H, P] = kappa1*K.
-    """
-    k1, k2 = kp.kappa1, kp.kappa2
-    h = ((0.0, -k1, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    p = ((0.0, 0.0, -k1 * k2), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    k = ((0.0, 0.0, 0.0), (0.0, 0.0, -k2), (0.0, 1.0, 0.0))
-    return h, p, k
-
-
 def bilinear_form(kp: KappaPair) -> Matrix3:
     """G = diag(1, kappa1, kappa1*kappa2), the invariant of the group."""
     return ((1.0, 0.0, 0.0), (0.0, kp.kappa1, 0.0), (0.0, 0.0, kp.kappa1 * kp.kappa2))
@@ -104,11 +94,12 @@ def exp_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, float, float, f
     return c, -label * s, s, c
 
 
-def plane_rotation(gen: str, parts) -> tuple:
-    """The 3x3 with ``parts`` at gen's plane rows and columns, in writing order, 1.0 on
-    the third diagonal entry and 0.0 elsewhere: the one layout of exp(t*gen)."""
+def plane_rotation(gen: str, parts, diagonal: float = 1.0) -> tuple:
+    """The 3x3 with ``parts`` at gen's plane rows and columns, in writing order,
+    ``diagonal`` on the third diagonal entry and 0.0 elsewhere: the one layout of
+    exp(t*gen) (1.0) and of the generator gen (0.0)."""
     i, j = PLANES[gen]
-    m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    m = [[diagonal, 0.0, 0.0], [0.0, diagonal, 0.0], [0.0, 0.0, diagonal]]
     m[i][i], m[i][j], m[j][i], m[j][j] = parts
     return tuple(map(tuple, m))
 
@@ -118,19 +109,12 @@ def exp_generator(kp: KappaPair, gen: str, param: float) -> Matrix3:
     return plane_rotation(gen, exp_parts(kp, gen, param))
 
 
-def exp_h(kp: KappaPair, alpha: float) -> Matrix3:
-    """exp(alpha*H): a label-kappa1 rotation of the z-t plane."""
-    return exp_generator(kp, "H", alpha)
+def so3_generators(kp: KappaPair) -> tuple[Matrix3, Matrix3, Matrix3]:
+    """(H, P, K) acting on (z, t, x) columns: (0, -label, 1, 0) at each plane, 0.0 elsewhere.
 
-
-def exp_p(kp: KappaPair, beta: float) -> Matrix3:
-    """exp(beta*P): a label-kappa1*kappa2 rotation of the z-x plane."""
-    return exp_generator(kp, "P", beta)
-
-
-def exp_k(kp: KappaPair, theta: float) -> Matrix3:
-    """exp(theta*K): a label-kappa2 rotation of the t-x plane."""
-    return exp_generator(kp, "K", theta)
+    Brackets: [K, H] = P, [K, P] = -kappa2*H, [H, P] = kappa1*K.
+    """
+    return tuple(plane_rotation(g, (0.0, -generator_label(kp, g), 1.0, 0.0), 0.0) for g in PLANES)
 
 
 def word_matrix(kp: KappaPair, word: list[tuple[str, float]]) -> Matrix3:

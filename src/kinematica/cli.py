@@ -20,11 +20,12 @@ floats, so no answer dict is built per request.  A constant of the shape is
 written into the text: the entries that exp(t*G) holds at 0 and 1 and the
 zero parts of the spin element over it, in one template per generator for
 ``exp`` and one for ``spin`` (laid out by ``ckgeom.plane_rotation`` and
-``spin.AXES``), and the rotor's zero odd slots in ``rotate``.  The answers of
-``exp``, ``project``, ``unproject``, ``distance``, ``rotate`` and ``spin``
-are templates; those that take no input, ``classify`` and ``graph --format
-json``, are the templates without a slot, and the dot graph is written once
-per process.
+``spin.AXES``; the tags H, P and K, the keys of ``ckgeom.PLANES``, are
+literals here, so that importing this module runs no layer), and the rotor's
+zero odd slots in ``rotate``.  The answers of ``exp``, ``project``,
+``unproject``, ``distance``, ``rotate`` and ``spin`` are templates; those
+that take no input, ``classify`` and ``graph --format json``, are the
+templates without a slot, and the dot graph is written once per process.
 ``conformal-table`` has one template per pattern (``--diff-paper``, whether
 each label is 0, the errata slots the diff reports), built the first time a
 request has that pattern from ``conformal.bracket_monomials`` and
@@ -346,8 +347,8 @@ def _run_rotate(args) -> Filled:
 def _run_spin(args) -> Filled:
     kp, gen = _kappas(args), args.gen
     c, s = spin.half_angle_parts(kp, gen, args.param)
-    # in writing order: s is Im alpha over K, and a part of beta over H and P
-    parts = (c, s, kp.kappa2, kp.kappa2) if gen == "K" else (c, kp.kappa2, s, kp.kappa2)
+    # in writing order: s is Im alpha where gen's axis is n1, else a part of beta
+    parts = (c, s, kp.kappa2, kp.kappa2) if spin.AXES[gen][0] else (c, kp.kappa2, s, kp.kappa2)
     return Filled(_SPIN[gen], (*parts, *ckgeom.exp_parts(kp, gen, args.param)))
 
 

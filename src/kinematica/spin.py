@@ -9,8 +9,10 @@ kappa1*beta*conj(beta) = 1; equivalently the matrices U with U* A U = A and
 det U = 1, where A = diag(kappa1, 1).  The one-parameter families covering
 the boost and the two translations are rotors: each is
 cosk(x, t/2) + B*sink(x, t/2) for the matching basis bivector B with label
-x = -B^2.  Spin elements, rotors and the ``rotate`` answer are read from
-the four parts of :func:`axis_parts`.  The + element over exp(t*G), G one
+x = -B^2.  G's axis, :data:`AXES`, is the unit vector at the index G's
+``ckgeom.PLANES`` plane leaves out, and :func:`so3_matrix_generators` lays
+G out over it.  Spin elements, rotors and the ``rotate`` answer are read
+from the four parts of :func:`axis_parts`.  The + element over exp(t*G), G one
 of the tags H, P and K, is :func:`sl2_of_exp`.  It is the one plane-rotation
 closed form of ``ckgeom.exp_parts`` at half the parameter: its two parts
 that vary are :func:`half_angle_parts`, cosk and sink of G's label at t/2
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ckgeom import KappaPair, Matrix3, generator_label
+from .ckgeom import PLANES, KappaPair, Matrix3, generator_label
 from .errors import KappaMismatch, NotSpin
 from .gencomplex import GenComplex, Mat2, gc
 from .gentrig import cosk_sink
@@ -56,15 +58,6 @@ def a_matrix(kp: KappaPair) -> Mat2:
     """A = diag(kappa1, 1), the invariant form of the spin group."""
     k2 = kp.kappa2
     return Mat2(gc(kp.kappa1, 0, k2), gc(0, 0, k2), gc(0, 0, k2), gc(1, 0, k2))
-
-
-def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
-    """(H, P, K) inside the 2x2 model: s3check/2, i*s2/2, i*s1/2."""
-    k1, k2 = kp.kappa1, kp.kappa2
-    h = Mat2(gc(0, 0, k2), gc(0.5, 0, k2), gc(-0.5 * k1, 0, k2), gc(0, 0, k2))
-    p = Mat2(gc(0, 0, k2), gc(0, 0.5, k2), gc(0, 0.5 * k1, k2), gc(0, 0, k2))
-    k = Mat2(gc(0, 0.5, k2), gc(0, 0, k2), gc(0, 0, k2), gc(0, -0.5, k2))
-    return h, p, k
 
 
 def pseudo_norm(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> float:
@@ -120,13 +113,6 @@ class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenCom
     def __neg__(self) -> "SpinElement":
         return SpinElement(self.kp, -self.alpha, -self.beta)
 
-    def canonical_sign(self) -> "SpinElement":
-        """The deterministic representative of {s, -s}: -s where a part < 0.0 precedes
-        any > 0.0, in the order Re alpha, Im alpha, Re beta, Im beta; else s."""
-        a, b = self.alpha, self.beta
-        first = next((x for x in (a.re, a.im, b.re, b.im) if x > 0.0 or x < 0.0), 0.0)
-        return -self if first < 0.0 else self
-
 
 def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
     """The rotation label -B^2 of B = n1*is1 + n2*is2 + n3*s3check.
@@ -157,7 +143,15 @@ def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -
     return _element(kp, *axis_parts(kp, n1, n2, n3, phi))
 
 
-AXES = {"K": (1.0, 0.0, 0.0), "H": (0.0, 0.0, 1.0), "P": (0.0, 1.0, 0.0)}  # each generator's axis
+# each generator's axis (n1, n2, n3): the unit vector at the index its plane leaves out
+AXES = {g: tuple(float(m not in plane) for m in range(3)) for g, plane in PLANES.items()}
+
+
+def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
+    """(H, P, K) inside the 2x2 model, s3check/2, i*s2/2, i*s1/2: the matrix of the tangent
+    element with parts (0, n1/2, n3/2, n2/2) over each generator's axis."""
+    return tuple(_element(kp, 0.0, n1 / 2, n3 / 2, n2 / 2).as_mat2()
+                 for n1, n2, n3 in AXES.values())
 
 
 def half_angle_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, float]:

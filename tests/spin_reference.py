@@ -3,8 +3,8 @@ the four-float parts.
 
 Kept unchanged as the oracle of the differential tests in ``test_cli.py``:
 ``spin_element`` is ``spin.spin_from_axis`` as it built two ``GenComplex``
-entries into a ``SpinElement``, ``canonical_sign`` is
-``SpinElement.canonical_sign`` as it walked those entries, and ``lift`` is
+entries into a ``SpinElement``, ``canonical_sign`` picks the representative
+of {s, -s} by walking those entries, and ``lift`` is
 ``clifford._lift``, which unpacked the element into a rotor.  The command
 line must print the bytes these give, and end in the same error where they
 do.  None of them calls ``spin.axis_parts`` or ``spin.canonical_parts``.

@@ -148,9 +148,9 @@ def test_criterion_03_closed_form_exponentials():
             h, p, k = map(np.asarray, ckgeom.so3_generators(kp))
             for _ in range(100):
                 t = float(rng.uniform(-2.0, 2.0))
-                assert np.max(np.abs(ckgeom.exp_h(kp, t) - expm(t * h))) < 1e-10
-                assert np.max(np.abs(ckgeom.exp_p(kp, t) - expm(t * p))) < 1e-10
-                assert np.max(np.abs(ckgeom.exp_k(kp, t) - expm(t * k))) < 1e-10
+                assert np.max(np.abs(ckgeom.exp_generator(kp, "H", t) - expm(t * h))) < 1e-10
+                assert np.max(np.abs(ckgeom.exp_generator(kp, "P", t) - expm(t * p))) < 1e-10
+                assert np.max(np.abs(ckgeom.exp_generator(kp, "K", t) - expm(t * k))) < 1e-10
 
 
 def test_criterion_04_trig_identity_suite():
@@ -245,17 +245,17 @@ def test_criterion_07_double_cover():
                 t = float(t)
                 np.testing.assert_allclose(
                     spin.cover_to_so3(spin.sl2_of_exp(kp, "K", t)),
-                    ckgeom.exp_k(kp, t),
+                    ckgeom.exp_generator(kp, "K", t),
                     atol=1e-10,
                 )
                 np.testing.assert_allclose(
                     spin.cover_to_so3(spin.sl2_of_exp(kp, "H", t)),
-                    ckgeom.exp_h(kp, t),
+                    ckgeom.exp_generator(kp, "H", t),
                     atol=1e-10,
                 )
                 np.testing.assert_allclose(
                     spin.cover_to_so3(spin.sl2_of_exp(kp, "P", t)),
-                    ckgeom.exp_p(kp, t),
+                    ckgeom.exp_generator(kp, "P", t),
                     atol=1e-10,
                 )
             for _ in range(8):
@@ -441,3 +441,33 @@ def test_criterion_12_homogeneous_spacetimes_for_all_but_static():
         assert len(classes) == 11 and reached <= classes
         # the one class missed is the static one, whose brackets all vanish
         assert classes - reached == {kinclass.name_of(kinclass.BracketTriple(0, 0, 0))}
+
+
+def bracket_triple(generators, commutator, flat) -> kinclass.BracketTriple:
+    """The signs of (k, h, p) in [H, P] = k K, [K, P] = h H and [K, H] = p P, each
+    read from one representation's own commutator; each bracket must be a multiple
+    of its generator."""
+    h, p, k = generators
+    signs = []
+    for a, b, target in ((h, p, k), (k, p, h), (k, h, p)):
+        bracket, t = flat(commutator(a, b)), flat(target)
+        c = bracket @ t / (t @ t)
+        assert np.max(np.abs(bracket - c * t)) <= 1e-12, (a, b)
+        signs.append(int(np.sign(c)))
+    return kinclass.BracketTriple(*signs)
+
+
+def test_criterion_14_one_bracket_triple_from_every_representation():
+    with Budget(14, 1.0, "3x3, 2x2 and Clifford brackets of H, P, K all give so3_triple"):
+        for kp in NINE_PATTERNS:
+            triple = kinclass.so3_triple(kp.kappa1, kp.kappa2)
+            bivectors = [clifford.Multivector.bivector(kp, *(n / 2 for n in spin.AXES[g]))
+                         for g in ckgeom.PLANES]
+            assert bracket_triple(
+                map(np.asarray, ckgeom.so3_generators(kp)), lambda a, b: a @ b - b @ a,
+                np.ravel) == triple, kp
+            assert bracket_triple(
+                spin.so3_matrix_generators(kp), Mat2.commutator,
+                lambda m: np.array([x for e in m for x in (e.re, e.im)])) == triple, kp
+            assert bracket_triple(
+                bivectors, lambda a, b: a * b - b * a, lambda m: np.array(m.coeffs)) == triple, kp

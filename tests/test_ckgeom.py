@@ -23,9 +23,6 @@ from kinematica.ckgeom import (
     distance,
     distance_parts,
     exp_generator,
-    exp_h,
-    exp_k,
-    exp_p,
     metric_g1,
     metric_g2,
     project,
@@ -73,12 +70,12 @@ def test_heisenberg_at_double_zero():
 
 def test_exp_at_zero_is_identity():
     kp = KappaPair(0.7, -1.3)
-    for f in (exp_h, exp_p, exp_k):
-        np.testing.assert_allclose(f(kp, 0.0), np.eye(3), atol=0)
+    for gen in "HPK":
+        np.testing.assert_allclose(exp_generator(kp, gen, 0.0), np.eye(3), atol=0)
 
 
 def test_boost_block_minkowski():
-    m = np.asarray(exp_k(KappaPair(1.0, -1.0), 0.8))
+    m = np.asarray(exp_generator(KappaPair(1.0, -1.0), "K", 0.8))
     block = m[1:, 1:]
     expected = np.array(
         [[math.cosh(0.8), math.sinh(0.8)], [math.sinh(0.8), math.cosh(0.8)]]
@@ -89,7 +86,7 @@ def test_boost_block_minkowski():
 
 def test_space_translation_elliptic_uses_product_label():
     kp = KappaPair(1.0, 1.0)
-    m = np.asarray(exp_p(kp, 0.6))
+    m = np.asarray(exp_generator(kp, "P", 0.6))
     h, p, k = map(np.asarray, so3_generators(kp))
     np.testing.assert_allclose(m, expm(0.6 * p), atol=1e-12)
     assert m[0, 0] == pytest.approx(math.cos(0.6))
@@ -101,9 +98,9 @@ def test_closed_forms_match_exponential_oracle(kp):
     rng = np.random.default_rng(7)
     for _ in range(20):
         t = rng.uniform(-2.0, 2.0)
-        np.testing.assert_allclose(exp_h(kp, t), expm(t * h), atol=1e-10)
-        np.testing.assert_allclose(exp_p(kp, t), expm(t * p), atol=1e-10)
-        np.testing.assert_allclose(exp_k(kp, t), expm(t * k), atol=1e-10)
+        np.testing.assert_allclose(exp_generator(kp, "H", t), expm(t * h), atol=1e-10)
+        np.testing.assert_allclose(exp_generator(kp, "P", t), expm(t * p), atol=1e-10)
+        np.testing.assert_allclose(exp_generator(kp, "K", t), expm(t * k), atol=1e-10)
 
 
 # the hyperbolic entries grow like e**(|t|*sqrt(2)), so the comparison is
@@ -111,17 +108,17 @@ def test_closed_forms_match_exponential_oracle(kp):
 @pytest.mark.parametrize("t", [7.5, -7.5, 25.0, -25.0, 60.0, -60.0])
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_closed_forms_match_exponential_oracle_at_large_parameters(kp, t):
-    for f, generator in zip((exp_h, exp_p, exp_k), so3_generators(kp)):
+    for gen, generator in zip("HPK", so3_generators(kp)):
         oracle = expm(t * np.asarray(generator))
         scale = max(1.0, np.max(np.abs(oracle)))
-        assert np.max(np.abs(f(kp, t) - oracle)) <= 1e-12 * scale
+        assert np.max(np.abs(exp_generator(kp, gen, t) - oracle)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_one_parameter_additivity(kp):
-    for f in (exp_h, exp_p, exp_k):
-        lhs = np.asarray(f(kp, 0.9)) @ f(kp, -0.35)
-        np.testing.assert_allclose(lhs, f(kp, 0.55), atol=1e-12)
+    for gen in "HPK":
+        lhs = np.asarray(exp_generator(kp, gen, 0.9)) @ exp_generator(kp, gen, -0.35)
+        np.testing.assert_allclose(lhs, exp_generator(kp, gen, 0.55), atol=1e-12)
 
 
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)

@@ -237,6 +237,16 @@ def test_the_cli_reads_no_private_name_of_a_layer():
     assert found == []
 
 
+def test_the_generator_tags_are_the_planes_of_ckgeom():
+    # the command line keeps its own literal tags, so that importing it runs no
+    # layer; each copy, and conformal's, must name the generators PLANES names
+    tags = set(ckgeom.PLANES)
+    for command in ("exp", "spin"):
+        gen = next(o for o in COMMANDS[command].options if o.name == "--gen")
+        assert set(gen.choices) == tags, command
+    assert set(cli._EXP) == set(cli._SPIN) == set(conformal.GENERATOR_TAGS[:3]) == tags
+
+
 def test_graph_dot_is_written_once_per_process(monkeypatch):
     calls = []
     original = kinclass.contraction_graph

@@ -12,8 +12,8 @@ import kinematica
 
 # layer -> the public names the package gives it
 PUBLIC = {
-    "ckgeom": ["KappaPair", "distance", "exp_h", "exp_k", "exp_p", "metric_g1", "metric_g2",
-               "project", "region_svg", "so3_generators", "unproject"],
+    "ckgeom": ["KappaPair", "distance", "exp_generator", "metric_g1", "metric_g2", "project",
+               "region_svg", "so3_generators", "unproject"],
     "clifford": ["Multivector", "UnitAxis", "bivector_kappa", "ck_dot", "left_contract",
                  "rotor", "sandwich", "wedge"],
     "gencomplex": ["GammaPoint", "GenComplex", "Mat2", "MoebiusMap", "gc", "gc_exp_unit"],

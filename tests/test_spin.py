@@ -13,9 +13,6 @@ from geometry_checks import approx_eq
 from kinematica.ckgeom import (
     KappaPair,
     exp_generator,
-    exp_h,
-    exp_k,
-    exp_p,
     bilinear_form,
     project,
     unproject,
@@ -210,13 +207,13 @@ def spin_from_mat2(kp: KappaPair, m: Mat2) -> SpinElement:
 @pytest.mark.parametrize("kp", GENERIC + PATTERNS)
 def test_unified_closed_form_reproduces_printed_branches(kp):
     for t in (-1.4, -0.3, 0.6, 1.8):
-        unified_h = sl2_of_exp(kp, "H", t).canonical_sign()
-        branch_h = spin_from_mat2(kp, table13_branch(kp, t)).canonical_sign()
+        unified_h = spin_reference.canonical_sign(sl2_of_exp(kp, "H", t))
+        branch_h = spin_reference.canonical_sign(spin_from_mat2(kp, table13_branch(kp, t)))
         assert approx_eq(unified_h.alpha, branch_h.alpha, 1e-12)
         assert approx_eq(unified_h.beta, branch_h.beta, 1e-12)
 
-        unified_p = sl2_of_exp(kp, "P", t).canonical_sign()
-        branch_p = spin_from_mat2(kp, table14_branch(kp, t)).canonical_sign()
+        unified_p = spin_reference.canonical_sign(sl2_of_exp(kp, "P", t))
+        branch_p = spin_reference.canonical_sign(spin_from_mat2(kp, table14_branch(kp, t)))
         assert approx_eq(unified_p.alpha, branch_p.alpha, 1e-12)
         assert approx_eq(unified_p.beta, branch_p.beta, 1e-12)
 
@@ -228,8 +225,8 @@ def test_sl2_matches_matrix_exponential_oracle(kp):
         for t in (-1.1, 0.45, 1.7):
             oracle = expm(t * mat2_to_real4(gen))
             target = real4_to_mat2(oracle, kp.kappa2)
-            got = sl2_of_exp(kp, tag, t).canonical_sign()
-            want = spin_from_mat2(kp, target).canonical_sign()
+            got = spin_reference.canonical_sign(sl2_of_exp(kp, tag, t))
+            want = spin_reference.canonical_sign(spin_from_mat2(kp, target))
             assert approx_eq(got.alpha, want.alpha, 1e-10)
             assert approx_eq(got.beta, want.beta, 1e-10)
 
@@ -308,13 +305,13 @@ def test_su2_algebra_criterion(kp):
 def test_cover_of_generator_families(kp):
     for t in (-1.3, 0.2, 0.9):
         np.testing.assert_allclose(
-            cover_to_so3(sl2_of_exp(kp, "K", t)), exp_k(kp, t), atol=1e-10
+            cover_to_so3(sl2_of_exp(kp, "K", t)), exp_generator(kp, "K", t), atol=1e-10
         )
         np.testing.assert_allclose(
-            cover_to_so3(sl2_of_exp(kp, "H", t)), exp_h(kp, t), atol=1e-10
+            cover_to_so3(sl2_of_exp(kp, "H", t)), exp_generator(kp, "H", t), atol=1e-10
         )
         np.testing.assert_allclose(
-            cover_to_so3(sl2_of_exp(kp, "P", t)), exp_p(kp, t), atol=1e-10
+            cover_to_so3(sl2_of_exp(kp, "P", t)), exp_generator(kp, "P", t), atol=1e-10
         )
 
 
@@ -529,9 +526,9 @@ def test_word_cover_and_moebius_consistency(kp):
 def test_canonical_sign_determinism():
     kp = KappaPair(1.0, 1.0)
     s = spin_from_axis(kp, 1, 0, 0, 5.0)  # cos(2.5) < 0
-    canon = s.canonical_sign()
+    canon = spin_reference.canonical_sign(s)
     assert canon.alpha.re >= 0.0
-    assert canon.canonical_sign() is canon
+    assert spin_reference.canonical_sign(canon) is canon
 
 
 # labels and parameters at the ends of the float range, both signs of each
