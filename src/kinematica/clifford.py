@@ -20,14 +20,14 @@ kappa2^e2, so each row of the table is a signed permutation of the basis.
 The table is the source of truth for all products.  The general product,
 ``Multivector.__mul__``, is one engine, :func:`_gather`, summing all 64 of
 its terms on plain floats (the blade product of Dorst, Fontijne and Mann,
-Geometric Algebra for Computer Science, 2007).  :func:`sandwich_parts`
-writes out only the 28 terms that an even rotor and a vector can make
-nonzero, 12 for reverse(r) * a and 16 for the rest, as straight-line sums in
-the same order, so its result is bit for bit the one the two 64-term
-products give.  It reads the rotor's four even parts, the plane-rotation
-closed form of :func:`spin.axis_parts`, and the vector's three as floats.
-The linear operations (sums, scaling, reversal, grade parts) are float loops
-over the 8 slots, so the algebra needs no numpy.  The 2x2 matrix picture
+Geometric Algebra for Computer Science, 2007).  The sandwich
+reverse(r) * a * r is not multiplied here: :func:`sandwich` checks its
+multivectors and calls the float kernel :func:`spin.sandwich_parts`, the 28
+terms of the two 64-term products that an even rotor and a vector can make
+nonzero, on the rotor's four even parts, the plane-rotation closed form of
+:func:`spin.axis_parts`, and the vector's three.  The linear operations
+(sums, scaling, reversal, grade parts) are float loops over the 8 slots, so
+the algebra needs no numpy.  The 2x2 matrix picture
 is only an oracle (it is not faithful when kappa1 = 0, where s2 and
 s3check share a matrix).
 
@@ -48,9 +48,8 @@ from .errors import (
     GradeError,
     KappaMismatch,
     NotAVector,
-    NotUnitRotor,
 )
-from .spin import UNIT_TOL, axis_label, axis_parts, pseudo_norm
+from .spin import axis_label, axis_parts, require_unit, sandwich_parts
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
 
@@ -311,25 +310,19 @@ def rotor(kp: KappaPair, n: tuple[float, float, float], phi: float) -> Multivect
     return Multivector._make((kp, (a0, 0.0, 0.0, 0.0, a1, b1, b0, 0.0)))
 
 
-def _require_unit(kp: KappaPair, c0: float, c4: float, c5: float, c6: float) -> None:
-    norm = pseudo_norm(kp, c0, c4, c6, c5)
-    # written `not x <= bound` so that a nan passes neither check
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        raise NotUnitRotor(f"rotor pseudo-norm {norm} != 1")
-
-
 def sandwich(r: Multivector, a: Multivector) -> Multivector:
     """Rotate a vector: reverse(r) * a * r.
 
     The rotor must be even and unit as the spin element (r0 + i*r_is1,
     r_s3check + i*r_is2).  The result is a rotated about the rotor's axis,
     with the same inner-product length; other grades are rounding of |r|^2 |a|.
-    Checked in this order: r even, r unit, a a pure vector, the same labels.
+    Checked in this order: r even, r unit, a a pure vector, the same labels;
+    the product is :func:`spin.sandwich_parts`.
     """
     c0, c1, c2, c3, c4, c5, c6, c7 = r.coeffs
     if c1 != 0.0 or c2 != 0.0 or c3 != 0.0 or c7 != 0.0:  # `!=`: a nan is not a zero
         raise GradeError("rotor must be an even multivector")
-    _require_unit(r.kp, c0, c4, c5, c6)  # ahead of a's checks; sandwich_parts checks it again
+    require_unit(r.kp, c0, c4, c6, c5)
     v0, v1, v2, v3, v4, v5, v6, v7 = a.coeffs
     if v0 != 0.0 or v4 != 0.0 or v5 != 0.0 or v6 != 0.0 or v7 != 0.0:
         raise GradeError(f"{a} is not a pure vector")
@@ -337,42 +330,6 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     out = sandwich_parts(r.kp, c0, c4, c5, c6, v1, v2, v3)
     # the slots are floats, so the vector is made without the constructor's checks
     return Multivector._make((r.kp, (0.0, *out, 0.0, 0.0, 0.0, 0.0)))
-
-
-def sandwich_parts(kp: KappaPair, c0: float, c4: float, c5: float, c6: float, v1: float,
-                   v2: float, v3: float) -> tuple[float, float, float]:
-    """The vector parts of reverse(r) * a * r, r = c0 + c4*is1 + c5*is2 + c6*s3check
-    unit (else NotUnitRotor) and a = v1*s1 + v2*s2 + v3*s3: the 28 terms of the
-    module docstring, written out as :func:`_gather` sums them, from +0.0, in (i, j)
-    order, each (x*y)*monomial.  Only a kappa1*kappa2 term is skipped where zero (a
-    zero term elsewhere adds nothing), so the result and the errors are those of
-    the two 64-term products."""
-    _require_unit(kp, c0, c4, c5, c6)
-    k1, k2 = kp
-    k12 = k1 * k2
-    # reverse(r) * a, in s1, s2, s3 and i
-    t = c5 * v3
-    h1 = 0.0 + c0 * v1 + (t * -k12 if t != 0.0 else 0.0) + (c6 * v2) * -k1
-    h2 = 0.0 + c0 * v2 + (c4 * v3) * k2 + c6 * v1
-    h3 = 0.0 + c0 * v3 - c4 * v2 + c5 * v1
-    h7 = 0.0 - c4 * v1 + (c5 * v2) * -k1 + (c6 * v3) * k1
-    # in the 64-term product a non-finite half meets r's zero odd slots,
-    # which puts a nan into the even grades of the result
-    if not (math.isfinite(h1) and math.isfinite(h2) and math.isfinite(h3)
-            and math.isfinite(h7)):
-        raise GradeError("sandwich result is not a vector")
-    # that half times r, in s1, s2, s3 and i
-    t = h3 * c5
-    o1 = 0.0 + h1 * c0 + (h2 * c6) * -k1 + (t * -k12 if t != 0.0 else 0.0) + (h7 * c4) * -k2
-    o2 = 0.0 + h1 * c6 + h2 * c0 + (h3 * c4) * k2 + (h7 * c5) * -k2
-    o3 = 0.0 + h1 * c5 - h2 * c4 + h3 * c0 + h7 * c6
-    o7 = 0.0 + h1 * c4 + (h2 * c5) * k1 + (h3 * c6) * -k1 + h7 * c0
-    size = abs(c0) + abs(c4) + abs(c5) + abs(c6)  # `*` below, since float ** raises on overflow
-    scale = size * size * (abs(v1) + abs(v2) + abs(v3))
-    # the even grades of the result are exactly 0: the off-grade part is i's
-    if not abs(o7) <= UNIT_TOL * max(1.0, scale):
-        raise GradeError("sandwich result is not a vector")
-    return o1, o2, o3
 
 
 def axis_of(kp: KappaPair, n: UnitAxis) -> tuple[Multivector, str]:

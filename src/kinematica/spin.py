@@ -20,19 +20,24 @@ with the sign that makes the element the + one, which the ``spin`` request
 prints, and :func:`sl2_parts` places them in (Re alpha, Im alpha, Re beta,
 Im beta) as :func:`axis_parts` does.
 
-``cover_to_so3`` sends a spin element to the 3x3 motion it induces on
-vectors, in closed form: each entry is a quadratic in (Re alpha, Im alpha,
-Re beta, Im beta), the analogue of the quaternion-to-rotation-matrix
-formula.  It is the conjugation reverse(r) * e_j * r inside the
-eight-dimensional Clifford algebra (the 2x2 matrix picture is not faithful
-at kappa1 = 0), multiplied out once from the symbolic product table, with r
-the element conjugated by s1 first, i.e. beta negated.  That parity-time
-twist is exactly what aligns all three one-parameter families with the
-closed-form 3x3 exponentials at once: raw conjugation matches the
-translation conventions but reverses the boost orientation (the coordinate
-planes do not carry mutually consistent orientations), and the twist is an
-automorphism, so the cover stays a two-to-one group homomorphism with
-kernel {+1, -1}.
+A spin element acts on vectors by the sandwich reverse(r) * a * r inside the
+eight-dimensional Clifford algebra of ``clifford`` (the 2x2 matrix picture
+is not faithful at kappa1 = 0), and :func:`sandwich_parts` is that product
+multiplied out once: only the 28 terms that an even rotor and a vector can
+make nonzero, 12 for reverse(r) * a and 16 for the rest, as straight-line
+float sums in the order of the general product's 64 terms.  It reads the
+rotor's four even parts and the vector's three, checks nothing of the rotor
+(:func:`require_unit` is the unit check beside it, which each caller runs
+once), and raises ``GradeError`` where the result leaves the vector grade.
+The ``rotate`` request, ``clifford.sandwich`` and :func:`cover_to_so3` all
+call it.  ``cover_to_so3`` sends a spin element to the 3x3 motion it induces
+on vectors: column j is the kernel on e_j, with r the element conjugated by
+s1 first, i.e. alpha conjugated.  That parity-time twist is exactly what
+aligns all three one-parameter families with the closed-form 3x3
+exponentials at once: raw conjugation matches the translation conventions
+but reverses the boost orientation (the coordinate planes do not carry
+mutually consistent orientations), and the twist is an automorphism, so
+the cover stays a two-to-one group homomorphism with kernel {+1, -1}.
 """
 
 from __future__ import annotations
@@ -41,11 +46,11 @@ import math
 from typing import NamedTuple
 
 from .ckgeom import PLANES, KappaPair, Matrix3, generator_label
-from .errors import KappaMismatch, NotSpin
+from .errors import GradeError, KappaMismatch, NotSpin, NotUnitRotor
 from .gencomplex import GenComplex, Mat2, gc
 from .gentrig import cosk_sink
 
-# the one bound on unit_defect().  Absolute: a relative bound admits
+# the one bound on unit_defect() and require_unit().  Absolute: a relative bound admits
 # ill-conditioned elements whose cover entries cancel (K boosts of rapidity 40)
 UNIT_TOL = 1e-8
 # absolute bound on the residuals of generator matrices with entries of size
@@ -62,7 +67,7 @@ def a_matrix(kp: KappaPair) -> Mat2:
 
 def pseudo_norm(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> float:
     """alpha*conj(alpha) + kappa1*beta*conj(beta), alpha = a0 + i*a1, beta = b0 + i*b1:
-    the one evaluation of the unit condition, for SpinElement and clifford.sandwich.
+    the one evaluation of the unit condition, for SpinElement and :func:`require_unit`.
     At kappa1 = 0 the beta term is 0, also where its square overflows (0 * inf is nan)."""
     k1, k2 = kp
     return a0 * a0 + k2 * a1 * a1 + (k1 * (b0 * b0 + k2 * b1 * b1) if k1 != 0.0 else 0.0)
@@ -202,39 +207,72 @@ def is_su2_algebra(kp: KappaPair, b: Mat2) -> bool:
             and abs(tr.re) <= ALGEBRA_TOL and abs(tr.im) <= ALGEBRA_TOL)
 
 
-def _label_times(label: float, x: float) -> float:
-    """label * x, with a zero x giving the signed zero of the finite product
-    also where the label overflowed to inf, instead of 0 * inf = nan."""
-    return label * x if x != 0.0 else math.copysign(0.0, label) * x
+def require_unit(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> None:
+    """NotUnitRotor unless the rotor with spin parts (a0, a1, b0, b1) has a pseudo-norm
+    within UNIT_TOL of 1; the rotor check that :func:`sandwich_parts` leaves to its caller."""
+    norm = pseudo_norm(kp, a0, a1, b0, b1)
+    # written `not x <= bound` so that a nan passes neither check
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise NotUnitRotor(f"rotor pseudo-norm {norm} != 1")
+
+
+def sandwich_parts(kp: KappaPair, c0: float, c4: float, c5: float, c6: float, v1: float,
+                   v2: float, v3: float) -> tuple[float, float, float]:
+    """The vector parts of reverse(r) * a * r, r = c0 + c4*is1 + c5*is2 + c6*s3check
+    (spin parts (c0, c4, c6, c5)) and a = v1*s1 + v2*s2 + v3*s3: the 28 terms of the
+    module docstring, summed from +0.0 in (i, j) order, each (x*y)*monomial, as
+    ``clifford._gather`` sums them.  A kappa1*kappa2 term is skipped where x*y is 0,
+    as there, and any term is skipped where its monomial has an exactly-zero label:
+    the true term is then exactly 0, and a sum started at +0.0 is never -0.0, so
+    leaving out a +-0 term changes nothing.  The result and the errors are those
+    of the two 64-term products, but for that one exception: where x*y overflows
+    against a zero label, ``_gather`` keeps 0 * inf = nan.  The rotor is not
+    checked; see :func:`require_unit`."""
+    k1, k2 = kp
+    k12 = k1 * k2
+    # reverse(r) * a, in s1, s2, s3 and i
+    t = c5 * v3
+    h1 = (0.0 + c0 * v1 + (t * -k12 if t != 0.0 and k1 and k2 else 0.0)
+          + ((c6 * v2) * -k1 if k1 else 0.0))
+    h2 = 0.0 + c0 * v2 + ((c4 * v3) * k2 if k2 else 0.0) + c6 * v1
+    h3 = 0.0 + c0 * v3 - c4 * v2 + c5 * v1
+    h7 = (0.0 - c4 * v1 + ((c5 * v2) * -k1 if k1 else 0.0)
+          + ((c6 * v3) * k1 if k1 else 0.0))
+    # in the 64-term product a non-finite half meets r's zero odd slots,
+    # which puts a nan into the even grades of the result
+    if not (math.isfinite(h1) and math.isfinite(h2) and math.isfinite(h3)
+            and math.isfinite(h7)):
+        raise GradeError("sandwich result is not a vector")
+    # that half times r, in s1, s2, s3 and i
+    t = h3 * c5
+    o1 = (0.0 + h1 * c0 + ((h2 * c6) * -k1 if k1 else 0.0)
+          + (t * -k12 if t != 0.0 and k1 and k2 else 0.0) + ((h7 * c4) * -k2 if k2 else 0.0))
+    o2 = (0.0 + h1 * c6 + h2 * c0 + ((h3 * c4) * k2 if k2 else 0.0)
+          + ((h7 * c5) * -k2 if k2 else 0.0))
+    o3 = 0.0 + h1 * c5 - h2 * c4 + h3 * c0 + h7 * c6
+    o7 = (0.0 + h1 * c4 + ((h2 * c5) * k1 if k1 else 0.0)
+          + ((h3 * c6) * -k1 if k1 else 0.0) + h7 * c0)
+    size = abs(c0) + abs(c4) + abs(c5) + abs(c6)  # `*` below, since float ** raises on overflow
+    scale = size * size * (abs(v1) + abs(v2) + abs(v3))
+    # the even grades of the result are exactly 0: the off-grade part is i's
+    if not abs(o7) <= UNIT_TOL * max(1.0, scale):
+        raise GradeError("sandwich result is not a vector")
+    return o1, o2, o3
 
 
 def cover_to_so3(s: SpinElement) -> Matrix3:
     """The 3x3 motion induced by a spin element on vector components.
 
-    Two-to-one: s and -s give the same matrix.  The entries are the Clifford
-    sandwich by the lift of (conj(alpha), beta), the s1-conjugated element,
-    multiplied out in closed form; see the module docstring for why the twist
-    is the convention that meets all three generator exponentials.
+    Two-to-one: s and -s give the same matrix.  Column j is
+    :func:`sandwich_parts` on e_j, with the rotor the s1-conjugated element
+    (conj(alpha), beta); see the module docstring for why the twist is the
+    convention that meets all three generator exponentials.
     """
     defect = s.unit_defect()
     if not defect <= UNIT_TOL:  # also rejects a nan defect
         raise NotSpin(f"unit condition violated by {defect}")
-    k1, k2 = s.kp.kappa1, s.kp.kappa2
-    a0, a1, b0, b1 = s.alpha.re, s.alpha.im, s.beta.re, s.beta.im
-    return (
-        (
-            a0 * a0 + k2 * a1 * a1 - k1 * b0 * b0 - k1 * k2 * b1 * b1,
-            _label_times(-2.0 * k1, a0 * b0 + k2 * a1 * b1),
-            _label_times(-2.0 * (k1 * k2), a0 * b1 - a1 * b0),
-        ),
-        (
-            2.0 * (a0 * b0 - k2 * a1 * b1),
-            a0 * a0 - k2 * a1 * a1 - k1 * b0 * b0 + k1 * k2 * b1 * b1,
-            _label_times(-2.0 * k2, a0 * a1 + k1 * b0 * b1),
-        ),
-        (
-            2.0 * (a0 * b1 + a1 * b0),
-            2.0 * (a0 * a1 - k1 * b0 * b1),
-            a0 * a0 - k2 * a1 * a1 + k1 * b0 * b0 - k1 * k2 * b1 * b1,
-        ),
-    )
+    kp, a0, a1, b0, b1 = s.kp, s.alpha.re, -s.alpha.im, s.beta.re, s.beta.im
+    # the rotor's even slots 1, is1, is2, s3check hold Re alpha, Im alpha, Im beta, Re beta
+    columns = [sandwich_parts(kp, a0, a1, b1, b0, *e)
+               for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+    return tuple(zip(*columns))

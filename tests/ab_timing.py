@@ -27,10 +27,11 @@ The rows:
   and on an ``exp`` line with spaced values, which the parser first rewrites;
 - ``sandwich``, ``rotor``, ``spin_from_axis`` and ``vector``: the steps of the
   rotor path on the values of the ``rotate`` line, and ``sandwich_parts``,
-  the float kernel the ``rotate`` request calls, on that rotor's even parts
-  and that vector; ``sl2_parts`` and ``half_angle_parts``: the spin element's
-  parts for library callers and the two that the ``spin`` request calls, on
-  the values of the ``spin`` line; ``exp_parts``: the exponential's plane
+  the float kernel in ``spin`` that the ``rotate`` request calls, on that
+  rotor's even parts and that vector; ``sl2_parts`` and ``half_angle_parts``:
+  the spin element's parts for library callers and the two that the ``spin``
+  request calls, on the values of the ``spin`` line; ``cover_to_so3``: the
+  3x3 motion of that line's spin element; ``exp_parts``: the exponential's plane
   entries that the ``exp`` and ``spin`` requests call, on the values of the
   ``exp`` line; ``distance``: ``ckgeom.distance`` on the values of the
   ``distance`` line;
@@ -42,9 +43,10 @@ The rows:
 Run it on two checkouts, or give one checkout twice for an A/A run, whose
 medians should agree within 1% with neither side winning more than 40 of 60
 bursts, and whose median ratio should be within 1% of 1.  A row that calls a
-function one checkout lacks (``sl2_parts``, ``exp_parts``,
-``half_angle_parts`` or ``sandwich_parts`` before they were added) stops the
-run there; leave it out with ``--rows``::
+function one checkout lacks (``sl2_parts``, ``exp_parts`` or
+``half_angle_parts`` before they were added, or ``sandwich_parts`` before it
+moved from ``clifford`` to ``spin``) stops the run there; leave it out with
+``--rows``::
 
     python tests/ab_timing.py --root ../parent --root .
     python tests/ab_timing.py --root . --root . --rows main-spin main-rotate
@@ -102,11 +104,12 @@ ROWS = {
     "precision": "cli._precision()",
     **{f"parse-{name}": f"cli.parse_args(lines[{name!r}])" for name in PARSE_LINES},
     "sandwich": "clifford.sandwich(r, a)",
-    "sandwich_parts": "clifford.sandwich_parts(kp, *rotor_parts, 1.0, 2.0, 3.0)",
+    "sandwich_parts": "spin.sandwich_parts(kp, *rotor_parts, 1.0, 2.0, 3.0)",
     "rotor": "clifford.rotor(kp, axis, 0.7)",
     "spin_from_axis": "spin.spin_from_axis(kp, 0.0, 0.0, 1.0, 0.7)",
     "sl2_parts": "spin.sl2_parts(kp_spin, 'K', 0.5)",
     "half_angle_parts": "spin.half_angle_parts(kp_spin, 'K', 0.5)",
+    "cover_to_so3": "spin.cover_to_so3(element)",
     "exp_parts": "ckgeom.exp_parts(kp_exp, 'H', 0.5)",
     "vector": "clifford.Multivector.vector(kp, 1.0, 2.0, 3.0)",
     "distance": "ckgeom.distance(kp_d, w1, w2)",
@@ -158,12 +161,14 @@ def setup(modules: dict[str, types.ModuleType]) -> dict[str, object]:
     axis = clifford.UnitAxis(0.0, 0.0, 1.0)
     gc = modules["kinematica.gencomplex"].gc
     r = clifford.rotor(kp, axis, 0.7)
+    kp_spin = ckgeom.KappaPair(1.0, -1.0)
     return {
         "cli": modules["kinematica.cli"], "ckgeom": ckgeom, "clifford": clifford,
         "spin": modules["kinematica.spin"], "lines": PARSE_LINES, "main_lines": MAIN_LINES,
         "kp": kp, "axis": axis, "r": r, "rotor_parts": (r.coeffs[0], *r.coeffs[4:7]),
         "a": clifford.Multivector.vector(kp, 1.0, 2.0, 3.0),
-        "kp_spin": ckgeom.KappaPair(1.0, -1.0), "kp_exp": ckgeom.KappaPair(-1.0, 1.0),
+        "kp_spin": kp_spin, "element": modules["kinematica.spin"].sl2_of_exp(kp_spin, "K", 0.5),
+        "kp_exp": ckgeom.KappaPair(-1.0, 1.0),
         "kp_d": ckgeom.KappaPair(1.0, -1.0), "w1": gc(0.1, 0.2, -1.0), "w2": gc(-0.3, 0.4, -1.0),
         "regions": {shape: ckgeom.KappaPair(*labels) for shape, labels in REGION_LABELS.items()},
     }

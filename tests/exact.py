@@ -39,7 +39,8 @@ is what a tiny label times a huge parameter costs.  Being linear, it
 bounds the error of a rounded angle while the square of that rounding is
 below an ulp, up to angles of about 1e8; near 1e16 one rounding unit of
 the angle is a radian.  Run as a script, this file sweeps seeded draws and
-prints, for each engine, the median, p99 and max error in ulps of L, the
+prints, for each engine, how many draws it answers (an error is not
+measured), the median, p99 and max error in ulps of L over them, the
 largest budget use and how many answers are over budget:
 
     python tests/exact.py --sweep spin --draws 4000 --seed 1
@@ -50,14 +51,35 @@ largest budget use and how many answers are over budget:
 compares ``exp_generator``, which ``spin`` prints, with ``cover_to_so3`` of
 the spin element, which it printed before; ``exp`` widens the draws to the
 nine sign patterns, labels from 1e-3 to 10 and t in [-6, 6], and measures
-``exp_generator``.  Like ``tests/ab_timing.py``, pytest does not collect
-it; ``tests/test_exact.py`` checks the budget and the engines' order.
+both.
+
+``rotate`` prints a rotor r and the vector it moves a to.  :func:`rotate_image`
+is the exact reverse(r) * a * r of the parsed vector a under the printed r,
+in :mod:`fractions`, over a product table derived here from the relations
+s1^2 = 1, s2^2 = kappa1, s1 s2 = -s2 s1 and i central with i^2 = -kappa2
+(:func:`product_table`).  It measures the product alone: the rotor is taken
+as printed, not as the rotation the argv names.  The sweep draws the
+labels of ``exp``'s sweep, axis components in [-1, 1], the angle in
+[-6, 6] and vector components in [-3, 3], runs each ``rotate`` line through
+``cli.main`` at 17 digits and prints, over the lines that answer, the
+median, p99 and max error of the printed vector in ulps of the largest
+exact part:
+
+    python tests/exact.py --sweep rotate --draws 4000 --seed 1
+
+Like ``tests/ab_timing.py``, pytest does not collect this file;
+``tests/test_exact.py`` checks the budget, the engines' order and
+``rotate``'s error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import math
+import os
 import random
 import statistics
 import sys
@@ -228,8 +250,6 @@ def engines(sweep: str) -> dict:
     def cover_to_so3(k1, k2, gen, t):
         return spin.cover_to_so3(spin.sl2_of_exp(ckgeom.KappaPair(k1, k2), gen, t))
 
-    if sweep == "exp":
-        return {"exp_generator": exp_generator}
     return {"exp_generator": exp_generator, "cover_to_so3": cover_to_so3}
 
 
@@ -240,32 +260,176 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def measure(sweep: str, n: int, seed: int) -> dict[str, tuple[list[float], list[float]]]:
-    """Engine -> (max-entry error of each draw, in ulps, and its budget_use)."""
+    """Engine -> (max-entry error, in ulps, and budget_use of each draw it answers);
+    ``cover_to_so3`` ends in ``NotSpin`` on a few large rapidities of the ``exp`` sweep."""
+    from kinematica.errors import KinematicaError
+
     cases = draws(sweep, n, seed)
     exact = [exp_matrix(*case) for case in cases]
     out = {}
     for name, engine in engines(sweep).items():
-        printed = [engine(*case) for case in cases]
-        out[name] = ([max_entry_ulps(m, e) for m, e in zip(printed, exact)],
-                     [budget_use(m, *case, e) for m, case, e in zip(printed, cases, exact)])
+        errors, uses = [], []
+        for case, e in zip(cases, exact):
+            try:
+                m = engine(*case)
+            except KinematicaError:
+                continue
+            errors.append(max_entry_ulps(m, e))
+            uses.append(budget_use(m, *case, e))
+        out[name] = errors, uses
     return out
+
+
+# -- rotate ---------------------------------------------------------------------
+
+# the basis of a printed rotor, in its order, as reduced words i^a s1^b s2^c:
+# 1, s1, s2, s3 = i s1 s2, i s1, i s2, s3check = s1 s2, i
+WORDS = ((0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0))
+# reversal keeps grades 0 and 1 and negates grades 2 and 3
+REVERSE = (1, 1, 1, 1, -1, -1, -1, -1)
+
+
+def product_table(kappa1: float, kappa2: float) -> list[list[tuple[Fraction, int]]]:
+    """(c, k) with e_m * e_n = c e_k, for every pair of basis words m and n.
+
+    i^a s1^b s2^c times i^a' s1^b' s2^c' is i^(a+a') s1^b s2^c s1^b' s2^c', since
+    i is central; moving s1^b' left past s2^c gives (-1)^(c b'), and then
+    i^2 = -kappa2, s1^2 = 1 and s2^2 = kappa1 reduce the exponents.
+    """
+    k1, k2 = Fraction(kappa1), Fraction(kappa2)
+    index = {word: k for k, word in enumerate(WORDS)}
+    table = []
+    for a, b, c in WORDS:
+        row = []
+        for a2, b2, c2 in WORDS:
+            coef = Fraction(-1 if c and b2 else 1)
+            if a and a2:
+                coef *= -k2
+            if c and c2:
+                coef *= k1
+            row.append((coef, index[((a + a2) % 2, (b + b2) % 2, (c + c2) % 2)]))
+        table.append(row)
+    return table
+
+
+def _multiply(x: list[Fraction], y: list[Fraction], table) -> list[Fraction]:
+    out = [Fraction(0)] * 8
+    for m, xm in enumerate(x):
+        for n, yn in enumerate(y):
+            if xm and yn:
+                coef, k = table[m][n]
+                out[k] += coef * xm * yn
+    return out
+
+
+def rotate_image(kappa1: float, kappa2: float, rotor, vector) -> tuple[Fraction, ...]:
+    """The vector parts of reverse(r) * a * r, exactly, for the 8 coefficients of r
+    and a = vector[0] s1 + vector[1] s2 + vector[2] s3."""
+    table = product_table(kappa1, kappa2)
+    r = [Fraction(x) for x in rotor]
+    a = [Fraction(0), *map(Fraction, vector), *[Fraction(0)] * 4]
+    out = _multiply(_multiply([sign * x for sign, x in zip(REVERSE, r)], a, table), r, table)
+    return tuple(out[1:4])
+
+
+def run_rotate(argv: list[str]) -> dict | None:
+    """``rotate``'s answer to a command line at 17 digits, or None where it ends in an error."""
+    from kinematica import cli
+
+    out = io.StringIO()
+    saved = os.environ.pop("KINEMATICA_PRECISION", None)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        if saved is not None:
+            os.environ["KINEMATICA_PRECISION"] = saved
+    return json.loads(out.getvalue()) if code == 0 else None
+
+
+def sandwich_size(rotor, vector) -> Fraction:
+    """|r|^2 |a|, with |x| the sum of the absolute parts: the size of the sandwich's
+    terms, whose rounding a float answer carries however small its own parts are."""
+    size = sum(abs(Fraction(x)) for x in rotor)
+    return size * size * sum(abs(Fraction(x)) for x in vector)
+
+
+def rotate_ulps(argv: list[str]) -> float | None:
+    """The largest |printed - exact| over the printed vector's parts, in ulps of
+    the largest exact part, or None where the line ends in an error."""
+    from kinematica import cli
+
+    answer = run_rotate(argv)
+    if answer is None:
+        return None
+    rotor = answer["rotor"]
+    exact = rotate_image(rotor["kappa1"], rotor["kappa2"], rotor["coeffs"],
+                         cli.parse_args(argv).vector)
+    return vector_ulps(answer["vector"], exact)
+
+
+def ulp(q: Fraction) -> Fraction:
+    """The spacing of the doubles at |q|, also beyond the float range."""
+    q = abs(q)
+    if q == 0:
+        return Fraction(2) ** -1074
+    e = q.numerator.bit_length() - q.denominator.bit_length()  # 2^e <= q < 2^(e+2)
+    if Fraction(2) ** (e + 1) <= q:
+        e += 1
+    return Fraction(2) ** max(e - 52, -1074)
+
+
+def vector_ulps(printed, exact: tuple[Fraction, ...], scale: Fraction = Fraction(0)) -> float:
+    """The largest |printed - exact| over the parts, in ulps of the largest exact part
+    or of ``scale`` where that is larger; infinite where a printed part is not finite."""
+    if not all(map(math.isfinite, printed)):
+        return math.inf
+    unit = ulp(max(*map(abs, exact), scale))
+    return float(max(abs(Fraction(p) - e) for p, e in zip(printed, exact)) / unit)
+
+
+def rotate_draws(n: int, seed: int) -> list[list[str]]:
+    """``n`` seeded ``rotate`` command lines."""
+    rng = random.Random(seed)
+
+    def values(count: int, reach: float) -> str:
+        return ",".join(repr(rng.uniform(-reach, reach)) for _ in range(count))
+
+    return [["rotate", f"--axis={values(3, 1.0)}", f"--angle={values(1, 6.0)}",
+             f"--vector={values(3, 3.0)}", f"--kappa1={_wide_label(rng)!r}",
+             f"--kappa2={_wide_label(rng)!r}"] for _ in range(n)]
+
+
+def rotate_errors(n: int, seed: int) -> list[float]:
+    """:func:`rotate_ulps` of each of ``n`` seeded lines that answers."""
+    errors = (rotate_ulps(line) for line in rotate_draws(n, seed))
+    return [error for error in errors if error is not None]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sweep", choices=("exp", "spin"), default="spin")
+    parser.add_argument("--sweep", choices=("exp", "spin", "rotate"), default="spin")
     parser.add_argument("--draws", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    if args.sweep == "rotate":
+        answered = rotate_errors(args.draws, args.seed)
+        print(f"sweep rotate, {args.draws} draws, seed {args.seed}: printed vector against "
+              f"the exact image under the printed rotor, in ulps of the largest exact part")
+        print(f"{'engine':<15}{'answers':>8}{'median':>8}{'p99':>8}{'max':>8}")
+        print(f"{'rotate':<15}{len(answered):>8}{statistics.median(answered):>8.3f}"
+              f"{percentile(answered, 0.99):>8.3f}{max(answered):>8.3f}")
+        return 0
     print(f"sweep {args.sweep}, {args.draws} draws, seed {args.seed}: max-entry error "
           f"in ulps of the largest exact entry; budget {BUDGET_ULPS:g} units per entry")
-    print(f"{'engine':<15}{'median':>8}{'p99':>8}{'max':>8}{'max use':>9}{'over budget':>13}")
+    print(f"{'engine':<15}{'answers':>8}{'median':>8}{'p99':>8}{'max':>8}{'max use':>12}"
+          f"{'over budget':>13}")
     for name, (errors, uses) in measure(args.sweep, args.draws, args.seed).items():
         over = sum(use > BUDGET_ULPS for use in uses)
-        print(f"{name:<15}{statistics.median(errors):>8.2f}{percentile(errors, 0.99):>8.2f}"
-              f"{max(errors):>8.2f}{max(uses):>9.2f}{over:>13}")
+        print(f"{name:<15}{len(errors):>8}{statistics.median(errors):>8.3f}"
+              f"{percentile(errors, 0.99):>8.3f}{max(errors):>8.3f}{max(uses):>12.2f}{over:>13}")
     return 0
 
 

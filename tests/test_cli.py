@@ -347,10 +347,6 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         # its pseudo-norm check reads a nan pseudo-norm: cosh(500)**2 - sinh(500)**2
         (["rotate", "--axis=1,0,0", "--angle=1000", "--vector=1,0,0",
           "--kappa1=1", "--kappa2=-1"], "NotUnitRotor"),
-        # a unit rotor, 1 + 5e299*s3check at kappa1 = 0, whose second half
-        # meets its overflowing product (5e299)**2 with kappa1 = 0 in a nan
-        (["rotate", "--axis=0,0,1", "--angle=1e300", "--vector=1,0,0",
-          "--kappa1=0", "--kappa2=1"], "NonFiniteResult"),
         # a unit rotor, 1 + 5e299*is1 at kappa2 = 0, whose sandwich overflows
         (["rotate", "--axis=2,0,0", "--angle=1e300", "--vector=-1e300,-1e300,0.3",
           "--kappa1=1e-200", "--kappa2=0"], "GradeError"),
@@ -374,8 +370,8 @@ def test_negative_values_as_separate_tokens(spaced, joined):
         (["rotate", "--axis=0,0,1", "--angle=1", "--vector=0,1e300,0",
           "--kappa1=1e17", "--kappa2=1"], "NonFiniteResult"),
     ],
-    ids=["nan-result", "nan-pseudo-norm", "kappa1-zero-second-half", "overflowing-sandwich",
-         "numpy-warning", "overflowing-sink", "overflowing-first-half", "infinite-volume-slot",
+    ids=["nan-result", "nan-pseudo-norm", "overflowing-sandwich", "numpy-warning",
+         "overflowing-sink", "overflowing-first-half", "infinite-volume-slot",
          "overflowing-second-half"],
 )
 def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
@@ -387,6 +383,34 @@ def test_non_finite_rotate_ends_in_one_typed_error(argv, kind):
     if kind == "GradeError":
         assert payload["message"] == "sandwich result is not a vector"
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "argv,vector",
+    [
+        # a unit rotor, 1 + 5e299*s3check at kappa1 = 0, whose second half
+        # meets its overflowing product (5e299)**2 with kappa1 = 0: that term
+        # is 0 and is left out, and the answer is exp(1e300 H) of the vector
+        (["rotate", "--axis=0,0,1", "--angle=1e300", "--vector=1,0,0",
+          "--kappa1=0", "--kappa2=1"], [1.0, 1e300, 0.0]),
+        # 1 - 5e299*is2 at kappa1 = 0: exp(-1e300 P) of the vector
+        (["rotate", "--axis=0,1,0", "--angle=-1e300", "--vector=1,-0.3,-0.3",
+          "--kappa1=0", "--kappa2=2"], [1.0, -0.3, -1e300]),
+        # the s1 slot's terms at kappa2 = 0 are inf and 0 * inf: without the
+        # zero-label term it is finite, 0.2 ulps from the exact image
+        # (test_exact holds it)
+        (["rotate", "--axis=-2.2221295782107403e-100,1.0,5.365268480709824e-102",
+          "--angle=-9.973715873559661e+111",
+          "--vector=-7.193579099790739e+124,2.8858233976859406e-272,1.0",
+          "--kappa1=0.2645048897738844", "--kappa2=0.0"],
+         [-4.5694682209052483e+123, -1.3958868432568578e+125, -2.6017092122707387e+226]),
+    ],
+    ids=["kappa1-zero-second-half", "kappa1-zero-p-shear", "rotate-non-finite-sandwich"],
+)
+def test_a_zero_label_term_is_left_out_of_the_sandwich(argv, vector):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["vector"] == vector
 
 
 @pytest.mark.parametrize("extra", [[], ["--diff-paper"]], ids=["table", "diff"])
@@ -438,19 +462,13 @@ def test_conformal_table_with_overflowing_label_product_prints_the_exact_table(e
         (["unproject", "--w=1e308,0", "--kappa1=0", "--kappa2=1"], 1, "NonFiniteResult"),
         (["distance", "--w1=1.5e308,0", "--w2=-1.5e308,0", "--kappa1=0", "--kappa2=1"],
          1, "NonFiniteResult"),
-        # the sandwich's s1 slot is inf - inf while its other grades are finite
-        (["rotate", "--axis=-2.2221295782107403e-100,1.0,5.365268480709824e-102",
-          "--angle=-9.973715873559661e+111",
-          "--vector=-7.193579099790739e+124,2.8858233976859406e-272,1.0",
-          "--kappa1=0.2645048897738844", "--kappa2=0.0"], 1, "NonFiniteResult"),
         # the region boundary's coordinates overflow
         (["region", "--kappa1=-1e308", "--kappa2=-1e308"], 1, "NonFiniteResult"),
     ],
     ids=[
         "exp-nan", "unproject-inf", "distance-nan-label", "rotate-inf-vector",
         "zero-axis", "spin-cosh-overflow", "exp-cos-of-inf",
-        "unproject-nan-result", "distance-inf-result", "rotate-non-finite-sandwich",
-        "region-inf-coordinate",
+        "unproject-nan-result", "distance-inf-result", "region-inf-coordinate",
     ],
 )
 def test_non_finite_input_and_output_end_in_one_json_line(argv, code, kind):
