@@ -27,9 +27,8 @@ terms of the two 64-term products that an even rotor and a vector can make
 nonzero, on the rotor's four even parts, the plane-rotation closed form of
 :func:`spin.axis_parts`, and the vector's three.  The linear operations
 (sums, scaling, reversal, grade parts) are float loops over the 8 slots, so
-the algebra needs no numpy.  The 2x2 matrix picture
-is only an oracle (it is not faithful when kappa1 = 0, where s2 and
-s3check share a matrix).
+the algebra needs no numpy.  The 2x2 matrix picture is only an oracle (it is
+not faithful when kappa1 = 0, where s2 and s3check share a matrix).
 
 s3check is a primitive basis element: "division by i" never happens as an
 arithmetic operation, since i is a zero divisor whenever kappa2 <= 0.
