@@ -338,10 +338,10 @@ def _run_distance(args) -> Filled:
 
 def _run_rotate(args) -> Filled:
     kp = _kappas(args)
-    # the rotor's even slots 1, is1, is2, s3check hold Re alpha, Im alpha, Im beta, Re beta
     a0, a1, b0, b1 = spin.axis_parts(kp, *clifford.UnitAxis(*args.axis), args.angle)
     spin.require_unit(kp, a0, a1, b0, b1)
-    out = spin.sandwich_parts(kp, a0, a1, b1, b0, *args.vector)
+    out = spin.sandwich_parts(kp, a0, a1, b0, b1, *args.vector)
+    # printed in the rotor's slot order 1, is1, is2, s3check
     return Filled(_ROTATE, (kp.kappa1, kp.kappa2, a0, a1, b1, b0, *out))
 
 

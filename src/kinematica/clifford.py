@@ -326,7 +326,7 @@ def sandwich(r: Multivector, a: Multivector) -> Multivector:
     if v0 != 0.0 or v4 != 0.0 or v5 != 0.0 or v6 != 0.0 or v7 != 0.0:
         raise GradeError(f"{a} is not a pure vector")
     r._check(a)
-    out = sandwich_parts(r.kp, c0, c4, c5, c6, v1, v2, v3)
+    out = sandwich_parts(r.kp, c0, c4, c6, c5, v1, v2, v3)
     # the slots are floats, so the vector is made without the constructor's checks
     return Multivector._make((r.kp, (0.0, *out, 0.0, 0.0, 0.0, 0.0)))
 

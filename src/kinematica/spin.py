@@ -216,11 +216,11 @@ def require_unit(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> N
         raise NotUnitRotor(f"rotor pseudo-norm {norm} != 1")
 
 
-def sandwich_parts(kp: KappaPair, c0: float, c4: float, c5: float, c6: float, v1: float,
+def sandwich_parts(kp: KappaPair, a0: float, a1: float, b0: float, b1: float, v1: float,
                    v2: float, v3: float) -> tuple[float, float, float]:
-    """The vector parts of reverse(r) * a * r, r = c0 + c4*is1 + c5*is2 + c6*s3check
-    (spin parts (c0, c4, c6, c5)) and a = v1*s1 + v2*s2 + v3*s3: the 28 terms of the
-    module docstring, summed from +0.0 in (i, j) order, each (x*y)*monomial, as
+    """The vector parts of reverse(r) * a * r, r = a0 + a1*is1 + b1*is2 + b0*s3check
+    (spin parts (a0, a1, b0, b1), as :func:`require_unit` takes them) and
+    a = v1*s1 + v2*s2 + v3*s3: the 28 terms of the module docstring, summed from +0.0 in (i, j) order, each (x*y)*monomial, as
     ``clifford._gather`` sums them.  A kappa1*kappa2 term is skipped where x*y is 0,
     as there, and any term is skipped where its monomial has an exactly-zero label:
     the true term is then exactly 0, and a sum started at +0.0 is never -0.0, so
@@ -231,28 +231,28 @@ def sandwich_parts(kp: KappaPair, c0: float, c4: float, c5: float, c6: float, v1
     k1, k2 = kp
     k12 = k1 * k2
     # reverse(r) * a, in s1, s2, s3 and i
-    t = c5 * v3
-    h1 = (0.0 + c0 * v1 + (t * -k12 if t != 0.0 and k1 and k2 else 0.0)
-          + ((c6 * v2) * -k1 if k1 else 0.0))
-    h2 = 0.0 + c0 * v2 + ((c4 * v3) * k2 if k2 else 0.0) + c6 * v1
-    h3 = 0.0 + c0 * v3 - c4 * v2 + c5 * v1
-    h7 = (0.0 - c4 * v1 + ((c5 * v2) * -k1 if k1 else 0.0)
-          + ((c6 * v3) * k1 if k1 else 0.0))
+    t = b1 * v3
+    h1 = (0.0 + a0 * v1 + (t * -k12 if t != 0.0 and k1 and k2 else 0.0)
+          + ((b0 * v2) * -k1 if k1 else 0.0))
+    h2 = 0.0 + a0 * v2 + ((a1 * v3) * k2 if k2 else 0.0) + b0 * v1
+    h3 = 0.0 + a0 * v3 - a1 * v2 + b1 * v1
+    h7 = (0.0 - a1 * v1 + ((b1 * v2) * -k1 if k1 else 0.0)
+          + ((b0 * v3) * k1 if k1 else 0.0))
     # in the 64-term product a non-finite half meets r's zero odd slots,
     # which puts a nan into the even grades of the result
     if not (math.isfinite(h1) and math.isfinite(h2) and math.isfinite(h3)
             and math.isfinite(h7)):
         raise GradeError("sandwich result is not a vector")
     # that half times r, in s1, s2, s3 and i
-    t = h3 * c5
-    o1 = (0.0 + h1 * c0 + ((h2 * c6) * -k1 if k1 else 0.0)
-          + (t * -k12 if t != 0.0 and k1 and k2 else 0.0) + ((h7 * c4) * -k2 if k2 else 0.0))
-    o2 = (0.0 + h1 * c6 + h2 * c0 + ((h3 * c4) * k2 if k2 else 0.0)
-          + ((h7 * c5) * -k2 if k2 else 0.0))
-    o3 = 0.0 + h1 * c5 - h2 * c4 + h3 * c0 + h7 * c6
-    o7 = (0.0 + h1 * c4 + ((h2 * c5) * k1 if k1 else 0.0)
-          + ((h3 * c6) * -k1 if k1 else 0.0) + h7 * c0)
-    size = abs(c0) + abs(c4) + abs(c5) + abs(c6)  # `*` below, since float ** raises on overflow
+    t = h3 * b1
+    o1 = (0.0 + h1 * a0 + ((h2 * b0) * -k1 if k1 else 0.0)
+          + (t * -k12 if t != 0.0 and k1 and k2 else 0.0) + ((h7 * a1) * -k2 if k2 else 0.0))
+    o2 = (0.0 + h1 * b0 + h2 * a0 + ((h3 * a1) * k2 if k2 else 0.0)
+          + ((h7 * b1) * -k2 if k2 else 0.0))
+    o3 = 0.0 + h1 * b1 - h2 * a1 + h3 * a0 + h7 * b0
+    o7 = (0.0 + h1 * a1 + ((h2 * b1) * k1 if k1 else 0.0)
+          + ((h3 * b0) * -k1 if k1 else 0.0) + h7 * a0)
+    size = abs(a0) + abs(a1) + abs(b1) + abs(b0)  # `*` below, since float ** raises on overflow
     scale = size * size * (abs(v1) + abs(v2) + abs(v3))
     # the even grades of the result are exactly 0: the off-grade part is i's
     if not abs(o7) <= UNIT_TOL * max(1.0, scale):
@@ -266,13 +266,15 @@ def cover_to_so3(s: SpinElement) -> Matrix3:
     Two-to-one: s and -s give the same matrix.  Column j is
     :func:`sandwich_parts` on e_j, with the rotor the s1-conjugated element
     (conj(alpha), beta); see the module docstring for why the twist is the
-    convention that meets all three generator exponentials.
+    convention that meets all three generator exponentials.  Raises
+    ``NotSpin`` where s is not unit, and the kernel's ``GradeError`` where a
+    half of the sandwich leaves the float range or i's part is above its
+    bound, as at a huge label (ROADMAP item 5).
     """
     defect = s.unit_defect()
     if not defect <= UNIT_TOL:  # also rejects a nan defect
         raise NotSpin(f"unit condition violated by {defect}")
-    kp, a0, a1, b0, b1 = s.kp, s.alpha.re, -s.alpha.im, s.beta.re, s.beta.im
-    # the rotor's even slots 1, is1, is2, s3check hold Re alpha, Im alpha, Im beta, Re beta
-    columns = [sandwich_parts(kp, a0, a1, b1, b0, *e)
+    parts = s.alpha.re, -s.alpha.im, s.beta.re, s.beta.im
+    columns = [sandwich_parts(s.kp, *parts, *e)
                for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     return tuple(zip(*columns))

@@ -165,7 +165,7 @@ def setup(modules: dict[str, types.ModuleType]) -> dict[str, object]:
     return {
         "cli": modules["kinematica.cli"], "ckgeom": ckgeom, "clifford": clifford,
         "spin": modules["kinematica.spin"], "lines": PARSE_LINES, "main_lines": MAIN_LINES,
-        "kp": kp, "axis": axis, "r": r, "rotor_parts": (r.coeffs[0], *r.coeffs[4:7]),
+        "kp": kp, "axis": axis, "r": r, "rotor_parts": tuple(r.coeffs[k] for k in (0, 4, 6, 5)),
         "a": clifford.Multivector.vector(kp, 1.0, 2.0, 3.0),
         "kp_spin": kp_spin, "element": modules["kinematica.spin"].sl2_of_exp(kp_spin, "K", 0.5),
         "kp_exp": ckgeom.KappaPair(-1.0, 1.0),

@@ -39,8 +39,9 @@ is what a tiny label times a huge parameter costs.  Being linear, it
 bounds the error of a rounded angle while the square of that rounding is
 below an ulp, up to angles of about 1e8; near 1e16 one rounding unit of
 the angle is a radian.  Run as a script, this file sweeps seeded draws and
-prints, for each engine, how many draws it answers (an error is not
-measured), the median, p99 and max error in ulps of L over them, the
+prints, for each engine, how many draws it answers (only the ``exp``
+sweep's ``cover_to_so3`` may refuse one, with ``NotSpin``; any other error
+ends the run), the median, p99 and max error in ulps of L over them, the
 largest budget use and how many answers are over budget:
 
     python tests/exact.py --sweep spin --draws 4000 --seed 1
@@ -260,9 +261,11 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def measure(sweep: str, n: int, seed: int) -> dict[str, tuple[list[float], list[float]]]:
-    """Engine -> (max-entry error, in ulps, and budget_use of each draw it answers);
-    ``cover_to_so3`` ends in ``NotSpin`` on a few large rapidities of the ``exp`` sweep."""
-    from kinematica.errors import KinematicaError
+    """Engine -> (max-entry error, in ulps, and budget_use of each draw it answers).
+    The one refusal left out is ``cover_to_so3``'s ``NotSpin`` in the ``exp`` sweep,
+    whose large rapidities put a few elements past ``UNIT_TOL``; any other error
+    ends the sweep."""
+    from kinematica.errors import NotSpin
 
     cases = draws(sweep, n, seed)
     exact = [exp_matrix(*case) for case in cases]
@@ -272,7 +275,9 @@ def measure(sweep: str, n: int, seed: int) -> dict[str, tuple[list[float], list[
         for case, e in zip(cases, exact):
             try:
                 m = engine(*case)
-            except KinematicaError:
+            except NotSpin:
+                if sweep != "exp" or name != "cover_to_so3":
+                    raise
                 continue
             errors.append(max_entry_ulps(m, e))
             uses.append(budget_use(m, *case, e))

@@ -304,7 +304,7 @@ def vector_parts(r: Multivector, a: Multivector) -> tuple:
     the even parts of r and the vector parts of a."""
     c0, _, _, _, c4, c5, c6, _ = r.coeffs
     require_unit(r.kp, c0, c4, c6, c5)
-    return sandwich_parts(r.kp, c0, c4, c5, c6, *a.vector_components())
+    return sandwich_parts(r.kp, c0, c4, c6, c5, *a.vector_components())
 
 
 def reference_vector_parts(r: Multivector, a: Multivector) -> tuple:

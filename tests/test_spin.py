@@ -319,29 +319,25 @@ def test_cover_of_generator_families(kp):
 # a zero label in each slot, the other of either sign, tiny, huge or also 0
 CONTRACTION_LIMITS = ([KappaPair(0.0, k) for k in (1.0, 2.0, -1.0, 1e-200, 1e300, -1e300, 0.0)]
                       + [KappaPair(k, 0.0) for k in (1.0, -1.0, 1e-200, 1e300, -1e300)])
+# the sandwich forms kappa1 * Im(beta), up to 1e300 * 5e299, before its
+# terms cancel, which the matrix never shows; the old closed-form cover met
+# these shears, and rotate shares the limit
+HALF_OVERFLOWS = pytest.mark.xfail(
+    strict=True, raises=GradeError,
+    reason="a half of the sandwich leaves the float range (ROADMAP item 5)")
 
 
-@pytest.mark.parametrize("gen", "HPK")
-def test_the_cover_is_the_exponential_at_the_contraction_limits(gen):
+@pytest.mark.parametrize("gen,kp", [
+    pytest.param(gen, kp, id=f"{gen}-{kp.kappa1:g}-{kp.kappa2:g}",
+                 marks=HALF_OVERFLOWS if gen == "P" and abs(kp.kappa1) == 1e300 else ())
+    for gen in "HPK" for kp in CONTRACTION_LIMITS if generator_label(kp, gen) == 0.0
+])
+def test_the_cover_is_the_exponential_at_the_contraction_limits(gen, kp):
     # where gen's label is 0, exp(t gen) is a shear, exact in floats at any t;
     # the cover meets it up to the sign of zeros (== holds 0.0 == -0.0).  Its
     # element's shear part squares past the float range, against a zero label
-    for kp in CONTRACTION_LIMITS:
-        if generator_label(kp, gen) != 0.0 or (gen == "P" and abs(kp.kappa1) == 1e300):
-            continue
-        for t in (1e200, -1e200, 1e300, -1e300):
-            assert cover_to_so3(sl2_of_exp(kp, gen, t)) == exp_generator(kp, gen, t), (kp, t)
-
-
-@pytest.mark.parametrize("t", [1e200, -1e300])
-def test_the_cover_of_a_p_shear_overflows_inside_the_sandwich_at_a_huge_kappa1(t):
-    # the sandwich forms kappa1 * Im(beta) = 1e300 * 5e199 before its terms
-    # cancel, which the matrix cannot show: a known limit of the kernel, which
-    # rotate shares (ROADMAP item 5)
-    kp = KappaPair(1e300, 0.0)
-    assert exp_generator(kp, "P", t) == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (t, 0.0, 1.0))
-    with pytest.raises(GradeError, match="sandwich result is not a vector"):
-        cover_to_so3(sl2_of_exp(kp, "P", t))
+    for t in (1e200, -1e200, 1e300, -1e300):
+        assert cover_to_so3(sl2_of_exp(kp, gen, t)) == exp_generator(kp, gen, t), t
 
 
 def test_cover_identity_and_negative():
