@@ -60,7 +60,7 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from . import ckgeom, clifford, conformal, gencomplex, kinclass, spin
+from . import ckgeom, conformal, gencomplex, kinclass, spin
 from .errors import KinematicaError, fill
 
 
@@ -338,7 +338,7 @@ def _run_distance(args) -> Filled:
 
 def _run_rotate(args) -> Filled:
     kp = _kappas(args)
-    a0, a1, b0, b1 = spin.axis_parts(kp, *clifford.UnitAxis(*args.axis), args.angle)
+    a0, a1, b0, b1 = spin.axis_parts(kp, *spin.UnitAxis(*args.axis), args.angle)
     spin.require_unit(kp, a0, a1, b0, b1)
     out = spin.sandwich_parts(kp, a0, a1, b0, b1, *args.vector)
     # printed in the rotor's slot order 1, is1, is2, s3check

@@ -32,23 +32,20 @@ not faithful when kappa1 = 0, where s2 and s3check share a matrix).
 
 s3check is a primitive basis element: "division by i" never happens as an
 arithmetic operation, since i is a zero divisor whenever kappa2 <= 0.
+
+This layer is a leaf: no other module imports it, and no command line runs
+it.  The axis that :func:`axis_of` and :func:`plane_of` take is
+``spin.UnitAxis``, beside ``spin.axis_parts``, which ``rotate`` reads.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from .ckgeom import KappaPair
-from .errors import (
-    DegenerateAxis,
-    DegeneratePlane,
-    GradeError,
-    KappaMismatch,
-    NotAVector,
-)
-from .spin import axis_label, axis_parts, require_unit, sandwich_parts
+from .errors import DegeneratePlane, GradeError, KappaMismatch, NotAVector
+from .spin import UnitAxis, axis_label, axis_parts, require_unit, sandwich_parts
 
 BASIS_LABELS = ("1", "s1", "s2", "s3", "is1", "is2", "s3check", "i")
 
@@ -265,33 +262,6 @@ def bivector_kappa(b: Multivector) -> float:
     """The rotation label -B^2 of a plane element, in closed form (spin.axis_label)."""
     _require_bivector(b)
     return axis_label(b.kp, *b.coeffs[IS1:S3CHECK + 1])
-
-
-class UnitAxis(NamedTuple("UnitAxis", [("n1", float), ("n2", float), ("n3", float)])):
-    """Euclidean-normalized rotation axis coefficients."""
-
-    __slots__ = ()
-
-    def __new__(cls, n1: float, n2: float, n3: float) -> "UnitAxis":
-        try:
-            squares = n1**2 + n2**2 + n3**2
-        except OverflowError:  # float ** raises where * would give inf
-            squares = math.inf
-        if squares < sys.float_info.min or squares == math.inf:
-            # subnormal squares lose bits and huge ones overflow: normalize the
-            # copy scaled by an exact power of two (an inf part stays inf)
-            scale = 2.0**600 if squares < 1.0 else 2.0**-600
-            n1, n2, n3 = (x * scale for x in (n1, n2, n3))
-            squares = n1**2 + n2**2 + n3**2
-        norm = math.sqrt(squares)
-        if norm == 0.0 or not math.isfinite(norm):
-            raise DegenerateAxis(f"axis norm {norm} must be nonzero and finite")
-        return super().__new__(cls, n1 / norm, n2 / norm, n3 / norm)
-
-    def __reduce__(self):
-        # a copy or an unpickled axis keeps its coefficients: normalizing
-        # them again could move the last bit
-        return self._make, (tuple(self),)
 
 
 def rotor_from_bivector(b: Multivector, phi: float) -> Multivector:

@@ -8,8 +8,8 @@ vanish on nonzero elements, and those zero divisors are exactly the
 non-invertible directions (the null cone of the plane geometries built on
 top of this algebra).  Every layer leaves that decision to ``inv`` and
 ``is_zero_divisor``, or, on float parts, to ``_inverse_parts``, through which
-both go and which ``ckgeom.distance`` calls: it is taken once, on the
-power-of-two-scaled modulus where the plain one may be inexact.
+both go and which the Moebius maps and ``ckgeom.distance`` call once each: it
+is taken on the power-of-two-scaled modulus where the plain one may be inexact.
 
 Values carrying different kappa labels never mix: arithmetic between them
 raises ``KappaMismatch`` instead of silently coercing.
@@ -275,10 +275,10 @@ class Mat2(NamedTuple("Mat2", [("a", GenComplex), ("b", GenComplex),
                 and use :func:`gamma_apply` to act there.
         """
         _check_same_kappa(self.kappa, w.kappa)
-        den = self.c * w + self.d
-        if den.is_zero() or den.is_zero_divisor():
+        inverse = _inverse_parts(*(self.c * w + self.d))
+        if inverse is None:
             raise AtInfinity(f"{w} maps outside the affine plane")
-        return (self.a * w + self.b) * den.inv()
+        return (self.a * w + self.b) * GenComplex(*inverse, self.kappa)
 
     def inverse(self) -> "Mat2":
         """The adjugate: the inverse Moebius map (projectively, up to det)."""
@@ -292,8 +292,7 @@ class MoebiusMap(Mat2):
 
     def __new__(cls, a: GenComplex, b: GenComplex, c: GenComplex, d: GenComplex) -> "MoebiusMap":
         m = super().__new__(cls, a, b, c, d)
-        det = m.det()
-        if det.is_zero() or det.is_zero_divisor():
+        if _inverse_parts(*m.det()) is None:
             raise ValueError("Moebius matrix determinant must be invertible")
         return m
 
@@ -336,9 +335,10 @@ class GammaPoint(NamedTuple("GammaPoint", [("u", GenComplex), ("v", GenComplex)]
 
     def to_affine(self) -> GenComplex:
         """Project back to the plane as u * v^-1 (v must be invertible)."""
-        if self.v.is_zero() or self.v.is_zero_divisor():
+        inverse = _inverse_parts(*self.v)
+        if inverse is None:
             raise AtInfinity(f"[{self.u} : {self.v}] has no affine image")
-        return self.u * self.v.inv()
+        return self.u * GenComplex(*inverse, self.kappa)
 
 
 def gamma_lift(w: GenComplex) -> GammaPoint:

@@ -12,13 +12,14 @@ cosk(x, t/2) + B*sink(x, t/2) for the matching basis bivector B with label
 x = -B^2.  G's axis, :data:`AXES`, is the unit vector at the index G's
 ``ckgeom.PLANES`` plane leaves out, and :func:`so3_matrix_generators` lays
 G out over it.  Spin elements, rotors and the ``rotate`` answer are read
-from the four parts of :func:`axis_parts`.  The + element over exp(t*G), G one
-of the tags H, P and K, is :func:`sl2_of_exp`.  It is the one plane-rotation
-closed form of ``ckgeom.exp_parts`` at half the parameter: its two parts
-that vary are :func:`half_angle_parts`, cosk and sink of G's label at t/2
-with the sign that makes the element the + one, which the ``spin`` request
-prints, and :func:`sl2_parts` places them in (Re alpha, Im alpha, Re beta,
-Im beta) as :func:`axis_parts` does.
+from the four parts of :func:`axis_parts`, over the axis :class:`UnitAxis`
+normalizes and the label :func:`axis_label` gives it.  The + element over
+exp(t*G), G one of the tags H, P and K, is :func:`sl2_of_exp`.  It is the one
+plane-rotation closed form of ``ckgeom.exp_parts`` at half the parameter,
+refused where that is: its two parts that vary are :func:`half_angle_parts`,
+cosk and sink of G's label at t/2 with the sign that makes the element the +
+one, which the ``spin`` request prints, and :func:`sl2_parts` places them in
+(Re alpha, Im alpha, Re beta, Im beta) as :func:`axis_parts` does.
 
 A spin element acts on vectors by the sandwich reverse(r) * a * r inside the
 eight-dimensional Clifford algebra of ``clifford`` (the 2x2 matrix picture
@@ -43,10 +44,11 @@ the cover stays a two-to-one group homomorphism with kernel {+1, -1}.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
-from .ckgeom import PLANES, KappaPair, Matrix3, generator_label
-from .errors import GradeError, KappaMismatch, NotSpin, NotUnitRotor
+from .ckgeom import PLANES, KappaPair, Matrix3, exp_parts
+from .errors import DegenerateAxis, GradeError, KappaMismatch, NotSpin, NotUnitRotor
 from .gencomplex import GenComplex, Mat2, gc
 from .gentrig import cosk_sink
 
@@ -119,6 +121,33 @@ class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenCom
         return SpinElement(self.kp, -self.alpha, -self.beta)
 
 
+class UnitAxis(NamedTuple("UnitAxis", [("n1", float), ("n2", float), ("n3", float)])):
+    """Euclidean-normalized rotation axis coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, n1: float, n2: float, n3: float) -> "UnitAxis":
+        try:
+            squares = n1**2 + n2**2 + n3**2
+        except OverflowError:  # float ** raises where * would give inf
+            squares = math.inf
+        if squares < sys.float_info.min or squares == math.inf:
+            # subnormal squares lose bits and huge ones overflow: normalize the
+            # copy scaled by an exact power of two (an inf part stays inf)
+            scale = 2.0**600 if squares < 1.0 else 2.0**-600
+            n1, n2, n3 = (x * scale for x in (n1, n2, n3))
+            squares = n1**2 + n2**2 + n3**2
+        norm = math.sqrt(squares)
+        if norm == 0.0 or not math.isfinite(norm):
+            raise DegenerateAxis(f"axis norm {norm} must be nonzero and finite")
+        return super().__new__(cls, n1 / norm, n2 / norm, n3 / norm)
+
+    def __reduce__(self):
+        # a copy or an unpickled axis keeps its coefficients: normalizing
+        # them again could move the last bit
+        return self._make, (tuple(self),)
+
+
 def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
     """The rotation label -B^2 of B = n1*is1 + n2*is2 + n3*s3check.
 
@@ -160,11 +189,11 @@ def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
 
 
 def half_angle_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, float]:
-    """(c, s) = cosk_sink(label, t/2) over gen's ``ckgeom.generator_label``, negated where
-    c < 0.0: the parts of :func:`sl2_of_exp` that vary.  c, which leads the parts, is
-    never 0 (the cosine of a float is not 0, and cosh and the series are near 1 or
-    more), so its sign alone decides the + element."""
-    c, s = cosk_sink(generator_label(kp, gen), 0.5 * t)
+    """(c, s), the first and third of ``ckgeom.exp_parts(kp, gen, t/2)``, with its
+    refusals, negated where c < 0.0: the parts of :func:`sl2_of_exp` that vary.  c,
+    which leads the parts, is never 0 (the cosine of a float is not 0, and cosh and the
+    series are near 1 or more), so its sign alone decides the + element."""
+    c, _, s, _ = exp_parts(kp, gen, 0.5 * t)
     return (-c, -s) if c < 0.0 else (c, s)
 
 

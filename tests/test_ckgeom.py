@@ -53,6 +53,13 @@ SIGN_PATTERNS = [
 ]
 
 
+@pytest.mark.parametrize("labels", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                    (1.0, -math.inf)])
+def test_a_label_that_is_not_finite_is_refused(labels):
+    with pytest.raises(ValueError, match="^kappa labels must be finite$"):
+        KappaPair(*labels)
+
+
 @pytest.mark.parametrize("kp", SIGN_PATTERNS)
 def test_generator_commutators_exact(kp):
     h, p, k = map(np.asarray, so3_generators(kp))

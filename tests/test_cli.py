@@ -1297,6 +1297,22 @@ def test_exact_form_keeps_the_error_precedence_of_argparse(argv):
     assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
 
 
+# command lines that argvs() seldom or never draws: no subcommand, a "--" before
+# it, and an option-like token holding a space, which is a value, before and after it
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--"],
+    ["--", "exp"],
+    ["--", *EXACT_EXP],
+    ["-x y", *EXACT_EXP],
+    ["--foo bar", *EXACT_EXP],
+    [EXACT_EXP[0], "-x y", *EXACT_EXP[1:]],
+    [*EXACT_EXP, "--foo bar"],
+], ids=lambda argv: " ".join(argv) or "(empty)")
+def test_edge_command_lines_parse_like_argparse(argv):
+    assert parse_outcome(parse_args, argv) == parse_outcome(reference_parser().parse_args, argv)
+
+
 def test_exact_command_lines_are_read_in_one_pass(workloads, monkeypatch):
     # the general reader classifies every token; a request in the exact form
     # never reaches it, and any other form still does
@@ -1807,7 +1823,7 @@ LOAD_MAP = [
     (["distance", "--w1", "0,0", "--w2", "0.5,0", *KAPPAS], GEOMETRY),
     (["region", *KAPPAS], GEOMETRY),
     (["rotate", "--axis", "1,0,0", "--angle", "1.5", "--vector", "1,0,0", *KAPPAS],
-     GEOMETRY | {"spin", "clifford"}),
+     GEOMETRY | {"spin"}),
     (["spin", "--gen", "H", "--param", "0.3", *KAPPAS], GEOMETRY | {"spin"}),
     (["conformal-table", "--diff-paper", *KAPPAS], GEOMETRY | {"spin", "conformal"}),
     (["--help"], set()),

@@ -65,6 +65,13 @@ def test_basis_matrices():
     )
 
 
+@pytest.mark.parametrize("tag", ["X", "g1", ""])
+def test_an_unknown_conformal_tag_is_a_key_error(tag):
+    with pytest.raises(KeyError) as raised:
+        conformal_moebius(KappaPair(1.0, 1.0), tag, 0.5)
+    assert raised.value.args == (f"unknown conformal generator {tag!r}",)
+
+
 def test_g1_exponential_is_lower_shear():
     kp = KappaPair(1.0, 1.0)
     m = conformal_moebius(kp, "G1", 1.7)

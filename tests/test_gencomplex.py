@@ -276,6 +276,13 @@ def test_kappa_mismatch_is_hard_error():
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
+def test_a_float_on_the_left_adds_and_subtracts_as_a_real_element(kappa):
+    w = gc(0.5, -0.25, kappa)
+    assert 2.0 + w == gc(2.5, -0.25, kappa) == w + 2.0
+    assert 2.0 - w == gc(1.5, 0.25, kappa)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
 def test_exp_unit(kappa):
     e = gc_exp_unit(kappa, 0.8)
     assert e.sqmod() == pytest.approx(1.0, abs=1e-12)
@@ -390,6 +397,22 @@ def test_gamma_admissibility():
     m = MoebiusMap.identity(0.0)
     with pytest.raises(InadmissiblePoint):
         gamma_apply(m, bad)
+
+
+@pytest.mark.parametrize("part", range(5))
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_a_pair_with_an_infinite_part_is_not_admissible(part, value):
+    parts = [1.0, 0.0, 0.0, 1.0, 1.0]  # u.re, u.im, v.re, v.im and kappa of [1 : i]
+    parts[part] = value
+    u0, u1, v0, v1, kappa = parts
+    assert not GammaPoint(gc(u0, u1, kappa), gc(v0, v1, kappa)).is_admissible()
+
+
+def test_a_singular_map_can_send_an_admissible_point_to_an_inadmissible_image():
+    kappa = 1.0
+    zero, one = gc(0, 0, kappa), gc(1, 0, kappa)
+    with pytest.raises(InadmissiblePoint, match=r"^image \[.* is not admissible$"):
+        gamma_apply(Mat2(one, zero, zero, zero), GammaPoint(zero, one))
 
 
 def exact_rank(rows):

@@ -115,6 +115,12 @@ def test_symmetries_involutive(sym):
         assert apply_symmetry(sym, apply_symmetry(sym, t)) == t
 
 
+def test_an_unknown_symmetry_is_a_key_error():
+    with pytest.raises(KeyError) as raised:
+        apply_symmetry("S_X", BracketTriple(1, 1, 1))
+    assert raised.value.args == ("unknown symmetry 'S_X'",)
+
+
 def test_symmetry_images():
     # boost-fixing swap of space and time interchanges the two Newtonian
     # expansions with the two degenerate Minkowski families, and G with C

@@ -14,13 +14,13 @@ import kinematica
 PUBLIC = {
     "ckgeom": ["KappaPair", "distance", "exp_generator", "metric_g1", "metric_g2", "project",
                "region_svg", "so3_generators", "unproject"],
-    "clifford": ["Multivector", "UnitAxis", "bivector_kappa", "ck_dot", "left_contract",
-                 "rotor", "sandwich", "wedge"],
+    "clifford": ["Multivector", "bivector_kappa", "ck_dot", "left_contract", "rotor",
+                 "sandwich", "wedge"],
     "gencomplex": ["GammaPoint", "GenComplex", "Mat2", "MoebiusMap", "gc", "gc_exp_unit"],
     "gentrig": ["atank", "cosk", "cosk_sink", "sink", "tank"],
     "kinclass": ["BracketTriple", "canonicalize", "contract", "contraction_graph",
                  "enumerate_all", "is_kinematical", "name_of"],
-    "spin": ["SpinElement", "cover_to_so3", "sl2_of_exp"],
+    "spin": ["SpinElement", "UnitAxis", "cover_to_so3", "sl2_of_exp"],
 }
 LAYERS = ("gentrig", "gencomplex", "ckgeom", "spin", "clifford", "kinclass", "conformal")
 

@@ -239,7 +239,9 @@ def test_each_generators_spin_parts_keep_the_reference_bits(gen):
     on_axis = {"K": 1, "H": 2, "P": 3}[gen]  # s is Im alpha, Re beta or Im beta
     for kp in LABELS:
         for t in PARAMS:
-            want = outcome(reference_sl2_parts, kp, gen, t)
+            # where exp_parts refuses the half parameter, the spin parts share its error
+            refused = outcome(exp_parts, kp, gen, t / 2)
+            want = refused if type(refused[0]) is type else outcome(reference_sl2_parts, kp, gen, t)
             assert outcome(sl2_parts, kp, gen, t) == want, (kp, t)
             assert outcome(element_parts, kp, gen, t) == want, (kp, t)
             half = outcome(half_angle_parts, kp, gen, t)

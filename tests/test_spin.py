@@ -14,6 +14,7 @@ from kinematica.ckgeom import (
     KappaPair,
     exp_generator,
     bilinear_form,
+    exp_parts,
     generator_label,
     project,
     unproject,
@@ -31,7 +32,7 @@ from kinematica.clifford import (
     bivector_kappa,
     rotor_from_bivector,
 )
-from kinematica.errors import GradeError, KinematicaError, NotSpin
+from kinematica.errors import GradeError, KappaMismatch, KinematicaError, NotSpin
 from kinematica.gencomplex import Mat2, gc, gc_exp_unit
 from kinematica.gentrig import cosk, cosk_sink, sink
 from oracles import expm
@@ -251,6 +252,22 @@ def test_is_spin(kp):
     assert is_spin(kp, sl2_of_exp(kp, "K", 0.4).as_mat2())
 
 
+def test_is_spin_rejects_a_matrix_over_another_kappa2():
+    kp = KappaPair(1.0, -1.0)
+    assert not is_spin(kp, sl2_of_exp(KappaPair(1.0, 1.0), "H", 0.7).as_mat2())
+
+
+def test_a_spin_element_refuses_entries_and_factors_over_other_labels():
+    kp = KappaPair(1.0, -1.0)
+    for alpha, beta in ((gc(1, 0, 1.0), gc(0, 0, -1.0)), (gc(1, 0, -1.0), gc(0, 0, 1.0))):
+        with pytest.raises(KappaMismatch, match="^spin entries must carry kappa2$"):
+            SpinElement(kp, alpha, beta)
+    other = KappaPair(2.0, -1.0)
+    with pytest.raises(KappaMismatch) as raised:
+        sl2_of_exp(kp, "H", 0.7) * sl2_of_exp(other, "H", 0.7)
+    assert str(raised.value) == f"{kp} vs {other}"
+
+
 def test_is_spin_rejects_shear():
     kp = KappaPair(1.0, 1.0)
     shear = Mat2(gc(1, 0, 1), gc(1, 0, 1), gc(0, 0, 1), gc(1, 0, 1))
@@ -397,8 +414,9 @@ def labels(sign):
 
 
 def spin_elements(kp):
-    params = st.floats(-3.0, 3.0, allow_nan=False)
-    return st.builds(lambda gen, t: sl2_of_exp(kp, gen, t), st.sampled_from("KHP"), params)
+    # a draw whose half parameter exp_parts refuses has no + element
+    draws = st.tuples(st.sampled_from("KHP"), st.floats(-3.0, 3.0, allow_nan=False))
+    return draws.filter(lambda d: refusal(kp, *d) is None).map(lambda d: sl2_of_exp(kp, *d))
 
 
 @st.composite
@@ -572,6 +590,12 @@ def outcome(make, bits):
     return bits(value)
 
 
+def refusal(kp: KappaPair, gen: str, t: float):
+    """The type and message of what ``exp_parts`` raises at t/2, which the + element
+    over exp(t*gen) raises too, or None where it answers."""
+    return outcome(lambda: exp_parts(kp, gen, t / 2), lambda parts: None)
+
+
 def element_bits(s: SpinElement):
     """A spin element's label pair and the bits of its entries."""
     assert type(s) is SpinElement
@@ -594,9 +618,11 @@ def reference_parts(kp: KappaPair, gen: str, t: float) -> tuple:
 def test_sl2_of_exp_and_sl2_parts_give_the_reference_bits(gen):
     for kp in SPIN_LABELS:
         for t in SPIN_EXTREMES + [0.5, -1.7]:
-            want = outcome(lambda: spin_reference.generator_element(kp, gen, t), element_bits)
+            refused = refusal(kp, gen, t)
+            want = refused or outcome(
+                lambda: spin_reference.generator_element(kp, gen, t), element_bits)
             assert outcome(lambda: sl2_of_exp(kp, gen, t), element_bits) == want, (kp, t)
-            want = outcome(lambda: reference_parts(kp, gen, t), parts_bits)
+            want = refused or outcome(lambda: reference_parts(kp, gen, t), parts_bits)
             got = outcome(lambda: sl2_parts(kp, gen, t), parts_bits)
             assert got == want, (kp, t)
 
