@@ -7,11 +7,12 @@ Importing the package registers its seven layers, ``gentrig``,
 ``conformal``: each is in ``sys.modules`` and is an attribute of the package
 from the start, but its body runs on the first attribute access
 (``importlib.util.LazyLoader``), so a process pays only for the layers it
-uses.  ``errors`` loads at once.  The public names of the layers are package
-attributes too, looked up in their layer on access; ``__all__`` lists them.
-On older CPythons (3.11 among them) the first access to a lazy layer is not
-guarded against concurrent threads, so load a layer before sharing it across
-threads.
+uses; a layer reaches ``gentrig`` and ``gencomplex`` through the layer, so
+loading it runs neither.  ``errors`` loads at once.  The public names of the
+layers are package attributes too, looked up in their layer on access;
+``__all__`` lists them.  On older CPythons (3.11 among them) the first access
+to a lazy layer is not guarded against concurrent threads: touch every layer
+the threads call before starting them, as ``vars(kinematica.gentrig)`` does.
 """
 
 import importlib.util

@@ -28,6 +28,7 @@ import math
 import sys
 from typing import NamedTuple
 
+from . import gencomplex, gentrig
 from .errors import (
     BoundarySingularity,
     DenominatorNotInvertible,
@@ -38,16 +39,6 @@ from .errors import (
     WrongGeometry,
     fill,
 )
-from .gencomplex import (
-    GenComplex,
-    _check_same_kappa,
-    _inverse_parts,
-    _scaled_parts,
-    _split_pow2,
-    _times_pow2,
-    gc,
-)
-from .gentrig import atank, cosk_sink
 
 
 class KappaPair(NamedTuple("KappaPair", [("kappa1", float), ("kappa2", float)])):
@@ -90,7 +81,7 @@ def exp_parts(kp: KappaPair, gen: str, t: float) -> tuple[float, float, float, f
     label = generator_label(kp, gen)
     if gen == "P" and t and kp.kappa1 and kp.kappa2 and abs(label) < sys.float_info.min:
         raise TrigOverflow(f"P label kappa1*kappa2 rounds to {label!r}, below the normal floats")
-    c, s = cosk_sink(label, t)
+    c, s = gentrig.cosk_sink(label, t)
     return c, -label * s, s, c
 
 
@@ -129,7 +120,7 @@ def word_matrix(kp: KappaPair, word: list[tuple[str, float]]) -> Matrix3:
     return m
 
 
-def project(kp: KappaPair, point) -> GenComplex:
+def project(kp: KappaPair, point) -> gencomplex.GenComplex:
     """Central projection (z, t, x) -> (t + i*x)/(z + 1) from (-1, 0, 0).
 
     Raises:
@@ -138,10 +129,10 @@ def project(kp: KappaPair, point) -> GenComplex:
     z, t, x = point
     if z == -1.0:
         raise ProjectionPole("z = -1 is the projection point")
-    return gc(t / (z + 1.0), x / (z + 1.0), kp.kappa2)
+    return gencomplex.gc(t / (z + 1.0), x / (z + 1.0), kp.kappa2)
 
 
-def _one_plus_kappa1_sqmod(kappa1: float, w: GenComplex) -> tuple[float, int]:
+def _one_plus_kappa1_sqmod(kappa1: float, w: gencomplex.GenComplex) -> tuple[float, int]:
     """1 + kappa1*sqmod(w) as (d, e), the value d * 2**e with e = 0 below +inf.
 
     Where kappa1*sqmod(w) overflowed to +inf, or was 0*inf or inf - inf (-inf
@@ -152,13 +143,13 @@ def _one_plus_kappa1_sqmod(kappa1: float, w: GenComplex) -> tuple[float, int]:
     d = 1.0 + kappa1 * w.sqmod()
     if d < math.inf:
         return d, 0
-    _, _, s, k = _scaled_parts(*w)
-    c, j = _split_pow2(kappa1)
-    d = 1.0 + _times_pow2(c * s, j + 2 * k)
+    _, _, s, k = gencomplex._scaled_parts(*w)
+    c, j = gencomplex._split_pow2(kappa1)
+    d = 1.0 + gencomplex._times_pow2(c * s, j + 2 * k)
     return (d, 0) if d < math.inf else (c * s, j + 2 * k)
 
 
-def unproject(kp: KappaPair, w: GenComplex) -> Triple:
+def unproject(kp: KappaPair, w: gencomplex.GenComplex) -> Triple:
     """The quadric point projecting to w.
 
     Inverse of :func:`project`; the z coordinate is nonnegative exactly when
@@ -169,8 +160,8 @@ def unproject(kp: KappaPair, w: GenComplex) -> Triple:
     """
     denom, e = _one_plus_kappa1_sqmod(kp.kappa1, w)
     if e:  # 2*w/denom is 2*w/(kappa1*sqmod(w)) to rounding
-        re, im, _, k = _scaled_parts(*w)
-        t, x = (_times_pow2(2.0 * v, k - e, denom) for v in (re, im))
+        re, im, _, k = gencomplex._scaled_parts(*w)
+        t, x = (gencomplex._times_pow2(2.0 * v, k - e, denom) for v in (re, im))
         return (-1.0, t, x)
     if denom <= 0.0:
         raise OutsideModel(f"1 + kappa1*|w|^2 = {denom} <= 0")
@@ -178,7 +169,7 @@ def unproject(kp: KappaPair, w: GenComplex) -> Triple:
     return (scale - 1.0, w.re * scale, w.im * scale)
 
 
-def metric_g1(kp: KappaPair, w: GenComplex, dw: GenComplex) -> float:
+def metric_g1(kp: KappaPair, w: gencomplex.GenComplex, dw: gencomplex.GenComplex) -> float:
     """Main metric sqmod(dw)/(1 + kappa1*sqmod(w))^2 (indefinite if kappa2<0)."""
     denom, e = _one_plus_kappa1_sqmod(kp.kappa1, w)
     if denom == 0.0:
@@ -187,19 +178,19 @@ def metric_g1(kp: KappaPair, w: GenComplex, dw: GenComplex) -> float:
     if not e and math.isfinite(num) and denom * denom < math.inf:
         return num / (denom * denom)
     # num = s * 4**k and (denom * 2**e)**2 = m*m * 4**(e + j), s and m*m normal
-    _, _, s, k = _scaled_parts(*dw)
-    m, j = _split_pow2(denom)
-    return _times_pow2(s, 2 * (k - e - j), m * m)
+    _, _, s, k = gencomplex._scaled_parts(*dw)
+    m, j = gencomplex._split_pow2(denom)
+    return gencomplex._times_pow2(s, 2 * (k - e - j), m * m)
 
 
 def metric_g2(kp: KappaPair, t0: float, dx: float) -> float:
     """Subsidiary metric dx^2/(1 + kappa1*t0^2)^2 on leaves w = t0 (kappa2=0)."""
     if kp.kappa2 != 0.0:
         raise WrongGeometry("subsidiary leaf metric needs kappa2 = 0")
-    return metric_g1(kp, gc(t0, 0, 0), gc(dx, 0, 0))
+    return metric_g1(kp, gencomplex.gc(t0, 0, 0), gencomplex.gc(dx, 0, 0))
 
 
-def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
+def distance(kp: KappaPair, w1: gencomplex.GenComplex, w2: gencomplex.GenComplex) -> float:
     """Closed-form geodesic distance in the conformal model: :func:`distance_parts`
     on the parts of w1 and w2, once their labels are checked.
 
@@ -208,7 +199,7 @@ def distance(kp: KappaPair, w1: GenComplex, w2: GenComplex) -> float:
     """
     re1, im1, kappa = w1
     re2, im2, kappa_w2 = w2
-    _check_same_kappa(kappa, kappa_w2)
+    gencomplex._check_same_kappa(kappa, kappa_w2)
     return distance_parts(kp.kappa1, kappa, re1, im1, re2, im2)
 
 
@@ -230,19 +221,20 @@ def distance_parts(kappa1: float, kappa: float, re1: float, im1: float, re2: flo
     a_re, a_im = re1 * kappa1, -im1 * kappa1
     den_re = a_re * re2 - kappa * a_im * im2 + 1.0
     den_im = a_re * im2 + re2 * a_im + 0.0
-    inverse = _inverse_parts(den_re, den_im, kappa)
+    inverse = gencomplex._inverse_parts(den_re, den_im, kappa)
     if inverse is None:
-        den = GenComplex(den_re, den_im, kappa)
+        den = gencomplex.GenComplex(den_re, den_im, kappa)
         raise DenominatorNotInvertible(f"denominator {den} is not invertible")
     inv_re, inv_im = inverse
     d_re, d_im = re2 - re1, im2 - im1
     # |arg| = sqrt(s) * 2**k, where s, the squared modulus of arg / 2**k,
     # neither underflows nor overflows
-    _, _, s, k = _scaled_parts(
+    _, _, s, k = gencomplex._scaled_parts(
         d_re * inv_re - kappa * d_im * inv_im, d_re * inv_im + inv_re * d_im, kappa)
     if s < 0.0:
-        raise NullOrImaginarySeparation(f"squared separation {_times_pow2(s, 2 * k)} < 0")
-    return atank(kappa1, _times_pow2(math.sqrt(s), k))
+        raise NullOrImaginarySeparation(
+            f"squared separation {gencomplex._times_pow2(s, 2 * k)} < 0")
+    return gentrig.atank(kappa1, gencomplex._times_pow2(math.sqrt(s), k))
 
 
 # -- region rendering -----------------------------------------------------------

@@ -45,10 +45,11 @@ values joined on, unknown tokens set aside) and then read by the same reader.
 
 Importing this module registers all seven layers but runs none of them (see
 the package docstring).  A runner reaches a layer's names through the layer,
-as ``ckgeom.KappaPair`` or ``gencomplex.gc``, and the first such access runs
-that layer and the layers it imports, so a request runs only the layers it
-uses: ``graph`` runs ``kinclass`` alone, ``distance`` runs ``ckgeom``,
-``gencomplex`` and ``gentrig``, and ``--help`` runs none.
+as ``ckgeom.KappaPair`` or ``gencomplex.gc``, as every layer reaches
+``gentrig`` and ``gencomplex``; the first such access runs the layer, so a
+request runs exactly the layers its answer calls: ``graph`` runs ``kinclass``
+alone, ``region`` ``ckgeom``, ``distance`` ``ckgeom``, ``gencomplex`` and
+``gentrig``, and ``--help`` none.
 """
 
 from __future__ import annotations

@@ -28,26 +28,26 @@ from __future__ import annotations
 import functools
 import math
 
+from . import gencomplex
 from .ckgeom import KappaPair
 from .errors import DecompositionFailure
-from .gencomplex import Mat2, gc
 from .spin import ALGEBRA_TOL, AXES, sl2_of_exp, so3_matrix_generators
 
 GENERATOR_TAGS = ("H", "P", "K", "G1", "G2", "D")
 
 
-def conformal_basis(kp: KappaPair) -> dict[str, Mat2]:
+def conformal_basis(kp: KappaPair) -> dict[str, gencomplex.Mat2]:
     """The six generators as matrices over the kappa2 algebra."""
     k2 = kp.kappa2
     h, p, k = so3_matrix_generators(kp)
-    zero = gc(0, 0, k2)
-    g1 = Mat2(zero, zero, gc(1, 0, k2), zero)
-    g2 = Mat2(zero, zero, gc(0, 1, k2), zero)
-    d = Mat2(gc(0.5, 0, k2), zero, zero, gc(-0.5, 0, k2))
+    zero = gencomplex.gc(0, 0, k2)
+    g1 = gencomplex.Mat2(zero, zero, gencomplex.gc(1, 0, k2), zero)
+    g2 = gencomplex.Mat2(zero, zero, gencomplex.gc(0, 1, k2), zero)
+    d = gencomplex.Mat2(gencomplex.gc(0.5, 0, k2), zero, zero, gencomplex.gc(-0.5, 0, k2))
     return {"H": h, "P": p, "K": k, "G1": g1, "G2": g2, "D": d}
 
 
-def decompose(kp: KappaPair, m: Mat2) -> dict[str, float]:
+def decompose(kp: KappaPair, m: gencomplex.Mat2) -> dict[str, float]:
     """Coefficients of a traceless matrix over {H, P, K, G1, G2, D}.
 
     Writing m = [[a, b], [c, -a]], the basis triangularizes: H and P alone
@@ -219,18 +219,19 @@ def diff_vs_tabulated(
     ]
 
 
-def conformal_moebius(kp: KappaPair, tag: str, t: float) -> Mat2:
+def conformal_moebius(kp: KappaPair, tag: str, t: float) -> gencomplex.Mat2:
     """exp(t * generator) in closed form, the Moebius map it induces on the
     kappa2 plane (:meth:`Mat2.apply`)."""
     k2 = kp.kappa2
-    zero = gc(0, 0, k2)
-    one = gc(1, 0, k2)
+    zero = gencomplex.gc(0, 0, k2)
+    one = gencomplex.gc(1, 0, k2)
     if tag == "G1":
-        return Mat2(one, zero, gc(t, 0, k2), one)
+        return gencomplex.Mat2(one, zero, gencomplex.gc(t, 0, k2), one)
     if tag == "G2":
-        return Mat2(one, zero, gc(0, t, k2), one)
+        return gencomplex.Mat2(one, zero, gencomplex.gc(0, t, k2), one)
     if tag == "D":
-        return Mat2(gc(math.exp(0.5 * t), 0, k2), zero, zero, gc(math.exp(-0.5 * t), 0, k2))
+        return gencomplex.Mat2(gencomplex.gc(math.exp(0.5 * t), 0, k2), zero, zero,
+                               gencomplex.gc(math.exp(-0.5 * t), 0, k2))
     if tag in AXES:
         return sl2_of_exp(kp, tag, t).as_mat2()
     raise KeyError(f"unknown conformal generator {tag!r}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import gentrig
 from .errors import (
     AtInfinity,
     DivisionByZero,
@@ -36,7 +37,6 @@ from .errors import (
     KappaMismatch,
     ZeroDivisorError,
 )
-from .gentrig import cosk_sink
 
 
 def _check_same_kappa(k1: float, k2: float) -> None:
@@ -193,7 +193,7 @@ def gc_exp_unit(kappa: float, phi: float) -> GenComplex:
     Lies on the unit circle of the algebra: sqmod = 1 exactly up to rounding,
     and exponents add under multiplication.
     """
-    return GenComplex(*cosk_sink(kappa, phi), kappa)
+    return GenComplex(*gentrig.cosk_sink(kappa, phi), kappa)
 
 
 # -- 2x2 matrices and Moebius maps -------------------------------------------

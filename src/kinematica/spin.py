@@ -47,10 +47,9 @@ import math
 import sys
 from typing import NamedTuple
 
+from . import gencomplex, gentrig
 from .ckgeom import PLANES, KappaPair, Matrix3, exp_parts
 from .errors import DegenerateAxis, GradeError, KappaMismatch, NotSpin, NotUnitRotor
-from .gencomplex import GenComplex, Mat2, gc
-from .gentrig import cosk_sink
 
 # the one bound on unit_defect() and require_unit().  Absolute: a relative bound admits
 # ill-conditioned elements whose cover entries cancel (K boosts of rapidity 40)
@@ -61,10 +60,11 @@ UNIT_TOL = 1e-8
 ALGEBRA_TOL = 1e-12
 
 
-def a_matrix(kp: KappaPair) -> Mat2:
+def a_matrix(kp: KappaPair) -> gencomplex.Mat2:
     """A = diag(kappa1, 1), the invariant form of the spin group."""
     k2 = kp.kappa2
-    return Mat2(gc(kp.kappa1, 0, k2), gc(0, 0, k2), gc(0, 0, k2), gc(1, 0, k2))
+    zero = gencomplex.gc(0, 0, k2)
+    return gencomplex.Mat2(gencomplex.gc(kp.kappa1, 0, k2), zero, zero, gencomplex.gc(1, 0, k2))
 
 
 def pseudo_norm(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> float:
@@ -75,13 +75,15 @@ def pseudo_norm(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> fl
     return a0 * a0 + k2 * a1 * a1 + (k1 * (b0 * b0 + k2 * b1 * b1) if k1 != 0.0 else 0.0)
 
 
-class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenComplex),
-                                             ("beta", GenComplex)])):
+class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair),
+                                             ("alpha", "gencomplex.GenComplex"),
+                                             ("beta", "gencomplex.GenComplex")])):
     """An element of Spin(3), stored as the pair (alpha, beta)."""
 
     __slots__ = ()
 
-    def __new__(cls, kp: KappaPair, alpha: GenComplex, beta: GenComplex) -> "SpinElement":
+    def __new__(cls, kp: KappaPair, alpha: gencomplex.GenComplex,
+                beta: gencomplex.GenComplex) -> "SpinElement":
         if alpha.kappa != kp.kappa2 or beta.kappa != kp.kappa2:
             raise KappaMismatch("spin entries must carry kappa2")
         return super().__new__(cls, kp, alpha, beta)
@@ -95,12 +97,12 @@ class SpinElement(NamedTuple("SpinElement", [("kp", KappaPair), ("alpha", GenCom
         """|pseudo_norm() - 1|, the quantity UNIT_TOL bounds."""
         return abs(self.pseudo_norm() - 1.0)
 
-    def as_mat2(self) -> Mat2:
+    def as_mat2(self) -> gencomplex.Mat2:
         """The matrix [[alpha, beta], [-kappa1*conj(beta), conj(alpha)]].
 
         It is also the Moebius map of the element on the kappa2 plane.
         """
-        return Mat2(
+        return gencomplex.Mat2(
             self.alpha,
             self.beta,
             -self.kp.kappa1 * self.beta.conj(),
@@ -162,14 +164,14 @@ def axis_label(kp: KappaPair, n1: float, n2: float, n3: float) -> float:
 
 def axis_parts(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> tuple[float, ...]:
     """The parts (Re alpha, Im alpha, Re beta, Im beta) of :func:`spin_from_axis`."""
-    c, s = cosk_sink(axis_label(kp, n1, n2, n3), 0.5 * phi)
+    c, s = gentrig.cosk_sink(axis_label(kp, n1, n2, n3), 0.5 * phi)
     return c, n1 * s, n3 * s, n2 * s
 
 
 def _element(kp: KappaPair, a0: float, a1: float, b0: float, b1: float) -> SpinElement:
     k2 = float(kp.kappa2)  # both entries carry kappa2: made without SpinElement's check
-    return SpinElement._make((kp, GenComplex(float(a0), float(a1), k2),
-                              GenComplex(float(b0), float(b1), k2)))
+    return SpinElement._make((kp, gencomplex.GenComplex(float(a0), float(a1), k2),
+                              gencomplex.GenComplex(float(b0), float(b1), k2)))
 
 
 def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -> SpinElement:
@@ -181,7 +183,7 @@ def spin_from_axis(kp: KappaPair, n1: float, n2: float, n3: float, phi: float) -
 AXES = {g: tuple(float(m not in plane) for m in range(3)) for g, plane in PLANES.items()}
 
 
-def so3_matrix_generators(kp: KappaPair) -> tuple[Mat2, Mat2, Mat2]:
+def so3_matrix_generators(kp: KappaPair) -> tuple[gencomplex.Mat2, ...]:
     """(H, P, K) inside the 2x2 model, s3check/2, i*s2/2, i*s1/2: the matrix of the tangent
     element with parts (0, n1/2, n3/2, n2/2) over each generator's axis."""
     return tuple(_element(kp, 0.0, n1 / 2, n3 / 2, n2 / 2).as_mat2()
@@ -212,13 +214,13 @@ def sl2_of_exp(kp: KappaPair, gen: str, t: float) -> SpinElement:
 
 def sl2_of_word(kp: KappaPair, word: list[tuple[str, float]]) -> SpinElement:
     """Spin representative of a left-to-right word of generator exponentials."""
-    out = SpinElement(kp, gc(1, 0, kp.kappa2), gc(0, 0, kp.kappa2))
+    out = SpinElement(kp, gencomplex.gc(1, 0, kp.kappa2), gencomplex.gc(0, 0, kp.kappa2))
     for gen, param in word:
         out = out * sl2_of_exp(kp, gen, param)
     return out
 
 
-def is_spin(kp: KappaPair, m: Mat2) -> bool:
+def is_spin(kp: KappaPair, m: gencomplex.Mat2) -> bool:
     """Whether m is the matrix of a spin element (m* A m = A and det m = 1)."""
     if m.kappa != kp.kappa2:
         return False
@@ -227,7 +229,7 @@ def is_spin(kp: KappaPair, m: Mat2) -> bool:
     return shape <= UNIT_TOL * max(1.0, m.max_abs()) and s.unit_defect() <= UNIT_TOL
 
 
-def is_su2_algebra(kp: KappaPair, b: Mat2) -> bool:
+def is_su2_algebra(kp: KappaPair, b: gencomplex.Mat2) -> bool:
     """Tangent-space test: B* A + A B = 0 and trace B = 0, within ALGEBRA_TOL."""
     a = a_matrix(kp)
     condition = b.star() @ a + a @ b

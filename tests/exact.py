@@ -68,9 +68,23 @@ exact part:
 
     python tests/exact.py --sweep rotate --draws 4000 --seed 1
 
+``project`` and ``unproject`` are measured against the exact image of the
+command line's floats: (t/(z+1), x/(z+1)) (:func:`project_image`) and
+(2/d - 1, 2u/d, 2v/d), d = 1 + kappa1 (u^2 + kappa2 v^2)
+(:func:`unproject_image`).  The image also names how the line must end
+(:func:`outcome`): ``ProjectionPole`` at z = -1, ``OutsideModel`` where
+d <= 0, ``NonFiniteResult`` where a part is beyond the float range.  The
+sweeps draw the labels of ``exp``'s sweep and coordinates from 1e-3 to 1e3
+in size or, one time in eight, from 1e150 to 1e308, where kappa1 |w|^2
+overflows; they print ``rotate``'s columns and the number of lines that end
+otherwise than predicted:
+
+    python tests/exact.py --sweep project --draws 4000 --seed 1
+    python tests/exact.py --sweep unproject --draws 4000 --seed 1
+
 Like ``tests/ab_timing.py``, pytest does not collect this file;
-``tests/test_exact.py`` checks the budget, the engines' order and
-``rotate``'s error.
+``tests/test_exact.py`` checks the budget, the engines' order, ``rotate``'s
+error and the outcomes and errors of ``project`` and ``unproject``.
 """
 
 from __future__ import annotations
@@ -337,19 +351,22 @@ def rotate_image(kappa1: float, kappa2: float, rotor, vector) -> tuple[Fraction,
     return tuple(out[1:4])
 
 
-def run_rotate(argv: list[str]) -> dict | None:
-    """``rotate``'s answer to a command line at 17 digits, or None where it ends in an error."""
+def run(argv: list[str]) -> tuple[dict | None, str | None]:
+    """A command line's answer at 17 digits and None, or None and the name of the
+    error it ends in."""
     from kinematica import cli
 
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     saved = os.environ.pop("KINEMATICA_PRECISION", None)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
         if saved is not None:
             os.environ["KINEMATICA_PRECISION"] = saved
-    return json.loads(out.getvalue()) if code == 0 else None
+    if code == 0:
+        return json.loads(out.getvalue()), None
+    return None, json.loads(err.getvalue())["error"]
 
 
 def sandwich_size(rotor, vector) -> Fraction:
@@ -364,7 +381,7 @@ def rotate_ulps(argv: list[str]) -> float | None:
     the largest exact part, or None where the line ends in an error."""
     from kinematica import cli
 
-    answer = run_rotate(argv)
+    answer, _ = run(argv)
     if answer is None:
         return None
     rotor = answer["rotor"]
@@ -411,14 +428,123 @@ def rotate_errors(n: int, seed: int) -> list[float]:
     return [error for error in errors if error is not None]
 
 
+# -- project and unproject ----------------------------------------------------------
+
+# halfway from the largest double to 2**1024: a part at or above it rounds to inf
+OVERFLOW = Fraction(2) ** 1024 - Fraction(2) ** 970
+
+
+def project_image(z: float, t: float, x: float) -> tuple[Fraction, Fraction] | str:
+    """(t/(z + 1), x/(z + 1)) exactly, or "ProjectionPole" at z = -1."""
+    if z == -1:
+        return "ProjectionPole"
+    pole = Fraction(z) + 1
+    return Fraction(t) / pole, Fraction(x) / pole
+
+
+def unproject_image(kappa1: float, kappa2: float, u: float,
+                    v: float) -> tuple[Fraction, Fraction, Fraction] | str:
+    """(2/d - 1, 2u/d, 2v/d), d = 1 + kappa1 (u^2 + kappa2 v^2), exactly: the quadric
+    point that projects to w = u + i v, or "OutsideModel" where d <= 0."""
+    u, v = Fraction(u), Fraction(v)
+    d = 1 + Fraction(kappa1) * (u * u + Fraction(kappa2) * v * v)
+    if d <= 0:
+        return "OutsideModel"
+    return 2 / d - 1, 2 * u / d, 2 * v / d
+
+
+def outcome(image) -> str:
+    """What a line should end in: the error the image names, "NonFiniteResult"
+    where a part is beyond the float range, or else "answer"."""
+    if isinstance(image, str):
+        return image
+    return "NonFiniteResult" if max(map(abs, image)) >= OVERFLOW else "answer"
+
+
+def _option(argv: list[str], name: str) -> list[float]:
+    """The floats of the ``--name=`` token of an exact-form command line."""
+    value = next(token for token in argv if token.startswith(f"--{name}="))
+    return [float(v) for v in value.split("=", 1)[1].split(",")]
+
+
+def plane_image(argv: list[str]):
+    """The exact image of a ``project`` or ``unproject`` command line, read off its argv."""
+    if argv[0] == "project":
+        return project_image(*_option(argv, "point"))
+    return unproject_image(*_option(argv, "kappa1"), *_option(argv, "kappa2"), *_option(argv, "w"))
+
+
+def _magnitude(rng: random.Random) -> float:
+    """A signed value from 1e-3 to 1e3, or one time in eight from 1e150 to 1e308,
+    whose square overflows."""
+    e = rng.uniform(150.0, 308.0) if rng.random() < 0.125 else rng.uniform(-3.0, 3.0)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** e
+
+
+def _pole_coordinate(rng: random.Random) -> float:
+    """z: -1 itself one time in ten, within 1e-16 to 0.1 of it one time in five
+    (a smaller offset rounds to -1), else a value of :func:`_magnitude`."""
+    r = rng.random()
+    if r < 0.1:
+        return -1.0
+    if r < 0.3:
+        return -1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -1.0)
+    return _magnitude(rng)
+
+
+def plane_draws(sweep: str, n: int, seed: int) -> list[list[str]]:
+    """``n`` seeded ``project`` or ``unproject`` command lines, with the labels of
+    ``exp``'s sweep: the nine sign patterns."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n):
+        if sweep == "project":
+            point = (_pole_coordinate(rng), _magnitude(rng), _magnitude(rng))
+            option = "--point=" + ",".join(map(repr, point))
+        else:
+            option = f"--w={_magnitude(rng)!r},{_magnitude(rng)!r}"
+        lines.append([sweep, option, f"--kappa1={_wide_label(rng)!r}",
+                      f"--kappa2={_wide_label(rng)!r}"])
+    return lines
+
+
+def plane_line(argv: list[str]) -> tuple[str, str, float | None]:
+    """(predicted, ended, ulps) of a ``project`` or ``unproject`` line: the outcome
+    its exact image predicts, the one it ends in, and, where it answers, the largest
+    |printed - exact| over the parts in ulps of the largest exact part."""
+    image = plane_image(argv)
+    answer, error = run(argv)
+    if answer is None:
+        return outcome(image), error, None
+    printed = (answer["re"], answer["im"]) if argv[0] == "project" else answer["point"]
+    ulps = vector_ulps(printed, image) if outcome(image) == "answer" else math.inf
+    return outcome(image), "answer", ulps
+
+
+def plane_outcomes(sweep: str, n: int, seed: int) -> list[tuple[str, str, float | None]]:
+    """:func:`plane_line` of each of ``n`` seeded lines."""
+    return [plane_line(argv) for argv in plane_draws(sweep, n, seed)]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sweep", choices=("exp", "spin", "rotate"), default="spin")
+    parser.add_argument("--sweep", choices=("exp", "spin", "rotate", "project", "unproject"),
+                        default="spin")
     parser.add_argument("--draws", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    if args.sweep in ("project", "unproject"):
+        rows = plane_outcomes(args.sweep, args.draws, args.seed)
+        answered = [ulps for _, ended, ulps in rows if ended == "answer"]
+        missed = sum(predicted != ended for predicted, ended, _ in rows)
+        print(f"sweep {args.sweep}, {args.draws} draws, seed {args.seed}: printed point "
+              f"against the exact image of the argv, in ulps of the largest exact part")
+        print(f"{'engine':<15}{'answers':>8}{'median':>8}{'p99':>8}{'max':>8}{'mispredicted':>14}")
+        print(f"{args.sweep:<15}{len(answered):>8}{statistics.median(answered):>8.3f}"
+              f"{percentile(answered, 0.99):>8.3f}{max(answered):>8.3f}{missed:>14}")
+        return 0
     if args.sweep == "rotate":
         answered = rotate_errors(args.draws, args.seed)
         print(f"sweep rotate, {args.draws} draws, seed {args.seed}: printed vector against "

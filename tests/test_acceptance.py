@@ -443,6 +443,30 @@ def test_criterion_12_homogeneous_spacetimes_for_all_but_static():
         assert classes - reached == {kinclass.name_of(kinclass.BracketTriple(0, 0, 0))}
 
 
+def test_criterion_13_label_limits_are_contractions():
+    with Budget(13, 1.0, "a label sent to 0 follows a contraction edge; all 19 but those into St"):
+        edges = {(source, target) for source, target, _ in kinclass.contraction_graph()}
+        reached = set()
+        for kp in NINE_PATTERNS:
+            k1, k2 = kp
+            triples = [kinclass.so3_triple(*labels) for labels in ((k1, k2), (0.0, k2), (k1, 0.0))]
+            for sym in (None, "S_P", "S_H", "S_K"):
+                source, *limits = (t if sym is None else kinclass.apply_symmetry(sym, t)
+                                   for t in triples)
+                # the limits of El, H and Eu land off the graph, as El -> Eu
+                if not kinclass.is_kinematical(source):
+                    continue
+                for limit in limits:
+                    edge = (kinclass.name_of(source), kinclass.name_of(limit))
+                    if edge[0] != edge[1]:  # the label was 0 already
+                        assert edge in edges, (kp, sym, edge)
+                        reached.add(edge)
+        static = kinclass.name_of(kinclass.BracketTriple(0, 0, 0))
+        into_static = {edge for edge in edges if edge[1] == static}
+        assert len(edges) == 19 and len(into_static) == 3
+        assert reached == edges - into_static
+
+
 def bracket_triple(generators, commutator, flat) -> kinclass.BracketTriple:
     """The signs of (k, h, p) in [H, P] = k K, [K, P] = h H and [K, H] = p P, each
     read from one representation's own commutator; each bracket must be a multiple

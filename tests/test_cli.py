@@ -1817,15 +1817,15 @@ LOAD_MAP = [
     (["classify"], {"kinclass"}),
     (["contract", "--from", "dS", "--type", "speed-space"], {"kinclass"}),
     (["graph"], {"kinclass"}),
-    (["exp", "--gen", "P", "--param", "0.4", *KAPPAS], GEOMETRY),
-    (["project", "--point", "0.6,0.8,0", *KAPPAS], GEOMETRY),
-    (["unproject", "--w", "0.1,0.2", *KAPPAS], GEOMETRY),
+    (["exp", "--gen", "P", "--param", "0.4", *KAPPAS], {"gentrig", "ckgeom"}),
+    (["project", "--point", "0.6,0.8,0", *KAPPAS], {"gencomplex", "ckgeom"}),
+    (["unproject", "--w", "0.1,0.2", *KAPPAS], {"gencomplex", "ckgeom"}),
     (["distance", "--w1", "0,0", "--w2", "0.5,0", *KAPPAS], GEOMETRY),
-    (["region", *KAPPAS], GEOMETRY),
+    (["region", *KAPPAS], {"ckgeom"}),
     (["rotate", "--axis", "1,0,0", "--angle", "1.5", "--vector", "1,0,0", *KAPPAS],
-     GEOMETRY | {"spin"}),
-    (["spin", "--gen", "H", "--param", "0.3", *KAPPAS], GEOMETRY | {"spin"}),
-    (["conformal-table", "--diff-paper", *KAPPAS], GEOMETRY | {"spin", "conformal"}),
+     {"gentrig", "ckgeom", "spin"}),
+    (["spin", "--gen", "H", "--param", "0.3", *KAPPAS], {"gentrig", "ckgeom", "spin"}),
+    (["conformal-table", "--diff-paper", *KAPPAS], {"gencomplex", "ckgeom", "spin", "conformal"}),
     (["--help"], set()),
     (["distance", "--kappa1", "nan"], set()),  # rejected before any layer is used
 ]

@@ -1,5 +1,6 @@
 """The package namespace: lazy layers and the public names looked up in them."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -71,3 +72,16 @@ def test_importing_the_package_registers_every_layer_and_runs_none():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == [f"{m} True False" for m in LAYERS] + ["errors True True"]
+
+
+def test_no_module_binds_a_name_out_of_gentrig_or_gencomplex():
+    # a module reaches them through the layer, as gentrig.cosk_sink, so that
+    # loading it runs neither and a request runs them only if its answer calls them
+    found = []
+    for path in sorted(Path(kinematica.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module if node.level == 0 else f"kinematica.{node.module}"
+                if module in ("kinematica.gentrig", "kinematica.gencomplex"):
+                    found.append(f"{path.name}:{node.lineno}: from {'.' * node.level}{node.module}")
+    assert found == []
