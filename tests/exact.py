@@ -513,12 +513,12 @@ def plane_line(argv: list[str]) -> tuple[str, str, float | None]:
     its exact image predicts, the one it ends in, and, where it answers, the largest
     |printed - exact| over the parts in ulps of the largest exact part."""
     image = plane_image(argv)
+    predicted = outcome(image)
     answer, error = run(argv)
     if answer is None:
-        return outcome(image), error, None
+        return predicted, error, None
     printed = (answer["re"], answer["im"]) if argv[0] == "project" else answer["point"]
-    ulps = vector_ulps(printed, image) if outcome(image) == "answer" else math.inf
-    return outcome(image), "answer", ulps
+    return predicted, "answer", vector_ulps(printed, image) if predicted == "answer" else math.inf
 
 
 def plane_outcomes(sweep: str, n: int, seed: int) -> list[tuple[str, str, float | None]]:
